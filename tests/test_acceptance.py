@@ -5,6 +5,7 @@ terminal and hard-asserts the criterion; zero-failure criteria count every
 instance and never soften an error into a skip.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -39,8 +40,22 @@ from flaglift.oracle import (
     brute_lift,
     gen_random_flag,
 )
+from flaglift.repfile import save_rep
 from flaglift.surface import GModule, RelatorError, char_module, trivial_module
 from flaglift.zmod import RingSpec, RMatrix
+
+
+# sha256 over save_rep of every lifted flag, in battery order; any change to
+# an engine's output, however small, changes these digests
+LIFT_DIGESTS = {
+    5: "b3cc2af1e7d124e631d3db7c1475014ad99c479cc77d9eb738932ccafad9a506",
+    6: "65d2c9c38805adcd9d3718c3a8bc257c87342d9a9a1d7f595d69ea47105bc364",
+    9: "a325a0db644d5a030e83c03dd96c0b42352c267e09487f1c98634975e58b5633",
+}
+
+
+def _fold(digest, flag) -> None:
+    digest.update(save_rep(flag).encode())
 
 
 def _emit(capsys, n: int, ok: bool, detail: str) -> None:
@@ -222,11 +237,13 @@ _GRID = [
 def test_criterion_5_kummer_lifting_battery(capsys):
     t0 = time.monotonic()
     failures = []
+    digest = hashlib.sha256()
     for (p, genus, d, r, seed) in _GRID:
         tag = f"p={p} g={genus} d={d} r={r} seed={seed}"
         try:
             f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
             out = lift_kummer(f)
+            _fold(digest, out)
             up = RingSpec(p, r + 1)
             if not relator_defect(up, genus, out.mats).is_zero():
                 failures.append(f"{tag}: relator defect nonzero")
@@ -240,6 +257,7 @@ def test_criterion_5_kummer_lifting_battery(capsys):
     ok = not failures and dt < 600.0
     _emit(capsys, 5, ok, f"{len(_GRID)} seeded kummer lifts, zero failures, {dt:.2f}s < 10min")
     assert not failures, failures
+    assert digest.hexdigest() == LIFT_DIGESTS[5], "kummer lifts changed"
     assert dt < 600.0, f"runtime {dt:.2f}s exceeds 10min"
 
 
@@ -247,6 +265,7 @@ def test_criterion_6_wound_lifting_battery(capsys):
     t0 = time.monotonic()
     failures = []
     adjusted_count = 0
+    digest = hashlib.sha256()
     ring3 = RingSpec(3, 1)
     frozen = Flag.from_rows(
         ring3, 1, [[[1, 2, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 2], [0, 0, 1]]]
@@ -262,6 +281,7 @@ def test_criterion_6_wound_lifting_battery(capsys):
         try:
             result = lift_wound_kummer(f)
             out = result.flag
+            _fold(digest, out)
             r = f.ring.r
             up = RingSpec(f.ring.p, r + 1)
             if not relator_defect(up, f.genus, out.mats).is_zero():
@@ -288,6 +308,7 @@ def test_criterion_6_wound_lifting_battery(capsys):
         f"zero failures, {dt:.2f}s < 10min",
     )
     assert not failures, failures
+    assert digest.hexdigest() == LIFT_DIGESTS[6], "wound lifts changed"
     assert dt < 600.0, f"runtime {dt:.2f}s exceeds 10min"
 
 
@@ -354,6 +375,7 @@ def test_criterion_9_duality_coherence(capsys):
     t0 = time.monotonic()
     failures = []
     n_invol = n_agree = 0
+    digest = hashlib.sha256()
     for kind in ("any", "kummer", "wound-kummer"):
         for p in (2, 3):
             for d in (2, 3):
@@ -370,10 +392,13 @@ def test_criterion_9_duality_coherence(capsys):
                     f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
                     o_q = lift_kummer(f)
                     o_t = lift_kummer_truncation(f)
+                    o_td = lift_kummer_truncation(f.dual())
+                    for out in (o_q, o_t, o_td):
+                        _fold(digest, out)
                     n_agree += 1
                     if o_t.reduce_to(r) != f or not is_kummer(o_t).ok:
                         failures.append(f"{tag}: truncation-mode postconditions fail")
-                    if o_q.dual() != lift_kummer_truncation(f.dual()):
+                    if o_q.dual() != o_td:
                         failures.append(f"{tag}: modes disagree through duality")
                     if o_q.dual().dual() != o_q:
                         failures.append(f"{tag}: dual involution fails on the lift")
@@ -385,3 +410,4 @@ def test_criterion_9_duality_coherence(capsys):
     )
     assert not failures, failures
     assert n_agree >= 20
+    assert digest.hexdigest() == LIFT_DIGESTS[9], "duality-battery lifts changed"
