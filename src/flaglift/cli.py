@@ -1,7 +1,8 @@
 """Command-line front end: reports, lifting pipelines, oracle comparisons.
 
 Exit codes: 0 success, 2 mathematical failure (nonzero obstruction or a
-failed comparison), 1 malformed input or usage error.
+failed comparison), 3 inconclusive (a search hit its budget before it could
+decide), 1 malformed input or usage error.
 """
 
 from __future__ import annotations
@@ -353,7 +354,10 @@ def main(argv=None) -> int:
     except RepFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LiftConsistencyError, KummerInconclusive) as exc:
+    except KummerInconclusive as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
+    except LiftConsistencyError as exc:
         print(f"obstructed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

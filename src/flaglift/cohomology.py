@@ -122,9 +122,6 @@ class CochainComplex:
     def is_cocycle(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.d1.apply(vec))
 
-    def evaluate_d1(self, values: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        return self.d1.apply(stack(values))
-
 
 @lru_cache(maxsize=None)
 def complex_of(module: GModule) -> CochainComplex:
@@ -213,9 +210,6 @@ class ModuleShape:
 
     invariants: tuple[int, ...]
     reps: tuple[tuple[int, ...], ...]
-
-    def size_exponent(self) -> int:
-        return sum(self.invariants)
 
 
 @dataclass(frozen=True)

@@ -11,30 +11,15 @@ wound, wound-Kummer, Kummer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .cohomology import (
-    ExtensionData,
-    complex_of,
-    coordinate_extension,
-    extension_class,
-    split_section,
-)
-from .surface import GModule, SurfaceRep, char_module
-from .zmod import (
-    LinearSolver,
-    RingSpec,
-    RMatrix,
-    span_coefficients,
-    teichmuller,
-    vec_add,
-    vec_scale,
-)
+from .cohomology import coordinate_extension, split_section
+from .surface import GModule, SurfaceRep
+from .zmod import RingSpec, RMatrix, teichmuller
 
 
 class KummerInconclusive(RuntimeError):
-    """Splitting enumeration exceeded the configured budget."""
+    """A Kummer search hit its budget before it could decide."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +68,6 @@ class Flag:
     def chars(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.char(i) for i in range(1, self.d + 1))
 
-    def piece_module(self, i: int) -> GModule:
-        return char_module(self.ring, self.genus, self.char(i))
-
     def as_module(self) -> GModule:
         return self.rep.as_module()
 
@@ -127,21 +109,21 @@ class Flag:
         mats = tuple(j @ m.transpose() @ j for m in self.rep.inverses)
         return Flag(SurfaceRep(self.ring, self.genus, mats))
 
-    def step_extension(self, i: int, k: int) -> ExtensionData:
-        """0 -> V_(k-1)/V_i -> V_k/V_i -> L_k -> 0 as module data."""
-        if not 0 <= i < k <= self.d:
-            raise ValueError(f"bad step extension ({i}, {k})")
-        return coordinate_extension(self.segment(i, k).as_module(), k - 1 - i)
-
 
 # ---------------------------------------------------------------------------
 # splitting indices
 
 
+def segment_extension_splits(flag: Flag, i: int, j: int, k: int) -> bool:
+    """Whether 0 -> V_j/V_i -> V_k/V_i -> V_k/V_j -> 0 splits equivariantly."""
+    ext = coordinate_extension(flag.segment(i, k).as_module(), j - i)
+    return split_section(ext).splits
+
+
 def index_of(flag: Flag, k: int) -> int:
     """Smallest i with V_k/V_i -> L_k split; i = k-1 always qualifies."""
     for i in range(k):
-        if split_section(flag.step_extension(i, k)).splits:
+        if segment_extension_splits(flag, i, k - 1, k):
             return i
     raise AssertionError("the rank-0 sub at i = k-1 always splits")
 
@@ -159,49 +141,9 @@ def is_wound(flag: Flag) -> bool:
     """All consecutive 2-step subquotients nonsplit, mod p."""
     f1 = flag.reduce_to(1)
     for i in range(1, f1.d):
-        if split_section(f1.step_extension(i - 1, i + 1)).splits:
+        if segment_extension_splits(f1, i - 1, i, i + 1):
             return False
     return True
-
-
-def invariant_lines(module: GModule) -> list[tuple[int, ...]]:
-    """Normalized generators of the stable lines of a mod-p module."""
-    ring = module.ring
-    if ring.r != 1:
-        raise ValueError("invariant lines are a mod-p notion")
-    p, n = ring.p, module.rank
-    out = []
-    for v in _projective_reps(p, n):
-        ok = True
-        for g in range(2 * module.genus):
-            w = module.acts[g].apply(v)
-            # w must be a scalar multiple of v
-            lead = next(i for i in range(n) if v[i])
-            lam = w[lead]
-            if vec_scale(ring, lam, v) != w:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
-
-
-def _projective_reps(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    """One representative per line of F_p^n: first nonzero coordinate is 1."""
-    for lead in range(n):
-        tail = n - lead - 1
-        counters = [0] * tail
-        while True:
-            yield (0,) * lead + (1,) + tuple(counters)
-            i = tail - 1
-            while i >= 0:
-                counters[i] += 1
-                if counters[i] < p:
-                    break
-                counters[i] = 0
-                i -= 1
-            else:
-                break
 
 
 def char_is_teichmuller(ring: RingSpec, values: Sequence[int]) -> bool:
@@ -228,85 +170,6 @@ class KummerVerdict:
         return self.ok
 
 
-def iter_equivariant_sections(flag: Flag, k: int) -> Iterator[tuple[int, ...]]:
-    """Lazily enumerate equivariant sections of V_k -> L_k as length-k columns.
-
-    Empty when the step extension (0, k) does not split; otherwise a torsor
-    under Hom_Gamma(L_k, V_(k-1)), walked from an independent generator set
-    starting at the base section of the canonical solver.
-    """
-    ring = flag.ring
-    res = split_section(flag.step_extension(0, k))
-    if not res.splits:
-        return
-    base = res.section.col(0)
-    if k == 1:
-        yield base
-        return
-    sub = flag.segment(0, k - 1).as_module()
-    chi = flag.char(k)
-    blocks = []
-    for g in range(2 * flag.genus):
-        blocks.append(sub.acts[g] - RMatrix.identity(ring, k - 1).scale(chi[g]))
-    system = RMatrix.vstack(blocks)
-    gens = LinearSolver(system).kernel()
-    for coeffs in span_coefficients(ring.p, [e for _, e in gens]):
-        f = (0,) * (k - 1)
-        for c, (vec, _) in zip(coeffs, gens):
-            f = vec_add(ring, f, vec_scale(ring, c, vec))
-        yield vec_add(ring, base, tuple(f) + (0,))
-
-
-def equivariant_sections(flag: Flag, k: int, budget: int = 4096) -> list[tuple[int, ...]]:
-    """All equivariant sections of V_k -> L_k, as length-k columns.
-
-    Raises KummerInconclusive when more than ``budget`` sections exist.
-    """
-    ring = flag.ring
-    out = []
-    for sec in iter_equivariant_sections(flag, k):
-        out.append(sec)
-        if len(out) > budget:
-            raise KummerInconclusive(
-                f"equivariant sections at step {k} exceed the budget {budget}"
-            )
-    return out
-
-
-def quotient_by_section(flag: Flag, k: int, section: Sequence[int]) -> Flag:
-    """The flag on V_d / section(L_k), in the section-adapted basis.
-
-    ``section`` is a length-k column with last entry 1 spanning a stable
-    line; the basis change U (identity with column k-1 replaced) makes it a
-    coordinate line, which is then deleted.
-    """
-    ring = flag.ring
-    d = flag.d
-    if len(section) != k or section[k - 1] != 1:
-        raise ValueError("section must be a length-k column with last entry 1")
-    w = list(section) + [0] * (d - k)
-    u = RMatrix(
-        ring,
-        d,
-        d,
-        tuple(
-            w[i] if j == k - 1 else (1 if i == j else 0) for i in range(d) for j in range(d)
-        ),
-    )
-    u_inv = u.inverse()
-    chi = flag.char(k)
-    keep = [i for i in range(d) if i != k - 1]
-    out = []
-    for g, m in enumerate(flag.mats):
-        conj = u_inv @ m @ u
-        col = conj.col(k - 1)
-        expect = tuple(chi[g] if i == k - 1 else 0 for i in range(d))
-        if col != expect:
-            raise ValueError("section column is not equivariant for the flag")
-        out.append(conj.submatrix(keep, keep))
-    return Flag(SurfaceRep(ring, flag.genus, tuple(out)))
-
-
 _KUMMER_CACHE: dict[tuple[Flag, bool], KummerVerdict] = {}
 
 
@@ -328,12 +191,6 @@ def is_kummer(flag: Flag, strict_chars: bool = True) -> KummerVerdict:
     verdict = _is_kummer_inner(flag, strict_chars)
     _KUMMER_CACHE[key] = verdict
     return verdict
-
-
-def segment_extension_splits(flag: Flag, i: int, j: int, k: int) -> bool:
-    """Whether 0 -> V_j/V_i -> V_k/V_i -> V_k/V_j -> 0 splits equivariantly."""
-    ext = coordinate_extension(flag.segment(i, k).as_module(), j - i)
-    return split_section(ext).splits
 
 
 def _is_kummer_inner(flag: Flag, strict: bool) -> KummerVerdict:

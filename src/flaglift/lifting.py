@@ -14,21 +14,17 @@ candidate matrices and live in H^2 of small coefficient modules:
   quotient (extend-quotient) or the truncation (extend-truncation) to a
   supplied lift, exactly,
 * ``lift_h1_class``: lift a mod-p degree-1 class through the tower of a
-  Kummer flag,
-* ``baer``: Baer sum / difference of module extensions,
-* ``conjugate_lift_witness``: decide when two lifts of the same flag are
-  conjugate by a matrix congruent to 1 mod p^r.
+  Kummer flag.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .cohomology import (
     CohClass,
-    ExtensionData,
     LiftConsistencyError,
     complex_of,
     coordinate_extension,
@@ -38,11 +34,11 @@ from .cohomology import (
     stack,
     unstack,
 )
-from .flags import Flag, is_kummer, is_wound_kummer, segment_extension_splits
+from .flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer, segment_extension_splits
 from .surface import (
     GModule,
-    Presentation,
     SurfaceRep,
+    _relator_product,
     char_module,
     dual_module,
     hom_mat,
@@ -57,12 +53,7 @@ from .zmod import LinearSolver, RingSpec, RMatrix, span_coefficients, teichmulle
 
 def relator_defect(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
     """Product of the candidate matrices along the relator, minus identity."""
-    n = mats[0].rows
-    inv = [m.inverse() for m in mats]
-    acc = RMatrix.identity(ring, n)
-    for t in Presentation(genus).relator():
-        acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
-    return acc - RMatrix.identity(ring, n)
+    return _relator_product(ring, genus, mats) - RMatrix.identity(ring, mats[0].rows)
 
 
 def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:
@@ -177,10 +168,6 @@ def strict_upper_module(bar: Flag) -> GModule:
     return GModule(ring, bar.genus, tuple(acts))
 
 
-def pairs_to_vec(m: RMatrix, pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    return tuple(m.entry(i, j) for (i, j) in pairs)
-
-
 def vec_to_pairs(ring: RingSpec, vec: Sequence[int], d: int, pairs: Sequence[tuple[int, int]]) -> RMatrix:
     ent = [[0] * d for _ in range(d)]
     for (i, j), v in zip(pairs, vec):
@@ -196,14 +183,6 @@ class RepLiftOutcome:
     @property
     def lifted(self) -> bool:
         return self.flag is not None
-
-
-def teichmuller_char_lift(f: Flag, target_r: int) -> tuple[tuple[int, ...], ...]:
-    """Teichmuller lifts of the mod-p characters, one tuple per piece."""
-    ring = RingSpec(f.ring.p, target_r)
-    return tuple(
-        tuple(teichmuller(ring, v % f.ring.p) for v in f.char(i)) for i in range(1, f.d + 1)
-    )
 
 
 def least_char_lift(f: Flag, target_r: int) -> tuple[tuple[int, ...], ...]:
@@ -341,83 +320,6 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> GluiftOutcome:
     if flag.reduce_to(ring.r) != base:
         raise AssertionError("gluift output must reduce to the base")
     return GluiftOutcome(flag, None)
-
-
-# ---------------------------------------------------------------------------
-# Baer sums and lift comparison
-
-
-def baer(ea: ExtensionData, eb: ExtensionData, sign: int = 1) -> ExtensionData:
-    """Cocycle-level Baer sum (sign=+1) or difference (sign=-1)."""
-    if ea.sub != eb.sub or ea.quotient != eb.quotient:
-        raise ValueError("Baer sum needs matching sub and quotient modules")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    ring = ea.ring
-    ca, cb = extension_class(ea), extension_class(eb)
-    gamma = ca + cb if sign == 1 else ca - cb
-    na, nc = ea.sub.rank, ea.quotient.rank
-    acts = []
-    for g in range(2 * ea.sub.genus):
-        gm = hom_mat(ring, gamma.values()[g], na, nc)
-        blocks_top = RMatrix.hstack([ea.sub.acts[g], gm @ ea.quotient.acts[g]])
-        blocks_bot = RMatrix.hstack([RMatrix.zeros(ring, nc, na), ea.quotient.acts[g]])
-        acts.append(RMatrix.vstack([blocks_top, blocks_bot]))
-    total = GModule(ring, ea.sub.genus, tuple(acts))
-    return coordinate_extension(total, na)
-
-
-def conjugate_lift_witness(f1: Flag, f2: Flag, base_r: int) -> RMatrix | None:
-    """A matrix I + p^base_r N, N upper triangular, conjugating f1 to f2.
-
-    Both flags must agree mod p^base_r; the conjugation condition is the
-    mod-p linear system N rho - rho N = (f2 - f1)/p^base_r.
-    """
-    ring = f1.ring
-    if f2.ring != ring or f1.d != f2.d or f1.genus != f2.genus:
-        raise ValueError("flags not comparable")
-    if f1.reduce_to(base_r) != f2.reduce_to(base_r):
-        raise ValueError("flags do not agree at the base level")
-    d = f1.d
-    p = ring.p
-    pr = p**base_r
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]  # diagonal included
-    bar = f1.reduce_to(1)
-    rows = []
-    rhs = []
-    for g in range(2 * f1.genus):
-        m = bar.mats[g]
-        minv = bar.rep.inverses[g]
-        diff = f2.mats[g] - f1.mats[g]
-        for (k, l) in pairs:
-            row = []
-            for (i, j) in pairs:
-                # coefficient of N_ij in (N rho - rho N)_kl
-                val = 0
-                if i == k:
-                    val += m.entry(j, l)
-                if j == l:
-                    val -= m.entry(k, i)
-                row.append(val % p)
-            rows.append(row)
-            v = diff.entry(k, l)
-            if v % pr:
-                raise AssertionError("difference must vanish mod p^base_r")
-            rhs.append((v // pr) % p)
-    ring1 = RingSpec(p, 1)
-    system = RMatrix.from_rows(ring1, rows)
-    sol = LinearSolver(system).solve(tuple(rhs))
-    if sol is None:
-        return None
-    ent = [[0] * d for _ in range(d)]
-    for (i, j), v in zip(pairs, sol):
-        ent[i][j] = (v * pr) % ring.modulus
-    phi = RMatrix.identity(ring, d) + RMatrix.from_rows(ring, ent)
-    phi_inv = phi.inverse()
-    for g in range(2 * f1.genus):
-        if phi @ f1.mats[g] @ phi_inv != f2.mats[g]:
-            raise AssertionError("witness conjugation is not exact")
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +518,87 @@ def _splitting_grid(bar: Flag, j: int, k: int) -> tuple[RMatrix, list[tuple[tupl
 _SPLITTING_GRID_CAP = 2048
 
 
+@dataclass
+class _JointSystem:
+    """A linear system over Z/p^(r+1) whose unknowns come in column blocks.
+
+    ``block`` hands out fresh columns in order; rows are sparse
+    {column: coefficient} maps, densified to the full width by ``solve``.
+    """
+
+    ring: RingSpec
+    width: int = 0
+    rows: list[tuple[dict[int, int], int]] = field(default_factory=list)
+
+    def block(self, size: int) -> int:
+        """Reserve ``size`` fresh columns and return the first."""
+        start = self.width
+        self.width += size
+        return start
+
+    def add(self, coeffs: dict[int, int], rhs: int) -> None:
+        m = self.ring.modulus
+        self.rows.append(({c: v % m for c, v in coeffs.items()}, rhs % m))
+
+    def fork(self) -> "_JointSystem":
+        """A copy that takes further rows without touching this one."""
+        return replace(self, rows=list(self.rows))
+
+    def solve(self) -> tuple[int, ...] | None:
+        dense = [[row.get(c, 0) for c in range(self.width)] for row, _ in self.rows]
+        mat = RMatrix.from_rows(self.ring, dense)
+        return LinearSolver(mat).solve(tuple(rhs for _, rhs in self.rows))
+
+
+@dataclass(frozen=True)
+class _SplitStep:
+    """A step (0,1,k) split mod p, with the unknowns of its coboundary witness."""
+
+    k: int
+    cochain: Sequence[tuple[int, ...]]  # step cochain of the pinned lift, per generator
+    hom_acts: Sequence[RMatrix]  # Hom(V_k/V_1, L_1) over the pinned quotient block
+    row_class: Sequence[list[list[int]]]  # _row_class_matrix, per generator
+    witness_col: int  # k-1 columns
+
+
+@dataclass(frozen=True)
+class _SigmaPair:
+    """A step (0,j,k), j >= 2, split mod p while (0,1,k) is not.
+
+    The section of V_k/V_j -> V_k/V_1 is ``base`` plus a point of the
+    torsor grid mod p, corrected at scale p by a (j-1) x (k-j) block.
+    """
+
+    j: int
+    k: int
+    cochain: Sequence[tuple[int, ...]]
+    row_class: Sequence[list[list[int]]]
+    a_mats: Sequence[RMatrix]  # pinned block V_k/V_1
+    b_mats: Sequence[RMatrix]  # pinned block V_k/V_j
+    hom_acts: Sequence[RMatrix]  # Hom(V_k/V_j, L_1) over the pinned block
+    base: RMatrix
+    torsor: Sequence[tuple[tuple[int, ...], int]]
+    section_col: int  # (j-1)(k-j) columns
+    witness_col: int  # k-j columns
+
+    def section(self, coeffs: Sequence[int], up: RingSpec) -> RMatrix:
+        """Mod-p section at a torsor grid point, as a matrix over ``up``."""
+        j, k, p = self.j, self.k, up.p
+        nh = (j - 1) * (k - j)
+        hvec = [0] * nh
+        for c_val, (gvec, _) in zip(coeffs, self.torsor):
+            for i in range(nh):
+                hvec[i] = (hvec[i] + c_val * gvec[i]) % p
+        hmat = hom_mat(self.base.ring, hvec, j - 1, k - j)
+        return RMatrix.from_rows(up, [
+            [
+                (self.base.entry(a, b) + (hmat.entry(a, b) if a < j - 1 else 0)) % p
+                for b in range(k - j)
+            ]
+            for a in range(k - 1)
+        ])
+
+
 def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     """Twist a pinned relator-exact lift until split steps stay split.
 
@@ -626,7 +609,9 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     once the mod-p reduction of the section is fixed, so those reductions
     are enumerated over their torsor grid.  Remaining split steps sit
     inside the pinned quotient or are implied, so solvability at some grid
-    point is equivalent to the existence of a pinned Kummer lift.
+    point is equivalent to the existence of a pinned Kummer lift.  A grid
+    cut short by ``_SPLITTING_GRID_CAP`` without a solution decides
+    nothing and raises KummerInconclusive.
     """
     ring = f.ring
     up = sharp.ring
@@ -636,7 +621,6 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     bar = f.reduce_to(1)
     o0_flag = Flag(SurfaceRep(up, f.genus, tuple(o0)))
     l1 = char_module(up, f.genus, (1,) * n_gens)
-    n_mu = n_gens * (d - 1)
 
     split1 = [k for k in range(2, d + 1) if segment_extension_splits(bar, 0, 1, k)]
     sigma_pairs = [
@@ -647,149 +631,116 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
         if segment_extension_splits(bar, 0, j, k)
     ]
 
-    def step_cochain(k: int) -> tuple[tuple[int, ...], ...]:
+    def step_cochain(k: int) -> list[tuple[int, ...]]:
         ext = coordinate_extension(o0_flag.segment(0, k).as_module(), 1)
         return extension_class(ext).values()
 
-    pair1 = []
-    for k in split1:
-        qk = sharp.segment(0, k - 1).as_module()
-        pair1.append((
+    def row_classes(k: int) -> list[list[list[int]]]:
+        return [_row_class_matrix(bar, k, g) for g in range(n_gens)]
+
+    system = _JointSystem(up)
+    mu = system.block(n_gens * (d - 1))  # the first-row twist, d-1 per generator
+    steps = [
+        _SplitStep(
             k,
             step_cochain(k),
-            hom_module(qk, l1).acts,
-            [_row_class_matrix(bar, k, g) for g in range(n_gens)],
-        ))
-    pairs2 = []
+            hom_module(sharp.segment(0, k - 1).as_module(), l1).acts,
+            row_classes(k),
+            system.block(k - 1),
+        )
+        for k in split1
+    ]
+    pairs = []
     for (j, k) in sigma_pairs:
-        base, gens = _splitting_grid(bar, j, k)
-        pairs2.append({
-            "j": j,
-            "k": k,
-            "phi0": step_cochain(k),
-            "lmats": [_row_class_matrix(bar, k, g) for g in range(n_gens)],
-            "a_mats": sharp.segment(0, k - 1).mats,
-            "b_mats": sharp.segment(j - 1, k - 1).mats,
-            "h_acts": hom_module(sharp.segment(j - 1, k - 1).as_module(), l1).acts,
-            "base": base,
-            "gens": gens,
-        })
+        base, torsor = _splitting_grid(bar, j, k)
+        pairs.append(_SigmaPair(
+            j,
+            k,
+            step_cochain(k),
+            row_classes(k),
+            sharp.segment(0, k - 1).mats,
+            sharp.segment(j - 1, k - 1).mats,
+            hom_module(sharp.segment(j - 1, k - 1).as_module(), l1).acts,
+            base,
+            torsor,
+            system.block((j - 1) * (k - j)),
+            system.block(k - j),
+        ))
 
-    off = n_mu
-    m_off = []
-    for (k, _, _, _) in pair1:
-        m_off.append(off)
-        off += k - 1
-    tau_off = []
-    mp_off = []
-    for pd in pairs2:
-        tau_off.append(off)
-        off += (pd["j"] - 1) * (pd["k"] - pd["j"])
-        mp_off.append(off)
-        off += pd["k"] - pd["j"]
-    n_unknowns = off
+    def twist(g: int, weights: Sequence[int]) -> dict[int, int]:
+        """Columns of generator g's twist, moving a cochain by p^r * weights."""
+        return {mu + g * (d - 1) + m: pr * w for m, w in enumerate(weights)}
+
+    def witness(col: int, hom_act: RMatrix, i: int) -> dict[int, int]:
+        """Columns of -(g.w - w) at coordinate i, for a witness w at ``col``."""
+        return {
+            col + c: -(hom_act.entry(i, c) - (1 if c == i else 0)) for c in range(hom_act.cols)
+        }
 
     # twists must preserve relator exactness: d1 of the twist vector is 0
-    rows_static: list[tuple[list[int], int]] = []
     dmat = complex_of(_pinned_torsor_module(f)).d1
     for i in range(d - 1):
-        row = [0] * n_unknowns
-        for c in range(n_mu):
-            row[c] = (pr * dmat.entry(i, c)) % up.modulus
-        rows_static.append((row, 0))
-    for idx, (k, phi0, hacts, lmats) in enumerate(pair1):
-        base_col = m_off[idx]
+        system.add({mu + c: pr * dmat.entry(i, c) for c in range(dmat.cols)}, 0)
+    for st in steps:
         for g in range(n_gens):
-            for cp in range(k - 1):
-                row = [0] * n_unknowns
-                for m in range(d - 1):
-                    row[g * (d - 1) + m] = (pr * lmats[g][cp][m]) % up.modulus
-                for col in range(k - 1):
-                    coeff = hacts[g].entry(cp, col) - (1 if col == cp else 0)
-                    row[base_col + col] = (-coeff) % up.modulus
-                rows_static.append((row, (-phi0[g][cp]) % up.modulus))
+            for cp in range(st.k - 1):
+                row = twist(g, st.row_class[g][cp])
+                row.update(witness(st.witness_col, st.hom_acts[g], cp))
+                system.add(row, -st.cochain[g][cp])
 
-    grid_truncated = False
     grids = []
-    for pd in pairs2:
-        exps = [e for _, e in pd["gens"]]
-        full = p ** sum(exps)
-        take = min(full, _SPLITTING_GRID_CAP)
-        grids.append(list(itertools.islice(span_coefficients(p, exps), take)))
-        grid_truncated = grid_truncated or take < full
+    n_points = 1  # size of the full grid
+    for sp in pairs:
+        exps = [e for _, e in sp.torsor]
+        grids.append(list(itertools.islice(span_coefficients(p, exps), _SPLITTING_GRID_CAP)))
+        n_points *= p ** sum(exps)
 
-    attempts = 0
-    for combo in itertools.product(*grids):
-        attempts += 1
-        if attempts > _SPLITTING_GRID_CAP:
-            grid_truncated = True
-            break
-        rows = list(rows_static)
-        for pi_idx, (pd, coeffs) in enumerate(zip(pairs2, combo)):
-            j, k = pd["j"], pd["k"]
-            nh = (j - 1) * (k - j)
-            hvec = [0] * nh
-            for c_val, (gvec, _) in zip(coeffs, pd["gens"]):
-                for i in range(nh):
-                    hvec[i] = (hvec[i] + c_val * gvec[i]) % p
-            hmat = hom_mat(bar.ring, hvec, j - 1, k - j)
-            sb = pd["base"]
-            sig_ent = [
-                [
-                    (sb.entry(a, b) + (hmat.entry(a, b) if a < j - 1 else 0)) % p
-                    for b in range(k - j)
-                ]
-                for a in range(k - 1)
-            ]
-            sig0 = RMatrix.from_rows(up, sig_ent)
-            t_off = tau_off[pi_idx]
-            m_base = mp_off[pi_idx]
+    for combo in itertools.islice(itertools.product(*grids), _SPLITTING_GRID_CAP):
+        trial = system.fork()
+        for sp, coeffs in zip(pairs, combo):
+            j, k = sp.j, sp.k
+            sig0 = sp.section(coeffs, up)
             for g in range(n_gens):
-                am, bm = pd["a_mats"][g], pd["b_mats"][g]
+                # the section stays equivariant after its p-scaled correction
+                am, bm = sp.a_mats[g], sp.b_mats[g]
                 const = am @ sig0 - sig0 @ bm
                 for a in range(k - 1):
                     for b in range(k - j):
-                        row = [0] * n_unknowns
-                        for ta in range(j - 1):
+                        # entry (a, b) of am @ tau - tau @ bm, where tau is the
+                        # correction block (row-major) padded to k-1 rows
+                        row = {
+                            sp.section_col + ta * (k - j) + b: p * am.entry(a, ta)
+                            for ta in range(j - 1)
+                        }
+                        if a < j - 1:
                             for tb in range(k - j):
-                                coeff = 0
-                                if tb == b:
-                                    coeff += am.entry(a, ta)
-                                if ta == a:
-                                    coeff -= bm.entry(tb, b)
-                                if coeff:
-                                    row[t_off + ta * (k - j) + tb] = (p * coeff) % up.modulus
-                        rows.append((row, (-const.entry(a, b)) % up.modulus))
-                phi0 = pd["phi0"][g]
-                lm = pd["lmats"][g]
-                hg = pd["h_acts"][g]
+                                col = sp.section_col + a * (k - j) + tb
+                                row[col] = row.get(col, 0) - p * bm.entry(tb, b)
+                        trial.add(row, -const.entry(a, b))
+                # the cochain pulled back through the section is a coboundary
+                phi0, lm = sp.cochain[g], sp.row_class[g]
                 for b in range(k - j):
-                    row = [0] * n_unknowns
-                    for ta in range(j - 1):
-                        row[t_off + ta * (k - j) + b] = (p * phi0[ta]) % up.modulus
-                    for m in range(d - 1):
-                        s = 0
-                        for cp in range(k - 1):
-                            s += lm[cp][m] * sig_ent[cp][b]
-                        row[g * (d - 1) + m] = (pr * s) % up.modulus
-                    for col in range(k - j):
-                        coeff = hg.entry(b, col) - (1 if col == b else 0)
-                        row[m_base + col] = (-coeff) % up.modulus
-                    const0 = sum(phi0[c] * sig0.entry(c, b) for c in range(k - 1))
-                    rows.append((row, (-const0) % up.modulus))
-        mat = RMatrix.from_rows(up, [r for r, _ in rows])
-        sol = LinearSolver(mat).solve(tuple(rhs for _, rhs in rows))
+                    row = {sp.section_col + ta * (k - j) + b: p * phi0[ta] for ta in range(j - 1)}
+                    row.update(twist(g, [
+                        sum(lm[cp][m] * sig0.entry(cp, b) for cp in range(k - 1))
+                        for m in range(d - 1)
+                    ]))
+                    row.update(witness(sp.witness_col, sp.hom_acts[g], b))
+                    trial.add(row, -sum(phi0[c] * sig0.entry(c, b) for c in range(k - 1)))
+        sol = trial.solve()
         if sol is None:
             continue
-        out_mats = []
-        for g in range(n_gens):
-            vec = [sol[g * (d - 1) + m] for m in range(d - 1)]
-            out_mats.append(_row_twist(up, d, vec, pr) @ o0[g])
-        return Flag(SurfaceRep(up, f.genus, tuple(out_mats)))
-    msg = "no pinned lift keeps the split steps split one level up"
-    if grid_truncated:
-        msg += " (splitting grid truncated at the budget)"
-    raise LiftConsistencyError(msg)
+        out_mats = tuple(
+            _row_twist(up, d, sol[mu + g * (d - 1) : mu + (g + 1) * (d - 1)], pr) @ o0[g]
+            for g in range(n_gens)
+        )
+        return Flag(SurfaceRep(up, f.genus, out_mats))
+    if n_points > _SPLITTING_GRID_CAP:
+        raise KummerInconclusive(
+            f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
+            "before a pinned lift kept the split steps split"
+        )
+    raise LiftConsistencyError("no pinned lift keeps the split steps split one level up")
 
 
 def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Flag:
@@ -803,6 +754,7 @@ def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Fla
     every split-stability condition on the output is linear over the torsor
     once a mod-p splitting of each relevant lower step is fixed, so the
     engine is one relator solve plus one joint solve per splitting choice.
+    Raises KummerInconclusive when the choices run past their budget.
     """
     ring = f.ring
     up = RingSpec(ring.p, ring.r + 1)

@@ -3,9 +3,9 @@
 The group is presented on 2g generators x1, y1, ..., xg, yg with the single
 relator [x1,y1]...[xg,yg], commutator convention [a,b] = a b a^-1 b^-1.
 Words are tuples of signed 1-based generator indices (positive = generator,
-negative = inverse), kept freely reduced.  Representations and coefficient
-modules are tuples of invertible matrices over some Z/p^s, checked against
-the relator at construction time.
+negative = inverse).  Representations and coefficient modules are tuples of
+invertible matrices over some Z/p^s, checked against the relator at
+construction time.
 """
 
 from __future__ import annotations
@@ -17,29 +17,6 @@ from typing import Sequence
 from .zmod import RingSpec, RMatrix, vec_add, vec_mod, vec_scale
 
 Word = tuple[int, ...]
-
-
-def free_reduce(letters: Sequence[int]) -> Word:
-    out: list[int] = []
-    for t in letters:
-        if t == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -t:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)
-
-
-def word_inverse(w: Sequence[int]) -> Word:
-    return tuple(-t for t in reversed(w))
-
-
-def word_mul(*words: Sequence[int]) -> Word:
-    flat: list[int] = []
-    for w in words:
-        flat.extend(w)
-    return free_reduce(flat)
 
 
 @dataclass(frozen=True)
@@ -82,6 +59,15 @@ class RelatorError(ValueError):
     """Raised when generator matrices do not satisfy the surface relator."""
 
 
+def _relator_product(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
+    """Product of the square matrices ``mats`` along the relator word."""
+    inv = [m.inverse() for m in mats]
+    acc = RMatrix.identity(ring, mats[0].rows)
+    for t in Presentation(genus).relator():
+        acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
+    return acc
+
+
 def _check_relator(ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: str) -> None:
     if len(mats) != 2 * genus:
         raise ValueError(f"need {2 * genus} matrices, got {len(mats)}")
@@ -95,11 +81,7 @@ def _check_relator(ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: st
             raise ValueError(f"generator matrix {i + 1} is not invertible")
     if n == 0:
         return
-    rel = Presentation(genus).relator()
-    inv = [m.inverse() for m in mats]
-    acc = RMatrix.identity(ring, n)
-    for t in rel:
-        acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
+    acc = _relator_product(ring, genus, mats)
     if not acc.is_identity():
         defect = acc - RMatrix.identity(ring, n)
         raise RelatorError(
@@ -122,23 +104,9 @@ class SurfaceRep:
     def dim(self) -> int:
         return self.mats[0].rows
 
-    @property
-    def presentation(self) -> Presentation:
-        return Presentation(self.genus)
-
     @cached_property
     def inverses(self) -> tuple[RMatrix, ...]:
         return tuple(m.inverse() for m in self.mats)
-
-    def gen(self, t: int) -> RMatrix:
-        """Matrix of the signed generator index t."""
-        return self.mats[t - 1] if t > 0 else self.inverses[-t - 1]
-
-    def evaluate(self, word: Sequence[int]) -> RMatrix:
-        acc = RMatrix.identity(self.ring, self.dim)
-        for t in word:
-            acc = acc @ self.gen(t)
-        return acc
 
     def as_module(self) -> "GModule":
         return GModule(self.ring, self.genus, self.mats)
@@ -172,15 +140,6 @@ class GModule:
 
     def act(self, t: int) -> RMatrix:
         return self.acts[t - 1] if t > 0 else self.inverses[-t - 1]
-
-    def act_word(self, word: Sequence[int]) -> RMatrix:
-        acc = RMatrix.identity(self.ring, self.rank)
-        for t in word:
-            acc = acc @ self.act(t)
-        return acc
-
-    def is_trivial(self) -> bool:
-        return all(m.is_identity() for m in self.acts)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank

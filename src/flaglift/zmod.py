@@ -6,14 +6,14 @@ p, so elimination with valuation-minimal pivots reaches a canonical
 staircase form without any general PID machinery.  The module provides:
 
 * ``RingSpec`` / ``RMatrix``: immutable ring descriptors and matrices,
-* ``echelonize``: Howell-style staircase form together with an invertible
-  row transform.  Extra "shadow" rows (p-multiples of pivot rows) are woven
-  in so that row-span membership and canonical coset representatives can be
-  read off by greedy reduction, which a plain staircase cannot do over
-  Z/p^r (example: the row (0, p) lies in the span of (p, 1) over Z/p^2),
+* ``echelonize``: Howell-style staircase form.  Extra "shadow" rows
+  (p-multiples of pivot rows) are woven in so that row-span membership and
+  canonical coset representatives can be read off by greedy reduction,
+  which a plain staircase cannot do over Z/p^r (example: the row (0, p)
+  lies in the span of (p, 1) over Z/p^2),
 * ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e),
-* ``solve``: one solution of A x = b plus an independent kernel basis with
-  annihilator exponents,
+* ``LinearSolver``: one solution of A x = b plus an independent kernel
+  basis with annihilator exponents,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
@@ -23,7 +23,7 @@ Vectors are plain tuples of ints; matrices are ``RMatrix``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -54,9 +54,6 @@ class RingSpec:
     @property
     def modulus(self) -> int:
         return self.p**self.r
-
-    def residue(self, a: int) -> int:
-        return a % self.modulus
 
     def val(self, a: int) -> int:
         """p-adic valuation of the residue of a; val(0) = r by convention."""
@@ -90,11 +87,6 @@ class RingSpec:
             raise ValueError(f"cannot shrink Z/{self.p}^{self.r} to exponent {s}")
         return RingSpec(self.p, s)
 
-    def grow(self, s: int) -> "RingSpec":
-        if s < self.r:
-            raise ValueError(f"cannot grow Z/{self.p}^{self.r} to exponent {s}")
-        return RingSpec(self.p, s)
-
 
 def teichmuller(ring: RingSpec, a: int) -> int:
     """Multiplicative (Teichmuller) lift of the unit a mod p to Z/p^r.
@@ -122,18 +114,9 @@ def vec_add(ring: RingSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ..
     return tuple((a + b) % m for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(ring: RingSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    m = ring.modulus
-    return tuple((a - b) % m for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(ring: RingSpec, c: int, v: Sequence[int]) -> tuple[int, ...]:
     m = ring.modulus
     return tuple((c * a) % m for a in v)
-
-
-def vec_is_zero(v: Sequence[int]) -> bool:
-    return all(x == 0 for x in v)
 
 
 def tensor_vec(ring: RingSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -198,10 +181,6 @@ class RMatrix:
             tuple(diag[i] % ring.modulus if i == j else 0 for i in range(n) for j in range(n)),
         )
 
-    @staticmethod
-    def column(ring: RingSpec, v: Sequence[int]) -> "RMatrix":
-        return RMatrix(ring, len(v), 1, vec_mod(ring, v))
-
     # -- access -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -251,10 +230,6 @@ class RMatrix:
             self.cols,
             tuple((a - b) % m for a, b in zip(self.entries, other.entries)),
         )
-
-    def __neg__(self) -> "RMatrix":
-        m = self.ring.modulus
-        return RMatrix(self.ring, self.rows, self.cols, tuple((-a) % m for a in self.entries))
 
     def scale(self, c: int) -> "RMatrix":
         m = self.ring.modulus
@@ -361,11 +336,6 @@ class RMatrix:
         m = target.modulus
         return RMatrix(target, self.rows, self.cols, tuple(x % m for x in self.entries))
 
-    def lift_to(self, s: int) -> "RMatrix":
-        """Least non-negative residue lift to Z/p^s for s >= r."""
-        target = self.ring.grow(s)
-        return RMatrix(target, self.rows, self.cols, self.entries)
-
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -433,20 +403,17 @@ class Pivot:
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Howell staircase H with invertible T such that T @ padded_input == H.
+    """Howell staircase H of a matrix, with its pivots.
 
-    ``padded_input`` is the input matrix with zero rows appended (one per
-    shadow row woven in during the sweep); with no shadows it is the input
-    itself.  Pivot entries are exact powers of p, entries below a pivot are
-    zero, entries above are reduced modulo the pivot value, and every
-    element of the row span of the input reduces to zero greedily against
-    the pivot rows (Howell property).
+    H has the row span of the input, with one row per input row plus one
+    per shadow row woven in during the sweep.  Pivot entries are exact
+    powers of p, entries below a pivot are zero, entries above are reduced
+    modulo the pivot value, and every element of the row span of the input
+    reduces to zero greedily against the pivot rows (Howell property).
     """
 
     h: RMatrix
-    transform: RMatrix
     pivots: tuple[Pivot, ...]
-    padded_input: RMatrix
 
 
 def echelonize(a: RMatrix) -> EchelonResult:
@@ -457,16 +424,11 @@ def echelonize(a: RMatrix) -> EchelonResult:
     index), normalized to an exact power of p by a unit.  After eliminating
     the column, a pivot p^v with v > 0 contributes the shadow row
     p^(r-v) * (pivot row) to the working pool, which keeps the span data
-    complete in later columns.  Each appended shadow gets a fresh input
-    coordinate (a padded zero row), so the transform stays invertible:
-    T[shadow] = p^(r-v) * T[pivot] + e_fresh.
+    complete in later columns.
     """
     ring = a.ring
     p, r, m = ring.p, ring.r, ring.modulus
     work = [list(a.row(i)) for i in range(a.rows)]
-    n_in = a.rows
-    # transform rows as sparse dicts {padded-input-row: coefficient}
-    t_rows: list[dict[int, int]] = [{i: 1} for i in range(n_in)]
     pivots: list[Pivot] = []
     cur = 0
     for col in range(a.cols):
@@ -475,10 +437,8 @@ def echelonize(a: RMatrix) -> EchelonResult:
             continue
         v, piv = min(cand)
         work[cur], work[piv] = work[piv], work[cur]
-        t_rows[cur], t_rows[piv] = t_rows[piv], t_rows[cur]
         u = ring.inv(ring.unit_part(work[cur][col]))
         work[cur] = [(u * x) % m for x in work[cur]]
-        t_rows[cur] = {k: (u * x) % m for k, x in t_rows[cur].items()}
         pval = p**v
         # eliminate below: every lower entry in the column has valuation >= v
         for i in range(cur + 1, len(work)):
@@ -486,16 +446,11 @@ def echelonize(a: RMatrix) -> EchelonResult:
             if e:
                 f = e // pval
                 work[i] = [(x - f * y) % m for x, y in zip(work[i], work[cur])]
-                for k, x in t_rows[cur].items():
-                    t_rows[i][k] = (t_rows[i].get(k, 0) - f * x) % m
         if v > 0:
             mult = p ** (r - v)
             shadow = [(mult * x) % m for x in work[cur]]
             if any(shadow):
-                srow = {k: (mult * x) % m for k, x in t_rows[cur].items()}
-                srow[len(work)] = (srow.get(len(work), 0) + 1) % m
                 work.append(shadow)
-                t_rows.append(srow)
         pivots.append(Pivot(cur, col, v))
         cur += 1
     # back-substitution: entries above each pivot reduced modulo the pivot
@@ -506,23 +461,8 @@ def echelonize(a: RMatrix) -> EchelonResult:
             q = work[j][c] // pval
             if q:
                 work[j] = [(x - q * y) % m for x, y in zip(work[j], work[i])]
-                for k, x in t_rows[i].items():
-                    t_rows[j][k] = (t_rows[j].get(k, 0) - q * x) % m
-    n_total = len(work)
-    n_pad = n_total - n_in
-    tmat = [[0] * n_total for _ in range(n_total)]
-    for i, d in enumerate(t_rows):
-        for k, x in d.items():
-            if x:
-                tmat[i][k] = x
     h = RMatrix.from_rows(ring, work) if work else RMatrix.zeros(ring, 0, a.cols)
-    padded = RMatrix.vstack([a, RMatrix.zeros(ring, n_pad, a.cols)]) if n_pad else a
-    t = (
-        RMatrix.from_rows(ring, tmat)
-        if tmat
-        else RMatrix.zeros(ring, 0, 0)
-    )
-    return EchelonResult(h, t, tuple(pivots), padded)
+    return EchelonResult(h, tuple(pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +614,6 @@ def span_coefficients(p: int, exps: Sequence[int]) -> Iterable[tuple[int, ...]]:
     return itertools.product(*ranges)
 
 
-def solve(a: RMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    return LinearSolver(a).solve(b)
-
-
 class SpanReducer:
     """Greedy canonical coset representatives modulo a row span.
 
@@ -717,16 +653,7 @@ class SpanReducer:
 
 
 # ---------------------------------------------------------------------------
-# module invariants: spans, cokernels, subquotients
-
-
-def span_invariants(ring: RingSpec, vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Exponents (ascending) with span(vectors) isomorphic to + Z/p^e."""
-    if not vectors:
-        return ()
-    g = RMatrix.from_rows(ring, [list(v) for v in vectors]).transpose()
-    sm = smithify(g)
-    return tuple(sorted(ring.r - e for e in sm.exponents if e < ring.r))
+# module invariants: cokernels, subquotients
 
 
 @dataclass(frozen=True)

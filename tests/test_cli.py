@@ -190,3 +190,14 @@ def test_cli_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.rep"
     bad.write_text("p 2\nnot a repfile\n")
     assert main(["flag-check", str(bad)]) == 1
+
+
+def test_cli_truncated_splitting_grid_exits_inconclusive(tmp_path, capsys, monkeypatch):
+    from flaglift import lifting
+
+    src = tmp_path / "k.rep"
+    src.write_text(save_rep(gen_random_flag(2, 1, 3, 1, kind="kummer", seed=0)))
+    monkeypatch.setattr(lifting, "_SPLITTING_GRID_CAP", 0)
+    assert main(["lift", str(src), "--to-r", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "inconclusive:" in err and "obstructed" not in err

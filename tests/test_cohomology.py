@@ -74,7 +74,7 @@ def test_differentials_compose_to_zero_and_match_crossed_values(ring, genus):
             tuple(rng.randrange(ring.modulus) for _ in range(mod.rank))
             for _ in range(cx.n_gens)
         ]
-        by_matrix = cx.evaluate_d1(vals)
+        by_matrix = cx.d1.apply(stack(vals))
         by_walk = crossed_value(mod, vals, mod.presentation.relator())
         assert by_matrix == tuple(by_walk), "d1 must evaluate the relator"
 

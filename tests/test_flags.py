@@ -6,17 +6,13 @@ import pytest
 
 from flaglift.flags import (
     Flag,
-    KummerInconclusive,
-    equivariant_sections,
     index_of,
-    invariant_lines,
     is_kummer,
     is_wound,
     is_wound_kummer,
-    quotient_by_section,
     splitting_indices,
 )
-from flaglift.surface import GModule, SurfaceRep, trivial_module
+from flaglift.surface import SurfaceRep
 from flaglift.zmod import RingSpec, RMatrix
 
 
@@ -116,18 +112,6 @@ def test_is_wound():
     assert not is_wound(flag_g1(ring, x, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
-def test_invariant_lines():
-    ring = RingSpec(3, 1)
-    triv = trivial_module(ring, 1, 2)
-    assert len(invariant_lines(triv)) == 4  # all of P^1(F_3)
-    uni = GModule(
-        ring,
-        1,
-        (RMatrix.from_rows(ring, [[1, 1], [0, 1]]), RMatrix.identity(ring, 2)),
-    )
-    assert invariant_lines(uni) == [(1, 0)]
-
-
 def test_is_wound_kummer_with_teichmuller_characters():
     ring = RingSpec(3, 2)
     # scalar 8 = teichmuller(2); unipotent part keeps the 2-step nonsplit
@@ -142,30 +126,6 @@ def test_is_wound_kummer_with_teichmuller_characters():
     f2 = Flag(SurfaceRep(ring, 1, (x2, y2)))
     assert is_wound(f2) and not is_wound_kummer(f2)
     assert is_wound_kummer(flag2(RingSpec(2, 2), 1, 1))
-
-
-def test_equivariant_sections_torsor():
-    ring = RingSpec(2, 2)
-    f = flag2(ring, 0, 0)
-    secs = equivariant_sections(f, 2)
-    assert len(secs) == 4 and all(s[1] == 1 for s in secs)
-    assert len({s[0] for s in secs}) == 4
-    with pytest.raises(KummerInconclusive):
-        equivariant_sections(f, 2, budget=2)
-    assert equivariant_sections(flag2(ring, 1, 0), 2) == []
-
-
-def test_quotient_by_section():
-    ring = RingSpec(2, 2)
-    x = [[1, 0, 2], [0, 1, 1], [0, 0, 1]]
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    f = flag_g1(ring, x, eye)
-    q = quotient_by_section(f, 2, (0, 1))
-    assert q.mats[0].to_lists() == [[1, 2], [0, 1]]
-    q2 = quotient_by_section(f, 2, (2, 1))
-    assert q2.mats[0].to_lists() == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        quotient_by_section(f, 2, (1, 2))  # last entry must be 1
 
 
 def test_is_kummer_characters_and_r1():

@@ -1,0 +1,30 @@
+"""Smoke tests: every experiment script runs to completion at its smallest size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = [
+    ["cohomology_table.py", "--max-genus", "1", "--primes", "2", "--max-level", "1"],
+    ["lift_battery.py", "--seeds", "1", "--max-dim", "2", "--mode", "kummer"],
+    ["lift_battery.py", "--seeds", "1", "--max-dim", "2", "--mode", "wound-kummer"],
+    ["oracle_audit.py", "--modules", "2", "--max-dim", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+def test_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
