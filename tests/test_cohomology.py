@@ -1,5 +1,6 @@
 """Tests for surface group cohomology, cup products and extensions."""
 
+import hashlib
 import itertools
 import random
 
@@ -20,11 +21,13 @@ from flaglift.cohomology import (
     stack,
     unstack,
 )
+from flaglift.oracle import gen_random_flag
 from flaglift.surface import (
     GModule,
     SurfaceRep,
     char_module,
     crossed_value,
+    hom_module,
     tensor_module,
     trivial_module,
 )
@@ -105,6 +108,25 @@ def test_h1_reps_are_cocycles_not_coboundaries():
             assert not cls.is_zero(), "representative of a nonzero invariant"
             killed = cls.scale(ring.p**e)
             assert killed.is_zero(), "order must divide the invariant"
+
+
+# sha256 over repr((h0, h1, h2)) of every report below, invariants and
+# representatives both; any change to the kernels' output changes it
+H_GROUPS_DIGEST = "f022679a396699dc3d2ee6ec6cc39ad3afbbf8e2cbfd19dcdfa809bcebf4dd38"
+
+
+def test_h_groups_full_report_digest():
+    digest = hashlib.sha256()
+    for p in (2, 3):
+        for r in (1, 2):
+            ring = RingSpec(p, r)
+            for genus in (1, 2, 3):
+                for d in (2, 3):
+                    v = gen_random_flag(p, r, d, genus, seed=10 * genus + d).as_module()
+                    for mod in (trivial_module(ring, genus, d * d), hom_module(v, v)):
+                        rep = h_groups(mod)
+                        digest.update(repr((rep.h0, rep.h1, rep.h2)).encode())
+    assert digest.hexdigest() == H_GROUPS_DIGEST, "h_groups reports changed"
 
 
 # -- cup products --------------------------------------------------------------
