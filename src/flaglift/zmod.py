@@ -17,7 +17,9 @@ staircase form without any general PID machinery.  The module provides:
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
-Vectors are plain tuples of ints; matrices are ``RMatrix``.
+Vectors are plain tuples of ints; matrices are ``RMatrix``.  ``apply``
+walks only the nonzero entries of the vector and of the matching matrix
+columns, so its cost scales with the nonzeros of both, not with the shape.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ class RMatrix:
                 f"entries, got {len(self.entries)}"
             )
         m = self.ring.modulus
-        if any(not 0 <= x < m for x in self.entries):
+        ents = self.entries
+        if ents and (min(ents) < 0 or max(ents) >= m):
             object.__setattr__(
-                self, "entries", tuple(x % m for x in self.entries)
+                self, "entries", tuple(x % m for x in ents)
             )
 
     # -- constructors -------------------------------------------------------
@@ -163,9 +166,9 @@ class RMatrix:
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "RMatrix":
-        return RMatrix(
-            ring, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        )
+        ents = [0] * (n * n)
+        ents[:: n + 1] = [1] * n
+        return RMatrix(ring, n, n, tuple(ents))
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "RMatrix":
@@ -262,19 +265,23 @@ class RMatrix:
         """Matrix times column vector, as a tuple."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
+        cols, ents = self.cols, self.entries
+        out = [0] * self.rows
+        for j, x in enumerate(v):
+            if x:
+                for i, a in enumerate(ents[j::cols]):
+                    if a:
+                        out[i] += x * a
         m = self.ring.modulus
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.append(sum(a * b for a, b in zip(row, v)) % m)
-        return tuple(out)
+        return tuple(y % m for y in out)
 
     def transpose(self) -> "RMatrix":
+        cols, ents = self.cols, self.entries
         return RMatrix(
             self.ring,
-            self.cols,
+            cols,
             self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+            tuple(itertools.chain.from_iterable(ents[j::cols] for j in range(cols))),
         )
 
     def kron(self, other: "RMatrix") -> "RMatrix":
@@ -531,13 +538,16 @@ def smithify(a: RMatrix) -> SmithResult:
                 f = mat[i][k] // pval
                 mat[i] = [(x - f * y) % m for x, y in zip(mat[i], mat[k])]
                 pmat[i] = [(x - f * y) % m for x, y in zip(pmat[i], pmat[k])]
+        # column k of mat is now zero off the pivot, and every mat[k][j] is
+        # an exact multiple of pval, so a column operation only turns
+        # mat[k][j] into 0 and leaves qmat rows with row[k] == 0 unchanged
         for j in range(nc):
             if j != k and mat[k][j]:
                 f = mat[k][j] // pval
-                for row in mat:
-                    row[j] = (row[j] - f * row[k]) % m
+                mat[k][j] = 0
                 for row in qmat:
-                    row[j] = (row[j] - f * row[k]) % m
+                    if row[k]:
+                        row[j] = (row[j] - f * row[k]) % m
         exps.append(v)
     left = RMatrix.from_rows(ring, pmat) if nr else RMatrix.zeros(ring, 0, 0)
     right = RMatrix.from_rows(ring, qmat) if nc else RMatrix.zeros(ring, 0, 0)

@@ -30,6 +30,18 @@ def rand_matrix(ring, rows, cols, rng):
     )
 
 
+def sparse_matrix(ring, rows, cols, rng, density=0.1):
+    return RMatrix(
+        ring,
+        rows,
+        cols,
+        tuple(
+            rng.randrange(1, ring.modulus) if rng.random() < density else 0
+            for _ in range(rows * cols)
+        ),
+    )
+
+
 def enumerate_span(ring, vectors, width):
     """All Z/p^r combinations of the given vectors, as a set of tuples."""
     m = ring.modulus
@@ -78,6 +90,53 @@ def test_matmul_and_inverse(ring):
             continue
         ai = a.inverse()
         assert (a @ ai).is_identity() and (ai @ a).is_identity()
+
+
+# dense entry-by-entry references for the kernels that skip zeros
+def ref_apply(a, v):
+    m = a.ring.modulus
+    return tuple(sum(x * y for x, y in zip(a.row(i), v)) % m for i in range(a.rows))
+
+
+def ref_transpose(a):
+    return RMatrix(
+        a.ring, a.cols, a.rows, tuple(a.entry(i, j) for j in range(a.cols) for i in range(a.rows))
+    )
+
+
+def ref_identity(ring, n):
+    return RMatrix(ring, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_kernels_match_dense_reference(ring):
+    rng = random.Random(111)
+    m = ring.modulus
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
+        (rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(20)
+    ]
+    for rows, cols in shapes:
+        for a in (rand_matrix(ring, rows, cols, rng), sparse_matrix(ring, rows, cols, rng)):
+            assert a.transpose() == ref_transpose(a)
+            for v in (
+                tuple(rng.randrange(m) for _ in range(cols)),
+                tuple(rng.randrange(m) if rng.random() < 0.1 else 0 for _ in range(cols)),
+                tuple(rng.randrange(-3 * m, 3 * m) for _ in range(cols)),
+            ):
+                assert a.apply(v) == ref_apply(a, v)
+    for n in range(6):
+        assert RMatrix.identity(ring, n) == ref_identity(ring, n)
+
+
+def test_rmatrix_stores_least_residues_and_checks_lengths():
+    ring = RingSpec(3, 2)
+    m = ring.modulus
+    a = RMatrix(ring, 1, 3, (-1, m, m + 3))
+    assert a.entries == (m - 1, 0, 3)
+    with pytest.raises(ValueError):
+        a.apply((1, 2))
+    with pytest.raises(ValueError):
+        a.apply((1, 2, 3, 4))
 
 
 def test_kron_mixed_product():
@@ -171,9 +230,14 @@ def test_span_reducer_is_canonical_and_complete(ring):
 @pytest.mark.parametrize("ring", RINGS)
 def test_smithify_random(ring):
     rng = random.Random(404)
-    for _ in range(40):
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-        a = rand_matrix(ring, rows, cols, rng)
+    cases = [rand_matrix(ring, rng.randrange(1, 5), rng.randrange(1, 5), rng) for _ in range(40)]
+    # sparse inputs leave zeros in the pivot column of the right transform
+    cases += [
+        sparse_matrix(ring, rng.randrange(5, 9), rng.randrange(5, 9), rng, density=0.3)
+        for _ in range(10)
+    ]
+    for a in cases:
+        rows, cols = a.rows, a.cols
         sm = smithify(a)
         assert sm.left @ a @ sm.right == sm.diag
         assert sm.left.is_invertible() and sm.right.is_invertible()
