@@ -29,14 +29,38 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# _PRIME_TEST_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015; Jaeschke, Math. Comp. 61, 1993, for smaller base sets).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; larger n raise ValueError."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(
+            f"{n} is too large: primality is decided only below {_PRIME_TEST_BOUND}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -51,6 +51,8 @@ def test_load_rejects_malformed_documents():
     good = save_rep(kummer_fixture())
     with pytest.raises(RepFileError):
         load_rep(good.replace("p 3", "p 6"))  # not a prime power base
+    with pytest.raises(RepFileError, match="too large"):
+        load_rep(good.replace("p 3", f"p {2**89 - 1}"))  # beyond the primality test
     with pytest.raises(RepFileError):
         load_rep(good.replace("generator x1", "generator y1"))
     with pytest.raises(RepFileError):

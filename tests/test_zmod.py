@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from flaglift.zmod import (
     RingSpec,
     RMatrix,
     SpanReducer,
+    _is_prime,
     cokernel_data,
     echelonize,
     quotient_data,
@@ -51,6 +53,43 @@ def enumerate_span(ring, vectors, width):
             tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % m for i in range(width))
         )
     return out
+
+
+# -- primality ----------------------------------------------------------------
+
+
+def is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(20000):
+        assert _is_prime(n) == is_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 41041,  # Carmichael numbers
+        2047, 1373653, 3215031751,  # strong pseudoprimes to the smallest base sets
+        3825123056546413051,  # strong pseudoprime to every base from 2 to 23
+    ],
+)
+def test_ring_rejects_pseudoprimes(n):
+    with pytest.raises(ValueError, match="not prime"):
+        RingSpec(n, 1)
+
+
+def test_ring_accepts_large_primes_quickly():
+    for p in (2**61 - 1, 100000000000031):
+        t0 = time.perf_counter()
+        assert RingSpec(p, 1).p == p
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_ring_rejects_p_beyond_the_primality_bound():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        RingSpec(2**89 - 1, 1)
 
 
 # -- teichmuller -------------------------------------------------------------
