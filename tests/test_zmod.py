@@ -172,6 +172,7 @@ def test_rmatrix_stores_least_residues_and_checks_lengths():
     m = ring.modulus
     a = RMatrix(ring, 1, 3, (-1, m, m + 3))
     assert a.entries == (m - 1, 0, 3)
+    assert RMatrix(ring, 1, 2, (1, m)).entries == (1, 0)
     with pytest.raises(ValueError):
         a.apply((1, 2))
     with pytest.raises(ValueError):
