@@ -216,15 +216,11 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_local_example(args) -> int:
-    if args.field == "q2":
-        prime = 2
-        print("field: Q_2")
-    else:
-        prime = args.ell
-        if prime == 2 or prime < 3:
-            raise RepFileError("--ell must be an odd prime")
-        print(f"field: Q_{prime}")
-    classes = canonical_classes(prime)
+    prime = 2 if args.field == "q2" else args.ell
+    if args.field == "ql" and prime < 3:
+        raise RepFileError("--ell must be an odd prime")
+    classes = canonical_classes(prime)  # a non-prime --ell fails before any output
+    print(f"field: Q_{prime}")
     print("square classes:", " ".join(str(c) for c in classes))
     liftable = [c for c in classes if liftable_mod4(SquareClass(prime, c))]
     non_liftable = [c.rep for c in non_liftable_classes(prime)]

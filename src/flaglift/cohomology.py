@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .surface import (
     GModule,
+    _trusted,
     crossed_value,
     dual_module,
     hom_mat,
@@ -323,11 +324,15 @@ def demushkin_report(p: int, genus: int) -> DemushkinReport:
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """A short exact sequence of modules 0 -> sub -> total -> quotient -> 0.
+    """A coordinate extension 0 -> sub -> total -> quotient -> 0.
 
-    ``iota`` and ``pi`` are equivariant, ``section`` is a linear (not
-    necessarily equivariant) section of pi; exactness is certified by
-    [iota | section] being invertible.
+    ``total`` acts by block upper triangular matrices; ``sub`` and
+    ``quotient`` are its leading and trailing diagonal blocks.  ``iota``
+    and ``pi`` are the coordinate inclusion and projection, so both are
+    equivariant, and ``section`` is the coordinate inclusion of the
+    trailing block: a linear (not necessarily equivariant) section of pi
+    with [iota | section] the identity.  Built only by
+    ``coordinate_extension``.
     """
 
     sub: GModule
@@ -337,30 +342,6 @@ class ExtensionData:
     pi: RMatrix
     section: RMatrix
 
-    def __post_init__(self) -> None:
-        a, b, c = self.sub, self.total, self.quotient
-        if not (a.ring == b.ring == c.ring and a.genus == b.genus == c.genus):
-            raise ValueError("extension members must share ring and genus")
-        if b.rank != a.rank + c.rank:
-            raise ValueError("ranks do not add up")
-        if (self.iota.rows, self.iota.cols) != (b.rank, a.rank):
-            raise ValueError("iota shape mismatch")
-        if (self.pi.rows, self.pi.cols) != (c.rank, b.rank):
-            raise ValueError("pi shape mismatch")
-        if (self.section.rows, self.section.cols) != (b.rank, c.rank):
-            raise ValueError("section shape mismatch")
-        if not (self.pi @ self.iota).is_zero():
-            raise ValueError("pi . iota != 0")
-        if self.pi @ self.section != RMatrix.identity(a.ring, c.rank):
-            raise ValueError("section does not split pi")
-        if a.rank and not RMatrix.hstack([self.iota, self.section]).is_invertible():
-            raise ValueError("[iota | section] must be invertible (exactness)")
-        for g in range(2 * a.genus):
-            if b.acts[g] @ self.iota != self.iota @ a.acts[g]:
-                raise ValueError(f"iota not equivariant at generator {g + 1}")
-            if self.pi @ b.acts[g] != c.acts[g] @ self.pi:
-                raise ValueError(f"pi not equivariant at generator {g + 1}")
-
     @property
     def ring(self) -> RingSpec:
         return self.sub.ring
@@ -368,10 +349,7 @@ class ExtensionData:
     @cached_property
     def retraction(self) -> RMatrix:
         """The linear left inverse of iota killing the section image."""
-        if self.sub.rank == 0:
-            return RMatrix.zeros(self.ring, 0, self.total.rank)
-        full = RMatrix.hstack([self.iota, self.section]).inverse()
-        return full.submatrix(range(self.sub.rank), range(self.total.rank))
+        return self.iota.transpose()
 
 
 def coordinate_extension(total: GModule, n_sub: int) -> ExtensionData:
@@ -385,8 +363,8 @@ def coordinate_extension(total: GModule, n_sub: int) -> ExtensionData:
     for g, m in enumerate(total.acts):
         if not m.submatrix(hi, lo).is_zero():
             raise ValueError(f"generator {g + 1} does not preserve the leading block")
-    sub = GModule(ring, total.genus, tuple(m.submatrix(lo, lo) for m in total.acts))
-    quo = GModule(ring, total.genus, tuple(m.submatrix(hi, hi) for m in total.acts))
+    sub = _trusted(GModule, ring, total.genus, tuple(m.submatrix(lo, lo) for m in total.acts))
+    quo = _trusted(GModule, ring, total.genus, tuple(m.submatrix(hi, hi) for m in total.acts))
     eye = RMatrix.identity(ring, n)
     iota = eye.submatrix(range(n), lo)
     pi = eye.submatrix(hi, range(n))

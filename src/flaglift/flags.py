@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import coordinate_extension, split_section
-from .surface import GModule, SurfaceRep
+from .surface import GModule, SurfaceRep, _trusted
 from .zmod import RingSpec, RMatrix, teichmuller
 
 
@@ -78,14 +78,13 @@ class Flag:
 
         For upper triangular matrices, extracting the diagonal block with
         rows and columns i..j-1 is multiplicative, so the result is again a
-        flag of the same group.
+        flag of the same group and needs no relator check.
         """
         if not 0 <= i <= j <= self.d:
             raise ValueError(f"bad segment ({i}, {j}) of a {self.d}-flag")
         idx = list(range(i, j))
-        return Flag(
-            SurfaceRep(self.ring, self.genus, tuple(m.submatrix(idx, idx) for m in self.mats))
-        )
+        mats = tuple(m.submatrix(idx, idx) for m in self.mats)
+        return Flag(_trusted(SurfaceRep, self.ring, self.genus, mats))
 
     def truncate(self) -> "Flag":
         return self.segment(0, self.d - 1)
@@ -107,7 +106,7 @@ class Flag:
             self.ring, d, d, tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
         )
         mats = tuple(j @ m.transpose() @ j for m in self.rep.inverses)
-        return Flag(SurfaceRep(self.ring, self.genus, mats))
+        return Flag(_trusted(SurfaceRep, self.ring, self.genus, mats))
 
 
 # ---------------------------------------------------------------------------

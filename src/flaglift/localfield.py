@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .zmod import _is_prime
+
 # unit mod 8 -> canonical unit representative over Q_2
 _UNIT_REP_2 = {1: 1, 7: -1, 5: 5, 3: -5}
 
@@ -68,7 +70,7 @@ def canonical_classes(prime: int) -> tuple[int, ...]:
     """The canonical representative set: 8 classes for Q_2, 4 for odd primes."""
     if prime == 2:
         return (1, -1, 2, -2, 5, -5, 10, -10)
-    if prime < 3 or prime % 2 == 0:
+    if not _is_prime(prime):
         raise ValueError("the field tag must be 2 or an odd prime")
     u = least_nonresidue(prime)
     return (1, u, prime, u * prime)

@@ -72,21 +72,23 @@ class _Cursor:
             raise RepFileError(f"'{key}' is not an integer: {vals[0]}") from exc
 
 
+def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int, ...]:
+    """One row of ``width`` residues in [0, p^r); ``what`` names it in errors."""
+    row = cur.take()
+    try:
+        vals = tuple(int(v) for v in row)
+    except ValueError as exc:
+        raise RepFileError(f"non-integer {what} entry in {row}") from exc
+    if len(vals) != width:
+        raise RepFileError(f"{what} row has {len(vals)} entries, expected {width}")
+    for v in vals:
+        if not 0 <= v < ring.modulus:
+            raise RepFileError(f"entry {v} out of range [0, {ring.modulus})")
+    return vals
+
+
 def _take_matrix(cur: _Cursor, ring: RingSpec, dim: int) -> RMatrix:
-    rows = []
-    for _ in range(dim):
-        row = cur.take()
-        try:
-            vals = [int(v) for v in row]
-        except ValueError as exc:
-            raise RepFileError(f"non-integer matrix entry in {row}") from exc
-        if len(vals) != dim:
-            raise RepFileError(f"matrix row has {len(vals)} entries, expected {dim}")
-        for v in vals:
-            if not 0 <= v < ring.modulus:
-                raise RepFileError(f"entry {v} out of range [0, {ring.modulus})")
-        rows.append(vals)
-    return RMatrix.from_rows(ring, rows)
+    return RMatrix.from_rows(ring, [_take_row(cur, ring, dim, "matrix") for _ in range(dim)])
 
 
 def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
@@ -211,16 +213,8 @@ def load_cocycle(text: str) -> tuple[RingSpec, int, int, tuple[tuple[int, ...], 
         name = cur.take_key("values")
         if name != [pres.gen_name(g)]:
             raise RepFileError(f"expected values {pres.gen_name(g)}, found {name}")
-        row = cur.take()
-        if len(row) != dim:
-            raise RepFileError(f"value row has {len(row)} entries, expected {dim}")
-        vals = tuple(int(v) for v in row)
-        for v in vals:
-            if not 0 <= v < ring.modulus:
-                raise RepFileError(f"entry {v} out of range [0, {ring.modulus})")
-        rows.append(vals)
-    if cur.peek() is not None:
-        raise RepFileError(f"trailing content: {' '.join(cur.peek())}")
+        rows.append(_take_row(cur, ring, dim, "value"))
+    _finish(cur)
     return ring, genus, dim, tuple(rows)
 
 

@@ -4,15 +4,26 @@ The group is presented on 2g generators x1, y1, ..., xg, yg with the single
 relator [x1,y1]...[xg,yg], commutator convention [a,b] = a b a^-1 b^-1.
 Words are tuples of signed 1-based generator indices (positive = generator,
 negative = inverse).  Representations and coefficient modules are tuples of
-invertible matrices over some Z/p^s, checked against the relator at
-construction time.
+invertible matrices over some Z/p^s.
+
+Validation happens once, at the boundary.  The public ``SurfaceRep(...)``
+and ``GModule(...)`` constructors check invertibility and the relator; so
+does everything built through them from raw or hand-assembled matrices
+(file loading, ``trivial_module``, ``char_module``, the oracle's candidate
+filters and every engine candidate and output).  Objects derived from a
+checked one by a map that preserves invertibility and the relator are
+built by ``_trusted`` without a second walk: ``as_module``, ``reduce_to``
+(reduction is a ring map), ``tensor_module`` (Kronecker products multiply
+blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
+diagonal blocks of block upper triangular actions (flag segments and the
+ends of a coordinate extension).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .zmod import RingSpec, RMatrix, vec_add, vec_mod, vec_scale
 
@@ -39,13 +50,6 @@ class Presentation:
             raise ValueError(f"generator index {index} out of range")
         pair, kind = divmod(index - 1, 2)
         return f"{'xy'[kind]}{pair + 1}"
-
-    def gen_index(self, name: str) -> int:
-        kind = "xy".index(name[0])
-        pair = int(name[1:]) - 1
-        if not 0 <= pair < self.genus:
-            raise ValueError(f"unknown generator {name}")
-        return 2 * pair + kind + 1
 
     def relator(self) -> Word:
         letters: list[int] = []
@@ -109,10 +113,11 @@ class SurfaceRep:
         return tuple(m.inverse() for m in self.mats)
 
     def as_module(self) -> "GModule":
-        return GModule(self.ring, self.genus, self.mats)
+        return _trusted(GModule, self.ring, self.genus, self.mats)
 
     def reduce_to(self, s: int) -> "SurfaceRep":
-        return SurfaceRep(self.ring.shrink(s), self.genus, tuple(m.reduce_to(s) for m in self.mats))
+        mats = tuple(m.reduce_to(s) for m in self.mats)
+        return _trusted(SurfaceRep, self.ring.shrink(s), self.genus, mats)
 
 
 @dataclass(frozen=True)
@@ -138,14 +143,27 @@ class GModule:
     def inverses(self) -> tuple[RMatrix, ...]:
         return tuple(m.inverse() for m in self.acts)
 
-    def act(self, t: int) -> RMatrix:
-        return self.acts[t - 1] if t > 0 else self.inverses[-t - 1]
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
     def reduce_to(self, s: int) -> "GModule":
-        return GModule(self.ring.shrink(s), self.genus, tuple(m.reduce_to(s) for m in self.acts))
+        acts = tuple(m.reduce_to(s) for m in self.acts)
+        return _trusted(GModule, self.ring.shrink(s), self.genus, acts)
+
+
+_Checked = TypeVar("_Checked", SurfaceRep, GModule)
+
+
+def _trusted(cls: type[_Checked], ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> _Checked:
+    """A SurfaceRep or GModule built without ``__post_init__``'s relator check.
+
+    Only for matrices derived from an already checked object by a map that
+    preserves invertibility and the relator (see the module docstring).
+    """
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), (ring, genus, tuple(mats))):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 # -- module constructors ------------------------------------------------------
@@ -165,11 +183,11 @@ def char_module(ring: RingSpec, genus: int, values: Sequence[int]) -> GModule:
 def tensor_module(a: GModule, b: GModule) -> GModule:
     if (a.ring, a.genus) != (b.ring, b.genus):
         raise ValueError("tensor factors must share ring and genus")
-    return GModule(a.ring, a.genus, tuple(x.kron(y) for x, y in zip(a.acts, b.acts)))
+    return _trusted(GModule, a.ring, a.genus, tuple(x.kron(y) for x, y in zip(a.acts, b.acts)))
 
 
 def dual_module(a: GModule) -> GModule:
-    return GModule(a.ring, a.genus, tuple(m.transpose() for m in a.inverses))
+    return _trusted(GModule, a.ring, a.genus, tuple(m.transpose() for m in a.inverses))
 
 
 def hom_module(c: GModule, a: GModule) -> GModule:

@@ -634,9 +634,6 @@ class LinearSolver:
         self._kernel = gens
         return gens
 
-    def kernel_size(self) -> int:
-        return (self.ring.p ** sum(e for _, e in self.kernel()))
-
 
 def span_coefficients(p: int, exps: Sequence[int]) -> Iterable[tuple[int, ...]]:
     """All tuples t with t[i] in range(p**exps[i]), the zero tuple first.

@@ -64,6 +64,11 @@ def test_load_rejects_malformed_documents():
     bad_chars = good.replace("characters\n1 1", "characters\n1 2")
     with pytest.raises(RepFileError):
         load_rep(bad_chars)
+    cocycle = save_cocycle(RingSpec(3, 1), 1, 2, ((1, 0), (2, 2)))
+    with pytest.raises(RepFileError, match="non-integer value entry"):
+        load_cocycle(cocycle.replace("2 2", "2 z"))
+    with pytest.raises(RepFileError, match="trailing content"):
+        load_cocycle(cocycle + "extra\n")
 
 
 def test_load_rep_validates_relator_and_invertibility():
@@ -192,6 +197,11 @@ def test_cli_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.rep"
     bad.write_text("p 2\nnot a repfile\n")
     assert main(["flag-check", str(bad)]) == 1
+    capsys.readouterr()
+    for ell in ("9", "15"):  # odd but not prime
+        assert main(["local-example", "--field", "ql", "--ell", ell]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "odd prime" in captured.err
 
 
 def test_cli_truncated_splitting_grid_exits_inconclusive(tmp_path, capsys, monkeypatch):

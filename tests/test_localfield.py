@@ -22,8 +22,9 @@ def test_canonical_class_sets():
     assert canonical_classes(2) == (1, -1, 2, -2, 5, -5, 10, -10)
     assert canonical_classes(3) == (1, 2, 3, 6)
     assert canonical_classes(7) == (1, 3, 7, 21)
-    with pytest.raises(ValueError):
-        canonical_classes(4)
+    for bad in (4, 9, 15, 1):
+        with pytest.raises(ValueError):
+            canonical_classes(bad)
 
 
 def test_square_class_canonicalization():

@@ -25,7 +25,7 @@ def test_relator_shape():
     assert Presentation(1).relator() == (1, 2, -1, -2)
     assert Presentation(2).relator() == (1, 2, -1, -2, 3, 4, -3, -4)
     assert Presentation(2).gen_name(3) == "x2"
-    assert Presentation(2).gen_index("y2") == 4
+    assert Presentation(2).gen_name(4) == "y2"
 
 
 @pytest.mark.parametrize("cls", [SurfaceRep, GModule])
@@ -65,10 +65,13 @@ def test_tensor_dual_hom_actions():
     h = hom_module(c, a)
     # hom action matches g.F = act_A(g) F act_C(g)^-1 under the flattening
     f = RMatrix(ring, a.rank, c.rank, tuple(rng.randrange(9) for _ in range(6)))
-    for g in (1, 2, -1, -2):
-        lhs = h.act(g).apply(hom_vec(f))
-        rhs = hom_vec(a.act(g) @ f @ c.act(-g))
-        assert lhs == rhs, f"hom action convention broken at generator {g}"
+    for g in range(2):
+        lhs = h.acts[g].apply(hom_vec(f))
+        rhs = hom_vec(a.acts[g] @ f @ c.inverses[g])
+        assert lhs == rhs, f"hom action convention broken at generator {g + 1}"
+        lhs = h.inverses[g].apply(hom_vec(f))
+        rhs = hom_vec(a.inverses[g] @ f @ c.acts[g])
+        assert lhs == rhs, f"hom action convention broken at generator {-(g + 1)}"
     assert hom_mat(ring, hom_vec(f), a.rank, c.rank) == f
 
 
@@ -99,7 +102,7 @@ def test_crossed_value_cocycle_rule():
         v = tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randrange(6)))
         act_u = RMatrix.identity(ring, mod.rank)
         for t in u:
-            act_u = act_u @ mod.act(t)
+            act_u = act_u @ (mod.acts[t - 1] if t > 0 else mod.inverses[-t - 1])
         lhs = crossed_value(mod, vals, u + v)
         rhs = vec_add(ring, crossed_value(mod, vals, u), act_u.apply(crossed_value(mod, vals, v)))
         assert lhs == rhs, "crossed extension must satisfy c(uv) = c(u) + u.c(v)"
