@@ -217,7 +217,7 @@ def _cmd_oracle_compare(args) -> int:
 
 def _cmd_local_example(args) -> int:
     prime = 2 if args.field == "q2" else args.ell
-    if args.field == "ql" and prime < 3:
+    if args.field == "ql" and prime == 2:
         raise RepFileError("--ell must be an odd prime")
     classes = canonical_classes(prime)  # a non-prime --ell fails before any output
     print(f"field: Q_{prime}")

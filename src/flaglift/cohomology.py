@@ -23,7 +23,6 @@ from .surface import (
     GModule,
     _trusted,
     crossed_value,
-    dual_module,
     hom_mat,
     hom_module,
     hom_vec,

@@ -227,6 +227,11 @@ def test_extension_class_detects_splitting():
     for g in range(2):
         assert ext.total.acts[g] @ res.section == res.section @ ext.quotient.acts[g]
 
+    # the leading coordinate line is not invariant: no coordinate extension
+    lower = GModule(ring, 1, (RMatrix.from_rows(ring, [[1, 0], [1, 1]]), RMatrix.identity(ring, 2)))
+    with pytest.raises(ValueError, match="leading block"):
+        coordinate_extension(lower, 1)
+
 
 def test_split_extension_has_zero_connecting_map():
     ring = RingSpec(2, 2)
