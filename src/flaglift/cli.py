@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 mathematical failure (nonzero obstruction or a
 failed comparison), 3 inconclusive (a search hit its budget before it could
-decide), 1 malformed input or usage error.
+decide), 1 malformed input or usage error, 4 internal error (a failed
+internal consistency check, reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ from .zmod import LinearSolver, RingSpec, RMatrix, span_coefficients, teichmulle
 
 def relator_defect(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
     """Product of the candidate matrices along the relator, minus identity."""
-    return _relator_product(ring, genus, mats) - RMatrix.identity(ring, mats[0].rows)
+    acc, _ = _relator_product(ring, genus, mats)
+    return acc - RMatrix.identity(ring, mats[0].rows)
 
 
 def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:

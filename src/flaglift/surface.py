@@ -17,6 +17,10 @@ built by ``_trusted`` without a second walk: ``as_module``, ``reduce_to``
 blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
 diagonal blocks of block upper triangular actions (flag segments and the
 ends of a coordinate extension).
+
+The relator walk inverts every generator; a checked object keeps those
+inverses as its ``inverses``, and ``as_module`` and ``reduce_to`` pass
+them on (reduced, for ``reduce_to``) when they are already known.
 """
 
 from __future__ import annotations
@@ -63,16 +67,21 @@ class RelatorError(ValueError):
     """Raised when generator matrices do not satisfy the surface relator."""
 
 
-def _relator_product(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
-    """Product of the square matrices ``mats`` along the relator word."""
-    inv = [m.inverse() for m in mats]
+def _relator_product(
+    ring: RingSpec, genus: int, mats: Sequence[RMatrix]
+) -> tuple[RMatrix, tuple[RMatrix, ...]]:
+    """Product of the square matrices ``mats`` along the relator word, and their inverses."""
+    inv = tuple(m.inverse() for m in mats)
     acc = RMatrix.identity(ring, mats[0].rows)
     for t in Presentation(genus).relator():
         acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
-    return acc
+    return acc, inv
 
 
-def _check_relator(ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: str) -> None:
+def _check_relator(
+    ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: str
+) -> tuple[RMatrix, ...] | None:
+    """Check ``mats`` as generator matrices; return their inverses (None at rank 0)."""
     if len(mats) != 2 * genus:
         raise ValueError(f"need {2 * genus} matrices, got {len(mats)}")
     n = mats[0].rows if mats else 0
@@ -84,13 +93,14 @@ def _check_relator(ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: st
         if n and not m.is_invertible():
             raise ValueError(f"generator matrix {i + 1} is not invertible")
     if n == 0:
-        return
-    acc = _relator_product(ring, genus, mats)
+        return None
+    acc, inv = _relator_product(ring, genus, mats)
     if not acc.is_identity():
         defect = acc - RMatrix.identity(ring, n)
         raise RelatorError(
             f"{what}: relator defect is nonzero: {defect.to_lists()}"
         )
+    return inv
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class SurfaceRep:
     mats: tuple[RMatrix, ...]
 
     def __post_init__(self) -> None:
-        _check_relator(self.ring, self.genus, self.mats, "representation")
+        _keep_inverses(self, _check_relator(self.ring, self.genus, self.mats, "representation"))
 
     @property
     def dim(self) -> int:
@@ -113,11 +123,13 @@ class SurfaceRep:
         return tuple(m.inverse() for m in self.mats)
 
     def as_module(self) -> "GModule":
-        return _trusted(GModule, self.ring, self.genus, self.mats)
+        return _trusted(GModule, self.ring, self.genus, self.mats, _known_inverses(self))
 
     def reduce_to(self, s: int) -> "SurfaceRep":
         mats = tuple(m.reduce_to(s) for m in self.mats)
-        return _trusted(SurfaceRep, self.ring.shrink(s), self.genus, mats)
+        return _trusted(
+            SurfaceRep, self.ring.shrink(s), self.genus, mats, _reduced_inverses(self, s)
+        )
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,7 @@ class GModule:
     acts: tuple[RMatrix, ...]
 
     def __post_init__(self) -> None:
-        _check_relator(self.ring, self.genus, self.acts, "module action")
+        _keep_inverses(self, _check_relator(self.ring, self.genus, self.acts, "module action"))
 
     @property
     def rank(self) -> int:
@@ -148,22 +160,49 @@ class GModule:
 
     def reduce_to(self, s: int) -> "GModule":
         acts = tuple(m.reduce_to(s) for m in self.acts)
-        return _trusted(GModule, self.ring.shrink(s), self.genus, acts)
+        return _trusted(
+            GModule, self.ring.shrink(s), self.genus, acts, _reduced_inverses(self, s)
+        )
 
 
 _Checked = TypeVar("_Checked", SurfaceRep, GModule)
 
 
-def _trusted(cls: type[_Checked], ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> _Checked:
+def _trusted(
+    cls: type[_Checked],
+    ring: RingSpec,
+    genus: int,
+    mats: Sequence[RMatrix],
+    inverses: tuple[RMatrix, ...] | None = None,
+) -> _Checked:
     """A SurfaceRep or GModule built without ``__post_init__``'s relator check.
 
     Only for matrices derived from an already checked object by a map that
     preserves invertibility and the relator (see the module docstring).
+    ``inverses``, when given, are the inverses of ``mats``.
     """
     obj = object.__new__(cls)
     for f, value in zip(fields(cls), (ring, genus, tuple(mats))):
         object.__setattr__(obj, f.name, value)
+    _keep_inverses(obj, inverses)
     return obj
+
+
+def _keep_inverses(obj: SurfaceRep | GModule, inverses: tuple[RMatrix, ...] | None) -> None:
+    """Fill the ``inverses`` cache of ``obj`` with inverses already computed."""
+    if inverses is not None:
+        obj.__dict__["inverses"] = inverses
+
+
+def _known_inverses(obj: SurfaceRep | GModule) -> tuple[RMatrix, ...] | None:
+    """The cached ``inverses`` of ``obj``, or None if none were computed."""
+    return obj.__dict__.get("inverses")
+
+
+def _reduced_inverses(obj: SurfaceRep | GModule, s: int) -> tuple[RMatrix, ...] | None:
+    """The known inverses of ``obj`` reduced to Z/p^s: the inverses of its reduction."""
+    inv = _known_inverses(obj)
+    return None if inv is None else tuple(m.reduce_to(s) for m in inv)
 
 
 # -- module constructors ------------------------------------------------------

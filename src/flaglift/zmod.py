@@ -11,7 +11,8 @@ staircase form without any general PID machinery.  The module provides:
   canonical coset representatives can be read off by greedy reduction,
   which a plain staircase cannot do over Z/p^r (example: the row (0, p)
   lies in the span of (p, 1) over Z/p^2),
-* ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e),
+* ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e), with
+  P^-1 carried through the same sweep,
 * ``LinearSolver``: one solution of A x = b plus an independent kernel
   basis with annihilator exponents,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
@@ -20,6 +21,10 @@ staircase form without any general PID machinery.  The module provides:
 Vectors are plain tuples of ints; matrices are ``RMatrix``.  ``apply``
 walks only the nonzero entries of the vector and of the matching matrix
 columns, so its cost scales with the nonzeros of both, not with the shape.
+``smithify`` likewise sweeps over sparse rows and columns (dicts of
+nonzeros): a pivot search walks only nonzero entries, and an elimination
+touches only the rows that are nonzero in the pivot column and only the
+nonzeros of the pivot row.
 """
 
 from __future__ import annotations
@@ -505,13 +510,27 @@ class SmithResult:
     """Invertible P, Q with P @ A @ Q = diag(p^e) (exponents nondecreasing).
 
     ``exponents`` has one entry per diagonal slot min(rows, cols); a zero
-    diagonal entry is recorded as exponent r.
+    diagonal entry is recorded as exponent r.  ``left_inverse`` is P^-1.
     """
 
     left: RMatrix
     right: RMatrix
     diag: RMatrix
     exponents: tuple[int, ...]
+    left_inverse: RMatrix
+
+
+def _densify(
+    ring: RingSpec, rows: int, cols: int, lines: Sequence[dict[int, int]], by_column: bool
+) -> RMatrix:
+    """The matrix whose rows (or columns, if ``by_column``) are the sparse ``lines``."""
+    ents = [0] * (rows * cols)
+    line_step, key_step = (1, cols) if by_column else (cols, 1)
+    for n, line in enumerate(lines):
+        base = n * line_step
+        for key, x in line.items():
+            ents[base + key * key_step] = x
+    return RMatrix(ring, rows, cols, tuple(ents))
 
 
 def smithify(a: RMatrix) -> SmithResult:
@@ -520,63 +539,96 @@ def smithify(a: RMatrix) -> SmithResult:
     One sweep suffices over the local ring: after moving a minimal-valuation
     entry p^v to the corner, every entry in its row and column is an exact
     multiple of p^v, so a single round of eliminations clears both.  Ties
-    are broken towards the smallest (row, col) lexicographically.
+    are broken towards the smallest (row, col) lexicographically, and the
+    search stops at the first row holding a unit.
+
+    The sweep works on sparse lines: A and P as one dict of nonzeros per
+    row, Q and P^-1 as one dict per column.  Every row operation on P is
+    mirrored by the inverse column operation on P^-1, so the result carries
+    P^-1 without a separate inversion.  A's columns are swapped by
+    relabelling: a row dict is keyed by column label, and ``pos`` maps a
+    label to its current column.
     """
     ring = a.ring
     p, r, m = ring.p, ring.r, ring.modulus
     nr, nc = a.rows, a.cols
-    mat = a.to_lists()
-    pmat = RMatrix.identity(ring, nr).to_lists()
-    qmat = RMatrix.identity(ring, nc).to_lists()
+    ents = a.entries
+    mat = [{j: x for j, x in enumerate(ents[i * nc : (i + 1) * nc]) if x} for i in range(nr)]
+    label = list(range(nc))  # label[j]: the label of column j
+    pos = list(range(nc))  # pos[c]: the column of label c
+    pmat = [{i: 1} for i in range(nr)]
+    pinv = [{i: 1} for i in range(nr)]
+    qmat = [{j: 1} for j in range(nc)]
     lim = min(nr, nc)
     exps: list[int] = []
     for k in range(lim):
-        best: tuple[int, int, int] | None = None
+        # rows above k hold only their pivot, and rows from k on have no
+        # entries left of column k, so the search walks rows k.. in full
+        bv, bi, bj = r, -1, -1
         for i in range(k, nr):
-            for j in range(k, nc):
-                e = mat[i][j]
-                if e:
-                    v = ring.val(e)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-            if best is not None and best[0] == 0:
+            for c, e in mat[i].items():
+                v = 0 if e % p else ring.val(e)
+                if v < bv or (v == bv and i == bi and pos[c] < bj):
+                    bv, bi, bj = v, i, pos[c]
+            if bv == 0:
                 break
-        if best is None:
+        if bi < 0:
             exps.extend([r] * (lim - k))
             break
-        v, bi, bj = best
+        v = bv
         if bi != k:
             mat[k], mat[bi] = mat[bi], mat[k]
             pmat[k], pmat[bi] = pmat[bi], pmat[k]
+            pinv[k], pinv[bi] = pinv[bi], pinv[k]
         if bj != k:
-            for row in mat:
-                row[k], row[bj] = row[bj], row[k]
-            for row in qmat:
-                row[k], row[bj] = row[bj], row[k]
-        u = ring.inv(ring.unit_part(mat[k][k]))
-        mat[k] = [(u * x) % m for x in mat[k]]
-        pmat[k] = [(u * x) % m for x in pmat[k]]
+            ck, cj = label[k], label[bj]
+            label[k], label[bj] = cj, ck
+            pos[ck], pos[cj] = bj, k
+            qmat[k], qmat[bj] = qmat[bj], qmat[k]
+        ck = label[k]
+        w = ring.unit_part(mat[k][ck])
+        u = ring.inv(w)
+        prow = mat[k] = {c: (u * x) % m for c, x in mat[k].items()}
+        pk = pmat[k] = {c: (u * x) % m for c, x in pmat[k].items()}
+        inv_k = pinv[k] = {i: (w * x) % m for i, x in pinv[k].items()}
         pval = p**v
-        for i in range(nr):
-            if i != k and mat[i][k]:
-                f = mat[i][k] // pval
-                mat[i] = [(x - f * y) % m for x, y in zip(mat[i], mat[k])]
-                pmat[i] = [(x - f * y) % m for x, y in zip(pmat[i], pmat[k])]
+        prow_items, pk_items = list(prow.items()), list(pk.items())
+        for i in range(k + 1, nr):
+            x = mat[i].get(ck)
+            if x is None:
+                continue
+            f = x // pval
+            _axpy(mat[i], -f, prow_items, m)
+            _axpy(pmat[i], -f, pk_items, m)
+            # P gained row_i -= f row_k, so P^-1 gains col_k += f col_i
+            _axpy(inv_k, f, pinv[i].items(), m)
         # column k of mat is now zero off the pivot, and every mat[k][j] is
         # an exact multiple of pval, so a column operation only turns
-        # mat[k][j] into 0 and leaves qmat rows with row[k] == 0 unchanged
-        for j in range(nc):
-            if j != k and mat[k][j]:
-                f = mat[k][j] // pval
-                mat[k][j] = 0
-                for row in qmat:
-                    if row[k]:
-                        row[j] = (row[j] - f * row[k]) % m
+        # mat[k][j] into 0 and changes Q where column k of Q is nonzero
+        qk_items = list(qmat[k].items())
+        for c, x in prow.items():
+            if c != ck:
+                _axpy(qmat[pos[c]], -(x // pval), qk_items, m)
+        mat[k] = {ck: pval}
         exps.append(v)
-    left = RMatrix.from_rows(ring, pmat) if nr else RMatrix.zeros(ring, 0, 0)
-    right = RMatrix.from_rows(ring, qmat) if nc else RMatrix.zeros(ring, 0, 0)
-    diag = RMatrix.from_rows(ring, mat) if nr else RMatrix.zeros(ring, 0, nc)
-    return SmithResult(left, right, diag, tuple(exps))
+    diag = [{pos[c]: x for c, x in row.items()} for row in mat]
+    return SmithResult(
+        _densify(ring, nr, nr, pmat, by_column=False),
+        _densify(ring, nc, nc, qmat, by_column=True),
+        _densify(ring, nr, nc, diag, by_column=False),
+        tuple(exps),
+        _densify(ring, nr, nr, pinv, by_column=True),
+    )
+
+
+def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
+    """dst += f * src over Z/m, on sparse lines; entries that reach 0 are dropped."""
+    for key, y in src:
+        x = (dst.get(key, 0) + f * y) % m
+        if x:
+            dst[key] = x
+        else:
+            dst.pop(key, None)
 
 
 class LinearSolver:
@@ -727,7 +779,7 @@ def quotient_data(
     sm = smithify(rel)
     lim = min(rel.rows, rel.cols)
     exps = [sm.exponents[i] if i < lim else ring.r for i in range(k)]
-    p_inv = sm.left.inverse()
+    p_inv = sm.left_inverse
     invariants: list[int] = []
     reps: list[tuple[int, ...]] = []
     order = sorted(range(k), key=lambda i: exps[i])
