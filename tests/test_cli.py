@@ -2,6 +2,7 @@
 
 import pytest
 
+from flaglift import cli
 from flaglift.cli import main
 from flaglift.cohomology import complex_of
 from flaglift.flags import Flag, is_wound_kummer
@@ -213,3 +214,17 @@ def test_cli_truncated_splitting_grid_exits_inconclusive(tmp_path, capsys, monke
     assert main(["lift", str(src), "--to-r", "2"]) == 3
     err = capsys.readouterr().err
     assert "inconclusive:" in err and "obstructed" not in err
+
+
+def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "k.rep"
+    src.write_text(save_rep(kummer_fixture()))
+
+    def broken(module):
+        raise AssertionError("d1 . d0 != 0; relator check should prevent this")
+
+    monkeypatch.setattr(cli, "h_groups", broken)
+    assert main(["cohomology", str(src)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: d1 . d0 != 0; relator check should prevent this\n"

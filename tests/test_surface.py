@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flaglift.oracle import gen_random_flag
 from flaglift.surface import (
     GModule,
     Presentation,
@@ -42,6 +43,38 @@ def test_relator_validation_rejects_bad_tuples(cls):
     with pytest.raises(ValueError) as exc:
         cls(ring, 1, (a, RMatrix.zeros(ring, 2, 2)))
     assert not isinstance(exc.value, RelatorError), "singular generator is caught first"
+
+
+def test_validation_inverses_are_handed_on(monkeypatch):
+    # the relator walk inverts every generator once; the object keeps those
+    # inverses, and as_module / reduce_to hand them on instead of inverting
+    rep0 = gen_random_flag(3, 2, 3, 2, seed=4).rep
+    ring, genus, mats = rep0.ring, rep0.genus, rep0.mats
+    inverted = []
+    inverse = RMatrix.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RMatrix, "inverse", counted)
+    rep = SurfaceRep(ring, genus, mats)
+    mod = GModule(ring, genus, mats)
+    got = {
+        "rep": (rep.inverses, mats),
+        "rep.as_module": (rep.as_module().inverses, mats),
+        "rep.reduce_to": (rep.reduce_to(1).inverses, rep.reduce_to(1).mats),
+        "rep.as_module.reduce_to": (
+            rep.as_module().reduce_to(1).inverses,
+            rep.as_module().reduce_to(1).acts,
+        ),
+        "mod": (mod.inverses, mats),
+        "mod.reduce_to": (mod.reduce_to(1).inverses, mod.reduce_to(1).acts),
+    }
+    assert len(inverted) == 2 * (2 * genus), "only the two relator walks invert"
+    monkeypatch.undo()
+    for name, (inverses, source) in got.items():
+        assert inverses == tuple(m.inverse() for m in source), name
 
 
 def commuting_pair_rep(ring, rng, n=2):

@@ -281,6 +281,7 @@ def test_smithify_random(ring):
         sm = smithify(a)
         assert sm.left @ a @ sm.right == sm.diag
         assert sm.left.is_invertible() and sm.right.is_invertible()
+        assert (sm.left @ sm.left_inverse).is_identity()
         exps = sm.exponents
         assert len(exps) == min(rows, cols)
         assert list(exps) == sorted(exps), "diagonal exponents must be nondecreasing"
@@ -290,6 +291,108 @@ def test_smithify_random(ring):
                     assert sm.diag.entry(i, j) == ring.p ** exps[i]
                 else:
                     assert sm.diag.entry(i, j) == 0
+
+
+def ref_smithify(a):
+    """The dense full-pivoting sweep that ``smithify`` must reproduce exactly."""
+    ring = a.ring
+    p, r, m = ring.p, ring.r, ring.modulus
+    nr, nc = a.rows, a.cols
+    mat = a.to_lists()
+    pmat = ref_identity(ring, nr).to_lists()
+    qmat = ref_identity(ring, nc).to_lists()
+    lim = min(nr, nc)
+    exps = []
+    for k in range(lim):
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                e = mat[i][j]
+                if e:
+                    v = ring.val(e)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            exps.extend([r] * (lim - k))
+            break
+        v, bi, bj = best
+        if bi != k:
+            mat[k], mat[bi] = mat[bi], mat[k]
+            pmat[k], pmat[bi] = pmat[bi], pmat[k]
+        if bj != k:
+            for row in mat:
+                row[k], row[bj] = row[bj], row[k]
+            for row in qmat:
+                row[k], row[bj] = row[bj], row[k]
+        u = ring.inv(ring.unit_part(mat[k][k]))
+        mat[k] = [(u * x) % m for x in mat[k]]
+        pmat[k] = [(u * x) % m for x in pmat[k]]
+        pval = p**v
+        for i in range(nr):
+            if i != k and mat[i][k]:
+                f = mat[i][k] // pval
+                mat[i] = [(x - f * y) % m for x, y in zip(mat[i], mat[k])]
+                pmat[i] = [(x - f * y) % m for x, y in zip(pmat[i], pmat[k])]
+        for j in range(nc):
+            if j != k and mat[k][j]:
+                f = mat[k][j] // pval
+                mat[k][j] = 0
+                for row in qmat:
+                    if row[k]:
+                        row[j] = (row[j] - f * row[k]) % m
+        exps.append(v)
+    left = RMatrix.from_rows(ring, pmat) if nr else RMatrix.zeros(ring, 0, 0)
+    right = RMatrix.from_rows(ring, qmat) if nc else RMatrix.zeros(ring, 0, 0)
+    diag = RMatrix.from_rows(ring, mat) if nr else RMatrix.zeros(ring, 0, nc)
+    return left, right, diag, tuple(exps)
+
+
+def valuation_matrix(ring, rows, cols, rng, density, min_val):
+    """Nonzero entries p^v * unit with v >= min_val, so valuations tie often."""
+    p, r, m = ring.p, ring.r, ring.modulus
+
+    def entry():
+        v = rng.randrange(min_val, r)
+        return (p**v * rng.choice([u for u in range(1, p**(r - v)) if u % p])) % m
+
+    return RMatrix(
+        ring,
+        rows,
+        cols,
+        tuple(entry() if rng.random() < density else 0 for _ in range(rows * cols)),
+    )
+
+
+@pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
+def test_smithify_matches_dense_reference(ring):
+    rng = random.Random(707)
+    r = ring.r
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (3, 3), (2, 7), (7, 2), (6, 6)]
+    cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in shapes]
+    for rows, cols in shapes[3:]:
+        cases.append(rand_matrix(ring, rows, cols, rng))
+        if r > 1:
+            cases.append(valuation_matrix(ring, rows, cols, rng, 0.7, 1))
+    # 1-5% nonzero, wide and tall, including inputs with no unit entry
+    for rows, cols in [(30, 45), (45, 30), (40, 40), (12, 60), (60, 12)]:
+        for density in (0.01, 0.03, 0.05):
+            cases.append(sparse_matrix(ring, rows, cols, rng, density=density))
+            if r > 1:
+                cases.append(valuation_matrix(ring, rows, cols, rng, density, 1))
+    if r > 1:
+        # minimal valuation 1, tied within row 0 (columns 1 and 2) and
+        # across rows 0 and 1: the pivot is row 0, column 1
+        p, m = ring.p, ring.modulus
+        a = RMatrix.from_rows(ring, [[0, p, m - p], [p, 0, 0], [0, 0, 0]])
+        sm = smithify(a)
+        assert sm.left.row(0) == (1, 0, 0) and sm.right.col(0) == (0, 1, 0)
+        cases.append(a)
+    for a in cases:
+        sm = smithify(a)
+        assert (sm.left, sm.right, sm.diag, sm.exponents) == ref_smithify(a)
+        assert sm.left_inverse == sm.left.inverse()
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2), RingSpec(2, 3)])
