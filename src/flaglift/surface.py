@@ -18,15 +18,15 @@ blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
 diagonal blocks of block upper triangular actions (flag segments and the
 ends of a coordinate extension).
 
-The relator walk inverts every generator; a checked object keeps those
-inverses as its ``inverses``, and ``as_module`` and ``reduce_to`` pass
-them on (reduced, for ``reduce_to``) when they are already known.
+The relator walk inverts every generator, and a checked object keeps those
+inverses as its ``inverses``.  ``as_module`` and ``reduce_to`` pass known
+inverses on; a reduction reduces them only when its ``inverses`` are first
+read, since most reductions never read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Sequence, TypeVar
 
 from .zmod import RingSpec, RMatrix, vec_add, vec_mod, vec_scale
@@ -118,18 +118,16 @@ class SurfaceRep:
     def dim(self) -> int:
         return self.mats[0].rows
 
-    @cached_property
+    @property
     def inverses(self) -> tuple[RMatrix, ...]:
-        return tuple(m.inverse() for m in self.mats)
+        return _inverses(self, self.mats)
 
     def as_module(self) -> "GModule":
         return _trusted(GModule, self.ring, self.genus, self.mats, _known_inverses(self))
 
     def reduce_to(self, s: int) -> "SurfaceRep":
         mats = tuple(m.reduce_to(s) for m in self.mats)
-        return _trusted(
-            SurfaceRep, self.ring.shrink(s), self.genus, mats, _reduced_inverses(self, s)
-        )
+        return _trusted(SurfaceRep, self.ring.shrink(s), self.genus, mats, _known_inverses(self))
 
 
 @dataclass(frozen=True)
@@ -151,18 +149,16 @@ class GModule:
     def presentation(self) -> Presentation:
         return Presentation(self.genus)
 
-    @cached_property
+    @property
     def inverses(self) -> tuple[RMatrix, ...]:
-        return tuple(m.inverse() for m in self.acts)
+        return _inverses(self, self.acts)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
     def reduce_to(self, s: int) -> "GModule":
         acts = tuple(m.reduce_to(s) for m in self.acts)
-        return _trusted(
-            GModule, self.ring.shrink(s), self.genus, acts, _reduced_inverses(self, s)
-        )
+        return _trusted(GModule, self.ring.shrink(s), self.genus, acts, _known_inverses(self))
 
 
 _Checked = TypeVar("_Checked", SurfaceRep, GModule)
@@ -179,7 +175,7 @@ def _trusted(
 
     Only for matrices derived from an already checked object by a map that
     preserves invertibility and the relator (see the module docstring).
-    ``inverses``, when given, are the inverses of ``mats``.
+    ``inverses``, when given, are recorded as by ``_keep_inverses``.
     """
     obj = object.__new__(cls)
     for f, value in zip(fields(cls), (ring, genus, tuple(mats))):
@@ -189,20 +185,31 @@ def _trusted(
 
 
 def _keep_inverses(obj: SurfaceRep | GModule, inverses: tuple[RMatrix, ...] | None) -> None:
-    """Fill the ``inverses`` cache of ``obj`` with inverses already computed."""
+    """Record the inverses of the generators of ``obj``, unless None.
+
+    They may live over a larger Z/p^R than ``obj``: inverses of matrices
+    that reduce to its generators reduce to the inverses of its generators.
+    """
     if inverses is not None:
-        obj.__dict__["inverses"] = inverses
+        object.__setattr__(obj, "_inverses", inverses)
 
 
 def _known_inverses(obj: SurfaceRep | GModule) -> tuple[RMatrix, ...] | None:
-    """The cached ``inverses`` of ``obj``, or None if none were computed."""
-    return obj.__dict__.get("inverses")
+    """The inverses recorded for ``obj``, or None."""
+    return getattr(obj, "_inverses", None)
 
 
-def _reduced_inverses(obj: SurfaceRep | GModule, s: int) -> tuple[RMatrix, ...] | None:
-    """The known inverses of ``obj`` reduced to Z/p^s: the inverses of its reduction."""
+def _inverses(obj: SurfaceRep | GModule, mats: tuple[RMatrix, ...]) -> tuple[RMatrix, ...]:
+    """The inverses of ``mats``, the generators of ``obj``, worked out once."""
     inv = _known_inverses(obj)
-    return None if inv is None else tuple(m.reduce_to(s) for m in inv)
+    if inv is None:
+        inv = tuple(m.inverse() for m in mats)
+    elif inv[0].ring != obj.ring:
+        inv = tuple(m.reduce_to(obj.ring.r) for m in inv)
+    else:
+        return inv
+    _keep_inverses(obj, inv)
+    return inv
 
 
 # -- module constructors ------------------------------------------------------
