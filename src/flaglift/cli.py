@@ -1,9 +1,10 @@
 """Command-line front end: reports, lifting pipelines, oracle comparisons.
 
 Exit codes: 0 success, 2 mathematical failure (nonzero obstruction or a
-failed comparison), 3 inconclusive (a search hit its budget before it could
-decide), 1 malformed input or usage error, 4 internal error (a failed
-internal consistency check, reported as ``internal error: ...``).
+failed comparison), 3 inconclusive (a search, built-in generator included,
+hit its budget before it could decide), 1 malformed input or usage error,
+4 internal error (a failed internal consistency check, reported as
+``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     except RepFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KummerInconclusive as exc:
+    except (KummerInconclusive, BudgetExceededError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     except LiftConsistencyError as exc:

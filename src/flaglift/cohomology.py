@@ -325,30 +325,20 @@ def demushkin_report(p: int, genus: int) -> DemushkinReport:
 class ExtensionData:
     """A coordinate extension 0 -> sub -> total -> quotient -> 0.
 
-    ``total`` acts by block upper triangular matrices; ``sub`` and
-    ``quotient`` are its leading and trailing diagonal blocks.  ``iota``
-    and ``pi`` are the coordinate inclusion and projection, so both are
-    equivariant, and ``section`` is the coordinate inclusion of the
-    trailing block: a linear (not necessarily equivariant) section of pi
-    with [iota | section] the identity.  Built only by
-    ``coordinate_extension``.
+    ``total`` acts by block upper triangular matrices [[A, X], [0, C]], and
+    ``sub`` and ``quotient`` act by the diagonal blocks A and C.  Inclusion,
+    projection and the linear section onto the trailing coordinates are
+    index slices, and the section's defect X_g C_g^-1 is the class at g.
+    Built only by ``coordinate_extension``.
     """
 
     sub: GModule
     total: GModule
     quotient: GModule
-    iota: RMatrix
-    pi: RMatrix
-    section: RMatrix
 
     @property
     def ring(self) -> RingSpec:
         return self.sub.ring
-
-    @cached_property
-    def retraction(self) -> RMatrix:
-        """The linear left inverse of iota killing the section image."""
-        return self.iota.transpose()
 
 
 def coordinate_extension(total: GModule, n_sub: int) -> ExtensionData:
@@ -364,27 +354,15 @@ def coordinate_extension(total: GModule, n_sub: int) -> ExtensionData:
             raise ValueError(f"generator {g + 1} does not preserve the leading block")
     sub = _trusted(GModule, ring, total.genus, tuple(m.submatrix(lo, lo) for m in total.acts))
     quo = _trusted(GModule, ring, total.genus, tuple(m.submatrix(hi, hi) for m in total.acts))
-    eye = RMatrix.identity(ring, n)
-    iota = eye.submatrix(range(n), lo)
-    pi = eye.submatrix(hi, range(n))
-    section = eye.submatrix(range(n), hi)
-    return ExtensionData(sub, total, quo, iota, pi, section)
+    return ExtensionData(sub, total, quo)
 
 
 def extension_class(ext: ExtensionData) -> CohClass:
-    """The degree-1 class of the extension in hom(quotient, sub)."""
+    """The degree-1 class of the extension in hom(quotient, sub): g -> X_g C_g^-1."""
     a, b, c = ext.sub, ext.total, ext.quotient
-    hom = hom_module(c, a)
-    vals = []
-    for g in range(2 * b.genus):
-        mg = b.acts[g] @ ext.section @ c.inverses[g] - ext.section
-        if not (ext.pi @ mg).is_zero():
-            raise AssertionError("section defect must land in the sub")
-        x = ext.retraction @ mg
-        if ext.iota @ x != mg:
-            raise AssertionError("retraction postcondition failed")
-        vals.append(hom_vec(x))
-    return CohClass(complex_of(hom), 1, stack(vals))
+    lo, hi = range(a.rank), range(a.rank, b.rank)
+    vals = [hom_vec(b.acts[g].submatrix(lo, hi) @ c.inverses[g]) for g in range(2 * b.genus)]
+    return CohClass(complex_of(hom_module(c, a)), 1, stack(vals))
 
 
 @dataclass(frozen=True)
@@ -394,13 +372,16 @@ class SplitResult:
 
 
 def split_section(ext: ExtensionData) -> SplitResult:
-    """Decide splitness; on success return an equivariant section."""
+    """Decide splitness; on success return an equivariant section.
+
+    The section is [[-m], [I]] for the canonical witness m of the class.
+    """
     cls = extension_class(ext)
     w = cls.witness()
     if w is None:
         return SplitResult(False, None)
     m = hom_mat(ext.ring, w, ext.sub.rank, ext.quotient.rank)
-    s2 = ext.section - ext.iota @ m
+    s2 = RMatrix.vstack([m.scale(-1), RMatrix.identity(ext.ring, ext.quotient.rank)])
     for g in range(2 * ext.sub.genus):
         if ext.total.acts[g] @ s2 != s2 @ ext.quotient.acts[g]:
             raise AssertionError("corrected section is not equivariant")
@@ -411,14 +392,12 @@ def connecting(ext: ExtensionData, v: CohClass) -> CohClass:
     """H^1(quotient) -> H^2(sub): lift by the section, evaluate the relator."""
     if v.degree != 1 or v.cx.module != ext.quotient:
         raise ValueError("need a degree-1 class in the quotient module")
-    lifted = [ext.section.apply(val) for val in v.values()]
+    lifted = [ext.sub.zero() + val for val in v.values()]
     w = crossed_value(ext.total, lifted, ext.total.presentation.relator())
-    if not all(x == 0 for x in ext.pi.apply(w)):
+    n_sub = ext.sub.rank
+    if any(w[n_sub:]):
         raise AssertionError("relator value must land in the sub")
-    a = ext.retraction.apply(w)
-    if ext.iota.apply(a) != tuple(w):
-        raise AssertionError("relator value not in the image of iota")
-    return CohClass(complex_of(ext.sub), 2, a)
+    return CohClass(complex_of(ext.sub), 2, w[:n_sub])
 
 
 def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:

@@ -96,16 +96,13 @@ class Flag:
         return Flag(self.rep.reduce_to(s))
 
     def dual(self) -> "Flag":
-        """Antidiagonal conjugate of the inverse transpose; an involution.
+        """Inverse transpose, indices reversed (antidiagonal conjugate); an involution.
 
         Reverses the filtration: piece i of the dual has character
         char(d+1-i)^-1, truncation and quotient-by-first are exchanged.
         """
-        d = self.d
-        j = RMatrix(
-            self.ring, d, d, tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
-        )
-        mats = tuple(j @ m.transpose() @ j for m in self.rep.inverses)
+        rev = range(self.d - 1, -1, -1)
+        mats = tuple(m.transpose().submatrix(rev, rev) for m in self.rep.inverses)
         return Flag(_trusted(SurfaceRep, self.ring, self.genus, mats))
 
 

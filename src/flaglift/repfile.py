@@ -18,7 +18,8 @@ integer matrix per generator, in x1, y1, x2, y2, ... order:
     ...
 
 Blank lines and '#' comments are ignored on load; save emits the canonical
-layout so that load then save is the identity on saved documents.
+layout so that load then save is the identity on saved documents.  The
+exponent r may be at most 64, since every entry check works modulo p^r.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .zmod import RingSpec, RMatrix
 
 class RepFileError(ValueError):
     """Malformed or inconsistent representation file."""
+
+
+_MAX_R = 64
 
 
 def _lines(text: str) -> list[list[str]]:
@@ -96,6 +100,8 @@ def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
     r = cur.take_int("r")
     genus = cur.take_int("genus")
     dim = cur.take_int("dim")
+    if r > _MAX_R:
+        raise RepFileError(f"r {r} exceeds the limit {_MAX_R}")
     try:
         ring = RingSpec(p, r)
     except ValueError as exc:

@@ -509,13 +509,13 @@ def echelonize(a: RMatrix) -> EchelonResult:
 class SmithResult:
     """Invertible P, Q with P @ A @ Q = diag(p^e) (exponents nondecreasing).
 
-    ``exponents`` has one entry per diagonal slot min(rows, cols); a zero
-    diagonal entry is recorded as exponent r.  ``left_inverse`` is P^-1.
+    The diagonal is not stored: ``exponents`` has one entry per diagonal
+    slot min(rows, cols), a zero diagonal entry recorded as exponent r.
+    ``left_inverse`` is P^-1.
     """
 
     left: RMatrix
     right: RMatrix
-    diag: RMatrix
     exponents: tuple[int, ...]
     left_inverse: RMatrix
 
@@ -562,8 +562,8 @@ def smithify(a: RMatrix) -> SmithResult:
     lim = min(nr, nc)
     exps: list[int] = []
     for k in range(lim):
-        # rows above k hold only their pivot, and rows from k on have no
-        # entries left of column k, so the search walks rows k.. in full
+        # rows above k are finished, and rows from k on have no entries
+        # left of column k, so the search walks rows k.. in full
         bv, bi, bj = r, -1, -1
         for i in range(k, nr):
             for c, e in mat[i].items():
@@ -588,7 +588,7 @@ def smithify(a: RMatrix) -> SmithResult:
         ck = label[k]
         w = ring.unit_part(mat[k][ck])
         u = ring.inv(w)
-        prow = mat[k] = {c: (u * x) % m for c, x in mat[k].items()}
+        prow = {c: (u * x) % m for c, x in mat[k].items()}
         pk = pmat[k] = {c: (u * x) % m for c, x in pmat[k].items()}
         inv_k = pinv[k] = {i: (w * x) % m for i, x in pinv[k].items()}
         pval = p**v
@@ -609,13 +609,10 @@ def smithify(a: RMatrix) -> SmithResult:
         for c, x in prow.items():
             if c != ck:
                 _axpy(qmat[pos[c]], -(x // pval), qk_items, m)
-        mat[k] = {ck: pval}
         exps.append(v)
-    diag = [{pos[c]: x for c, x in row.items()} for row in mat]
     return SmithResult(
         _densify(ring, nr, nr, pmat, by_column=False),
         _densify(ring, nc, nc, qmat, by_column=True),
-        _densify(ring, nr, nc, diag, by_column=False),
         tuple(exps),
         _densify(ring, nr, nr, pinv, by_column=True),
     )

@@ -1,12 +1,14 @@
 """Tests for the file formats and the command-line driver."""
 
+import time
+
 import pytest
 
 from flaglift import cli
 from flaglift.cli import main
 from flaglift.cohomology import complex_of
 from flaglift.flags import Flag, is_wound_kummer
-from flaglift.oracle import gen_random_flag
+from flaglift.oracle import BudgetExceededError, gen_random_flag
 from flaglift.repfile import (
     RepFileError,
     load_cocycle,
@@ -48,6 +50,10 @@ def test_cocycle_round_trip():
     assert save_cocycle(ring2, genus, dim, rows2) == text
 
 
+# every entry check of this file would work modulo 3**200000000
+HUGE_R = "p 3\nr 200000000\ngenus 1\ndim 1\ngenerator x1\n1\ngenerator y1\n1\n"
+
+
 def test_load_rejects_malformed_documents():
     good = save_rep(kummer_fixture())
     with pytest.raises(RepFileError):
@@ -70,6 +76,8 @@ def test_load_rejects_malformed_documents():
         load_cocycle(cocycle.replace("2 2", "2 z"))
     with pytest.raises(RepFileError, match="trailing content"):
         load_cocycle(cocycle + "extra\n")
+    with pytest.raises(RepFileError, match="r 200000000 exceeds the limit 64"):
+        load_rep(HUGE_R)
 
 
 def test_load_rep_validates_relator_and_invertibility():
@@ -199,6 +207,13 @@ def test_cli_error_codes(tmp_path, capsys):
     bad.write_text("p 2\nnot a repfile\n")
     assert main(["flag-check", str(bad)]) == 1
     capsys.readouterr()
+    huge = tmp_path / "huge.rep"
+    huge.write_text(HUGE_R)
+    start = time.perf_counter()
+    assert main(["cohomology", str(huge)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the limit" in captured.err
     for ell in ("9", "15"):  # odd but not prime
         assert main(["local-example", "--field", "ql", "--ell", ell]) == 1
         captured = capsys.readouterr()
@@ -228,3 +243,17 @@ def test_cli_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: d1 . d0 != 0; relator check should prevent this\n"
+
+
+def test_cli_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert "selftest: all passed" in capsys.readouterr().out
+
+
+def test_cli_selftest_budget_exceeded_exits_inconclusive(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("no flag found within the search budget")
+
+    monkeypatch.setattr(cli, "gen_random_flag", exhausted)
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().err == "inconclusive: no flag found within the search budget\n"

@@ -8,6 +8,7 @@ import pytest
 
 from flaglift.cohomology import (
     CohClass,
+    ExtensionData,
     LiftConsistencyError,
     complex_of,
     connecting,
@@ -27,7 +28,9 @@ from flaglift.surface import (
     SurfaceRep,
     char_module,
     crossed_value,
+    hom_mat,
     hom_module,
+    hom_vec,
     tensor_module,
     trivial_module,
 )
@@ -265,6 +268,76 @@ def test_solve_cup_unreachable_target_raises():
     assert not target.is_zero()
     with pytest.raises(LiftConsistencyError):
         solve_cup(ext, target)
+
+
+def rand_block_module(ring, genus, n, n_sub, rng):
+    """Module acting by [[A, X], [0, C]] blocks; each handle by one matrix and a power."""
+    acts = []
+    for _ in range(genus):
+        a, c = rand_invertible(ring, n_sub, rng), rand_invertible(ring, n - n_sub, rng)
+        m = RMatrix(
+            ring,
+            n,
+            n,
+            tuple(
+                a.entry(i, j) if i < n_sub and j < n_sub
+                else c.entry(i - n_sub, j - n_sub) if i >= n_sub and j >= n_sub
+                else rng.randrange(ring.modulus) if i < n_sub
+                else 0
+                for i in range(n)
+                for j in range(n)
+            ),
+        )
+        mk = RMatrix.identity(ring, n)
+        for _ in range(rng.randrange(4)):
+            mk = mk @ m
+        acts.extend([m, mk])
+    return GModule(ring, genus, tuple(acts))
+
+
+def reference_maps(ext: ExtensionData):
+    """The coordinate inclusion, projection, section and retraction as matrices."""
+    n, n_sub = ext.total.rank, ext.sub.rank
+    lo, hi = range(n_sub), range(n_sub, n)
+    eye = RMatrix.identity(ext.ring, n)
+    iota = eye.submatrix(range(n), lo)
+    return iota, eye.submatrix(hi, range(n)), eye.submatrix(range(n), hi), iota.transpose()
+
+
+def test_coordinate_extension_matches_matrix_reference():
+    rng = random.Random(61)
+    verdicts, connecting_values = set(), set()
+    for p, r, genus, n in itertools.product((2, 3), (1, 2), (1, 2), range(1, 6)):
+        ring = RingSpec(p, r)
+        for n_sub in range(n + 1):
+            ext = coordinate_extension(rand_block_module(ring, genus, n, n_sub, rng), n_sub)
+            a, b, c = ext.sub, ext.total, ext.quotient
+            iota, pi, section, retraction = reference_maps(ext)
+            vals = []
+            for g in range(2 * genus):
+                mg = b.acts[g] @ section @ c.inverses[g] - section
+                assert (pi @ mg).is_zero()
+                vals.append(hom_vec(retraction @ mg))
+            cls = extension_class(ext)
+            assert cls.vector == stack(vals)
+
+            w = CohClass(complex_of(hom_module(c, a)), 1, stack(vals)).witness()
+            res = split_section(ext)
+            assert res.splits == (w is not None)
+            if w is not None:
+                assert res.section == section - iota @ hom_mat(ring, w, a.rank, c.rank)
+            verdicts.add(res.splits)
+
+            cxq = complex_of(c)
+            for vec, _ in cxq.d1_solver.kernel():
+                v = CohClass(cxq, 1, vec)
+                lifted = [section.apply(val) for val in v.values()]
+                rel = crossed_value(b, lifted, b.presentation.relator())
+                assert not any(pi.apply(rel))
+                assert connecting(ext, v).vector == retraction.apply(rel)
+                connecting_values.add(any(rel))
+    assert verdicts == {True, False}
+    assert connecting_values == {True, False}
 
 
 def test_unstack_stack_roundtrip():

@@ -71,6 +71,8 @@ def test_dual_is_an_involution_and_swaps_operations():
             y = y @ x
         f = Flag(SurfaceRep(ring, 1, (x, y)))
         assert f.dual().dual() == f
+        j = RMatrix(ring, d, d, tuple(int(a + b == d - 1) for a in range(d) for b in range(d)))
+        assert f.dual().mats == tuple(j @ m.transpose() @ j for m in f.rep.inverses)
         for i in range(1, d + 1):
             chi = f.char(i)
             dual_chi = f.dual().char(d + 1 - i)
