@@ -8,7 +8,6 @@ import pytest
 
 from flaglift.cohomology import (
     CohClass,
-    ExtensionData,
     LiftConsistencyError,
     complex_of,
     connecting,
@@ -295,15 +294,6 @@ def rand_block_module(ring, genus, n, n_sub, rng):
     return GModule(ring, genus, tuple(acts))
 
 
-def reference_maps(ext: ExtensionData):
-    """The coordinate inclusion, projection, section and retraction as matrices."""
-    n, n_sub = ext.total.rank, ext.sub.rank
-    lo, hi = range(n_sub), range(n_sub, n)
-    eye = RMatrix.identity(ext.ring, n)
-    iota = eye.submatrix(range(n), lo)
-    return iota, eye.submatrix(hi, range(n)), eye.submatrix(range(n), hi), iota.transpose()
-
-
 def test_coordinate_extension_matches_matrix_reference():
     rng = random.Random(61)
     verdicts, connecting_values = set(), set()
@@ -312,7 +302,11 @@ def test_coordinate_extension_matches_matrix_reference():
         for n_sub in range(n + 1):
             ext = coordinate_extension(rand_block_module(ring, genus, n, n_sub, rng), n_sub)
             a, b, c = ext.sub, ext.total, ext.quotient
-            iota, pi, section, retraction = reference_maps(ext)
+            # coordinate inclusion, projection, section and retraction as matrices
+            eye = RMatrix.identity(ring, n)
+            lo, hi = range(n_sub), range(n_sub, n)
+            iota, pi = eye.submatrix(range(n), lo), eye.submatrix(hi, range(n))
+            section, retraction = eye.submatrix(range(n), hi), iota.transpose()
             vals = []
             for g in range(2 * genus):
                 mg = b.acts[g] @ section @ c.inverses[g] - section
