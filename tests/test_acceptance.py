@@ -42,7 +42,7 @@ from flaglift.oracle import (
 )
 from flaglift.repfile import save_rep
 from flaglift.surface import GModule, RelatorError, char_module, trivial_module
-from flaglift.zmod import RingSpec, RMatrix
+from flaglift.zmod import RingSpec, RMatrix, teichmuller
 
 
 # sha256 over save_rep of every lifted flag, in battery order; any change to
@@ -411,3 +411,77 @@ def test_criterion_9_duality_coherence(capsys):
     assert not failures, failures
     assert n_agree >= 20
     assert digest.hexdigest() == LIFT_DIGESTS[9], "duality-battery lifts changed"
+
+
+# sha256 over the outcome of every glue and lift_rep call below: the
+# save_rep of the output, or "obstructed" with the raw obstruction vector
+GLUE_LIFT_REP_DIGEST = "18c37f01de570e9320b238c4425de39e85a1f98e906a683d4927a49eb4a6def1"
+
+
+def _small_flags(ring: RingSpec, d: int, unipotent: bool):
+    """Every genus-1 d-flag over ``ring``, or every unipotent one."""
+    q = ring.modulus
+    diag = [1] if unipotent else [v for v in range(q) if v % ring.p]
+    n_free = d * (d - 1) // 2
+
+    def tri(cs, bits):
+        ent = [[0] * d for _ in range(d)]
+        pos = 0
+        for i in range(d):
+            ent[i][i] = cs[i]
+            for j in range(i + 1, d):
+                ent[i][j] = bits[pos]
+                pos += 1
+        return ent
+
+    mats = [tri(cs, bits) for cs in itertools.product(diag, repeat=d)
+            for bits in itertools.product(range(q), repeat=n_free)]
+    out = []
+    for x, y in itertools.product(mats, repeat=2):
+        try:
+            out.append(Flag.from_rows(ring, 1, [x, y]))
+        except RelatorError:
+            continue
+    return out
+
+
+def test_glue_and_lift_rep_digest():
+    digest = hashlib.sha256()
+    counts = {"glued": 0, "lifted": 0, "obstructed": 0}
+
+    def fold(flag, obstruction, done: str) -> None:
+        if flag is not None:
+            counts[done] += 1
+            digest.update(save_rep(flag).encode())
+        else:
+            counts["obstructed"] += 1
+            digest.update(f"obstructed {obstruction.vector}\n".encode())
+
+    # criterion 4's pool: g=1, p=2, d<=3, every glue pair and every lift
+    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    # mod 3 with every unit diagonal, and Z/4, the scale-1 glue over Z/p^2
+    pools += [_small_flags(RingSpec(3, 1), 2, False), _small_flags(RingSpec(2, 2), 2, True)]
+    for pool in pools:
+        for e in pool:
+            for f in pool:
+                if e.quotient_by_first() == f.truncate():
+                    out = glue(e, f)
+                    fold(out.flag, out.obstruction, "glued")
+    for pool in pools:
+        for f in pool:
+            out = lift_rep(f, least_char_lift(f, 2))
+            fold(out.flag, out.obstruction, "lifted")
+    # nontrivial characters: least residues and Teichmuller lifts, genus 1 and 2
+    for p, r, d, genus in itertools.product((2, 3), (1, 2), (2, 3), (1, 2)):
+        for seed in range(3):
+            f = gen_random_flag(p, r, d, genus, kind="any", seed=seed)
+            up = RingSpec(p, r + 1)
+            shifted = [[v + (p**r if i == 0 else 0) for v in c] for i, c in enumerate(f.chars())]
+            lifts = [least_char_lift(f, r + 1), shifted]
+            if r == 1:
+                lifts.append([[teichmuller(up, v) for v in c] for c in f.chars()])
+            for chars in lifts:
+                out = lift_rep(f, chars)
+                fold(out.flag, out.obstruction, "lifted")
+    assert min(counts.values()) > 0, counts
+    assert digest.hexdigest() == GLUE_LIFT_REP_DIGEST, ("glue or lift_rep outputs changed", counts)

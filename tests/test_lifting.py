@@ -84,6 +84,18 @@ def test_glue_rejects_overlap_mismatch():
         glue(e, f4)
 
 
+def test_glue_and_gluift_reject_zero_dimensional_parts():
+    ring, up = RingSpec(2, 1), RingSpec(2, 2)
+    empty = Flag(SurfaceRep(ring, 1, (RMatrix.zeros(ring, 0, 0),) * 2))
+    empty_up = Flag(SurfaceRep(up, 1, (RMatrix.zeros(up, 0, 0),) * 2))
+    with pytest.raises(ValueError):
+        glue(empty, empty)
+    with pytest.raises(ValueError):
+        gluift(empty_up, empty_up, Flag.from_rows(ring, 1, [[[1]], [[1]]]))
+    with pytest.raises(ValueError):
+        gluift(empty_up, empty_up, empty)
+
+
 def test_lift_rep_round_trip_and_characters():
     ring = RingSpec(3, 1)
     f = flag_g1(ring, [[2, 1], [0, 1]], [[2, 1], [0, 1]])
