@@ -1,9 +1,16 @@
 """Gluing and lifting engines for triangular flags.
 
-All obstructions are computed from relator defects of explicitly assembled
-candidate matrices and live in H^2 of small coefficient modules:
+Every engine takes the same step.  It assembles candidate matrices, reads
+their relator defect on a strictly upper support, divided by a scale (1
+for ``glue``, p^r for the one-level lifts), as a degree-2 cochain of a
+small mod-p^s coefficient module, and, when that class vanishes, corrects
+candidate g by the twist I + scale * N_g, where N_g holds generator g's
+part of a solution x of d1 x = -cochain along the support.  The corrected
+candidates form a torsor under these twists.  ``_torsor_step`` is that
+step and ``_twist`` applies a twist as row operations.  The engines:
 
 * ``glue``: extend two overlapping d-flags to a (d+1)-flag (same level),
+  obstruction in the rank-1 corner module,
 * ``lift_rep``: lift a flag from Z/p^r to Z/p^(r+1) with prescribed
   diagonal characters, obstruction in the strictly-upper endomorphisms,
 * ``gluift``: glue two already-lifted flags over a base one level down,
@@ -48,13 +55,67 @@ from .zmod import LinearSolver, RingSpec, RMatrix, span_coefficients, teichmulle
 
 
 # ---------------------------------------------------------------------------
-# relator defects of raw matrix tuples
+# relator defects and the twist step shared by the engines
 
 
 def relator_defect(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
     """Product of the candidate matrices along the relator, minus identity."""
     acc, _ = _relator_product(ring, genus, mats)
     return acc - RMatrix.identity(ring, mats[0].rows)
+
+
+def _twist(
+    mats: Sequence[RMatrix], support: Sequence[tuple[int, int]], scale: int, vecs: Sequence[Sequence[int]]
+) -> tuple[RMatrix, ...]:
+    """(I + scale * N_g) @ mats[g], where N_g holds vecs[g] along ``support``.
+
+    Applied as row operations: row i gains scale * v times the original
+    row j, for each support entry (i, j) with a nonzero value v.
+    """
+    out = []
+    for m, vec in zip(mats, vecs, strict=True):
+        rows = [m.row(i) for i in range(m.rows)]
+        for (i, j), v in zip(support, vec, strict=True):
+            if v:
+                c = scale * v
+                rows[i] = [a + c * b for a, b in zip(rows[i], m.row(j))]
+        out.append(RMatrix.from_rows(m.ring, rows))
+    return tuple(out)
+
+
+def _torsor_step(
+    cand: Sequence[RMatrix], genus: int, support: Sequence[tuple[int, int]], scale: int, module: GModule
+) -> tuple[tuple[RMatrix, ...] | None, CohClass | None]:
+    """The twisted relator-exact candidates, or the obstruction class in ``module``.
+
+    The defect of ``cand`` must vanish off ``support`` and be divisible by
+    ``scale`` on it; (defect // scale) along the support, mod the module's
+    ring, is the degree-2 cochain.
+    """
+    defect = relator_defect(cand[0].ring, genus, cand)
+    on = set(support)
+    for k, v in enumerate(defect.entries):
+        if v % scale if divmod(k, defect.cols) in on else v:
+            raise AssertionError("relator defect must sit on the support, divisible by the scale")
+    q = module.ring.modulus
+    vec = tuple((defect.entry(i, j) // scale) % q for (i, j) in support)
+    cx = complex_of(module)
+    sol = cx.d1_solver.solve(tuple(-x % q for x in vec))
+    if sol is None:
+        return None, CohClass(cx, 2, vec)
+    return _twist(cand, support, scale, unstack(sol, len(support), len(cand))), None
+
+
+@dataclass(frozen=True)
+class LiftOutcome:
+    """A lifted flag, or the degree-2 obstruction class that no twist removes."""
+
+    flag: Flag | None
+    obstruction: CohClass | None
+
+    @property
+    def lifted(self) -> bool:
+        return self.flag is not None
 
 
 def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:
@@ -67,27 +128,14 @@ def glued_mats(e: Flag, f: Flag, top: Sequence[int]) -> list[RMatrix]:
     """(d+1)-sized candidates: e on the leading block, f on the trailing one.
 
     Entry (0, d) of generator g is top[g]; the overlap of the two blocks is
-    the caller's responsibility (checked by the engines).
+    the caller's responsibility (checked by the engines), and d >= 1.
     """
-    ring = e.ring
     d = e.d
     out = []
-    for g in range(2 * e.genus):
-        em, fm = e.mats[g], f.mats[g]
-        rows = []
-        for i in range(d + 1):
-            row = []
-            for j in range(d + 1):
-                if i <= d - 1 and j <= d - 1:
-                    row.append(em.entry(i, j))
-                elif i == 0:
-                    row.append(top[g] % ring.modulus)
-                elif j == d:
-                    row.append(fm.entry(i - 1, d - 1))
-                else:
-                    row.append(0)
-            rows.append(row)
-        out.append(RMatrix.from_rows(ring, rows))
+    for em, fm, t in zip(e.mats, f.mats, top, strict=True):
+        rows = [list(em.row(i)) + [fm.entry(i - 1, d - 1) if i else t] for i in range(d)]
+        rows.append([0] * d + [fm.entry(d - 1, d - 1)])
+        out.append(RMatrix.from_rows(e.ring, rows))
     return out
 
 
@@ -120,22 +168,12 @@ def glue(e: Flag, f: Flag) -> GlueOutcome:
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
     d = e.d
-    n_gens = 2 * e.genus
-    chi_bot = f.char(d) if d else tuple([1] * n_gens)
-    corner = _corner_module(ring, e.genus, e.char(1), chi_bot)
-    cx = complex_of(corner)
-    cand = glued_mats(e, f, (0,) * n_gens)
-    defect = relator_defect(ring, e.genus, cand)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if (i, j) != (0, d) and defect.entry(i, j):
-                raise AssertionError("glue defect concentrated off the corner")
-    delta = defect.entry(0, d)
-    sol = cx.d1_solver.solve((-delta % ring.modulus,))
-    if sol is None:
-        return GlueOutcome(None, CohClass(cx, 2, (delta,)))
-    top = tuple((sol[g] * chi_bot[g]) % ring.modulus for g in range(n_gens))
-    flag = Flag(SurfaceRep(ring, e.genus, tuple(glued_mats(e, f, top))))
+    corner = _corner_module(ring, e.genus, e.char(1), f.char(d))
+    cand = glued_mats(e, f, (0,) * (2 * e.genus))
+    mats, obstruction = _torsor_step(cand, e.genus, [(0, d)], 1, corner)
+    if mats is None:
+        return GlueOutcome(None, obstruction)
+    flag = Flag(SurfaceRep(ring, e.genus, mats))
     if flag.truncate() != e or flag.quotient_by_first() != f:
         raise AssertionError("glued flag must contain both parts verbatim")
     return GlueOutcome(flag, None)
@@ -150,47 +188,23 @@ def upper_pairs(d: int) -> list[tuple[int, int]]:
 
 
 def strict_upper_module(bar: Flag) -> GModule:
-    """Strictly upper endomorphisms mod p under conjugation by the flag."""
-    ring = bar.ring
-    if ring.r != 1:
+    """Strictly upper endomorphisms mod p under conjugation by the flag.
+
+    The coordinates j*d + i of hom_module(V, V), for (i, j) in
+    upper_pairs(d), span a submodule because the flag is upper triangular.
+    """
+    if bar.ring.r != 1:
         raise ValueError("the endomorphism module is built mod p")
-    d = bar.d
-    pairs = upper_pairs(d)
-    acts = []
-    for g in range(2 * bar.genus):
-        m = bar.mats[g]
-        minv = bar.rep.inverses[g]
-        cols = []
-        for (i, j) in pairs:
-            # conjugate E_ij and read off the strictly upper coordinates
-            img = [(m.entry(k, i) * minv.entry(j, l)) % ring.modulus for (k, l) in pairs]
-            cols.append(img)
-        acts.append(RMatrix.from_rows(ring, cols).transpose())
-    return GModule(ring, bar.genus, tuple(acts))
-
-
-def vec_to_pairs(ring: RingSpec, vec: Sequence[int], d: int, pairs: Sequence[tuple[int, int]]) -> RMatrix:
-    ent = [[0] * d for _ in range(d)]
-    for (i, j), v in zip(pairs, vec):
-        ent[i][j] = v % ring.modulus
-    return RMatrix.from_rows(ring, ent)
-
-
-@dataclass(frozen=True)
-class RepLiftOutcome:
-    flag: Flag | None
-    obstruction: CohClass | None  # degree 2 in the strictly-upper module mod p
-
-    @property
-    def lifted(self) -> bool:
-        return self.flag is not None
+    v = bar.as_module()
+    idx = [j * bar.d + i for (i, j) in upper_pairs(bar.d)]
+    return GModule(bar.ring, bar.genus, tuple(a.submatrix(idx, idx) for a in hom_module(v, v).acts))
 
 
 def least_char_lift(f: Flag, target_r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(v for v in f.char(i)) for i in range(1, f.d + 1))
+    return f.chars()
 
 
-def lift_rep(f: Flag, chars_next: Sequence[Sequence[int]]) -> RepLiftOutcome:
+def lift_rep(f: Flag, chars_next: Sequence[Sequence[int]]) -> LiftOutcome:
     """Lift a flag one level, keeping off-diagonal least residues as seed.
 
     ``chars_next`` prescribes the diagonal mod p^(r+1), one value per
@@ -221,53 +235,24 @@ def lift_rep(f: Flag, chars_next: Sequence[Sequence[int]]) -> RepLiftOutcome:
             for i in range(d)
         ]
         cand.append(RMatrix.from_rows(up, rows))
-    defect = relator_defect(up, f.genus, cand)
-    pr = ring.modulus
-    for i in range(d):
-        for j in range(d):
-            v = defect.entry(i, j)
-            if v % pr:
-                raise AssertionError("one-level lift defect must vanish mod p^r")
-            if j <= i and v:
-                raise AssertionError("defect must be strictly upper triangular")
-    bar = f.reduce_to(1)
-    endo = strict_upper_module(bar)
-    cx = complex_of(endo)
-    pairs = upper_pairs(d)
-    evec = tuple((defect.entry(i, j) // pr) % ring.p for (i, j) in pairs)
-    sol = cx.d1_solver.solve(tuple((-x) % ring.p for x in evec))
-    if sol is None:
-        return RepLiftOutcome(None, CohClass(cx, 2, evec))
-    per_gen = [sol[g * len(pairs) : (g + 1) * len(pairs)] for g in range(n_gens)]
-    eye = RMatrix.identity(up, d)
-    out = []
-    for g in range(n_gens):
-        n = vec_to_pairs(up, per_gen[g], d, pairs).scale(pr)
-        out.append((eye + n) @ cand[g])
-    flag = Flag(SurfaceRep(up, f.genus, tuple(out)))
+    endo = strict_upper_module(f.reduce_to(1))
+    mats, obstruction = _torsor_step(cand, f.genus, upper_pairs(d), ring.modulus, endo)
+    if mats is None:
+        return LiftOutcome(None, obstruction)
+    flag = Flag(SurfaceRep(up, f.genus, mats))
     if flag.reduce_to(ring.r) != f:
         raise AssertionError("lift must reduce to the input")
     for i in range(d):
         if flag.char(i + 1) != tuple(v % up.modulus for v in chars_next[i]):
             raise AssertionError("lift must carry the prescribed characters")
-    return RepLiftOutcome(flag, None)
+    return LiftOutcome(flag, None)
 
 
 # ---------------------------------------------------------------------------
 # glue one level up (gluift)
 
 
-@dataclass(frozen=True)
-class GluiftOutcome:
-    flag: Flag | None
-    obstruction: CohClass | None  # degree 2 in the mod-p corner module
-
-    @property
-    def lifted(self) -> bool:
-        return self.flag is not None
-
-
-def gluift(e_up: Flag, f_up: Flag, base: Flag) -> GluiftOutcome:
+def gluift(e_up: Flag, f_up: Flag, base: Flag) -> LiftOutcome:
     """Extend lifts of truncation and quotient of ``base`` one level up.
 
     e_up and f_up are d-flags over Z/p^(r+1) lifting base.truncate() and
@@ -288,39 +273,22 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> GluiftOutcome:
         raise ValueError("f_up does not lift the quotient of the base")
     if e_up.quotient_by_first() != f_up.truncate():
         raise ValueError("overlap mismatch between the lifted parts")
-    n_gens = 2 * base.genus
-    top = tuple(base.mats[g].entry(0, d) for g in range(n_gens))
-    cand = glued_mats(e_up, f_up, top)
-    defect = relator_defect(up, base.genus, cand)
-    pr = ring.modulus
-    for i in range(d + 1):
-        for j in range(d + 1):
-            v = defect.entry(i, j)
-            if (i, j) != (0, d) and v:
-                raise AssertionError("gluift defect concentrated at the corner")
-            if v % pr:
-                raise AssertionError("gluift defect must vanish mod p^r")
-    c1val = (defect.entry(0, d) // pr) % ring.p
-    chi_bot = f_up.char(d) if d else (1,) * n_gens
     corner1 = _corner_module(
         RingSpec(ring.p, 1),
         base.genus,
-        tuple(v % ring.p for v in e_up.char(1)) if d else (1,) * n_gens,
-        tuple(v % ring.p for v in chi_bot),
+        tuple(v % ring.p for v in e_up.char(1)),
+        tuple(v % ring.p for v in f_up.char(d)),
     )
-    cx1 = complex_of(corner1)
-    sol = cx1.d1_solver.solve(((-c1val) % ring.p,))
-    if sol is None:
-        return GluiftOutcome(None, CohClass(cx1, 2, (c1val,)))
-    top2 = tuple(
-        (top[g] + pr * sol[g] * chi_bot[g]) % up.modulus for g in range(n_gens)
-    )
-    flag = Flag(SurfaceRep(up, base.genus, tuple(glued_mats(e_up, f_up, top2))))
+    cand = glued_mats(e_up, f_up, tuple(m.entry(0, d) for m in base.mats))
+    mats, obstruction = _torsor_step(cand, base.genus, [(0, d)], ring.modulus, corner1)
+    if mats is None:
+        return LiftOutcome(None, obstruction)
+    flag = Flag(SurfaceRep(up, base.genus, mats))
     if flag.truncate() != e_up or flag.quotient_by_first() != f_up:
         raise AssertionError("gluift output must contain both parts verbatim")
     if flag.reduce_to(ring.r) != base:
         raise AssertionError("gluift output must reduce to the base")
-    return GluiftOutcome(flag, None)
+    return LiftOutcome(flag, None)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +360,10 @@ def lift_wound_kummer(f: Flag, flat: Flag | None = None, _verify: bool = True) -
             raise AssertionError("woundness should make the leading 2-step twist nonsplit")
         target = CohClass(complex_of(ext.sub), 2, res.obstruction.vector)
         eps = solve_cup(ext, target)
-        pr = ring.modulus
-        last = sharp.d - 1
-        chi_last = sharp.char(sharp.d)
-        mats = []
-        for g in range(n_gens):
-            bump = [[0] * sharp.d for _ in range(sharp.d)]
-            bump[0][last] = (CORNER_TWIST_SIGN * pr * eps.values()[g][0] * chi_last[g]) % up.modulus
-            mats.append(sharp.mats[g] + RMatrix.from_rows(up, bump))
-        sharp_adj = Flag(SurfaceRep(up, f.genus, tuple(mats)))
+        # the corner of sharp's last column moves by sign * p^r * eps * chi_last
+        signed = [(CORNER_TWIST_SIGN * v[0],) for v in eps.values()]
+        mats = _twist(sharp.mats, [(0, sharp.d - 1)], ring.modulus, signed)
+        sharp_adj = Flag(SurfaceRep(up, f.genus, mats))
         if sharp_adj.truncate() != flat.quotient_by_first():
             raise AssertionError("corner twist must not disturb the overlap")
         res = gluift(flat, sharp_adj, f)
@@ -434,12 +397,9 @@ def _pinned_torsor_module(f: Flag) -> GModule:
     return dual_module(f.quotient_by_first().reduce_to(1).as_module())
 
 
-def _row_twist(up: RingSpec, d: int, vec: Sequence[int], scale: int) -> RMatrix:
-    """Identity plus scale * vec spread along the first row, columns 1..d-1."""
-    ent = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for c in range(1, d):
-        ent[0][c] = (scale * vec[c - 1]) % up.modulus
-    return RMatrix.from_rows(up, ent)
+def _first_row(d: int) -> list[tuple[int, int]]:
+    """Support of the first-row twists: entries (0, 1) .. (0, d-1)."""
+    return [(0, c) for c in range(1, d)]
 
 
 def _pinned_relator_lift(f: Flag, sharp: Flag) -> tuple[RMatrix, ...]:
@@ -463,25 +423,10 @@ def _pinned_relator_lift(f: Flag, sharp: Flag) -> tuple[RMatrix, ...]:
             for i in range(1, d):
                 ent[i][j] = sharp.mats[g].entry(i - 1, j - 1)
         cand.append(RMatrix.from_rows(up, ent))
-    defect = relator_defect(up, f.genus, cand)
-    pr = ring.modulus
-    tvec = []
-    for i in range(d):
-        for j in range(d):
-            v = defect.entry(i, j)
-            if i > 0 or j == 0:
-                if v:
-                    raise AssertionError("pinned candidate defect must sit on the first row")
-            else:
-                if v % pr:
-                    raise AssertionError("pinned candidate defect must vanish mod p^r")
-                tvec.append((-(v // pr)) % ring.p)
-    cx = complex_of(_pinned_torsor_module(f))
-    sol = cx.d1_solver.solve(tuple(tvec))
-    if sol is None:
+    mats, _ = _torsor_step(cand, f.genus, _first_row(d), ring.modulus, _pinned_torsor_module(f))
+    if mats is None:
         raise LiftConsistencyError("no relator-exact lift pins the given quotient part")
-    per = unstack(sol, d - 1, n_gens)
-    return tuple(_row_twist(up, d, per[g], pr) @ cand[g] for g in range(n_gens))
+    return mats
 
 
 def _row_class_matrix(bar: Flag, k: int, g: int) -> list[list[int]]:
@@ -731,11 +676,8 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
         sol = trial.solve()
         if sol is None:
             continue
-        out_mats = tuple(
-            _row_twist(up, d, sol[mu + g * (d - 1) : mu + (g + 1) * (d - 1)], pr) @ o0[g]
-            for g in range(n_gens)
-        )
-        return Flag(SurfaceRep(up, f.genus, out_mats))
+        twists = unstack(sol[mu : mu + n_gens * (d - 1)], d - 1, n_gens)
+        return Flag(SurfaceRep(up, f.genus, _twist(o0, _first_row(d), pr, twists)))
     if n_points > _SPLITTING_GRID_CAP:
         raise KummerInconclusive(
             f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
