@@ -29,6 +29,7 @@ nonzeros of the pivot row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -82,8 +83,10 @@ class RingSpec:
         if self.r < 1:
             raise ValueError(f"exponent r = {self.r} must be >= 1")
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
+        # kept in the instance __dict__, which a frozen dataclass without
+        # slots has; fields alone still decide == and hash
         return self.p**self.r
 
     def val(self, a: int) -> int:
