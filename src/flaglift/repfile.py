@@ -19,7 +19,9 @@ integer matrix per generator, in x1, y1, x2, y2, ... order:
 
 Blank lines and '#' comments are ignored on load; save emits the canonical
 layout so that load then save is the identity on saved documents.  The
-exponent r may be at most 64, since every entry check works modulo p^r.
+exponent r may be at most 64, since every entry check works modulo p^r;
+dim may be at most 32 and genus at most 16, since validation walks the
+relator with dim x dim matrices.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class RepFileError(ValueError):
 
 
 _MAX_R = 64
+_MAX_DIM = 32
+_MAX_GENUS = 16
 
 
 def _lines(text: str) -> list[list[str]]:
@@ -77,8 +81,11 @@ class _Cursor:
 
 
 def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int, ...]:
-    """One row of ``width`` residues in [0, p^r); ``what`` names it in errors."""
-    row = cur.take()
+    """One row of ``width`` residues in [0, p^r); ``what`` names it in errors.
+
+    An empty row is saved as an empty line, which ``_lines`` drops.
+    """
+    row = cur.take() if width else []
     try:
         vals = tuple(int(v) for v in row)
     except ValueError as exc:
@@ -100,8 +107,9 @@ def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
     r = cur.take_int("r")
     genus = cur.take_int("genus")
     dim = cur.take_int("dim")
-    if r > _MAX_R:
-        raise RepFileError(f"r {r} exceeds the limit {_MAX_R}")
+    for key, value, limit in (("r", r, _MAX_R), ("genus", genus, _MAX_GENUS), ("dim", dim, _MAX_DIM)):
+        if value > limit:
+            raise RepFileError(f"{key} {value} exceeds the limit {limit}")
     try:
         ring = RingSpec(p, r)
     except ValueError as exc:

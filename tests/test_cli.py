@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flaglift import cli
 from flaglift.cli import main
@@ -18,7 +20,7 @@ from flaglift.repfile import (
     save_rep,
 )
 from flaglift.surface import SurfaceRep, trivial_module
-from flaglift.zmod import RingSpec
+from flaglift.zmod import RingSpec, RMatrix
 
 
 def kummer_fixture():
@@ -48,6 +50,9 @@ def test_cocycle_round_trip():
     ring2, genus, dim, rows2 = load_cocycle(text)
     assert (ring2, genus, dim, rows2) == (ring, 1, 3, rows)
     assert save_cocycle(ring2, genus, dim, rows2) == text
+    # a dim-0 value row is an empty line, which the loader skips like a blank
+    empty = save_cocycle(ring, 2, 0, ((),) * 4)
+    assert load_cocycle(empty) == (ring, 2, 0, ((),) * 4)
 
 
 # every entry check of this file would work modulo 3**200000000
@@ -78,6 +83,81 @@ def test_load_rejects_malformed_documents():
         load_cocycle(cocycle + "extra\n")
     with pytest.raises(RepFileError, match="r 200000000 exceeds the limit 64"):
         load_rep(HUGE_R)
+    with pytest.raises(RepFileError, match="dim 33 exceeds the limit 32"):
+        load_rep(identity_rep_text(1, 33))
+    with pytest.raises(RepFileError, match="genus 17 exceeds the limit 16"):
+        load_rep(identity_rep_text(17, 1))
+    with pytest.raises(RepFileError, match="dim 33 exceeds the limit 32"):
+        load_cocycle(cocycle.replace("dim 2", "dim 33"))
+    assert load_rep(identity_rep_text(16, 1)).genus == 16
+    assert load_rep(identity_rep_text(1, 32)).dim == 32
+
+
+def identity_rep_text(genus: int, dim: int) -> str:
+    """A mod-3 representation file with every generator the identity."""
+    eye = "\n".join(" ".join("1" if i == j else "0" for j in range(dim)) for i in range(dim))
+    gens = "".join(f"generator {x}{k}\n{eye}\n" for k in range(1, genus + 1) for x in "xy")
+    return f"p 3\nr 1\ngenus {genus}\ndim {dim}\n{gens}"
+
+
+_SEED_DOCUMENTS = [
+    save_rep(kummer_fixture()),
+    save_rep(gen_random_flag(2, 2, 3, 2, kind="any", seed=0)),
+    save_rep(gen_random_flag(5, 1, 2, 1, kind="any", seed=1).rep),
+    save_rep(SurfaceRep(RingSpec(2, 1), 1, (RMatrix.zeros(RingSpec(2, 1), 0, 0),) * 2)),
+    save_cocycle(RingSpec(3, 2), 2, 2, ((1, 0), (2, 8), (0, 0), (4, 4))),
+    save_cocycle(RingSpec(2, 1), 1, 0, ((), ())),
+]
+_TOKENS = [
+    "0", "1", "2", "3", "4", "8", "9", "-1", "+1", "1_0", "\u0663", "x", "1.5", "#", "0x1",
+    "p", "r", "genus", "dim", "generator", "values", "characters", "x1", "y1", "x2",
+    "17", "33", "65", "2305843009213693951", "99999999999999999999", "9" * 5000,
+]
+_LINES = ["", "# note", "characters", "generator x1", "values y1", "1 0", "dim 2", "p 7", "1 1 1"]
+
+
+@st.composite
+def repfile_documents(draw):
+    """A saved rep, flag or cocycle document after a few grammar-level edits."""
+    lines = draw(st.sampled_from(_SEED_DOCUMENTS)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["drop", "dup", "swap", "token", "insert"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(_LINES)))
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(repfile_documents())
+def test_repfile_fuzz_loads_or_rejects_and_round_trips(doc):
+    for load, save in ((load_rep, save_rep), (load_flag, save_rep),
+                       (load_cocycle, lambda c: save_cocycle(*c))):
+        try:
+            obj = load(doc)
+        except RepFileError:
+            continue
+        text = save(obj)
+        assert load(text) == obj
+        assert save(load(text)) == text
+
+
+def test_saved_seed_documents_load():
+    for doc in _SEED_DOCUMENTS:
+        load = load_cocycle if "values" in doc else load_rep
+        load(doc)
 
 
 def test_load_rep_validates_relator_and_invertibility():
@@ -214,6 +294,13 @@ def test_cli_error_codes(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "exceeds the limit" in captured.err
+    wide = tmp_path / "wide.rep"  # 58 KB; flag-check took 5 s on it before dim was bounded
+    wide.write_text(identity_rep_text(1, 120))
+    start = time.perf_counter()
+    assert main(["flag-check", str(wide)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dim 120 exceeds the limit 32" in captured.err
     for ell in ("9", "15"):  # odd but not prime
         assert main(["local-example", "--field", "ql", "--ell", ell]) == 1
         captured = capsys.readouterr()
