@@ -154,12 +154,6 @@ def test_repfile_fuzz_loads_or_rejects_and_round_trips(doc):
         assert save(load(text)) == text
 
 
-def test_saved_seed_documents_load():
-    for doc in _SEED_DOCUMENTS:
-        load = load_cocycle if "values" in doc else load_rep
-        load(doc)
-
-
 def test_load_rep_validates_relator_and_invertibility():
     # x upper unipotent, y = shift that breaks commutation
     text = (
