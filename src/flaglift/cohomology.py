@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .surface import (
     GModule,
-    _trusted,
+    _diagonal_block,
     crossed_value,
     hom_mat,
     hom_module,
@@ -170,23 +170,12 @@ class CohClass:
         return unstack(self.vector, self.cx.module.rank, self.cx.n_gens)
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        self._compat(other)
+        if self.cx != other.cx or self.degree != other.degree:
+            raise ValueError("classes live in different groups")
         return CohClass(self.cx, self.degree, vec_add(self.cx.ring, self.vector, other.vector))
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        self._compat(other)
-        return CohClass(
-            self.cx,
-            self.degree,
-            vec_add(self.cx.ring, self.vector, vec_scale(self.cx.ring, -1, other.vector)),
-        )
 
     def scale(self, c: int) -> "CohClass":
         return CohClass(self.cx, self.degree, vec_scale(self.cx.ring, c, self.vector))
-
-    def _compat(self, other: "CohClass") -> None:
-        if self.cx != other.cx or self.degree != other.degree:
-            raise ValueError("classes live in different groups")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohClass):
@@ -343,18 +332,14 @@ class ExtensionData:
 
 def coordinate_extension(total: GModule, n_sub: int) -> ExtensionData:
     """Extension from a block upper-triangular module, split by coordinates."""
-    ring = total.ring
     n = total.rank
     if not 0 <= n_sub <= n:
         raise ValueError("sub rank out of range")
-    lo = list(range(n_sub))
-    hi = list(range(n_sub, n))
+    lo, hi = range(n_sub), range(n_sub, n)
     for g, m in enumerate(total.acts):
         if not m.submatrix(hi, lo).is_zero():
             raise ValueError(f"generator {g + 1} does not preserve the leading block")
-    sub = _trusted(GModule, ring, total.genus, tuple(m.submatrix(lo, lo) for m in total.acts))
-    quo = _trusted(GModule, ring, total.genus, tuple(m.submatrix(hi, hi) for m in total.acts))
-    return ExtensionData(sub, total, quo)
+    return ExtensionData(_diagonal_block(total, lo), total, _diagonal_block(total, hi))
 
 
 def extension_class(ext: ExtensionData) -> CohClass:

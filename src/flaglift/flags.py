@@ -6,6 +6,12 @@ pieces (the diagonal characters).  This module provides the subquotient
 calculus (segments, truncation, quotient by the first piece, duality),
 splitting indices of the one-step extensions, and the three predicates:
 wound, wound-Kummer, Kummer.
+
+The public ``Flag(...)`` checks that every generator is upper triangular;
+``segment``, ``dual`` and ``reduce_to`` keep that shape and skip the scan
+(``_trusted_flag``), and their representations record closed-form inverses
+(see ``surface``); the dual's are ``m.transpose().submatrix(rev, rev)`` over
+``rep.mats``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import coordinate_extension, split_section
-from .surface import GModule, SurfaceRep, _trusted
+from .surface import GModule, SurfaceRep, _diagonal_block, _trusted
 from .zmod import RingSpec, RMatrix, teichmuller
 
 
@@ -82,9 +88,7 @@ class Flag:
         """
         if not 0 <= i <= j <= self.d:
             raise ValueError(f"bad segment ({i}, {j}) of a {self.d}-flag")
-        idx = list(range(i, j))
-        mats = tuple(m.submatrix(idx, idx) for m in self.mats)
-        return Flag(_trusted(SurfaceRep, self.ring, self.genus, mats))
+        return _trusted_flag(_diagonal_block(self.rep, range(i, j)))
 
     def truncate(self) -> "Flag":
         return self.segment(0, self.d - 1)
@@ -93,7 +97,7 @@ class Flag:
         return self.segment(1, self.d)
 
     def reduce_to(self, s: int) -> "Flag":
-        return Flag(self.rep.reduce_to(s))
+        return _trusted_flag(self.rep.reduce_to(s))
 
     def dual(self) -> "Flag":
         """Inverse transpose, indices reversed (antidiagonal conjugate); an involution.
@@ -101,9 +105,18 @@ class Flag:
         Reverses the filtration: piece i of the dual has character
         char(d+1-i)^-1, truncation and quotient-by-first are exchanged.
         """
-        rev = range(self.d - 1, -1, -1)
-        mats = tuple(m.transpose().submatrix(rev, rev) for m in self.rep.inverses)
-        return Flag(_trusted(SurfaceRep, self.ring, self.genus, mats))
+        rev, rep = range(self.d - 1, -1, -1), self.rep
+        flip = lambda ms: tuple(m.transpose().submatrix(rev, rev) for m in ms)
+        return _trusted_flag(
+            _trusted(SurfaceRep, self.ring, self.genus, flip(rep.inverses), lambda: flip(rep.mats))
+        )
+
+
+def _trusted_flag(rep: SurfaceRep) -> Flag:
+    """A Flag built without the upper-triangular scan; see the module docstring."""
+    flag = object.__new__(Flag)
+    object.__setattr__(flag, "rep", rep)
+    return flag
 
 
 # ---------------------------------------------------------------------------

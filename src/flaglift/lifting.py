@@ -437,7 +437,7 @@ def _row_class_matrix(bar: Flag, k: int, g: int) -> list[list[int]]:
     cochain of generator g by p^r * (this matrix @ twist vector of g).
     """
     ring = bar.ring
-    qinv = bar.segment(1, k).mats[g].inverse()
+    qinv = bar.segment(1, k).rep.inverses[g]
     rows = []
     for cp in range(k - 1):
         row = []

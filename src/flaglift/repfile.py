@@ -19,9 +19,9 @@ integer matrix per generator, in x1, y1, x2, y2, ... order:
 
 Blank lines and '#' comments are ignored on load; save emits the canonical
 layout so that load then save is the identity on saved documents.  The
-exponent r may be at most 64, since every entry check works modulo p^r;
-dim may be at most 32 and genus at most 16, since validation walks the
-relator with dim x dim matrices.
+exponent r may be at most 64 and p^r at most 512 bits, so that the largest
+legal document loads in about a second; dim may be at most 32 and genus at
+most 16, since validation walks the relator with dim x dim matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ class RepFileError(ValueError):
 
 
 _MAX_R = 64
+_MAX_MODULUS_BITS = 512
 _MAX_DIM = 32
 _MAX_GENUS = 16
 
@@ -114,6 +115,9 @@ def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
         ring = RingSpec(p, r)
     except ValueError as exc:
         raise RepFileError(str(exc)) from exc
+    bits = ring.modulus.bit_length()
+    if bits > _MAX_MODULUS_BITS:
+        raise RepFileError(f"p^r of {bits} bits exceeds the limit {_MAX_MODULUS_BITS} bits")
     if genus < 1:
         raise RepFileError("genus must be >= 1")
     if dim < 0:

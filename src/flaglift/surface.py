@@ -19,19 +19,25 @@ diagonal blocks of block upper triangular actions (flag segments and the
 ends of a coordinate extension).
 
 The relator walk inverts every generator, and a checked object keeps those
-inverses as its ``inverses``.  ``as_module`` and ``reduce_to`` pass known
-inverses on; a reduction reduces them only when its ``inverses`` are first
-read, since most reductions never read them.
+inverses.  A derived object records a function that works its inverses out
+from its source's when ``inverses`` is first read: the same (``as_module``),
+reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
+``x.kron(y)`` over ``a.inverses`` and ``b.inverses`` (``tensor_module(a, b)``,
+so ``hom_module``), the same diagonal block (``Flag.segment`` and the ends
+of ``coordinate_extension``: block triangular matrices invert blockwise),
+the index-reversed transposed generators (``Flag.dual``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence, TypeVar
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence, TypeVar, Union
 
 from .zmod import RingSpec, RMatrix, vec_add, vec_mod, vec_scale
 
 Word = tuple[int, ...]
+
+_InverseSlot = Union[tuple[RMatrix, ...], Callable[[], tuple[RMatrix, ...]]]
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,10 @@ class SurfaceRep:
     ring: RingSpec
     genus: int
     mats: tuple[RMatrix, ...]
+    _inverses: _InverseSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _keep_inverses(self, _check_relator(self.ring, self.genus, self.mats, "representation"))
+        _check(self, self.mats, "representation")
 
     @property
     def dim(self) -> int:
@@ -120,14 +127,13 @@ class SurfaceRep:
 
     @property
     def inverses(self) -> tuple[RMatrix, ...]:
-        return _inverses(self, self.mats)
+        return _inverses(self)
 
     def as_module(self) -> "GModule":
-        return _trusted(GModule, self.ring, self.genus, self.mats, _known_inverses(self))
+        return _trusted(GModule, self.ring, self.genus, self.mats, lambda: self.inverses)
 
     def reduce_to(self, s: int) -> "SurfaceRep":
-        mats = tuple(m.reduce_to(s) for m in self.mats)
-        return _trusted(SurfaceRep, self.ring.shrink(s), self.genus, mats, _known_inverses(self))
+        return _reduction(self, s)
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,10 @@ class GModule:
     ring: RingSpec
     genus: int
     acts: tuple[RMatrix, ...]
+    _inverses: _InverseSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _keep_inverses(self, _check_relator(self.ring, self.genus, self.acts, "module action"))
+        _check(self, self.acts, "module action")
 
     @property
     def rank(self) -> int:
@@ -151,65 +158,60 @@ class GModule:
 
     @property
     def inverses(self) -> tuple[RMatrix, ...]:
-        return _inverses(self, self.acts)
+        return _inverses(self)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
     def reduce_to(self, s: int) -> "GModule":
-        acts = tuple(m.reduce_to(s) for m in self.acts)
-        return _trusted(GModule, self.ring.shrink(s), self.genus, acts, _known_inverses(self))
+        return _reduction(self, s)
 
 
 _Checked = TypeVar("_Checked", SurfaceRep, GModule)
 
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (SurfaceRep, GModule)}
+
 
 def _trusted(
-    cls: type[_Checked],
-    ring: RingSpec,
-    genus: int,
-    mats: Sequence[RMatrix],
-    inverses: tuple[RMatrix, ...] | None = None,
+    cls: type[_Checked], ring: RingSpec, genus: int, mats: Sequence[RMatrix], inverses: _InverseSlot
 ) -> _Checked:
     """A SurfaceRep or GModule built without ``__post_init__``'s relator check.
 
     Only for matrices derived from an already checked object by a map that
     preserves invertibility and the relator (see the module docstring).
-    ``inverses``, when given, are recorded as by ``_keep_inverses``.
     """
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), (ring, genus, tuple(mats))):
-        object.__setattr__(obj, f.name, value)
-    _keep_inverses(obj, inverses)
+    obj.__dict__.update(zip(_FIELDS[cls], (ring, genus, tuple(mats), inverses)))
     return obj
 
 
-def _keep_inverses(obj: SurfaceRep | GModule, inverses: tuple[RMatrix, ...] | None) -> None:
-    """Record the inverses of the generators of ``obj``, unless None.
-
-    They may live over a larger Z/p^R than ``obj``: inverses of matrices
-    that reduce to its generators reduce to the inverses of its generators.
-    """
-    if inverses is not None:
-        object.__setattr__(obj, "_inverses", inverses)
+def _check(obj: SurfaceRep | GModule, mats: tuple[RMatrix, ...], what: str) -> None:
+    """Check ``obj`` and record the inverses its relator walk computed (none at rank 0)."""
+    inv = _check_relator(obj.ring, obj.genus, mats, what)
+    object.__setattr__(obj, "_inverses", inv or (lambda: tuple(m.inverse() for m in mats)))
 
 
-def _known_inverses(obj: SurfaceRep | GModule) -> tuple[RMatrix, ...] | None:
-    """The inverses recorded for ``obj``, or None."""
-    return getattr(obj, "_inverses", None)
-
-
-def _inverses(obj: SurfaceRep | GModule, mats: tuple[RMatrix, ...]) -> tuple[RMatrix, ...]:
-    """The inverses of ``mats``, the generators of ``obj``, worked out once."""
-    inv = _known_inverses(obj)
-    if inv is None:
-        inv = tuple(m.inverse() for m in mats)
-    elif inv[0].ring != obj.ring:
-        inv = tuple(m.reduce_to(obj.ring.r) for m in inv)
-    else:
-        return inv
-    _keep_inverses(obj, inv)
+def _inverses(obj: SurfaceRep | GModule) -> tuple[RMatrix, ...]:
+    """The inverses of the generators of ``obj``, worked out on first read."""
+    inv = obj._inverses
+    if callable(inv):
+        inv = inv()
+        object.__setattr__(obj, "_inverses", inv)
     return inv
+
+
+def _diagonal_block(obj: _Checked, idx: Sequence[int]) -> _Checked:
+    """The diagonal block ``idx`` of a block upper triangular ``obj``, trusted."""
+    mats = obj.mats if isinstance(obj, SurfaceRep) else obj.acts
+    block = lambda ms: tuple(m.submatrix(idx, idx) for m in ms)
+    return _trusted(type(obj), obj.ring, obj.genus, block(mats), lambda: block(obj.inverses))
+
+
+def _reduction(obj: _Checked, s: int) -> _Checked:
+    """``obj`` reduced to Z/p^s, trusted: reduction is a ring map."""
+    mats = obj.mats if isinstance(obj, SurfaceRep) else obj.acts
+    red = lambda ms: tuple(m.reduce_to(s) for m in ms)
+    return _trusted(type(obj), obj.ring.shrink(s), obj.genus, red(mats), lambda: red(obj.inverses))
 
 
 # -- module constructors ------------------------------------------------------
@@ -229,11 +231,13 @@ def char_module(ring: RingSpec, genus: int, values: Sequence[int]) -> GModule:
 def tensor_module(a: GModule, b: GModule) -> GModule:
     if (a.ring, a.genus) != (b.ring, b.genus):
         raise ValueError("tensor factors must share ring and genus")
-    return _trusted(GModule, a.ring, a.genus, tuple(x.kron(y) for x, y in zip(a.acts, b.acts)))
+    kron = lambda xs, ys: tuple(x.kron(y) for x, y in zip(xs, ys))
+    return _trusted(GModule, a.ring, a.genus, kron(a.acts, b.acts), lambda: kron(a.inverses, b.inverses))
 
 
 def dual_module(a: GModule) -> GModule:
-    return _trusted(GModule, a.ring, a.genus, tuple(m.transpose() for m in a.inverses))
+    acts = tuple(m.transpose() for m in a.inverses)
+    return _trusted(GModule, a.ring, a.genus, acts, lambda: tuple(m.transpose() for m in a.acts))
 
 
 def hom_module(c: GModule, a: GModule) -> GModule:

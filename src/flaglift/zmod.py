@@ -18,6 +18,11 @@ staircase form without any general PID machinery.  The module provides:
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
+``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
+least residues.  ``@``, ``submatrix``, ``transpose``, ``kron``, ``reduce_to``,
+``inverse``, ``identity`` and ``zeros`` build least residues of the right
+count, so they skip that scan (``_trusted_matrix``).
+
 Vectors are plain tuples of ints; matrices are ``RMatrix``.  ``apply``
 walks only the nonzero entries of the vector and of the matching matrix
 columns, so its cost scales with the nonzeros of both, not with the shape.
@@ -200,11 +205,13 @@ class RMatrix:
     def identity(ring: RingSpec, n: int) -> "RMatrix":
         ents = [0] * (n * n)
         ents[:: n + 1] = [1] * n
-        return RMatrix(ring, n, n, tuple(ents))
+        return _trusted_matrix(ring, n, n, tuple(ents))
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "RMatrix":
-        return RMatrix(ring, rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return _trusted_matrix(ring, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def diagonal(ring: RingSpec, diag: Sequence[int]) -> "RMatrix":
@@ -291,7 +298,7 @@ class RMatrix:
                 brow = b[t * q : (t + 1) * q]
                 for j in range(q):
                     out[base + j] += av * brow[j]
-        return RMatrix(self.ring, n, q, tuple(x % m for x in out))
+        return _trusted_matrix(self.ring, n, q, tuple([x % m for x in out]))
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector, as a tuple."""
@@ -309,40 +316,30 @@ class RMatrix:
 
     def transpose(self) -> "RMatrix":
         cols, ents = self.cols, self.entries
-        return RMatrix(
-            self.ring,
-            cols,
-            self.rows,
-            tuple(itertools.chain.from_iterable(ents[j::cols] for j in range(cols))),
-        )
+        ents = tuple(itertools.chain.from_iterable(ents[j::cols] for j in range(cols)))
+        return _trusted_matrix(self.ring, cols, self.rows, ents)
 
     def kron(self, other: "RMatrix") -> "RMatrix":
         self._check_ring(other)
         m = self.ring.modulus
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
+        orows, ocols, b = other.rows, other.cols, other.entries
+        rows, cols = self.rows * orows, self.cols * ocols
         out = [0] * (rows * cols)
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entry(i, j)
+            for j, a in enumerate(self.row(i)):
                 if a == 0:
                     continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[(i * other.rows + k) * cols + (j * other.cols + l)] = (
-                            a * other.entry(k, l)
-                        ) % m
-        return RMatrix(self.ring, rows, cols, tuple(out))
+                for k in range(orows):
+                    base = (i * orows + k) * cols + j * ocols
+                    out[base : base + ocols] = [(a * y) % m for y in b[k * ocols : (k + 1) * ocols]]
+        return _trusted_matrix(self.ring, rows, cols, tuple(out))
 
     # -- structure ----------------------------------------------------------
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RMatrix":
-        return RMatrix(
-            self.ring,
-            len(row_idx),
-            len(col_idx),
-            tuple(self.entry(i, j) for i in row_idx for j in col_idx),
-        )
+        cols, ents = self.cols, self.entries
+        ents = tuple([ents[i * cols + j] for i in row_idx for j in col_idx])
+        return _trusted_matrix(self.ring, len(row_idx), len(col_idx), ents)
 
     @staticmethod
     def hstack(blocks: Sequence["RMatrix"]) -> "RMatrix":
@@ -373,7 +370,7 @@ class RMatrix:
         """Entrywise reduction to Z/p^s for s <= r."""
         target = self.ring.shrink(s)
         m = target.modulus
-        return RMatrix(target, self.rows, self.cols, tuple(x % m for x in self.entries))
+        return _trusted_matrix(target, self.rows, self.cols, tuple([x % m for x in self.entries]))
 
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
@@ -405,7 +402,14 @@ class RMatrix:
                 f = a[i][c]
                 a[i] = [(x - f * y) % m for x, y in zip(a[i], a[c])]
                 b[i] = [(x - f * y) % m for x, y in zip(b[i], b[c])]
-        return RMatrix.from_rows(ring, b)
+        return _trusted_matrix(ring, n, n, tuple(itertools.chain.from_iterable(b)))
+
+
+def _trusted_matrix(ring: RingSpec, rows: int, cols: int, entries: tuple[int, ...]) -> RMatrix:
+    """An RMatrix built without ``__post_init__``; ``entries`` must be rows * cols least residues."""
+    obj = object.__new__(RMatrix)
+    obj.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
+    return obj
 
 
 def _det_mod_p(a: RMatrix) -> int:

@@ -89,6 +89,8 @@ def test_load_rejects_malformed_documents():
         load_rep(identity_rep_text(17, 1))
     with pytest.raises(RepFileError, match="dim 33 exceeds the limit 32"):
         load_cocycle(cocycle.replace("dim 2", "dim 33"))
+    with pytest.raises(RepFileError, match="p\\^r of 549 bits exceeds the limit 512 bits"):
+        load_rep(good.replace("p 3\nr 1", f"p {2**61 - 1}\nr 9"))
     assert load_rep(identity_rep_text(16, 1)).genus == 16
     assert load_rep(identity_rep_text(1, 32)).dim == 32
 
@@ -295,6 +297,13 @@ def test_cli_error_codes(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "dim 120 exceeds the limit 32" in captured.err
+    wide_p = tmp_path / "wide_p.rep"  # genus 16, dim 32, a 3,904-bit p^r
+    wide_p.write_text(identity_rep_text(16, 32).replace("p 3\nr 1", f"p {2**61 - 1}\nr 64"))
+    start = time.perf_counter()
+    assert main(["flag-check", str(wide_p)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the limit 512 bits" in captured.err
     for ell in ("9", "15"):  # odd but not prime
         assert main(["local-example", "--field", "ql", "--ell", ell]) == 1
         captured = capsys.readouterr()

@@ -6,6 +6,12 @@ extension) are valid by construction and skip the relator walk.  Anything
 assembled from raw matrices, including every engine output, is checked.
 """
 
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
 from flaglift import surface
 from flaglift.cohomology import coordinate_extension
 from flaglift.flags import Flag
@@ -99,3 +105,180 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
         assert was_checked(obj), f"{name} skipped the relator check"
     for obj in derived:
         assert not was_checked(obj), "a derived object was checked again"
+
+
+# -- closed-form inverses of derived objects ----------------------------------
+
+_SOURCES = [(2, 2, 3, 1), (2, 2, 4, 2), (3, 2, 3, 2), (3, 2, 4, 1), (2, 3, 3, 1), (2, 3, 4, 2)]
+
+
+def checked_flag(p, r, d, genus, seed):
+    """A flag over Z/p^r built through the public constructors, inverses recorded."""
+    f = gen_random_flag(p, r, d, genus, kind="any", seed=seed)
+    return Flag(SurfaceRep(f.ring, f.genus, f.mats))
+
+
+def derived_builders(flag):
+    """Builders of every kind of derived object, from ``flag`` and from derived flags."""
+    out = []
+    for f in (flag, flag.reduce_to(1), flag.dual(), flag.reduce_to(1).dual()):
+        mod, d = f.rep.as_module(), f.d
+        if f is not flag:
+            out += [lambda f=f: f.rep, lambda f=f: f.rep.as_module()]
+        out += [lambda f=f: f.rep.as_module(), lambda f=f: f.rep.reduce_to(1)]
+        out += [lambda f=f, i=i, j=j: f.segment(i, j).rep for i in range(d + 1) for j in range(i, d + 1)]
+        out += [lambda f=f, i=i: f.segment(i, f.d).as_module() for i in range(d)]
+        for n_sub in range(d + 1):
+            out += [
+                lambda mod=mod, n=n_sub: coordinate_extension(mod, n).sub,
+                lambda mod=mod, n=n_sub: coordinate_extension(mod, n).quotient,
+            ]
+        ext = coordinate_extension(f.segment(1, d).as_module(), 1)
+        out += [
+            lambda mod=mod: dual_module(mod),
+            lambda mod=mod, ext=ext: tensor_module(mod, ext.total),
+            lambda mod=mod: hom_module(mod, mod),
+            lambda ext=ext: hom_module(ext.quotient, ext.sub),
+            lambda mod=mod: mod.reduce_to(1),
+        ]
+    return out + [lambda s=s: flag.rep.reduce_to(s) for s in range(1, flag.ring.r)]
+
+
+def generators(obj):
+    return obj.mats if isinstance(obj, SurfaceRep) else obj.acts
+
+
+def counting_inverse(monkeypatch):
+    inverted = []
+    inverse = RMatrix.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(RMatrix, "inverse", counted)
+    return inverted
+
+
+def test_derived_inverses_are_closed_form_and_lazy(monkeypatch):
+    for seed, (p, r, d, genus) in enumerate(_SOURCES):
+        flag = checked_flag(p, r, d, genus, seed)
+        builders = derived_builders(flag)
+        inverted = counting_inverse(monkeypatch)
+        derived = []
+        for build in builders:
+            obj = build()
+            # recorded how to get its inverses, and has not yet worked them out
+            assert callable(obj._inverses), obj
+            derived.append(obj)
+        assert inverted == [], "constructing a derived object inverted a matrix"
+        got = [obj.inverses for obj in derived]
+        assert inverted == [], "a derived object inverted a matrix"
+        monkeypatch.undo()
+        for obj, inverses in zip(derived, got):
+            assert inverses == tuple(m.inverse() for m in generators(obj)), obj
+            assert obj.inverses is inverses, "inverses are worked out once"
+
+
+# -- trusted RMatrix and Flag construction ------------------------------------
+
+
+def test_trusted_matrix_producers_match_the_public_constructor():
+    rng = random.Random(8)
+
+    def rand(ring, rows, cols):
+        return RMatrix(ring, rows, cols, tuple(rng.randrange(ring.modulus) for _ in range(rows * cols)))
+
+    def invertible(ring, n):
+        while True:
+            a = rand(ring, n, n)
+            if a.is_invertible():
+                return a
+
+    for p, r in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
+        ring, m = RingSpec(p, r), p**r
+        shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
+            (rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(8)
+        ]
+        for rows, cols in shapes:
+            a, b, c = rand(ring, rows, cols), rand(ring, cols, rng.randrange(4)), rand(ring, 2, 3)
+            ri = [rng.randrange(rows) for _ in range(rng.randrange(4))] if rows else []
+            ci = [rng.randrange(cols) for _ in range(rng.randrange(4))] if cols else []
+            kron = a.kron(c)
+            assert kron.entries == tuple(
+                a.entry(i // 2, j // 3) * c.entry(i % 2, j % 3) % m
+                for i in range(rows * 2) for j in range(cols * 3)
+            )
+            assert a.submatrix(ri, ci).entries == tuple(a.entry(i, j) for i in ri for j in ci)
+            results = [
+                a @ b, a.submatrix(ri, ci), a.submatrix(range(rows), range(cols - 1, -1, -1)),
+                a.transpose(), kron, c.kron(a),
+                RMatrix.identity(ring, rows), RMatrix.zeros(ring, rows, cols),
+                invertible(ring, max(rows, 1)).inverse(), RMatrix.identity(ring, 0).inverse(),
+            ]
+            results += [a.reduce_to(s) for s in range(1, r + 1)]
+            for x in results:
+                again = RMatrix(x.ring, x.rows, x.cols, x.entries)
+                assert x == again and hash(x) == hash(again)
+                assert type(x.entries) is tuple and len(x.entries) == x.rows * x.cols
+                assert all(type(e) is int and 0 <= e < x.ring.modulus for e in x.entries)
+    ring = RingSpec(3, 2)
+    assert RMatrix(ring, 1, 3, (-1, 9, 12)).entries == (8, 0, 3)
+    with pytest.raises(ValueError):
+        RMatrix(ring, 2, 2, (1, 2, 3))
+    with pytest.raises(ValueError):
+        RMatrix.zeros(ring, -1, 2)
+
+
+def test_trusted_flags_match_the_public_constructor():
+    for seed, (p, r, d, genus) in enumerate(_SOURCES):
+        flag = checked_flag(p, r, d, genus, seed)
+        derived = [flag.dual(), flag.dual().dual(), flag.reduce_to(1), flag.reduce_to(1).dual()]
+        derived += [flag.segment(i, j) for i in range(d + 1) for j in range(i, d + 1)]
+        derived += [flag.dual().segment(1, d), flag.reduce_to(1).segment(0, d - 1)]
+        for f in derived:
+            again = Flag(SurfaceRep(f.ring, f.genus, f.mats))
+            assert f == again and hash(f) == hash(again)
+    ring = RingSpec(3, 1)
+    lower = RMatrix.from_rows(ring, [[1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="not upper triangular at \\(1,0\\)"):
+        Flag(SurfaceRep(ring, 1, (lower, RMatrix.identity(ring, 2))))
+
+
+# -- tooling guard: who may build without checking ------------------------------
+
+_ROOT = Path(__file__).resolve().parent.parent
+_TRUSTED_NAMES = {
+    "_trusted_matrix": {"src/flaglift/zmod.py"},
+    "_trusted": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
+    "_diagonal_block": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
+    "_trusted_flag": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
+}
+
+
+def referenced_names(path):
+    """Every identifier ``path`` uses: names, attributes, imports and definitions."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_the_trusted_modules_build_without_checking():
+    files = sorted(
+        p for d in ("src", "scripts", "perfbench", "tests") for p in (_ROOT / d).rglob("*.py")
+    )
+    assert _ROOT / "src/flaglift/lifting.py" in files and _ROOT / "src/flaglift/repfile.py" in files
+    seen = {name: set() for name in _TRUSTED_NAMES}
+    for path in files:
+        rel = path.relative_to(_ROOT).as_posix()
+        for name in set(referenced_names(path)) & set(_TRUSTED_NAMES):
+            seen[name].add(rel)
+            assert rel in _TRUSTED_NAMES[name], f"{rel} uses {name}"
+    for name, where in seen.items():
+        assert where, f"{name} is defined nowhere"
