@@ -124,7 +124,7 @@ def derived_builders(flag):
     for f in (flag, flag.reduce_to(1), flag.dual(), flag.reduce_to(1).dual()):
         mod, d = f.rep.as_module(), f.d
         if f is not flag:
-            out += [lambda f=f: f.rep, lambda f=f: f.rep.as_module()]
+            out.append(lambda f=f: f.rep)
         out += [lambda f=f: f.rep.as_module(), lambda f=f: f.rep.reduce_to(1)]
         out += [lambda f=f, i=i, j=j: f.segment(i, j).rep for i in range(d + 1) for j in range(i, d + 1)]
         out += [lambda f=f, i=i: f.segment(i, f.d).as_module() for i in range(d)]
