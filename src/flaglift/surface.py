@@ -18,9 +18,11 @@ blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
 diagonal blocks of block upper triangular actions (flag segments and the
 ends of a coordinate extension).
 
-The relator walk inverts every generator, and a checked object keeps those
-inverses.  A derived object records a function that works its inverses out
-from its source's when ``inverses`` is first read: the same (``as_module``),
+The relator walk inverts every generator, which is also the invertibility
+check: a singular generator raises a plain ``ValueError`` naming it before
+any ``RelatorError``.  A checked object keeps those inverses.  A derived
+object records a function that works its inverses out from its source's
+when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
 ``x.kron(y)`` over ``a.inverses`` and ``b.inverses`` (``tensor_module(a, b)``,
 so ``hom_module``), the same diagonal block (``Flag.segment`` and the ends
@@ -76,12 +78,20 @@ class RelatorError(ValueError):
 def _relator_product(
     ring: RingSpec, genus: int, mats: Sequence[RMatrix]
 ) -> tuple[RMatrix, tuple[RMatrix, ...]]:
-    """Product of the square matrices ``mats`` along the relator word, and their inverses."""
-    inv = tuple(m.inverse() for m in mats)
+    """Product of the square matrices ``mats`` along the relator word, and their inverses.
+
+    A singular matrix raises ValueError naming it, before the walk starts.
+    """
+    inv = []
+    for i, m in enumerate(mats):
+        try:
+            inv.append(m.inverse())
+        except ZeroDivisionError:
+            raise ValueError(f"generator matrix {i + 1} is not invertible") from None
     acc = RMatrix.identity(ring, mats[0].rows)
     for t in Presentation(genus).relator():
         acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
-    return acc, inv
+    return acc, tuple(inv)
 
 
 def _check_relator(
@@ -96,8 +106,6 @@ def _check_relator(
             raise ValueError(f"matrix {i + 1} lives over {m.ring}, expected {ring}")
         if m.rows != n or m.cols != n:
             raise ValueError("generator matrices must be square of equal size")
-        if n and not m.is_invertible():
-            raise ValueError(f"generator matrix {i + 1} is not invertible")
     if n == 0:
         return None
     acc, inv = _relator_product(ring, genus, mats)

@@ -12,16 +12,22 @@ staircase form without any general PID machinery.  The module provides:
   which a plain staircase cannot do over Z/p^r (example: the row (0, p)
   lies in the span of (p, 1) over Z/p^2),
 * ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e), with
-  P^-1 carried through the same sweep,
+  P^-1 carried through the same sweep.  P, Q and P^-1 are handed out as
+  the sweep's own sparse lines, never as matrices,
 * ``LinearSolver``: one solution of A x = b plus an independent kernel
   basis with annihilator exponents,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
+* ``quotient_data`` / ``cokernel_data``: invariants and representatives of
+  a subquotient; a cokernel is read off one ``smithify`` of its matrix,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
 least residues.  ``@``, ``submatrix``, ``transpose``, ``kron``, ``reduce_to``,
 ``inverse``, ``identity`` and ``zeros`` build least residues of the right
-count, so they skip that scan (``_trusted_matrix``).
+count, so they skip that scan (``_trusted_matrix``).  Likewise
+``RingSpec(p, r)`` tests p for primality, and ``shrink`` builds a smaller
+ring of the same, already tested, prime without a second test
+(``_trusted_ring``).
 
 Vectors are plain tuples of ints; matrices are ``RMatrix``.  ``apply``
 walks only the nonzero entries of the vector and of the matching matrix
@@ -124,7 +130,14 @@ class RingSpec:
     def shrink(self, s: int) -> "RingSpec":
         if not 1 <= s <= self.r:
             raise ValueError(f"cannot shrink Z/{self.p}^{self.r} to exponent {s}")
-        return RingSpec(self.p, s)
+        return self if s == self.r else _trusted_ring(self.p, s)
+
+
+def _trusted_ring(p: int, r: int) -> RingSpec:
+    """A RingSpec built without ``__post_init__``; ``p`` must be a checked prime and r >= 1."""
+    obj = object.__new__(RingSpec)
+    obj.__dict__.update(p=p, r=r)
+    return obj
 
 
 def teichmuller(ring: RingSpec, a: int) -> int:
@@ -375,8 +388,11 @@ class RMatrix:
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
             return False
-        # invertible over the local ring iff invertible mod p
-        return _det_mod_p(self) != 0
+        try:
+            self.inverse()
+        except ZeroDivisionError:
+            return False
+        return True
 
     def inverse(self) -> "RMatrix":
         """Inverse by Gauss-Jordan; a unit pivot exists in every column."""
@@ -410,27 +426,6 @@ def _trusted_matrix(ring: RingSpec, rows: int, cols: int, entries: tuple[int, ..
     obj = object.__new__(RMatrix)
     obj.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
     return obj
-
-
-def _det_mod_p(a: RMatrix) -> int:
-    p = a.ring.p
-    n = a.rows
-    rows = [[x % p for x in a.row(i)] for i in range(n)]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = (det * rows[c][c]) % p
-        inv = pow(rows[c][c], -1, p)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = (rows[i][c] * inv) % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return det % p
 
 
 # ---------------------------------------------------------------------------
@@ -516,28 +511,17 @@ def echelonize(a: RMatrix) -> EchelonResult:
 class SmithResult:
     """Invertible P, Q with P @ A @ Q = diag(p^e) (exponents nondecreasing).
 
-    The diagonal is not stored: ``exponents`` has one entry per diagonal
-    slot min(rows, cols), a zero diagonal entry recorded as exponent r.
-    ``left_inverse`` is P^-1.
+    The factors are the sweep's own sparse lines, each a dict from index to
+    nonzero residue: ``left_rows[i]`` is row i of P, ``right_cols[j]`` is
+    column j of Q and ``left_inverse_cols[i]`` is column i of P^-1.  The
+    diagonal is not stored: ``exponents`` has one entry per diagonal slot
+    min(rows, cols), a zero diagonal entry recorded as exponent r.
     """
 
-    left: RMatrix
-    right: RMatrix
+    left_rows: list[dict[int, int]]
+    right_cols: list[dict[int, int]]
     exponents: tuple[int, ...]
-    left_inverse: RMatrix
-
-
-def _densify(
-    ring: RingSpec, rows: int, cols: int, lines: Sequence[dict[int, int]], by_column: bool
-) -> RMatrix:
-    """The matrix whose rows (or columns, if ``by_column``) are the sparse ``lines``."""
-    ents = [0] * (rows * cols)
-    line_step, key_step = (1, cols) if by_column else (cols, 1)
-    for n, line in enumerate(lines):
-        base = n * line_step
-        for key, x in line.items():
-            ents[base + key * key_step] = x
-    return RMatrix(ring, rows, cols, tuple(ents))
+    left_inverse_cols: list[dict[int, int]]
 
 
 def smithify(a: RMatrix) -> SmithResult:
@@ -617,12 +601,7 @@ def smithify(a: RMatrix) -> SmithResult:
             if c != ck:
                 _axpy(qmat[pos[c]], -(x // pval), qk_items, m)
         exps.append(v)
-    return SmithResult(
-        _densify(ring, nr, nr, pmat, by_column=False),
-        _densify(ring, nc, nc, qmat, by_column=True),
-        tuple(exps),
-        _densify(ring, nr, nr, pinv, by_column=True),
-    )
+    return SmithResult(pmat, qmat, tuple(exps), pinv)
 
 
 def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
@@ -636,35 +615,38 @@ def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -
 
 
 class LinearSolver:
-    """Solve A x = b repeatedly and enumerate ker A, from one smithify call."""
+    """Solve A x = b repeatedly and enumerate ker A, from one smithify call.
+
+    Keeps the rows of P and the columns of Q, not P^-1.
+    """
 
     def __init__(self, a: RMatrix):
         self.a = a
         self.ring = a.ring
-        self.smith = smithify(a)
+        sm = smithify(a)
+        self._left_rows, self._right_cols = sm.left_rows, sm.right_cols
+        # slots past min(rows, cols) count as zero diagonal entries, exponent r
+        pad = max(a.rows, a.cols) - len(sm.exponents)
+        self._exponents = sm.exponents + (a.ring.r,) * pad
         self._kernel: list[tuple[tuple[int, ...], int]] | None = None
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of A x = b, or None.  Deterministic."""
         ring = self.ring
-        p, r = ring.p, ring.r
+        p, m = ring.p, ring.modulus
         if len(b) != self.a.rows:
             raise ValueError("rhs length mismatch")
-        c = self.smith.left.apply(tuple(b))
-        lim = min(self.a.rows, self.a.cols)
-        y = [0] * self.a.cols
-        for i in range(self.a.rows):
-            if i >= lim:
-                if c[i] != 0:
-                    return None
+        # x = Q y with y_i = (P b)_i / p^e_i, which must divide exactly
+        x: dict[int, int] = {}
+        for i, row in enumerate(self._left_rows):
+            c = sum(f * b[k] for k, f in row.items()) % m
+            if c == 0:
                 continue
-            e = self.smith.exponents[i]
-            if c[i] == 0:
-                continue
-            if ring.val(c[i]) < e:
+            e = self._exponents[i]
+            if ring.val(c) < e:
                 return None
-            y[i] = c[i] // p**e
-        x = self.smith.right.apply(tuple(y))
+            _axpy(x, c // p**e, self._right_cols[i].items(), m)
+        x = tuple(x.get(j, 0) for j in range(self.a.cols))
         if self.a.apply(x) != vec_mod(ring, b):
             raise AssertionError("smith solve postcondition failed")
         return x
@@ -679,14 +661,13 @@ class LinearSolver:
         if self._kernel is not None:
             return self._kernel
         ring = self.ring
-        p, r = ring.p, ring.r
-        lim = min(self.a.rows, self.a.cols)
+        p, r, m = ring.p, ring.r, ring.modulus
         gens: list[tuple[tuple[int, ...], int]] = []
-        for j in range(self.a.cols):
-            e = self.smith.exponents[j] if j < lim else r
+        for j, col in enumerate(self._right_cols):
+            e = self._exponents[j]
             if e > 0:
-                col = self.smith.right.col(j)
-                gens.append((vec_scale(ring, p ** (r - e), col), e))
+                scale = p ** (r - e)
+                gens.append((tuple(scale * col.get(k, 0) % m for k in range(self.a.cols)), e))
         self._kernel = gens
         return gens
 
@@ -759,9 +740,9 @@ def quotient_data(
     """Structure of span(gens)/span(rels); rels must lie in span(gens).
 
     Presents the subquotient on the given generators: relations are the
-    kernel of the generator matrix plus the coordinates of each rel vector,
-    then one smithify of the relation matrix reads off the invariants and
-    a generator change of basis gives ambient representatives.
+    kernel of the generator matrix plus the coordinates of each rel vector.
+    The quotient is the cokernel of that relation matrix, carried into the
+    ambient space by the generator matrix.
     """
     if not gens:
         if any(any(x % ring.modulus for x in v) for v in rels):
@@ -780,23 +761,24 @@ def quotient_data(
         rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
     else:
         rel = RMatrix.zeros(ring, k, 0)
-    sm = smithify(rel)
-    lim = min(rel.rows, rel.cols)
-    exps = [sm.exponents[i] if i < lim else ring.r for i in range(k)]
-    p_inv = sm.left_inverse
-    invariants: list[int] = []
-    reps: list[tuple[int, ...]] = []
-    order = sorted(range(k), key=lambda i: exps[i])
-    for i in order:
-        if exps[i] > 0:
-            invariants.append(exps[i])
-            reps.append(g.apply(p_inv.col(i)))
-    return QuotientData(tuple(invariants), tuple(reps))
+    q = cokernel_data(rel)
+    return QuotientData(q.invariants, tuple(g.apply(v) for v in q.reps))
 
 
 def cokernel_data(a: RMatrix) -> QuotientData:
-    """Invariants and representatives of R^rows / column-span(A)."""
-    ring = a.ring
-    basis = [tuple(1 if i == j else 0 for j in range(a.rows)) for i in range(a.rows)]
-    rels = [a.col(j) for j in range(a.cols)]
-    return quotient_data(ring, basis, rels)
+    """Invariants and representatives of R^rows / column-span(A), from one smithify.
+
+    With P A Q = diag(p^e), the quotient is the sum of Z/p^e_i (e_i = r past
+    min(rows, cols)), and column i of P^-1 represents summand i.
+    """
+    sm = smithify(a)
+    k, r = a.rows, a.ring.r
+    exps = sm.exponents + (r,) * (k - len(sm.exponents))
+    invariants: list[int] = []
+    reps: list[tuple[int, ...]] = []
+    for i in sorted(range(k), key=lambda i: exps[i]):
+        if exps[i] > 0:
+            invariants.append(exps[i])
+            col = sm.left_inverse_cols[i]
+            reps.append(tuple(col.get(j, 0) for j in range(k)))
+    return QuotientData(tuple(invariants), tuple(reps))

@@ -197,6 +197,11 @@ def test_trusted_matrix_producers_match_the_public_constructor():
 
     for p, r in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
         ring, m = RingSpec(p, r), p**r
+        assert ring.shrink(r) is ring
+        for s in range(1, r + 1):
+            small = ring.shrink(s)
+            assert small == RingSpec(p, s) and hash(small) == hash(RingSpec(p, s))
+            assert small.modulus == p**s
         shapes = [(0, 3), (3, 0), (0, 0), (1, 1)] + [
             (rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(8)
         ]
@@ -250,6 +255,7 @@ def test_trusted_flags_match_the_public_constructor():
 _ROOT = Path(__file__).resolve().parent.parent
 _TRUSTED_NAMES = {
     "_trusted_matrix": {"src/flaglift/zmod.py"},
+    "_trusted_ring": {"src/flaglift/zmod.py"},
     "_trusted": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
     "_diagonal_block": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
     "_trusted_flag": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},

@@ -131,6 +131,34 @@ def test_matmul_and_inverse(ring):
         assert (a @ ai).is_identity() and (ai @ a).is_identity()
 
 
+def leibniz_det(a):
+    """det(a) mod p^r by the Leibniz sum over permutations."""
+    n, total = a.rows, 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= a.entry(i, perm[i])
+        total += term
+    return total % a.ring.modulus
+
+
+def test_is_invertible_matches_the_determinant():
+    # over the local ring Z/p^r a square matrix is invertible iff det is a unit
+    cases = [
+        RMatrix(ring, 2, 2, ents)
+        for ring in (RingSpec(2, 2), RingSpec(3, 2))
+        for ents in itertools.product(range(ring.modulus), repeat=4)
+    ]
+    rng = random.Random(111)
+    cases += [rand_matrix(ring, n, n, rng) for ring in RINGS for n in (3, 4) for _ in range(40)]
+    for a in cases:
+        assert a.is_invertible() == (leibniz_det(a) % a.ring.p != 0), a
+    ring = RingSpec(3, 2)
+    assert not RMatrix.identity(ring, 3).submatrix([0, 1], [0, 1, 2]).is_invertible()
+    assert RMatrix.identity(ring, 0).is_invertible()
+
+
 # dense entry-by-entry references for the kernels that skip zeros
 def ref_apply(a, v):
     m = a.ring.modulus
@@ -267,6 +295,24 @@ def test_span_reducer_is_canonical_and_complete(ring):
 # -- smithify and solving ----------------------------------------------------
 
 
+def dense_factors(sm, a):
+    """P, Q and P^-1 of ``smithify(a)`` as matrices, built from its sparse lines."""
+    ring, nr, nc = a.ring, a.rows, a.cols
+
+    def dense(n, lines, by_column):
+        ents = [0] * (n * n)
+        for i, line in enumerate(lines):
+            for j, x in line.items():
+                ents[j * n + i if by_column else i * n + j] = x
+        return RMatrix(ring, n, n, tuple(ents))
+
+    return (
+        dense(nr, sm.left_rows, False),
+        dense(nc, sm.right_cols, True),
+        dense(nr, sm.left_inverse_cols, True),
+    )
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_smithify_random(ring):
     rng = random.Random(404)
@@ -279,9 +325,10 @@ def test_smithify_random(ring):
     for a in cases:
         rows, cols = a.rows, a.cols
         sm = smithify(a)
-        diag = sm.left @ a @ sm.right
-        assert sm.left.is_invertible() and sm.right.is_invertible()
-        assert (sm.left @ sm.left_inverse).is_identity()
+        left, right, left_inverse = dense_factors(sm, a)
+        diag = left @ a @ right
+        assert left.is_invertible() and right.is_invertible()
+        assert (left @ left_inverse).is_identity()
         exps = sm.exponents
         assert len(exps) == min(rows, cols)
         assert list(exps) == sorted(exps), "diagonal exponents must be nondecreasing"
@@ -386,13 +433,16 @@ def test_smithify_matches_dense_reference(ring):
         # across rows 0 and 1: the pivot is row 0, column 1
         p, m = ring.p, ring.modulus
         a = RMatrix.from_rows(ring, [[0, p, m - p], [p, 0, 0], [0, 0, 0]])
-        sm = smithify(a)
-        assert sm.left.row(0) == (1, 0, 0) and sm.right.col(0) == (0, 1, 0)
+        left, right, _ = dense_factors(smithify(a), a)
+        assert left.row(0) == (1, 0, 0) and right.col(0) == (0, 1, 0)
         cases.append(a)
     for a in cases:
         sm = smithify(a)
-        assert (sm.left, sm.right, sm.left @ a @ sm.right, sm.exponents) == ref_smithify(a)
-        assert sm.left_inverse == sm.left.inverse()
+        left, right, left_inverse = dense_factors(sm, a)
+        assert (left, right, left @ a @ right, sm.exponents) == ref_smithify(a)
+        assert left_inverse == left.inverse()
+        lines = sm.left_rows + sm.right_cols + sm.left_inverse_cols
+        assert all(0 < x < ring.modulus for line in lines for x in line.values())
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2), RingSpec(2, 3)])
@@ -502,6 +552,19 @@ def test_cokernel_data_vs_counting(ring):
             assert not red.contains(vec_scale(ring, ring.p ** (e - 1), rep)), (
                 "rep order overstated"
             )
+
+
+@pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
+def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring):
+    # cokernel_data reads the cokernel off one smithify of A; quotient_data
+    # on the identity basis with A's columns as relations is the same group
+    rng = random.Random(1212)
+    cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in [(0, 3), (3, 0), (0, 0)]]
+    cases += [rand_matrix(ring, rng.randrange(1, 6), rng.randrange(1, 6), rng) for _ in range(12)]
+    cases += [sparse_matrix(ring, rows, cols, rng, 0.03) for rows, cols in [(30, 40), (40, 30)]]
+    for a in cases:
+        basis = [tuple(int(i == j) for j in range(a.rows)) for i in range(a.rows)]
+        assert cokernel_data(a) == quotient_data(ring, basis, [a.col(j) for j in range(a.cols)])
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2)])
