@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaglift import zmod
 from flaglift.zmod import (
     LinearSolver,
     RingSpec,
@@ -555,7 +556,7 @@ def test_cokernel_data_vs_counting(ring):
 
 
 @pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
-def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring):
+def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring, monkeypatch):
     # cokernel_data reads the cokernel off one smithify of A; quotient_data
     # on the identity basis with A's columns as relations is the same group
     rng = random.Random(1212)
@@ -565,6 +566,12 @@ def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring):
     for a in cases:
         basis = [tuple(int(i == j) for j in range(a.rows)) for i in range(a.rows)]
         assert cokernel_data(a) == quotient_data(ring, basis, [a.col(j) for j in range(a.cols)])
+    swept, smith = [], zmod.smithify
+    monkeypatch.setattr(zmod, "smithify", lambda a: swept.append(a) or smith(a))
+    monkeypatch.setattr(zmod, "LinearSolver", None)  # building a solver would fail
+    for a in cases:
+        cokernel_data(a)
+    assert swept == cases, "one smithify per cokernel, of the matrix itself"
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2)])
