@@ -1,5 +1,6 @@
 """Tests for gluing, lifting, and the pinned Kummer lift engine."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from flaglift.lifting import (
     relator_defect,
 )
 from flaglift.oracle import gen_random_flag
+from flaglift.repfile import save_rep
 from flaglift.surface import SurfaceRep, RelatorError
 from flaglift.zmod import LinearSolver, RingSpec, RMatrix
 
@@ -262,3 +264,34 @@ def test_truncated_splitting_grid_is_inconclusive(monkeypatch):
     with pytest.raises(KummerInconclusive) as exc:
         lift_kummer(f)
     assert not isinstance(exc.value, LiftConsistencyError), "a cut search is not obstructed"
+
+
+# genus-1, r = 1 flags (p, x1, y1) whose pinned lifts meet split (0,1,k) steps
+# and (0,j,k) sigma pairs in one joint system
+_MIXED_SPLIT_FLAGS = [
+    (2, [[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+     [[1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    (2, [[1, 0, 0, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+     [[1, 0, 1, 1, 1], [0, 1, 1, 1, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]),
+    (2, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+     [[1, 0, 0, 1, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    (3, [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+     [[1, 0, 2, 0, 2], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    (3, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+     [[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    (3, [[1, 0, 1, 0, 2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 2], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+     [[1, 0, 0, 0, 2], [0, 1, 0, 0, 2], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+]
+
+
+def test_lift_kummer_mixed_split_conditions_digest():
+    # sha256 over save_rep of two quotient-pinned levels and one
+    # truncation-pinned level per flag; any change to the joint system's
+    # solution changes it
+    digest = hashlib.sha256()
+    for p, x1, y1 in _MIXED_SPLIT_FLAGS:
+        f = flag_g1(RingSpec(p, 1), x1, y1)
+        once = lift_kummer(f)
+        for out in (once, lift_kummer(once), lift_kummer_truncation(f)):
+            digest.update(save_rep(out).encode())
+    assert digest.hexdigest() == "1baef64ec6cb37e492fbae9115f88162668be5964b5e96d75c534a3923f07ff2"
