@@ -429,36 +429,30 @@ def _pinned_relator_lift(f: Flag, sharp: Flag) -> tuple[RMatrix, ...]:
     return mats
 
 
-def _row_class_matrix(bar: Flag, k: int, g: int) -> list[list[int]]:
+def _row_class_matrix(bar: Flag, k: int, g: int) -> RMatrix:
     """First-row twist response of the (0,1,k) step cochain, mod p.
 
-    Entry [c][m-1] is the coefficient of twist coordinate m in the movement
+    Entry (c, m-1) is the coefficient of twist coordinate m in the movement
     of the cochain at quotient coordinate c: the twisted lift moves the
     cochain of generator g by p^r * (this matrix @ twist vector of g).
     """
-    ring = bar.ring
-    qinv = bar.segment(1, k).rep.inverses[g]
-    rows = []
-    for cp in range(k - 1):
-        row = []
-        for m in range(1, bar.d):
-            s = 0
-            for c in range(m, k):
-                s += bar.mats[g].entry(m, c) * qinv.entry(c - 1, cp)
-            row.append(s % ring.modulus)
-        rows.append(row)
-    return rows
+    rows = bar.mats[g].submatrix(range(1, bar.d), range(1, k))
+    return (rows @ bar.segment(1, k).rep.inverses[g]).transpose()
 
 
 def _splitting_grid(bar: Flag, j: int, k: int) -> tuple[RMatrix, list[tuple[tuple[int, ...], int]]]:
-    """Base mod-p splitting of V_k/V_j -> V_k/V_1 plus its torsor generators."""
+    """Base mod-p splitting of V_k/V_j -> V_k/V_1 plus its torsor generators.
+
+    For j = 1 the splitting is the identity and the torsor is trivial.
+    """
+    if j == 1:
+        return RMatrix.identity(bar.ring, k - 1), []
     ext = coordinate_extension(bar.segment(1, k).as_module(), j - 1)
     res = split_section(ext)
     if not res.splits:
         raise AssertionError("projection of a split extension must split")
     hom = hom_module(bar.segment(j, k).as_module(), bar.segment(1, j).as_module())
-    gens = LinearSolver(complex_of(hom).d0).kernel()
-    return res.section, gens
+    return res.section, complex_of(hom).d0_solver.kernel()
 
 
 _SPLITTING_GRID_CAP = 2048
@@ -497,28 +491,20 @@ class _JointSystem:
 
 
 @dataclass(frozen=True)
-class _SplitStep:
-    """A step (0,1,k) split mod p, with the unknowns of its coboundary witness."""
+class _SplitCondition:
+    """A step (0,j,k) split mod p, with the unknowns that keep it split.
 
-    k: int
-    cochain: Sequence[tuple[int, ...]]  # step cochain of the pinned lift, per generator
-    hom_acts: Sequence[RMatrix]  # Hom(V_k/V_1, L_1) over the pinned quotient block
-    row_class: Sequence[list[list[int]]]  # _row_class_matrix, per generator
-    witness_col: int  # k-1 columns
-
-
-@dataclass(frozen=True)
-class _SigmaPair:
-    """A step (0,j,k), j >= 2, split mod p while (0,1,k) is not.
-
-    The section of V_k/V_j -> V_k/V_1 is ``base`` plus a point of the
-    torsor grid mod p, corrected at scale p by a (j-1) x (k-j) block.
+    The (0,1,k) step cochain of the lift, pulled back through an equivariant
+    section of V_k/V_j -> V_k/V_1, must be a coboundary one level up.  The
+    section is ``base`` plus a point of the torsor grid mod p, corrected at
+    scale p by a (j-1) x (k-j) block.  For j = 1 the section is the identity
+    with a one-point grid and no correction block.
     """
 
     j: int
     k: int
-    cochain: Sequence[tuple[int, ...]]
-    row_class: Sequence[list[list[int]]]
+    cochain: Sequence[tuple[int, ...]]  # step cochain of the pinned lift, per generator
+    row_class: Sequence[RMatrix]  # _row_class_matrix, per generator
     a_mats: Sequence[RMatrix]  # pinned block V_k/V_1
     b_mats: Sequence[RMatrix]  # pinned block V_k/V_j
     hom_acts: Sequence[RMatrix]  # Hom(V_k/V_j, L_1) over the pinned block
@@ -548,16 +534,16 @@ class _SigmaPair:
 def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     """Twist a pinned relator-exact lift until split steps stay split.
 
-    Steps (0,1,k) split mod p: the twisted cochain must be a coboundary one
-    level up; linear in the twist and the witness.  Steps (0,j,k), j >= 2,
-    split mod p while (0,1,k) is not: the cochain pulled back through an
-    equivariant section of V_k/V_j -> V_k/V_1 must be a coboundary; linear
-    once the mod-p reduction of the section is fixed, so those reductions
-    are enumerated over their torsor grid.  Remaining split steps sit
-    inside the pinned quotient or are implied, so solvability at some grid
-    point is equivalent to the existence of a pinned Kummer lift.  A grid
-    cut short by ``_SPLITTING_GRID_CAP`` without a solution decides
-    nothing and raises KummerInconclusive.
+    Every step (0,j,k) split mod p gives one condition: the lift's (0,1,k)
+    step cochain, pulled back through an equivariant section of V_k/V_j ->
+    V_k/V_1, must be a coboundary one level up.  For j = 1 the section is
+    the identity.  For j >= 2 (only where (0,1,k) is not split) the
+    condition is linear once the mod-p reduction of the section is fixed,
+    so those reductions are enumerated over their torsor grid.  Remaining
+    split steps sit inside the pinned quotient or are implied, so
+    solvability at some grid point is equivalent to the existence of a
+    pinned Kummer lift.  A grid cut short by ``_SPLITTING_GRID_CAP``
+    without a solution decides nothing and raises KummerInconclusive.
     """
     ring = f.ring
     up = sharp.ring
@@ -577,33 +563,17 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
         if segment_extension_splits(bar, 0, j, k)
     ]
 
-    def step_cochain(k: int) -> list[tuple[int, ...]]:
-        ext = coordinate_extension(o0_flag.segment(0, k).as_module(), 1)
-        return extension_class(ext).values()
-
-    def row_classes(k: int) -> list[list[list[int]]]:
-        return [_row_class_matrix(bar, k, g) for g in range(n_gens)]
-
     system = _JointSystem(up)
     mu = system.block(n_gens * (d - 1))  # the first-row twist, d-1 per generator
-    steps = [
-        _SplitStep(
-            k,
-            step_cochain(k),
-            hom_module(sharp.segment(0, k - 1).as_module(), l1).acts,
-            row_classes(k),
-            system.block(k - 1),
-        )
-        for k in split1
-    ]
-    pairs = []
-    for (j, k) in sigma_pairs:
+    conds = []
+    for (j, k) in [(1, k) for k in split1] + sigma_pairs:
         base, torsor = _splitting_grid(bar, j, k)
-        pairs.append(_SigmaPair(
+        ext = coordinate_extension(o0_flag.segment(0, k).as_module(), 1)
+        conds.append(_SplitCondition(
             j,
             k,
-            step_cochain(k),
-            row_classes(k),
+            extension_class(ext).values(),
+            [_row_class_matrix(bar, k, g) for g in range(n_gens)],
             sharp.segment(0, k - 1).mats,
             sharp.segment(j - 1, k - 1).mats,
             hom_module(sharp.segment(j - 1, k - 1).as_module(), l1).acts,
@@ -627,51 +597,47 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     dmat = complex_of(_pinned_torsor_module(f)).d1
     for i in range(d - 1):
         system.add({mu + c: pr * dmat.entry(i, c) for c in range(dmat.cols)}, 0)
-    for st in steps:
-        for g in range(n_gens):
-            for cp in range(st.k - 1):
-                row = twist(g, st.row_class[g][cp])
-                row.update(witness(st.witness_col, st.hom_acts[g], cp))
-                system.add(row, -st.cochain[g][cp])
 
     grids = []
     n_points = 1  # size of the full grid
-    for sp in pairs:
-        exps = [e for _, e in sp.torsor]
+    for sc in conds:
+        exps = [e for _, e in sc.torsor]
         grids.append(list(itertools.islice(span_coefficients(p, exps), _SPLITTING_GRID_CAP)))
         n_points *= p ** sum(exps)
 
     for combo in itertools.islice(itertools.product(*grids), _SPLITTING_GRID_CAP):
         trial = system.fork()
-        for sp, coeffs in zip(pairs, combo):
-            j, k = sp.j, sp.k
-            sig0 = sp.section(coeffs, up)
+        for sc, coeffs in zip(conds, combo):
+            j, k = sc.j, sc.k
+            sig0 = sc.section(coeffs, up)
             for g in range(n_gens):
-                # the section stays equivariant after its p-scaled correction
-                am, bm = sp.a_mats[g], sp.b_mats[g]
-                const = am @ sig0 - sig0 @ bm
-                for a in range(k - 1):
-                    for b in range(k - j):
-                        # entry (a, b) of am @ tau - tau @ bm, where tau is the
-                        # correction block (row-major) padded to k-1 rows
-                        row = {
-                            sp.section_col + ta * (k - j) + b: p * am.entry(a, ta)
-                            for ta in range(j - 1)
-                        }
-                        if a < j - 1:
-                            for tb in range(k - j):
-                                col = sp.section_col + a * (k - j) + tb
-                                row[col] = row.get(col, 0) - p * bm.entry(tb, b)
-                        trial.add(row, -const.entry(a, b))
+                if j > 1:
+                    # the section stays equivariant after its p-scaled
+                    # correction; for the identity section these rows read 0 = 0
+                    am, bm = sc.a_mats[g], sc.b_mats[g]
+                    const = am @ sig0 - sig0 @ bm
+                    for a in range(k - 1):
+                        for b in range(k - j):
+                            # entry (a, b) of am @ tau - tau @ bm, where tau is the
+                            # correction block (row-major) padded to k-1 rows
+                            row = {
+                                sc.section_col + ta * (k - j) + b: p * am.entry(a, ta)
+                                for ta in range(j - 1)
+                            }
+                            if a < j - 1:
+                                for tb in range(k - j):
+                                    col = sc.section_col + a * (k - j) + tb
+                                    row[col] = row.get(col, 0) - p * bm.entry(tb, b)
+                            trial.add(row, -const.entry(a, b))
                 # the cochain pulled back through the section is a coboundary
-                phi0, lm = sp.cochain[g], sp.row_class[g]
+                phi0, lm = sc.cochain[g], sc.row_class[g]
                 for b in range(k - j):
-                    row = {sp.section_col + ta * (k - j) + b: p * phi0[ta] for ta in range(j - 1)}
+                    row = {sc.section_col + ta * (k - j) + b: p * phi0[ta] for ta in range(j - 1)}
                     row.update(twist(g, [
-                        sum(lm[cp][m] * sig0.entry(cp, b) for cp in range(k - 1))
+                        sum(lm.entry(cp, m) * sig0.entry(cp, b) for cp in range(k - 1))
                         for m in range(d - 1)
                     ]))
-                    row.update(witness(sp.witness_col, sp.hom_acts[g], b))
+                    row.update(witness(sc.witness_col, sc.hom_acts[g], b))
                     trial.add(row, -sum(phi0[c] * sig0.entry(c, b) for c in range(k - 1)))
         sol = trial.solve()
         if sol is None:
@@ -708,12 +674,7 @@ def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Fla
         v = is_kummer(f)
         if not v.ok:
             raise ValueError(f"input flag is not Kummer: {v.reason}")
-    if sharp is None:
-        if d > 0:
-            sharp = lift_kummer(f.quotient_by_first(), None, _verify=False)
-        else:
-            sharp = _empty_flag(up, f.genus)
-    else:
+    if sharp is not None:
         if sharp.ring != up or sharp.d != d - 1:
             raise ValueError("quotient part must live one level above with dimension d-1")
         if sharp.reduce_to(ring.r) != f.quotient_by_first():
@@ -727,6 +688,8 @@ def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Fla
         return _empty_flag(up, f.genus)
     if d == 1:
         return Flag(SurfaceRep(up, f.genus, tuple(RMatrix.identity(up, 1) for _ in range(n_gens))))
+    if sharp is None:
+        sharp = lift_kummer(f.quotient_by_first(), None, _verify=False)
     out = _kummerize_pinned(f, sharp, _pinned_relator_lift(f, sharp))
     if out.reduce_to(ring.r) != f:
         raise AssertionError("Kummer lift must reduce to the input")
