@@ -43,6 +43,7 @@ from .oracle import (
 )
 from .repfile import (
     RepFileError,
+    check_ring_limits,
     load_cocycle,
     load_flag,
     load_module,
@@ -119,6 +120,7 @@ def _cmd_lift(args) -> int:
     flag = load_flag(_read(args.repfile))
     if args.to_r <= flag.ring.r:
         raise RepFileError(f"--to-r must exceed the current level {flag.ring.r}")
+    check_ring_limits(RingSpec(flag.ring.p, args.to_r))  # the output must load again
     cur = flag
     for level in range(flag.ring.r + 1, args.to_r + 1):
         prev = cur

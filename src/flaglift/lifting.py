@@ -51,7 +51,7 @@ from .surface import (
     hom_mat,
     hom_module,
 )
-from .zmod import LinearSolver, RingSpec, RMatrix, span_coefficients, teichmuller
+from .zmod import LinearSolver, RingSpec, RMatrix, _dense, span_coefficients, teichmuller
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +485,7 @@ class _JointSystem:
         return replace(self, rows=list(self.rows))
 
     def solve(self) -> tuple[int, ...] | None:
-        dense = [[row.get(c, 0) for c in range(self.width)] for row, _ in self.rows]
-        mat = RMatrix.from_rows(self.ring, dense)
+        mat = RMatrix.from_rows(self.ring, [_dense(row, self.width) for row, _ in self.rows])
         return LinearSolver(mat).solve(tuple(rhs for _, rhs in self.rows))
 
 

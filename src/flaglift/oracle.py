@@ -17,7 +17,6 @@ import numpy as np
 
 from .cohomology import ModuleShape
 from .flags import Flag, is_kummer, is_wound_kummer
-from .lifting import glued_mats
 from .surface import GModule, Presentation, RelatorError, SurfaceRep
 from .zmod import LinearSolver, RingSpec, RMatrix, teichmuller
 
@@ -217,7 +216,8 @@ def brute_lift(f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
 def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
     """All one-step gluings of overlapping flags, by exhausting the corner row.
 
-    Candidates put e on the leading block, f on the trailing block, and an
+    Candidates put e on the leading block, f on the trailing block (the
+    checked overlap makes the order of the writes immaterial), and an
     arbitrary ring value in the free corner of each generator.
     """
     ring = e.ring
@@ -225,12 +225,19 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
         raise ValueError("glue parts must share ring, genus and dimension")
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
-    n_gens = 2 * e.genus
+    d, n_gens = e.d, 2 * e.genus
     budget.check_count(ring.modulus**n_gens, "glue enumeration")
     out = []
     for top in _all_vectors(ring.modulus, n_gens):
+        mats = []
+        for em, fm, t in zip(e.mats, f.mats, top):
+            ent = [list(em.row(i)) + [0] for i in range(d)] + [[0] * (d + 1)]
+            for i in range(d):
+                ent[i + 1][1:] = fm.row(i)
+            ent[0][d] = int(t)
+            mats.append(RMatrix.from_rows(ring, ent))
         try:
-            rep = SurfaceRep(ring, e.genus, tuple(glued_mats(e, f, [int(t) for t in top])))
+            rep = SurfaceRep(ring, e.genus, tuple(mats))
         except RelatorError:
             continue
         out.append(Flag(rep))

@@ -103,21 +103,31 @@ def _take_matrix(cur: _Cursor, ring: RingSpec, dim: int) -> RMatrix:
     return RMatrix.from_rows(ring, [_take_row(cur, ring, dim, "matrix") for _ in range(dim)])
 
 
+def check_ring_limits(ring: RingSpec) -> None:
+    """Raise RepFileError unless a file over ``ring`` is within r <= 64 and 512-bit p^r.
+
+    r is checked first, so an oversized r never computes p^r.
+    """
+    if ring.r > _MAX_R:
+        raise RepFileError(f"r {ring.r} exceeds the limit {_MAX_R}")
+    bits = ring.modulus.bit_length()
+    if bits > _MAX_MODULUS_BITS:
+        raise RepFileError(f"p^r of {bits} bits exceeds the limit {_MAX_MODULUS_BITS} bits")
+
+
 def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
     p = cur.take_int("p")
     r = cur.take_int("r")
     genus = cur.take_int("genus")
     dim = cur.take_int("dim")
-    for key, value, limit in (("r", r, _MAX_R), ("genus", genus, _MAX_GENUS), ("dim", dim, _MAX_DIM)):
+    for key, value, limit in (("genus", genus, _MAX_GENUS), ("dim", dim, _MAX_DIM)):
         if value > limit:
             raise RepFileError(f"{key} {value} exceeds the limit {limit}")
     try:
         ring = RingSpec(p, r)
     except ValueError as exc:
         raise RepFileError(str(exc)) from exc
-    bits = ring.modulus.bit_length()
-    if bits > _MAX_MODULUS_BITS:
-        raise RepFileError(f"p^r of {bits} bits exceeds the limit {_MAX_MODULUS_BITS} bits")
+    check_ring_limits(ring)
     if genus < 1:
         raise RepFileError("genus must be >= 1")
     if dim < 0:

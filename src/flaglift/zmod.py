@@ -614,6 +614,14 @@ def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -
             dst.pop(key, None)
 
 
+def _dense(line: dict[int, int], n: int) -> tuple[int, ...]:
+    """A sparse line as a length-n tuple: its nonzeros written into zeros."""
+    out = [0] * n
+    for key, x in line.items():
+        out[key] = x
+    return tuple(out)
+
+
 class LinearSolver:
     """Solve A x = b repeatedly and enumerate ker A, from one smithify call.
 
@@ -646,7 +654,7 @@ class LinearSolver:
             if ring.val(c) < e:
                 return None
             _axpy(x, c // p**e, self._right_cols[i].items(), m)
-        x = tuple(x.get(j, 0) for j in range(self.a.cols))
+        x = _dense(x, self.a.cols)
         if self.a.apply(x) != vec_mod(ring, b):
             raise AssertionError("smith solve postcondition failed")
         return x
@@ -667,7 +675,7 @@ class LinearSolver:
             e = self._exponents[j]
             if e > 0:
                 scale = p ** (r - e)
-                gens.append((tuple(scale * col.get(k, 0) % m for k in range(self.a.cols)), e))
+                gens.append((_dense({k: scale * x % m for k, x in col.items()}, self.a.cols), e))
         self._kernel = gens
         return gens
 
@@ -779,6 +787,5 @@ def cokernel_data(a: RMatrix) -> QuotientData:
     for i in sorted(range(k), key=lambda i: exps[i]):
         if exps[i] > 0:
             invariants.append(exps[i])
-            col = sm.left_inverse_cols[i]
-            reps.append(tuple(col.get(j, 0) for j in range(k)))
+            reps.append(_dense(sm.left_inverse_cols[i], k))
     return QuotientData(tuple(invariants), tuple(reps))

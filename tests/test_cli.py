@@ -310,6 +310,26 @@ def test_cli_error_codes(tmp_path, capsys):
         assert captured.out == "" and "odd prime" in captured.err
 
 
+def test_cli_lift_target_level_within_file_limits(tmp_path, capsys):
+    # an output past r = 64 or a 512-bit p^r could not be loaded again
+    cases = [(RingSpec(2, 63), "65", "r 65 exceeds the limit 64"),
+             (RingSpec(2, 1), "70", "r 70 exceeds the limit 64"),
+             (RingSpec(2**61 - 1, 1), "9", "p^r of 549 bits exceeds the limit 512 bits")]
+    src, dst = tmp_path / "k.rep", tmp_path / "out.rep"
+    mats = [[[1, 1], [0, 1]], [[1, 0], [0, 1]]]
+    for ring, to_r, message in cases:
+        src.write_text(save_rep(Flag.from_rows(ring, 1, mats)))
+        start = time.perf_counter()
+        assert main(["lift", str(src), "--to-r", to_r, "--out", str(dst)]) == 1
+        assert time.perf_counter() - start < 0.5, "rejected before any lift"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not dst.exists()
+    src.write_text(save_rep(Flag.from_rows(RingSpec(2, 63), 1, mats)))
+    assert main(["lift", str(src), "--to-r", "64", "--out", str(dst)]) == 0
+    assert load_flag(dst.read_text()).ring.r == 64
+
+
 def test_cli_truncated_splitting_grid_exits_inconclusive(tmp_path, capsys, monkeypatch):
     from flaglift import lifting
 

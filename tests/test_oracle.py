@@ -147,6 +147,21 @@ def test_brute_glue_agrees_with_engine():
     assert glued == 10 and obstructed == 6  # frozen verdict counts
 
 
+def test_brute_glue_solutions_contain_both_parts():
+    # criterion 4's d = 3 pool, first 24 flags: the brute force places e and
+    # f itself, so each gluing it finds must hold them verbatim
+    pool = all_unipotent_flags_d3_p2()[:24]
+    n_pairs = n_sols = 0
+    for e, f in itertools.product(pool, repeat=2):
+        if e.quotient_by_first() != f.truncate():
+            continue
+        n_pairs += 1
+        for s in brute_glue(e, f):
+            assert s.truncate() == e and s.quotient_by_first() == f
+            n_sols += 1
+    assert n_pairs > 0 and n_sols > 0
+
+
 def test_brute_glue_rejects_overlap_mismatch():
     ring = RingSpec(2, 1)
     e = Flag.from_rows(ring, 1, [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1] * 1 + [0, 0], [0, 1, 0], [0, 0, 1]]])
