@@ -2,8 +2,9 @@
 
 Samples random flags of the requested kind, lifts each one level, and
 verifies the postconditions (relator exactness upstairs, entrywise
-reduction to the input, predicate preservation). Prints a per-cell table
-and a summary; exits nonzero if any instance fails.
+reduction to the input, predicate preservation). Prints a per-cell table,
+a summary and one "memo:" line (the hits and misses of the run's split and
+Kummer verdict memos); exits nonzero if any instance fails.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from flaglift.flags import is_kummer, is_wound_kummer
 from flaglift.lifting import lift_kummer, lift_wound_kummer, relator_defect
 from flaglift.oracle import gen_random_flag
+from flaglift.stats import session
 from flaglift.zmod import RingSpec
 
 
@@ -66,17 +68,21 @@ def main() -> int:
     t0 = time.monotonic()
     total = adj_total = 0
     print(f"{'p':>3} {'genus':>5} {'dim':>3} {'level':>5} {'lifts':>5} {'adjusted':>8}")
-    for p in cfg.primes:
-        for genus in cfg.genera:
-            for d in cfg.dims:
-                for r in cfg.levels:
-                    n, adjusted = run_cell(cfg, p, genus, d, r)
-                    total += n
-                    adj_total += adjusted
-                    print(f"{p:>3} {genus:>5} {d:>3} {r:>5} {n:>5} {adjusted:>8}")
+    with session() as s:
+        for p in cfg.primes:
+            for genus in cfg.genera:
+                for d in cfg.dims:
+                    for r in cfg.levels:
+                        n, adjusted = run_cell(cfg, p, genus, d, r)
+                        total += n
+                        adj_total += adjusted
+                        print(f"{p:>3} {genus:>5} {d:>3} {r:>5} {n:>5} {adjusted:>8}")
     dt = time.monotonic() - t0
     print(f"\n{total} lifts in {dt:.2f}s, {adj_total} adjustment-path, "
           f"{len(cfg.failures)} failures")
+    print("memo: " + ", ".join(
+        f"{name} {t['hits']} hits / {t['misses']} misses" for name, t in s.summary().items()
+    ))
     for line in cfg.failures:
         print(f"  FAIL {line}")
     return 1 if cfg.failures else 0

@@ -10,6 +10,7 @@ hit its budget before it could decide), 1 malformed input or usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -51,6 +52,7 @@ from .repfile import (
     save_cocycle,
     save_rep,
 )
+from .stats import session
 from .surface import trivial_module
 from .zmod import RingSpec
 
@@ -304,6 +306,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flaglift", description=__doc__)
+    parser.add_argument(
+        "--stats", action="store_true",
+        help="print the command's memo hits, misses and sizes as one JSON object on stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("cohomology", help="H0/H1/H2 report for a representation")
@@ -346,11 +352,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(args) -> int:
+    """Run one command in a session of its own; ``--stats`` reports it on stderr."""
+    with session() as s:
+        try:
+            return args.func(args)
+        finally:
+            if args.stats:
+                report = s.summary()
+                report["complex_of"] = complex_of.cache_info()._asdict()
+                print(json.dumps(report, sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(args)
     except RepFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -123,7 +123,12 @@ class CochainComplex:
         return all(x == 0 for x in self.d1.apply(vec))
 
 
-@lru_cache(maxsize=None)
+# Complexes kept by ``complex_of``; a traced lift-battery pass holds at
+# most 245 of them, so this bound evicts nothing on any benchmark workload.
+COMPLEX_CACHE_BOUND = 1024
+
+
+@lru_cache(maxsize=COMPLEX_CACHE_BOUND)
 def complex_of(module: GModule) -> CochainComplex:
     return CochainComplex(module)
 

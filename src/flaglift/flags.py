@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import coordinate_extension, split_section
+from .stats import current
 from .surface import GModule, SurfaceRep, _diagonal_block, _trusted
 from .zmod import RingSpec, RMatrix, teichmuller
 
@@ -124,9 +125,19 @@ def _trusted_flag(rep: SurfaceRep) -> Flag:
 
 
 def segment_extension_splits(flag: Flag, i: int, j: int, k: int) -> bool:
-    """Whether 0 -> V_j/V_i -> V_k/V_i -> V_k/V_j -> 0 splits equivariantly."""
-    ext = coordinate_extension(flag.segment(i, k).as_module(), j - i)
-    return split_section(ext).splits
+    """Whether 0 -> V_j/V_i -> V_k/V_i -> V_k/V_j -> 0 splits equivariantly.
+
+    The verdict depends only on the segment V_k/V_i and the offset j - i,
+    so it is decided once per session (``stats.Session.splits``).
+    """
+    memo = current().splits
+    segment = flag.segment(i, k)
+    key = (segment, j - i)
+    verdict = memo.get(key)
+    if verdict is None:
+        ext = coordinate_extension(segment.as_module(), j - i)
+        verdict = memo.put(key, split_section(ext).splits)
+    return verdict
 
 
 def index_of(flag: Flag, k: int) -> int:
@@ -179,9 +190,6 @@ class KummerVerdict:
         return self.ok
 
 
-_KUMMER_CACHE: dict[tuple[Flag, bool], KummerVerdict] = {}
-
-
 def is_kummer(flag: Flag, strict_chars: bool = True) -> KummerVerdict:
     """The Kummer predicate: splittings of subquotients survive reduction.
 
@@ -191,14 +199,14 @@ def is_kummer(flag: Flag, strict_chars: bool = True) -> KummerVerdict:
     if the extension splits mod p then it splits over the full ring.
     Condition (b) specialized to j = k-1 says the splitting index table
     matches the mod-p one; the predicate is closed under segments and
-    invariant under duality.  Returns the first violation found.
+    invariant under duality.  Returns the first violation found; verdicts
+    are kept in the session's ``kummer`` table.
     """
+    memo = current().kummer
     key = (flag, strict_chars)
-    hit = _KUMMER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    verdict = _is_kummer_inner(flag, strict_chars)
-    _KUMMER_CACHE[key] = verdict
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo.put(key, _is_kummer_inner(flag, strict_chars))
     return verdict
 
 

@@ -1,0 +1,98 @@
+"""Scoped run context: the bounded memo tables of one session.
+
+A ``Session`` owns one ``Memo`` per memoised question.  Every table is
+bounded by ``MEMO_BOUND`` entries (the oldest entry is evicted first) and
+counts its own hits and misses, so a run can report what it reused.
+
+``with session() as s:`` installs a fresh session and restores the
+previous one on exit; nothing stored inside outlives the ``with``.  Code
+outside any ``with`` runs in one explicit default session, which
+``reset()`` empties.  A memo changes no result: a table holds verdicts
+that depend only on their key.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from typing import Any, Hashable, Iterator
+
+# Entries per table.  The lift battery decides a few hundred distinct
+# split verdicts per pass, so a bound this size evicts nothing there.
+MEMO_BOUND = 4096
+
+
+class Memo:
+    """A value-keyed table of at most ``MEMO_BOUND`` entries, oldest evicted first.
+
+    Stored values are never ``None``; ``get`` returns ``None`` for a miss.
+    """
+
+    __slots__ = ("bound", "entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.bound = MEMO_BOUND
+        self.entries: dict[Hashable, Any] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key: Hashable) -> Any:
+        value = self.entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: Any) -> Any:
+        """Store ``value`` under ``key`` and return it."""
+        if len(self.entries) >= self.bound:
+            del self.entries[next(iter(self.entries))]
+        self.entries[key] = value
+        return value
+
+    def summary(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "size": len(self.entries)}
+
+
+@dataclass
+class Session:
+    """The memo tables of one run."""
+
+    # (segment flag V_k/V_i, offset j - i) -> whether the extension splits
+    splits: Memo = field(default_factory=Memo)
+    # (flag, strict_chars) -> KummerVerdict
+    kummer: Memo = field(default_factory=Memo)
+
+    def summary(self) -> dict[str, dict[str, int]]:
+        """Hits, misses and size of every table, by table name."""
+        return {f.name: getattr(self, f.name).summary() for f in fields(self)}
+
+
+_DEFAULT = Session()
+_current = _DEFAULT
+
+
+def current() -> Session:
+    """The innermost active session, or the default one."""
+    return _current
+
+
+def reset() -> None:
+    """Empty the default session's tables and zero their counts."""
+    for f in fields(_DEFAULT):
+        setattr(_DEFAULT, f.name, Memo())
+
+
+@contextmanager
+def session() -> Iterator[Session]:
+    """Run the body in a fresh session; the previous one is restored on exit."""
+    global _current
+    outer, _current = _current, Session()
+    try:
+        yield _current
+    finally:
+        _current = outer

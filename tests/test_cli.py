@@ -1,12 +1,13 @@
 """Tests for the file formats and the command-line driver."""
 
+import json
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flaglift import cli
+from flaglift import cli, stats
 from flaglift.cli import main
 from flaglift.cohomology import complex_of
 from flaglift.flags import Flag, is_wound_kummer
@@ -271,6 +272,31 @@ def test_cli_local_example_outputs(capsys):
     out = capsys.readouterr().out
     assert "Q_11" in out and "UNSAT" in out
     assert main(["local-example", "--field", "ql", "--ell", "4"]) == 1
+
+
+def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path, capsys):
+    src = tmp_path / "k.rep"
+    src.write_text(save_rep(kummer_fixture()))
+    for argv in (["lift", str(src), "--to-r", "3"], ["flag-check", str(src)]):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(["--stats", *argv]) == 0
+        stated = capsys.readouterr()
+        assert stated.out == plain.out
+        report = json.loads(stated.err.splitlines()[-1])
+        assert set(report) == {"splits", "kummer", "complex_of"}
+        for name in ("splits", "kummer"):
+            table = report[name]
+            assert set(table) == {"hits", "misses", "size"}
+            # each command runs in a fresh session, and the bound evicts nothing here
+            assert table["misses"] == table["size"] > 0
+        info = report["complex_of"]
+        assert set(info) == {"hits", "misses", "maxsize", "currsize"}
+        assert info["maxsize"] == complex_of.cache_info().maxsize
+    # a session per command: the default session gains nothing from main()
+    before = stats.current().summary()
+    assert main(["flag-check", str(src)]) == 0
+    assert stats.current().summary() == before
 
 
 def test_cli_error_codes(tmp_path, capsys):

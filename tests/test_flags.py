@@ -1,9 +1,14 @@
-"""Tests for triangular flags: subquotients, duality, predicates."""
+"""Tests for triangular flags: subquotients, duality, predicates, verdict memos."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
+from test_acceptance import _GRID, LIFT_DIGESTS
 
+from flaglift import flags, stats
+from flaglift.cohomology import split_section
 from flaglift.flags import (
     Flag,
     index_of,
@@ -12,6 +17,10 @@ from flaglift.flags import (
     is_wound_kummer,
     splitting_indices,
 )
+from flaglift.lifting import lift_kummer, lift_kummer_truncation
+from flaglift.oracle import gen_random_flag
+from flaglift.repfile import save_rep
+from flaglift.stats import current, session
 from flaglift.surface import SurfaceRep
 from flaglift.zmod import RingSpec, RMatrix
 
@@ -199,3 +208,100 @@ def test_is_kummer_direct_sum_with_nonsplit_block():
         [[1, 0, 6], [0, 1, 2], [0, 0, 1]],
     )
     assert is_kummer(c).ok
+
+
+# -- split and Kummer verdicts: decided once per session ------------------------
+
+
+def criterion_5_flags():
+    """The Kummer flags of acceptance criterion 5, in battery order."""
+    return [gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
+            for (p, genus, d, r, seed) in _GRID]
+
+
+def battery_digests():
+    """The criterion 5 and 9 lift digests, folded as tests/test_acceptance.py does."""
+    d5 = hashlib.sha256()
+    for f in criterion_5_flags():
+        d5.update(save_rep(lift_kummer(f)).encode())
+    d9 = hashlib.sha256()
+    for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3), (1, 2), (10, 11)):
+        f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
+        for out in (lift_kummer(f), lift_kummer_truncation(f), lift_kummer_truncation(f.dual())):
+            d9.update(save_rep(out).encode())
+    return {5: d5.hexdigest(), 9: d9.hexdigest()}
+
+
+def test_lift_digests_agree_in_a_fresh_and_a_warm_session():
+    want = {n: LIFT_DIGESTS[n] for n in (5, 9)}
+    with session() as s:
+        assert battery_digests() == want
+        decided = s.summary()
+        assert decided["splits"]["hits"] > 0 and decided["kummer"]["hits"] > 0
+        assert battery_digests() == want
+        # the warm pass decided nothing anew
+        for name, table in s.summary().items():
+            assert table["misses"] == decided[name]["misses"], name
+            assert table["hits"] > decided[name]["hits"], name
+
+
+def test_nothing_an_inner_session_stores_survives_it():
+    f = gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5)
+    g = gen_random_flag(3, 2, 3, 2, kind="kummer", seed=6)
+    default = current()
+    with session() as outer:
+        assert current() is outer is not default
+        assert is_kummer(f).ok
+        kept = {name: dict(getattr(outer, name).entries) for name in ("splits", "kummer")}
+        counts = outer.summary()
+        with session() as inner:
+            assert current() is inner and inner.summary()["splits"]["size"] == 0
+            assert is_kummer(g).ok
+            splitting_indices(g)
+            assert len(inner.splits) > 0 and len(inner.kummer) > 0
+        assert current() is outer
+        assert {name: getattr(outer, name).entries for name in kept} == kept
+        assert outer.summary() == counts
+        with pytest.raises(RuntimeError):
+            with session():
+                raise RuntimeError("the previous session is restored on the way out")
+        assert current() is outer
+    assert current() is default
+
+
+def test_reset_empties_the_default_session():
+    is_kummer(gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5))
+    assert len(current().kummer) > 0
+    stats.reset()
+    assert all(t == {"hits": 0, "misses": 0, "size": 0} for t in current().summary().values())
+
+
+def test_each_split_verdict_is_decided_once_per_session(monkeypatch):
+    reached = []
+    counted = lambda ext: reached.append(ext) or split_section(ext)
+    monkeypatch.setattr(flags, "split_section", counted)  # the binding only the memo reaches
+    with session() as s:
+        for f in criterion_5_flags():
+            assert is_kummer(lift_kummer(f)).ok
+    assert s.splits.misses == len(s.splits) == len(reached) > 0
+    assert s.splits.hits > s.splits.misses
+
+
+def test_a_bound_of_eight_changes_no_verdict(monkeypatch):
+    def verdicts():
+        out, sizes = [], []
+        for f in criterion_5_flags():
+            lifted = lift_kummer(f)
+            out.append((save_rep(lifted), is_kummer(lifted), is_kummer(f, strict_chars=False),
+                        splitting_indices(f), splitting_indices(f.reduce_to(1)), is_wound(f)))
+            sizes.append(max(len(current().splits), len(current().kummer)))
+        return out, max(sizes)
+
+    with session():
+        unbounded, largest = verdicts()
+    assert largest > 8
+    monkeypatch.setattr(stats, "MEMO_BOUND", 8)
+    with session() as s:
+        bounded, largest = verdicts()
+    assert bounded == unbounded
+    assert largest == 8 and s.splits.misses > 8 and s.kummer.misses > 8

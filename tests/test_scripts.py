@@ -1,6 +1,7 @@
 """Smoke tests: every experiment script runs to completion at its smallest size."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,9 @@ def test_script_runs(argv):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if argv[0] == "lift_battery.py":
+        # the battery reports its session's memo use
+        assert re.search(
+            r"^memo: splits \d+ hits / \d+ misses, kummer \d+ hits / \d+ misses$",
+            proc.stdout, re.MULTILINE,
+        ), proc.stdout

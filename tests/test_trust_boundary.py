@@ -288,3 +288,79 @@ def test_only_the_trusted_modules_build_without_checking():
             assert rel in _TRUSTED_NAMES[name], f"{rel} uses {name}"
     for name, where in seen.items():
         assert where, f"{name} is defined nowhere"
+
+
+# -- tooling guard: no unbounded or hidden global memo ------------------------------
+
+
+def unbounded_caches(tree):
+    """Lines that build an unbounded functools cache."""
+    name = lambda node: getattr(node, "attr", getattr(node, "id", None))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and name(node.value) == "functools":
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (node.lineno for alias in node.names if alias.name == "cache")
+
+
+def stored_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def module_level_subscript_writes(tree):
+    """Lines where a function stores or deletes by subscript into a module-level name."""
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module_names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            module_names.add(node.name)
+        else:
+            module_names |= stored_names(node)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        local |= {a.arg for a in (args.vararg, args.kwarg) if a}
+        local |= stored_names(func)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node.value
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in module_names - local:
+                    yield node.lineno
+
+
+def test_guards_flag_the_patterns_they_forbid():
+    bad = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n_MEMO = {}\n"
+        "@lru_cache(maxsize=None)\ndef f(x):\n    _MEMO[x] = x\n    return x\n"
+        "@lru_cache(None)\ndef g(x):\n    del _MEMO[x]\n"
+        "@functools.cache\ndef h(x, table={}):\n    table[x] = 1\n    _MEMO[x][0] += 1\n"
+    )
+    assert sorted(unbounded_caches(bad)) == [2, 4, 8, 11]
+    assert sorted(module_level_subscript_writes(bad)) == [6, 10, 14]
+    ok = ast.parse(
+        "from functools import lru_cache\n_T = {}\n@lru_cache(maxsize=64)\n"
+        "def f(x):\n    _T = {}\n    _T[x] = 1\n    return _T\n"
+    )
+    assert not list(unbounded_caches(ok)) and not list(module_level_subscript_writes(ok))
+
+
+def test_no_unbounded_or_hidden_global_memo():
+    """Every memo is bounded, and only ``stats`` holds process-wide memo state."""
+    files = sorted((_ROOT / "src/flaglift").glob("*.py"))
+    assert _ROOT / "src/flaglift/stats.py" in files
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        rel = path.relative_to(_ROOT).as_posix()
+        assert not list(unbounded_caches(tree)), f"{rel} builds an unbounded cache"
+        if path.name != "stats.py":
+            lines = list(module_level_subscript_writes(tree))
+            assert not lines, f"{rel} writes into a module-level name at lines {lines}"
