@@ -223,7 +223,34 @@ def test_cli_glue_verdicts(tmp_path, capsys):
     bad_e.write_text(save_rep(Flag.from_rows(ring, 1, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])))
     bad_f.write_text(save_rep(Flag.from_rows(ring, 1, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])))
     assert main(["glue", str(bad_e), str(bad_f)]) == 2
-    assert "obstructed" in capsys.readouterr().out
+    assert capsys.readouterr().out == "obstructed: class 1 in H2 of the corner module\n"
+
+
+@pytest.mark.parametrize(
+    "ring,e_rows,f_rows,line",
+    [
+        # trivial corner over Z/3: H2 = Z/3, the class is the corner value
+        (
+            RingSpec(3, 1),
+            [[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+            [[[1, 1], [0, 1]], [[1, 0], [0, 1]]],
+            "obstructed: class 2 in H2 of the corner module",
+        ),
+        # corner character 3 over Z/4: H2 = Z/4 / 2, so the corner value 3 prints as 1
+        (
+            RingSpec(2, 2),
+            [[[3, 1], [0, 1]], [[1, 0], [0, 1]]],
+            [[[1, 0], [0, 1]], [[1, 3], [0, 1]]],
+            "obstructed: class 1 in H2 of the corner module",
+        ),
+    ],
+)
+def test_cli_glue_obstruction_line(tmp_path, capsys, ring, e_rows, f_rows, line):
+    e, f = tmp_path / "e.rep", tmp_path / "f.rep"
+    e.write_text(save_rep(Flag.from_rows(ring, 1, e_rows)))
+    f.write_text(save_rep(Flag.from_rows(ring, 1, f_rows)))
+    assert main(["glue", str(e), str(f)]) == 2
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_cli_lift_class_round_trip(tmp_path, capsys):

@@ -197,6 +197,26 @@ def test_cup_graded_antisymmetry():
         assert CohClass(t_ab, 2, tuple(swapped)) == uv.scale(-1)
 
 
+# sha256 over repr((vector, module)) of every cup(u, v) below: seeded cocycle
+# pairs on a rank-1 flag segment, a flag module and its adjoint, all ordered
+# pairs of the three; any change to the chain-level cup changes it
+CUP_DIGEST = "acdfbb93e2d24d4e69ad6c62238113cef6144f3f4bb01405ea5c4a7eca5fe659"
+
+
+def test_cup_chain_level_digest():
+    digest = hashlib.sha256()
+    for p, r, genus in itertools.product((2, 3), (1, 2), (1, 2)):
+        rng = random.Random(f"cup-{p}-{r}-{genus}")
+        flag = gen_random_flag(p, r, 2, genus, seed=p + r + genus)
+        mod = flag.as_module()
+        mods = (flag.segment(0, 1).as_module(), mod, hom_module(mod, mod))
+        for a, b in itertools.product(mods, repeat=2):
+            for _ in range(2):
+                c = cup(rand_cocycle(complex_of(a), rng), rand_cocycle(complex_of(b), rng))
+                digest.update(repr((c.vector, c.cx.module)).encode())
+    assert digest.hexdigest() == CUP_DIGEST, "chain-level cup products changed"
+
+
 # -- extensions ----------------------------------------------------------------
 
 
