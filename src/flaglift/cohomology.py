@@ -10,7 +10,9 @@ value of its crossed extension on the relator (a stacked matrix of Fox
 derivative evaluations).  H^0 = ker d0, H^1 = ker d1 / im d0 and
 H^2 = coker d1; class arithmetic, cup products, extension classes and the
 connecting map of a short exact sequence of modules all reduce to the
-Z/p^r solvers in zmod.
+Z/p^r solvers in zmod.  Building ``d1`` is the only walk along the relator:
+the connecting map applies the middle module's cached ``d1``, and a cup
+product is a connecting image (see ``cup``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Sequence
 from .surface import (
     GModule,
     _diagonal_block,
-    crossed_value,
     hom_mat,
     hom_module,
     hom_vec,
@@ -36,7 +37,6 @@ from .zmod import (
     SpanReducer,
     cokernel_data,
     quotient_data,
-    tensor_vec,
     vec_add,
     vec_mod,
     vec_scale,
@@ -124,7 +124,7 @@ class CochainComplex:
 
 
 # Complexes kept by ``complex_of``; a traced lift-battery pass holds at
-# most 245 of them, so this bound evicts nothing on any benchmark workload.
+# most 255 of them, so this bound evicts nothing on any benchmark workload.
 COMPLEX_CACHE_BOUND = 1024
 
 
@@ -236,47 +236,23 @@ def h_groups(module: GModule) -> CohomologyReport:
 def cup(u: CohClass, v: CohClass) -> CohClass:
     """Cup product of two degree-1 classes, valued in the tensor module.
 
-    Chain level evaluation on the relator: walking the relator letters, each
-    step contributes u(prefix) tensor prefix.v(letter), and each inverse
-    letter s^-1 at prefix q additionally contributes q.(u(s) tensor v(s)).
-    The extra terms are what the section-times-section expansion of the
-    extension product produces on inverse letters; dropping them breaks
-    antisymmetry (and the symplectic Gram matrix) already for g = 1.
+    u is the class of the extension E_u of the trivial line by A on which g
+    acts by [[A_g, u(g)], [0, 1]] (built by the public constructor, so its
+    relator is checked), and u cup v is the connecting image of v in
+    0 -> A (x) B -> E_u (x) B -> B -> 0, read off the ``d1`` of E_u (x) B.
     """
     if u.degree != 1 or v.degree != 1:
         raise ValueError("cup is defined on degree-1 classes")
     a, b = u.cx.module, v.cx.module
     if (a.ring, a.genus) != (b.ring, b.genus):
         raise ValueError("cup factors must share ring and genus")
-    ring = a.ring
-    t_mod = tensor_module(a, b)
-    uvals = u.values()
-    vvals = v.values()
-    total = t_mod.zero()
-    uacc = a.zero()
-    a_acc = RMatrix.identity(ring, a.rank)
-    b_acc = RMatrix.identity(ring, b.rank)
-    for t in a.presentation.relator():
-        k = abs(t) - 1
-        if t > 0:
-            vt = vvals[k]
-        else:
-            vt = vec_scale(ring, -1, b.inverses[k].apply(vvals[k]))
-        total = vec_add(ring, total, tensor_vec(ring, uacc, b_acc.apply(vt)))
-        if t > 0:
-            uacc = vec_add(ring, uacc, a_acc.apply(uvals[k]))
-            a_acc = a_acc @ a.acts[k]
-            b_acc = b_acc @ b.acts[k]
-        else:
-            uacc = vec_add(
-                ring, uacc, vec_scale(ring, -1, (a_acc @ a.inverses[k]).apply(uvals[k]))
-            )
-            a_acc = a_acc @ a.inverses[k]
-            b_acc = b_acc @ b.inverses[k]
-            total = vec_add(
-                ring, total, tensor_vec(ring, a_acc.apply(uvals[k]), b_acc.apply(vvals[k]))
-            )
-    return CohClass(complex_of(t_mod), 2, total)
+    last = [0] * a.rank + [1]
+    acts = tuple(
+        RMatrix.from_rows(a.ring, [[*m.row(i), x] for i, x in enumerate(ug)] + [last])
+        for m, ug in zip(a.acts, u.values())
+    )
+    e_u = GModule(a.ring, a.genus, acts)
+    return connecting(coordinate_extension(tensor_module(e_u, b), a.rank * b.rank), v)
 
 
 @dataclass(frozen=True)
@@ -379,11 +355,11 @@ def split_section(ext: ExtensionData) -> SplitResult:
 
 
 def connecting(ext: ExtensionData, v: CohClass) -> CohClass:
-    """H^1(quotient) -> H^2(sub): lift by the section, evaluate the relator."""
+    """H^1(quotient) -> H^2(sub): lift by the section, apply the total's d1."""
     if v.degree != 1 or v.cx.module != ext.quotient:
         raise ValueError("need a degree-1 class in the quotient module")
     lifted = [ext.sub.zero() + val for val in v.values()]
-    w = crossed_value(ext.total, lifted, ext.total.presentation.relator())
+    w = complex_of(ext.total).d1.apply(stack(lifted))
     n_sub = ext.sub.rank
     if any(w[n_sub:]):
         raise AssertionError("relator value must land in the sub")

@@ -18,9 +18,11 @@ blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
 diagonal blocks of block upper triangular actions (flag segments and the
 ends of a coordinate extension).
 
-The relator walk inverts every generator, which is also the invertibility
-check: a singular generator raises a plain ``ValueError`` naming it before
-any ``RelatorError``.  A checked object keeps those inverses.  A derived
+The relator check is this module's only walk along the relator (cochain
+values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
+every generator, which is also the invertibility check: a singular
+generator raises a plain ``ValueError`` naming it before any
+``RelatorError``.  A checked object keeps those inverses.  A derived
 object records a function that works its inverses out from its source's
 when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar, Union
 
-from .zmod import RingSpec, RMatrix, vec_add, vec_mod, vec_scale
+from .zmod import RingSpec, RMatrix
 
 Word = tuple[int, ...]
 
@@ -272,31 +274,3 @@ def hom_mat(ring: RingSpec, w: Sequence[int], rank_a: int, rank_c: int) -> RMatr
         rank_c,
         tuple(w[j * rank_a + i] % ring.modulus for i in range(rank_a) for j in range(rank_c)),
     )
-
-
-# -- crossed (twisted) cochain values ----------------------------------------
-
-
-def crossed_value(
-    module: GModule, values: Sequence[Sequence[int]], word: Sequence[int]
-) -> tuple[int, ...]:
-    """Extend generator values to a word by c(uv) = c(u) + u.c(v).
-
-    ``values[k]`` is c(generator k+1); inverses follow from
-    c(s^-1) = -s^-1.c(s).
-    """
-    ring = module.ring
-    acc = module.zero()
-    pref = RMatrix.identity(ring, module.rank)
-    for t in word:
-        k = abs(t) - 1
-        if t > 0:
-            step = vec_mod(ring, values[k])
-            acc = vec_add(ring, acc, pref.apply(step))
-            pref = pref @ module.acts[k]
-        else:
-            inv = module.inverses[k]
-            step = vec_scale(ring, -1, inv.apply(values[k]))
-            acc = vec_add(ring, acc, pref.apply(step))
-            pref = pref @ inv
-    return acc

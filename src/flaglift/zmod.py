@@ -171,12 +171,6 @@ def vec_scale(ring: RingSpec, c: int, v: Sequence[int]) -> tuple[int, ...]:
     return tuple((c * a) % m for a in v)
 
 
-def tensor_vec(ring: RingSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """Kronecker pairing (u tensor v)[i*len(v) + j] = u[i] * v[j]."""
-    m = ring.modulus
-    return tuple((a * b) % m for a in u for b in v)
-
-
 @dataclass(frozen=True)
 class RMatrix:
     """Immutable matrix over Z/p^r with row-major tuple storage."""

@@ -1,0 +1,35 @@
+"""An independent walk along a word, to check the Fox matrix ``d1`` against.
+
+``crossed_value`` extends generator values letter by letter; the package
+itself reads every relator value off ``CochainComplex.d1``.
+"""
+
+from typing import Sequence
+
+from flaglift.surface import GModule
+from flaglift.zmod import RMatrix, vec_add, vec_mod, vec_scale
+
+
+def crossed_value(
+    module: GModule, values: Sequence[Sequence[int]], word: Sequence[int]
+) -> tuple[int, ...]:
+    """Extend generator values to a word by c(uv) = c(u) + u.c(v).
+
+    ``values[k]`` is c(generator k+1); inverses follow from
+    c(s^-1) = -s^-1.c(s).
+    """
+    ring = module.ring
+    acc = module.zero()
+    pref = RMatrix.identity(ring, module.rank)
+    for t in word:
+        k = abs(t) - 1
+        if t > 0:
+            step = vec_mod(ring, values[k])
+            acc = vec_add(ring, acc, pref.apply(step))
+            pref = pref @ module.acts[k]
+        else:
+            inv = module.inverses[k]
+            step = vec_scale(ring, -1, inv.apply(values[k]))
+            acc = vec_add(ring, acc, pref.apply(step))
+            pref = pref @ inv
+    return acc

@@ -26,7 +26,6 @@ from flaglift.surface import (
     GModule,
     SurfaceRep,
     char_module,
-    crossed_value,
     hom_mat,
     hom_module,
     hom_vec,
@@ -34,6 +33,7 @@ from flaglift.surface import (
     trivial_module,
 )
 from flaglift.zmod import RingSpec, RMatrix
+from relator_walk import crossed_value
 
 
 def rand_invertible(ring, n, rng):
@@ -160,7 +160,7 @@ def test_demushkin_report(p, genus):
 
 
 def test_cup_kills_coboundaries_and_is_bilinear():
-    # the inverse-letter corrections are exactly what makes this pass
+    # cup is a connecting map, so coboundaries of either factor die in H^2
     ring = RingSpec(3, 2)
     rng = random.Random(91)
     for _ in range(8):

@@ -8,7 +8,7 @@ import pytest
 from test_acceptance import _GRID, LIFT_DIGESTS
 
 from flaglift import flags, stats
-from flaglift.cohomology import split_section
+from flaglift.cohomology import h_groups, split_section
 from flaglift.flags import (
     Flag,
     index_of,
@@ -21,7 +21,7 @@ from flaglift.lifting import lift_kummer, lift_kummer_truncation
 from flaglift.oracle import gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.stats import current, session
-from flaglift.surface import SurfaceRep
+from flaglift.surface import SurfaceRep, hom_module
 from flaglift.zmod import RingSpec, RMatrix
 
 
@@ -230,6 +230,38 @@ def battery_digests():
         for out in (lift_kummer(f), lift_kummer_truncation(f), lift_kummer_truncation(f.dual())):
             d9.update(save_rep(out).encode())
     return {5: d5.hexdigest(), 9: d9.hexdigest()}
+
+
+def handle_moved(flag, first):
+    """``flag`` under (x1, y1) -> (x1 y1, y1) or (x1, y1) -> (x1, y1 x1), rebuilt and checked.
+
+    Both substitutions fix x1 y1 x1^-1 y1^-1, so they are automorphisms of
+    the surface group and the moved matrices satisfy the relator again.
+    """
+    x, y, *rest = flag.mats
+    pair = (x @ y, y) if first else (x, y @ x)
+    return Flag(SurfaceRep(flag.ring, flag.genus, pair + tuple(rest)))
+
+
+def test_invariants_and_verdicts_survive_handle_moves():
+    def invariants(flag):
+        mod = flag.as_module()
+        reports = [h_groups(m) for m in (mod, hom_module(mod, mod))]
+        groups = [(h.h0.invariants, h.h1.invariants, h.h2.invariants) for h in reports]
+        return groups, is_kummer(flag), is_kummer(flag, strict_chars=False), is_wound(flag)
+
+    seen, moved_apart = set(), 0
+    for p, genus, d, kind, seed in itertools.product((2, 3), (1, 2), (2, 3), ("any", "kummer"), range(2)):
+        flag = gen_random_flag(p, 2, d, genus, kind=kind, seed=seed)
+        before = invariants(flag)
+        for first in (True, False):
+            moved = handle_moved(flag, first)
+            moved_apart += moved != flag
+            assert invariants(moved) == before, (p, genus, d, kind, seed, first)
+        seen.add((before[1].ok, before[3]))
+    # the moves change the matrices, and the battery reaches both verdicts of each predicate
+    assert moved_apart >= 60
+    assert {k for k, _ in seen} == {True, False} and {w for _, w in seen} == {True, False}
 
 
 def test_lift_digests_agree_in_a_fresh_and_a_warm_session():

@@ -11,7 +11,6 @@ from flaglift.surface import (
     RelatorError,
     SurfaceRep,
     char_module,
-    crossed_value,
     dual_module,
     hom_mat,
     hom_module,
@@ -20,6 +19,7 @@ from flaglift.surface import (
     trivial_module,
 )
 from flaglift.zmod import RingSpec, RMatrix, vec_add
+from relator_walk import crossed_value
 
 
 def test_relator_shape():

@@ -337,6 +337,22 @@ def module_level_subscript_writes(tree):
                     yield node.lineno
 
 
+def relator_calls(tree):
+    """(enclosing class and function names, line) of every ``.relator()`` call."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "relator":
+                yield ".".join(scope), child.lineno
+            yield from walk(child, scope)
+
+    return list(walk(tree, ()))
+
+
 def test_guards_flag_the_patterns_they_forbid():
     bad = ast.parse(
         "import functools\nfrom functools import cache, lru_cache\n_MEMO = {}\n"
@@ -351,6 +367,12 @@ def test_guards_flag_the_patterns_they_forbid():
         "def f(x):\n    _T = {}\n    _T[x] = 1\n    return _T\n"
     )
     assert not list(unbounded_caches(ok)) and not list(module_level_subscript_writes(ok))
+    walks = ast.parse(
+        "class C:\n    def d1(self):\n        return self.p.relator()\n"
+        "def f(p):\n    g = lambda: p.relator()\n    return [t for t in Presentation(1).relator()]\n"
+        "relator()\nx.relator\n"
+    )
+    assert relator_calls(walks) == [("C.d1", 3), ("f", 5), ("f", 6)]
 
 
 def test_no_unbounded_or_hidden_global_memo():
@@ -364,3 +386,26 @@ def test_no_unbounded_or_hidden_global_memo():
         if path.name != "stats.py":
             lines = list(module_level_subscript_writes(tree))
             assert not lines, f"{rel} writes into a module-level name at lines {lines}"
+
+
+# -- tooling guard: one relator walk ------------------------------------------------
+
+# The relator check and the Fox matrix are the only walks in the package; every
+# other relator value is read off ``d1``.  The oracle keeps its own walk on
+# purpose, so that it stays independent of the code it checks.
+_RELATOR_WALKS = {
+    "src/flaglift/surface.py": {"_relator_product"},
+    "src/flaglift/cohomology.py": {"CochainComplex.d1"},
+}
+
+
+def test_only_the_check_and_d1_walk_the_relator():
+    seen = set()
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        rel = path.relative_to(_ROOT).as_posix()
+        if path.name == "oracle.py":
+            continue
+        for scope, line in relator_calls(ast.parse(path.read_text(), str(path))):
+            assert scope in _RELATOR_WALKS.get(rel, ()), f"{rel}:{line} ({scope}) walks the relator"
+            seen.add((rel, scope))
+    assert seen == {(rel, s) for rel, scopes in _RELATOR_WALKS.items() for s in scopes}
