@@ -22,7 +22,8 @@ The relator check is this module's only walk along the relator (cochain
 values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
 every generator, which is also the invertibility check: a singular
 generator raises a plain ``ValueError`` naming it before any
-``RelatorError``.  A checked object keeps those inverses.  A derived
+``RelatorError``.  The walk starts at the first letter, not the identity,
+so it makes 4g - 1 products.  A checked object keeps those inverses.  A derived
 object records a function that works its inverses out from its source's
 when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
@@ -34,6 +35,8 @@ the index-reversed transposed generators (``Flag.dual``).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -83,6 +86,7 @@ def _relator_product(
     """Product of the square matrices ``mats`` along the relator word, and their inverses.
 
     A singular matrix raises ValueError naming it, before the walk starts.
+    The product starts at the first letter: 4g - 1 matmuls.
     """
     inv = []
     for i, m in enumerate(mats):
@@ -90,10 +94,8 @@ def _relator_product(
             inv.append(m.inverse())
         except ZeroDivisionError:
             raise ValueError(f"generator matrix {i + 1} is not invertible") from None
-    acc = RMatrix.identity(ring, mats[0].rows)
-    for t in Presentation(genus).relator():
-        acc = acc @ (mats[t - 1] if t > 0 else inv[-t - 1])
-    return acc, tuple(inv)
+    word = (mats[t - 1] if t > 0 else inv[-t - 1] for t in Presentation(genus).relator())
+    return functools.reduce(operator.matmul, word), tuple(inv)
 
 
 def _check_relator(

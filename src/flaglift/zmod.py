@@ -248,7 +248,9 @@ class RMatrix:
         return all(x == 0 for x in self.entries)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == RMatrix.identity(self.ring, self.rows)
+        # least residues: n ones on the diagonal and an entry sum of n leave only zeros off it
+        n, ents = self.rows, self.entries
+        return n == self.cols and ents[:: n + 1].count(1) == n == sum(ents)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -389,30 +391,40 @@ class RMatrix:
         return True
 
     def inverse(self) -> "RMatrix":
-        """Inverse by Gauss-Jordan; a unit pivot exists in every column."""
+        """Inverse by forward elimination on unit pivots, then back substitution.
+
+        Forward: in column c keep a[c][c] if it is a unit, else swap in the
+        first row below with a unit there (none: not invertible), and clear
+        the column below the pivot; on upper triangular input this reads
+        only zeros.  Back, last row first, in place of the right-hand side:
+        row_i(X) = a_ii^-1 (b_i - sum_{k>i} a_ik row_k(X)).
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        ring = self.ring
-        m = ring.modulus
-        n = self.rows
-        a = self.to_lists()
-        b = RMatrix.identity(ring, n).to_lists()
+        p, m, n = self.ring.p, self.ring.modulus, self.rows
+        ents = self.entries
+        a = [ents[i * n : (i + 1) * n] for i in range(n)]
+        b = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        units = []
         for c in range(n):
-            piv = next((i for i in range(c, n) if ring.is_unit(a[i][c])), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is not invertible")
-            a[c], a[piv] = a[piv], a[c]
-            b[c], b[piv] = b[piv], b[c]
-            u = ring.inv(a[c][c])
-            a[c] = [(u * x) % m for x in a[c]]
-            b[c] = [(u * x) % m for x in b[c]]
-            for i in range(n):
-                if i == c or a[i][c] == 0:
-                    continue
-                f = a[i][c]
-                a[i] = [(x - f * y) % m for x, y in zip(a[i], a[c])]
-                b[i] = [(x - f * y) % m for x, y in zip(b[i], b[c])]
-        return _trusted_matrix(ring, n, n, tuple(itertools.chain.from_iterable(b)))
+            if a[c][c] % p == 0:
+                piv = next((i for i in range(c + 1, n) if a[i][c] % p), None)
+                if piv is None:
+                    raise ZeroDivisionError("matrix is not invertible")
+                a[c], a[piv], b[c], b[piv] = a[piv], a[c], b[piv], b[c]
+            units.append(u := pow(a[c][c], -1, m))
+            for i in range(c + 1, n):
+                if f := a[i][c]:
+                    f = f * u % m
+                    a[i] = [(x - f * y) % m for x, y in zip(a[i], a[c])]
+                    b[i] = [(x - f * y) % m for x, y in zip(b[i], b[c])]
+        for i in reversed(range(n)):
+            row, u = b[i], units[i]
+            for k in range(i + 1, n):
+                if f := a[i][k]:
+                    row = [x - f * y for x, y in zip(row, b[k])]
+            b[i] = [u * x % m for x in row]
+        return _trusted_matrix(self.ring, n, n, tuple(itertools.chain.from_iterable(b)))
 
 
 def _trusted_matrix(ring: RingSpec, rows: int, cols: int, entries: tuple[int, ...]) -> RMatrix:

@@ -243,6 +243,21 @@ def handle_moved(flag, first):
     return Flag(SurfaceRep(flag.ring, flag.genus, pair + tuple(rest)))
 
 
+def conjugated(flag, rng):
+    """``flag`` with every generator conjugated by a random invertible upper triangular T, rebuilt and checked.
+
+    T keeps the standard flag, so this is a change of basis of the filtered module.
+    """
+    ring, d = flag.ring, flag.d
+    units = [x for x in range(1, ring.modulus) if x % ring.p]
+    t = RMatrix(ring, d, d, tuple(
+        rng.choice(units) if i == j else rng.randrange(ring.modulus) * (j > i)
+        for i in range(d) for j in range(d)
+    ))
+    t_inv = t.inverse()
+    return Flag(SurfaceRep(ring, flag.genus, tuple(t_inv @ m @ t for m in flag.mats)))
+
+
 def test_invariants_and_verdicts_survive_handle_moves():
     def invariants(flag):
         mod = flag.as_module()
@@ -250,7 +265,8 @@ def test_invariants_and_verdicts_survive_handle_moves():
         groups = [(h.h0.invariants, h.h1.invariants, h.h2.invariants) for h in reports]
         return groups, is_kummer(flag), is_kummer(flag, strict_chars=False), is_wound(flag)
 
-    seen, moved_apart = set(), 0
+    seen, moved_apart, conjugated_apart = set(), 0, 0
+    rng = random.Random(2403)
     for p, genus, d, kind, seed in itertools.product((2, 3), (1, 2), (2, 3), ("any", "kummer"), range(2)):
         flag = gen_random_flag(p, 2, d, genus, kind=kind, seed=seed)
         before = invariants(flag)
@@ -258,9 +274,13 @@ def test_invariants_and_verdicts_survive_handle_moves():
             moved = handle_moved(flag, first)
             moved_apart += moved != flag
             assert invariants(moved) == before, (p, genus, d, kind, seed, first)
+        based = conjugated(flag, rng)
+        conjugated_apart += based != flag
+        assert invariants(based) == before, (p, genus, d, kind, seed, "change of basis")
         seen.add((before[1].ok, before[3]))
     # the moves change the matrices, and the battery reaches both verdicts of each predicate
     assert moved_apart >= 60
+    assert conjugated_apart >= 24  # T commutes with some generator tuples
     assert {k for k, _ in seen} == {True, False} and {w for _, w in seen} == {True, False}
 
 

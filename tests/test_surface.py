@@ -77,6 +77,28 @@ def test_validation_inverses_are_handed_on(monkeypatch):
         assert inverses == tuple(m.inverse() for m in source), name
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_a_checked_construction_makes_4g_minus_1_products(monkeypatch, genus):
+    # the walk starts at x1, not at I @ x1, and inverts each generator once
+    mats = gen_random_flag(3, 2, 3, genus, seed=genus).mats
+    ring = mats[0].ring
+    calls = {"matmul": 0, "inverse": 0}
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(RMatrix, "__matmul__", counting("matmul", RMatrix.__matmul__))
+    monkeypatch.setattr(RMatrix, "inverse", counting("inverse", RMatrix.inverse))
+    for cls in (SurfaceRep, GModule):
+        before = dict(calls)
+        cls(ring, genus, mats)
+        assert calls["matmul"] - before["matmul"] == 4 * genus - 1, cls
+        assert calls["inverse"] - before["inverse"] == 2 * genus, cls
+
+
 def commuting_pair_rep(ring, rng, n=2):
     """A genus-1 representation from a random matrix and a power of it."""
     while True:

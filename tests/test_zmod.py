@@ -132,6 +132,74 @@ def test_matmul_and_inverse(ring):
         assert (a @ ai).is_identity() and (ai @ a).is_identity()
 
 
+def unit_upper(ring, n, rng, unipotent=False):
+    """A random upper triangular matrix with unit (or all-one) diagonal."""
+    units = [x for x in range(1, ring.modulus) if x % ring.p]
+    return RMatrix(ring, n, n, tuple(
+        (1 if unipotent else rng.choice(units)) if i == j else rng.randrange(ring.modulus) * (j > i)
+        for i in range(n) for j in range(n)
+    ))
+
+
+def permutation(ring, perm):
+    """The matrix sending row perm[i] of a matrix to row i."""
+    n = len(perm)
+    return RMatrix(ring, n, n, tuple(int(j == perm[i]) for i in range(n) for j in range(n)))
+
+
+def structured_inputs(ring, n, rng):
+    """Invertible inputs of the shapes the inverse meets, and of the ones that force a row swap."""
+    upper = unit_upper(ring, n, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if n >= 2 and perm == sorted(perm):
+        perm[0], perm[1] = perm[1], perm[0]
+    # rows c, c+1 mixed by [[p, 1], [1, 0]] (determinant -1): a[c][c] is p times a
+    # unit and the unit a[c+1][c] lies below it
+    mix = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n >= 2:
+        c = rng.randrange(n - 1)
+        mix[c][c], mix[c][c + 1], mix[c + 1][c], mix[c + 1][c + 1] = ring.p, 1, 1, 0
+    lower, other = unit_upper(ring, n, rng).transpose(), unit_upper(ring, n, rng)
+    return {
+        "upper": upper,
+        "unipotent": unit_upper(ring, n, rng, unipotent=True),
+        "lower": lower,
+        "row-permuted upper": permutation(ring, perm) @ upper,
+        "non-unit diagonal, unit below": RMatrix.from_rows(ring, mix) @ upper if n else upper,
+        "dense": lower @ permutation(ring, perm) @ other,
+    }
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_inverse_of_structured_inputs(ring):
+    rng = random.Random(131)
+    for n in (0, 1, 2, 3, 4, 6, 9, 16):
+        eye = RMatrix.identity(ring, n)
+        for _ in range(3):
+            for kind, a in structured_inputs(ring, n, rng).items():
+                ai = a.inverse()
+                assert a @ ai == eye and ai @ a == eye, (kind, n)
+            if n == 0:
+                continue
+            # one non-unit diagonal entry makes a triangular matrix singular
+            k, cut = rng.randrange(n), ring.p * rng.randrange(ring.modulus // ring.p)
+            for tri in (unit_upper(ring, n, rng), unit_upper(ring, n, rng).transpose()):
+                ents = list(tri.entries)
+                ents[k * (n + 1)] = cut
+                with pytest.raises(ZeroDivisionError):
+                    RMatrix(ring, n, n, tuple(ents)).inverse()
+            # row k a combination of the others plus a p-multiple: dependent mod p
+            rows = structured_inputs(ring, n, rng)["dense"].to_lists()
+            coeffs = [rng.randrange(ring.modulus) * (i != k) for i in range(n)]
+            rows[k] = [
+                sum(c * row[j] for c, row in zip(coeffs, rows)) + ring.p * rng.randrange(ring.modulus)
+                for j in range(n)
+            ]
+            with pytest.raises(ZeroDivisionError):
+                RMatrix.from_rows(ring, rows).inverse()
+
+
 def leibniz_det(a):
     """det(a) mod p^r by the Leibniz sum over permutations."""
     n, total = a.rows, 0
