@@ -23,9 +23,9 @@ values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
 every generator, which is also the invertibility check: a singular
 generator raises a plain ``ValueError`` naming it before any
 ``RelatorError``.  The walk starts at the first letter, not the identity,
-so it makes 4g - 1 products.  A checked object keeps those inverses.  A derived
-object records a function that works its inverses out from its source's
-when ``inverses`` is first read: the same (``as_module``),
+so it makes 4g - 1 products.  A checked object keeps those inverses.  A
+derived object records a function that works its inverses out from its
+source's when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
 ``x.kron(y)`` over ``a.inverses`` and ``b.inverses`` (``tensor_module(a, b)``,
 so ``hom_module``), the same diagonal block (``Flag.segment`` and the ends

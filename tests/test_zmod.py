@@ -166,7 +166,7 @@ def structured_inputs(ring, n, rng):
         "unipotent": unit_upper(ring, n, rng, unipotent=True),
         "lower": lower,
         "row-permuted upper": permutation(ring, perm) @ upper,
-        "non-unit diagonal, unit below": RMatrix.from_rows(ring, mix) @ upper if n else upper,
+        "non-unit diagonal, unit below": RMatrix.from_rows(ring, mix) @ upper,
         "dense": lower @ permutation(ring, perm) @ other,
     }
 
