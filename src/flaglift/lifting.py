@@ -7,7 +7,9 @@ small mod-p^s coefficient module, and, when that class vanishes, corrects
 candidate g by the twist I + scale * N_g, where N_g holds generator g's
 part of a solution x of d1 x = -cochain along the support.  The corrected
 candidates form a torsor under these twists.  ``_torsor_step`` is that
-step and ``_twist`` applies a twist as row operations.  The engines:
+step: it returns a ``LiftOutcome``, the corrected flag (built, and its
+relator walked, once) or the obstruction class.  ``_twist`` applies a
+twist as row operations.  The engines:
 
 * ``glue``: extend two overlapping d-flags to a (d+1)-flag (same level),
   obstruction in the rank-1 corner module,
@@ -16,12 +18,17 @@ step and ``_twist`` applies a twist as row operations.  The engines:
 * ``gluift``: glue two already-lifted flags over a base one level down,
   obstruction in the rank-1 corner module mod p,
 * ``lift_wound_kummer``: obstruction-free lifting of wound flags with
-  Teichmuller characters, with the cup-solving corner adjustment,
+  Teichmuller characters, pinning the truncation, with the cup-solving
+  corner adjustment,
 * ``lift_kummer``: obstruction-free lifting of Kummer flags, pinning the
-  quotient (extend-quotient) or the truncation (extend-truncation) to a
-  supplied lift, exactly,
+  quotient (``lift_kummer_truncation``: the truncation, through duality),
 * ``lift_h1_class``: lift a mod-p degree-1 class through the tower of a
   Kummer flag.
+
+The two obstruction-free engines check their input predicate, their
+pinned part (``_check_pinned``) and their output predicate once, then run
+a private recursion that trusts every part it derives.  Its d <= 1 base
+case is the Teichmuller lift of the diagonal.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .zmod import LinearSolver, RingSpec, RMatrix, _dense, span_coefficients, te
 
 def relator_defect(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
     """Product of the candidate matrices along the relator, minus identity."""
-    acc, _ = _relator_product(ring, genus, mats)
+    acc, _ = _relator_product(genus, mats)
     return acc - RMatrix.identity(ring, mats[0].rows)
 
 
@@ -83,10 +90,22 @@ def _twist(
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class LiftOutcome:
+    """A lifted flag, or the degree-2 obstruction class that no twist removes."""
+
+    flag: Flag | None
+    obstruction: CohClass | None
+
+    @property
+    def lifted(self) -> bool:
+        return self.flag is not None
+
+
 def _torsor_step(
     cand: Sequence[RMatrix], genus: int, support: Sequence[tuple[int, int]], scale: int, module: GModule
-) -> tuple[tuple[RMatrix, ...] | None, CohClass | None]:
-    """The twisted relator-exact candidates, or the obstruction class in ``module``.
+) -> LiftOutcome:
+    """The flag of the twisted relator-exact candidates, or the obstruction class in ``module``.
 
     The defect of ``cand`` must vanish off ``support`` and be divisible by
     ``scale`` on it; (defect // scale) along the support, mod the module's
@@ -102,20 +121,9 @@ def _torsor_step(
     cx = complex_of(module)
     sol = cx.d1_solver.solve(tuple(-x % q for x in vec))
     if sol is None:
-        return None, CohClass(cx, 2, vec)
-    return _twist(cand, support, scale, unstack(sol, len(support), len(cand))), None
-
-
-@dataclass(frozen=True)
-class LiftOutcome:
-    """A lifted flag, or the degree-2 obstruction class that no twist removes."""
-
-    flag: Flag | None
-    obstruction: CohClass | None
-
-    @property
-    def lifted(self) -> bool:
-        return self.flag is not None
+        return LiftOutcome(None, CohClass(cx, 2, vec))
+    mats = _twist(cand, support, scale, unstack(sol, len(support), len(cand)))
+    return LiftOutcome(Flag(SurfaceRep(cand[0].ring, genus, mats)), None)
 
 
 def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:
@@ -143,16 +151,12 @@ def glued_mats(e: Flag, f: Flag, top: Sequence[int]) -> list[RMatrix]:
 # glue at a fixed level
 
 
-@dataclass(frozen=True)
-class GlueOutcome:
+class GlueOutcome(LiftOutcome):
     """Either a glued flag with identity overlap witness, or an obstruction."""
-
-    flag: Flag | None
-    obstruction: CohClass | None
 
     @property
     def glued(self) -> bool:
-        return self.flag is not None
+        return self.lifted
 
 
 def glue(e: Flag, f: Flag) -> GlueOutcome:
@@ -170,13 +174,10 @@ def glue(e: Flag, f: Flag) -> GlueOutcome:
     d = e.d
     corner = _corner_module(ring, e.genus, e.char(1), f.char(d))
     cand = glued_mats(e, f, (0,) * (2 * e.genus))
-    mats, obstruction = _torsor_step(cand, e.genus, [(0, d)], 1, corner)
-    if mats is None:
-        return GlueOutcome(None, obstruction)
-    flag = Flag(SurfaceRep(ring, e.genus, mats))
-    if flag.truncate() != e or flag.quotient_by_first() != f:
+    out = _torsor_step(cand, e.genus, [(0, d)], 1, corner)
+    if out.lifted and (out.flag.truncate() != e or out.flag.quotient_by_first() != f):
         raise AssertionError("glued flag must contain both parts verbatim")
-    return GlueOutcome(flag, None)
+    return GlueOutcome(out.flag, out.obstruction)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,10 @@ def strict_upper_module(bar: Flag) -> GModule:
 
 
 def least_char_lift(f: Flag, target_r: int) -> tuple[tuple[int, ...], ...]:
+    """f's own diagonal characters, as least residues: the ``lift_rep`` seed.
+
+    ``target_r`` is ignored; the benchmark and the scripts pass it.
+    """
     return f.chars()
 
 
@@ -226,26 +231,17 @@ def lift_rep(f: Flag, chars_next: Sequence[Sequence[int]]) -> LiftOutcome:
             if chars_next[i][g] % up.p == 0:
                 raise ValueError("character values must be units")
     cand = []
-    for g in range(n_gens):
-        rows = [
-            [
-                (chars_next[i][g] if i == j else f.mats[g].entry(i, j)) % up.modulus
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
+    for g, m in enumerate(f.mats):
+        rows = [[(chars_next[i][g] if i == j else m.entry(i, j)) % up.modulus for j in range(d)]
+                for i in range(d)]
         cand.append(RMatrix.from_rows(up, rows))
     endo = strict_upper_module(f.reduce_to(1))
-    mats, obstruction = _torsor_step(cand, f.genus, upper_pairs(d), ring.modulus, endo)
-    if mats is None:
-        return LiftOutcome(None, obstruction)
-    flag = Flag(SurfaceRep(up, f.genus, mats))
-    if flag.reduce_to(ring.r) != f:
+    out = _torsor_step(cand, f.genus, upper_pairs(d), ring.modulus, endo)
+    if out.lifted and out.flag.reduce_to(ring.r) != f:
         raise AssertionError("lift must reduce to the input")
-    for i in range(d):
-        if flag.char(i + 1) != tuple(v % up.modulus for v in chars_next[i]):
-            raise AssertionError("lift must carry the prescribed characters")
-    return LiftOutcome(flag, None)
+    if out.lifted and out.flag.chars() != tuple(tuple(v % up.modulus for v in c) for c in chars_next):
+        raise AssertionError("lift must carry the prescribed characters")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +269,15 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> LiftOutcome:
         raise ValueError("f_up does not lift the quotient of the base")
     if e_up.quotient_by_first() != f_up.truncate():
         raise ValueError("overlap mismatch between the lifted parts")
-    corner1 = _corner_module(
-        RingSpec(ring.p, 1),
-        base.genus,
-        tuple(v % ring.p for v in e_up.char(1)),
-        tuple(v % ring.p for v in f_up.char(d)),
-    )
+    mod_p = lambda chi: tuple(v % ring.p for v in chi)
+    corner1 = _corner_module(RingSpec(ring.p, 1), base.genus, mod_p(e_up.char(1)), mod_p(f_up.char(d)))
     cand = glued_mats(e_up, f_up, tuple(m.entry(0, d) for m in base.mats))
-    mats, obstruction = _torsor_step(cand, base.genus, [(0, d)], ring.modulus, corner1)
-    if mats is None:
-        return LiftOutcome(None, obstruction)
-    flag = Flag(SurfaceRep(up, base.genus, mats))
-    if flag.truncate() != e_up or flag.quotient_by_first() != f_up:
+    out = _torsor_step(cand, base.genus, [(0, d)], ring.modulus, corner1)
+    if out.lifted and (out.flag.truncate() != e_up or out.flag.quotient_by_first() != f_up):
         raise AssertionError("gluift output must contain both parts verbatim")
-    if flag.reduce_to(ring.r) != base:
+    if out.lifted and out.flag.reduce_to(ring.r) != base:
         raise AssertionError("gluift output must reduce to the base")
-    return LiftOutcome(flag, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,85 +294,86 @@ class WoundLiftResult:
     adjusted: bool
 
 
-def _empty_flag(ring: RingSpec, genus: int) -> Flag:
-    return Flag(SurfaceRep(ring, genus, tuple(RMatrix.zeros(ring, 0, 0) for _ in range(2 * genus))))
+def _check_pinned(pinned: Flag, part: Flag, name: str) -> None:
+    """Reject a pinned part that does not lift ``part`` of the input one level up."""
+    if pinned.ring != RingSpec(part.ring.p, part.ring.r + 1) or pinned.d != part.d:
+        raise ValueError(f"{name} part must live one level above with dimension d-1")
+    if pinned.reduce_to(part.ring.r) != part:
+        raise ValueError(f"{name} part must lift the {name} of the input")
 
 
-def _teich_line(ring: RingSpec, genus: int, chars_mod_p: Sequence[int]) -> Flag:
-    mats = tuple(RMatrix.from_rows(ring, [[teichmuller(ring, v)]]) for v in chars_mod_p)
-    return Flag(SurfaceRep(ring, genus, mats))
+def _teichmuller_diagonal(f: Flag) -> Flag:
+    """The one-level lift of a flag with d <= 1: Teichmuller lifts of its characters.
+
+    This is the identity for the trivial characters of a Kummer flag, and
+    0 x 0 matrices at d = 0.
+    """
+    up = RingSpec(f.ring.p, f.ring.r + 1)
+    mats = tuple(RMatrix.from_rows(up, [[teichmuller(up, m.entry(0, 0))]] if f.d else []) for m in f.mats)
+    out = Flag(SurfaceRep(up, f.genus, mats))
+    if out.reduce_to(f.ring.r) != f:
+        raise AssertionError("the Teichmuller diagonal must lift the input")
+    return out
 
 
-def lift_wound_kummer(f: Flag, flat: Flag | None = None, _verify: bool = True) -> WoundLiftResult:
+def lift_wound_kummer(f: Flag, flat: Flag | None = None) -> WoundLiftResult:
     """Lift a wound flag with Teichmuller characters one level.
 
-    When supplied, ``flat`` pins the truncation of the output; otherwise the
-    truncation is lifted recursively.  If the seeded glue is obstructed the
-    quotient part is twisted in its upper-right corner by p^r times a
-    solution of the cup equation in the leading 2-step subquotient, after
-    which the glue is guaranteed to succeed.
+    When supplied, ``flat`` pins the truncation of the output and must be a
+    wound-Kummer lift of f.truncate(); otherwise the truncation is lifted
+    recursively.  If the seeded glue is obstructed the quotient part is
+    twisted in its upper-right corner by p^r times a solution of the cup
+    equation in the leading 2-step subquotient, after which the glue is
+    guaranteed to succeed.
     """
-    ring = f.ring
-    up = RingSpec(ring.p, ring.r + 1)
-    if _verify and not is_wound_kummer(f):
+    if not is_wound_kummer(f):
         raise ValueError("input flag is not wound with Teichmuller characters")
-    d = f.d
-    n_gens = 2 * f.genus
-    if d == 0:
-        return WoundLiftResult(_empty_flag(up, f.genus), False)
-    if d == 1:
-        out = _teich_line(up, f.genus, tuple(v % ring.p for v in f.char(1)))
-        if out.reduce_to(ring.r) != f:
-            raise AssertionError("character line must lift the input")
-        return WoundLiftResult(out, False)
-    if flat is None:
-        flat = lift_wound_kummer(f.truncate(), None, _verify=False).flag
-    elif flat.ring != up or flat.d != d - 1 or flat.reduce_to(ring.r) != f.truncate():
-        raise ValueError("flat part must lift the truncation one level up")
-    sharp = lift_wound_kummer(f.quotient_by_first(), flat.quotient_by_first(), _verify=False).flag
-    res = gluift(flat, sharp, f)
-    adjusted = False
-    if res.obstruction is not None:
-        if d == 2:
-            raise LiftConsistencyError("rank-2 wound glue must be unobstructed")
-        adjusted = True
-        ring1 = RingSpec(ring.p, 1)
-        seg = f.reduce_to(1).segment(0, 2)
-        chi_bot = tuple(v % ring.p for v in f.char(d))
-        twisted = GModule(
-            ring1,
-            f.genus,
-            tuple(seg.mats[g].scale(ring1.inv(chi_bot[g])) for g in range(n_gens)),
-        )
-        ext = coordinate_extension(twisted, 1)
-        if split_section(ext).splits:
-            raise AssertionError("woundness should make the leading 2-step twist nonsplit")
-        target = CohClass(complex_of(ext.sub), 2, res.obstruction.vector)
-        eps = solve_cup(ext, target)
-        # the corner of sharp's last column moves by sign * p^r * eps * chi_last
-        signed = [(CORNER_TWIST_SIGN * v[0],) for v in eps.values()]
-        mats = _twist(sharp.mats, [(0, sharp.d - 1)], ring.modulus, signed)
-        sharp_adj = Flag(SurfaceRep(up, f.genus, mats))
-        if sharp_adj.truncate() != flat.quotient_by_first():
-            raise AssertionError("corner twist must not disturb the overlap")
-        res = gluift(flat, sharp_adj, f)
-        if res.obstruction is not None:
-            raise LiftConsistencyError("corner twist failed to kill the glue obstruction")
-    out = res.flag
-    if _verify and not is_wound_kummer(out):
+    if flat is not None:
+        _check_pinned(flat, f.truncate(), "truncation")
+        if not is_wound_kummer(flat):
+            raise ValueError("truncation part is not wound with Teichmuller characters")
+    res = _lift_wound(f, flat)
+    if not is_wound_kummer(res.flag):
         raise AssertionError("lift must stay wound with Teichmuller characters")
-    return WoundLiftResult(out, adjusted)
+    return res
+
+
+def _lift_wound(f: Flag, flat: Flag | None) -> WoundLiftResult:
+    """``lift_wound_kummer`` past its boundary checks: trusts f, ``flat`` and what it derives."""
+    if f.d <= 1:
+        return WoundLiftResult(_teichmuller_diagonal(f), False)
+    ring = f.ring
+    if flat is None:
+        flat = _lift_wound(f.truncate(), None).flag
+    sharp = _lift_wound(f.quotient_by_first(), flat.quotient_by_first()).flag
+    res = gluift(flat, sharp, f)
+    if res.lifted:
+        return WoundLiftResult(res.flag, False)
+    if f.d == 2:
+        raise LiftConsistencyError("rank-2 wound glue must be unobstructed")
+    ring1 = RingSpec(ring.p, 1)
+    seg = f.reduce_to(1).segment(0, 2)
+    chi_bot = tuple(v % ring.p for v in f.char(f.d))
+    twisted = GModule(ring1, f.genus, tuple(m.scale(ring1.inv(c)) for m, c in zip(seg.mats, chi_bot)))
+    ext = coordinate_extension(twisted, 1)
+    if split_section(ext).splits:
+        raise AssertionError("woundness should make the leading 2-step twist nonsplit")
+    target = CohClass(complex_of(ext.sub), 2, res.obstruction.vector)
+    eps = solve_cup(ext, target)
+    # the corner of sharp's last column moves by sign * p^r * eps * chi_last
+    signed = [(CORNER_TWIST_SIGN * v[0],) for v in eps.values()]
+    mats = _twist(sharp.mats, [(0, sharp.d - 1)], ring.modulus, signed)
+    sharp_adj = Flag(SurfaceRep(sharp.ring, f.genus, mats))
+    if sharp_adj.truncate() != flat.quotient_by_first():
+        raise AssertionError("corner twist must not disturb the overlap")
+    res = gluift(flat, sharp_adj, f)
+    if not res.lifted:
+        raise LiftConsistencyError("corner twist failed to kill the glue obstruction")
+    return WoundLiftResult(res.flag, True)
 
 
 # ---------------------------------------------------------------------------
 # obstruction-free lifting of Kummer flags (trivial characters)
-
-
-def _require_trivial_chars(f: Flag) -> None:
-    one = (1,) * (2 * f.genus)
-    for i in range(1, f.d + 1):
-        if f.char(i) != one:
-            raise ValueError("Kummer lifting requires trivial diagonal characters")
 
 
 def _pinned_torsor_module(f: Flag) -> GModule:
@@ -402,7 +392,7 @@ def _first_row(d: int) -> list[tuple[int, int]]:
     return [(0, c) for c in range(1, d)]
 
 
-def _pinned_relator_lift(f: Flag, sharp: Flag) -> tuple[RMatrix, ...]:
+def _pinned_relator_lift(f: Flag, sharp: Flag) -> Flag:
     """Some relator-exact lift of ``f`` with quotient block exactly ``sharp``.
 
     The candidate keeps the least residues of f's first row over the sharp
@@ -423,10 +413,10 @@ def _pinned_relator_lift(f: Flag, sharp: Flag) -> tuple[RMatrix, ...]:
             for i in range(1, d):
                 ent[i][j] = sharp.mats[g].entry(i - 1, j - 1)
         cand.append(RMatrix.from_rows(up, ent))
-    mats, _ = _torsor_step(cand, f.genus, _first_row(d), ring.modulus, _pinned_torsor_module(f))
-    if mats is None:
+    out = _torsor_step(cand, f.genus, _first_row(d), ring.modulus, _pinned_torsor_module(f))
+    if not out.lifted:
         raise LiftConsistencyError("no relator-exact lift pins the given quotient part")
-    return mats
+    return out.flag
 
 
 def _row_class_matrix(bar: Flag, k: int, g: int) -> RMatrix:
@@ -530,8 +520,8 @@ class _SplitCondition:
         ])
 
 
-def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
-    """Twist a pinned relator-exact lift until split steps stay split.
+def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
+    """Twist a pinned relator-exact lift ``o0`` until split steps stay split.
 
     Every step (0,j,k) split mod p gives one condition: the lift's (0,1,k)
     step cochain, pulled back through an equivariant section of V_k/V_j ->
@@ -545,12 +535,11 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     without a solution decides nothing and raises KummerInconclusive.
     """
     ring = f.ring
-    up = sharp.ring
+    up = o0.ring
     d = f.d
     n_gens = 2 * f.genus
     p, pr = ring.p, ring.modulus
     bar = f.reduce_to(1)
-    o0_flag = Flag(SurfaceRep(up, f.genus, tuple(o0)))
     l1 = char_module(up, f.genus, (1,) * n_gens)
 
     split1 = [k for k in range(2, d + 1) if segment_extension_splits(bar, 0, 1, k)]
@@ -567,15 +556,15 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     conds = []
     for (j, k) in [(1, k) for k in split1] + sigma_pairs:
         base, torsor = _splitting_grid(bar, j, k)
-        ext = coordinate_extension(o0_flag.segment(0, k).as_module(), 1)
+        ext = coordinate_extension(o0.segment(0, k).as_module(), 1)
         conds.append(_SplitCondition(
             j,
             k,
             extension_class(ext).values(),
             [_row_class_matrix(bar, k, g) for g in range(n_gens)],
-            sharp.segment(0, k - 1).mats,
-            sharp.segment(j - 1, k - 1).mats,
-            hom_module(sharp.segment(j - 1, k - 1).as_module(), l1).acts,
+            o0.segment(1, k).mats,
+            o0.segment(j, k).mats,
+            hom_module(o0.segment(j, k).as_module(), l1).acts,
             base,
             torsor,
             system.block((j - 1) * (k - j)),
@@ -642,7 +631,7 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
         if sol is None:
             continue
         twists = unstack(sol[mu : mu + n_gens * (d - 1)], d - 1, n_gens)
-        return Flag(SurfaceRep(up, f.genus, _twist(o0, _first_row(d), pr, twists)))
+        return Flag(SurfaceRep(up, f.genus, _twist(o0.mats, _first_row(d), pr, twists)))
     if n_points > _SPLITTING_GRID_CAP:
         raise KummerInconclusive(
             f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
@@ -651,7 +640,7 @@ def _kummerize_pinned(f: Flag, sharp: Flag, o0: tuple[RMatrix, ...]) -> Flag:
     raise LiftConsistencyError("no pinned lift keeps the split steps split one level up")
 
 
-def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Flag:
+def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
     """Lift a Kummer flag one level, pinning the quotient-by-first part.
 
     Output o satisfies o.reduce_to(r) == f and o.quotient_by_first() ==
@@ -664,41 +653,30 @@ def lift_kummer(f: Flag, sharp: Flag | None = None, _verify: bool = True) -> Fla
     engine is one relator solve plus one joint solve per splitting choice.
     Raises KummerInconclusive when the choices run past their budget.
     """
-    ring = f.ring
-    up = RingSpec(ring.p, ring.r + 1)
-    d = f.d
-    n_gens = 2 * f.genus
-    _require_trivial_chars(f)
-    if _verify:
-        v = is_kummer(f)
-        if not v.ok:
-            raise ValueError(f"input flag is not Kummer: {v.reason}")
+    v = is_kummer(f)
+    if not v.ok:
+        raise ValueError(f"input flag is not Kummer: {v.reason}")
     if sharp is not None:
-        if sharp.ring != up or sharp.d != d - 1:
-            raise ValueError("quotient part must live one level above with dimension d-1")
-        if sharp.reduce_to(ring.r) != f.quotient_by_first():
-            raise ValueError("quotient part must lift the quotient of the input")
-        _require_trivial_chars(sharp)
-        if _verify:
-            vs = is_kummer(sharp)
-            if not vs.ok:
-                raise ValueError(f"quotient part is not Kummer: {vs.reason}")
-    if d == 0:
-        return _empty_flag(up, f.genus)
-    if d == 1:
-        return Flag(SurfaceRep(up, f.genus, tuple(RMatrix.identity(up, 1) for _ in range(n_gens))))
-    if sharp is None:
-        sharp = lift_kummer(f.quotient_by_first(), None, _verify=False)
-    out = _kummerize_pinned(f, sharp, _pinned_relator_lift(f, sharp))
-    if out.reduce_to(ring.r) != f:
-        raise AssertionError("Kummer lift must reduce to the input")
-    if out.quotient_by_first() != sharp:
-        raise AssertionError("Kummer lift must pin the quotient part exactly")
-    if _verify:
-        vv = is_kummer(out)
-        if not vv.ok:
-            raise LiftConsistencyError(f"lifted flag lost the Kummer property: {vv.reason}")
+        _check_pinned(sharp, f.quotient_by_first(), "quotient")
+        vs = is_kummer(sharp)
+        if not vs.ok:
+            raise ValueError(f"quotient part is not Kummer: {vs.reason}")
+    out = _lift_kummer(f, sharp)
+    if out.reduce_to(f.ring.r) != f or (sharp is not None and out.quotient_by_first() != sharp):
+        raise AssertionError("Kummer lift must reduce to the input and pin the quotient part")
+    vv = is_kummer(out)
+    if not vv.ok:
+        raise LiftConsistencyError(f"lifted flag lost the Kummer property: {vv.reason}")
     return out
+
+
+def _lift_kummer(f: Flag, sharp: Flag | None) -> Flag:
+    """``lift_kummer`` past its boundary checks: trusts f, ``sharp`` and what it derives."""
+    if f.d <= 1:
+        return _teichmuller_diagonal(f)
+    if sharp is None:
+        sharp = _lift_kummer(f.quotient_by_first(), None)
+    return _kummerize_pinned(f, _pinned_relator_lift(f, sharp))
 
 
 def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
@@ -721,7 +699,8 @@ def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:
     ring = f.ring
     d = f.d
     n_gens = 2 * f.genus
-    _require_trivial_chars(f)
+    if any(v != 1 for chi in f.chars() for v in chi):
+        raise ValueError("Kummer lifting requires trivial diagonal characters")
     bar = f.reduce_to(1)
     if cls.degree != 1 or cls.cx.module != bar.as_module():
         raise ValueError("class must be a degree-1 class of the mod-p flag module")

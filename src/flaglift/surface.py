@@ -80,9 +80,7 @@ class RelatorError(ValueError):
     """Raised when generator matrices do not satisfy the surface relator."""
 
 
-def _relator_product(
-    ring: RingSpec, genus: int, mats: Sequence[RMatrix]
-) -> tuple[RMatrix, tuple[RMatrix, ...]]:
+def _relator_product(genus: int, mats: Sequence[RMatrix]) -> tuple[RMatrix, tuple[RMatrix, ...]]:
     """Product of the square matrices ``mats`` along the relator word, and their inverses.
 
     A singular matrix raises ValueError naming it, before the walk starts.
@@ -112,7 +110,7 @@ def _check_relator(
             raise ValueError("generator matrices must be square of equal size")
     if n == 0:
         return None
-    acc, inv = _relator_product(ring, genus, mats)
+    acc, inv = _relator_product(genus, mats)
     if not acc.is_identity():
         defect = acc - RMatrix.identity(ring, n)
         raise RelatorError(

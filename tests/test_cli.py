@@ -363,6 +363,18 @@ def test_cli_error_codes(tmp_path, capsys):
         assert captured.out == "" and "odd prime" in captured.err
 
 
+def test_cli_lift_rejects_a_flag_that_fails_the_mode_predicate(tmp_path, capsys):
+    # split mod 2 but not mod 4, and split steps are not wound: neither mode applies
+    rows = [[[1, 0, 2], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    src = tmp_path / "f.rep"
+    src.write_text(save_rep(Flag.from_rows(RingSpec(2, 2), 1, rows)))
+    for mode, message in [("kummer", "input flag is not Kummer"), ("wound", "input flag is not wound")]:
+        assert main(["lift", str(src), "--to-r", "3", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_cli_lift_target_level_within_file_limits(tmp_path, capsys):
     # an output past r = 64 or a 512-bit p^r could not be loaded again
     cases = [(RingSpec(2, 63), "65", "r 65 exceeds the limit 64"),

@@ -21,7 +21,7 @@ from flaglift.lifting import (
 from flaglift.oracle import gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.surface import SurfaceRep, RelatorError
-from flaglift.zmod import LinearSolver, RingSpec, RMatrix
+from flaglift.zmod import LinearSolver, RingSpec, RMatrix, teichmuller
 
 
 def flag_g1(ring, rows_x, rows_y):
@@ -212,6 +212,9 @@ def test_lift_kummer_validates_inputs():
     bad = flag_g1(ring, [[1, 0, 2], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="not Kummer"):
         lift_kummer(bad)
+    nontrivial = flag_g1(RingSpec(3, 1), [[2, 0], [0, 1]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not Kummer: character of piece 1 is nontrivial"):
+        lift_kummer(nontrivial)
     ring1 = RingSpec(2, 1)
     f = flag_g1(ring1, [[1, 1], [0, 1]], [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="dimension"):
@@ -295,3 +298,63 @@ def test_lift_kummer_mixed_split_conditions_digest():
         for out in (once, lift_kummer(once), lift_kummer_truncation(f)):
             digest.update(save_rep(out).encode())
     assert digest.hexdigest() == "1baef64ec6cb37e492fbae9115f88162668be5964b5e96d75c534a3923f07ff2"
+
+
+# -- the boundary of the obstruction-free engines ------------------------------------
+
+
+@pytest.mark.parametrize("p, r, genus", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1)])
+def test_engines_lift_d_le_1_to_the_teichmuller_diagonal(p, r, genus):
+    ring, up = RingSpec(p, r), RingSpec(p, r + 1)
+    n_gens = 2 * genus
+    trivial = [Flag.from_rows(ring, genus, [[]] * n_gens), Flag.from_rows(ring, genus, [[[1]]] * n_gens)]
+    engines = [lift_kummer, lift_kummer_truncation, lambda f: lift_wound_kummer(f).flag]
+    for f in trivial:
+        for lift in engines:
+            out = lift(f)
+            assert out.ring == up and out.reduce_to(r) == f
+            assert out.mats == (RMatrix.identity(up, f.d),) * n_gens
+    chars = [teichmuller(ring, 1 + g % (p - 1)) for g in range(n_gens)]
+    line = Flag.from_rows(ring, genus, [[[c]] for c in chars])
+    res = lift_wound_kummer(line)
+    assert not res.adjusted and res.flag.reduce_to(r) == line
+    assert res.flag.chars() == (tuple(teichmuller(up, c) for c in chars),)
+
+
+# the frozen criterion-6 flag: wound, and Kummer since r = 1
+_FROZEN_WOUND = ([[1, 2, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 2], [0, 0, 1]])
+
+
+def test_pinned_parts_are_checked_at_the_boundary():
+    f = flag_g1(RingSpec(3, 1), *_FROZEN_WOUND)
+    engines = [
+        (lift_kummer, lift_kummer(f.quotient_by_first()), lift_kummer(f.truncate())),
+        (lift_kummer_truncation, lift_kummer_truncation(f.truncate()), lift_kummer(f.quotient_by_first())),
+        (
+            lambda f, pinned: lift_wound_kummer(f, pinned).flag,
+            lift_wound_kummer(f.truncate()).flag,
+            lift_wound_kummer(f.quotient_by_first()).flag,
+        ),
+    ]
+    for lift, good, other in engines:
+        assert lift(f, good).reduce_to(1) == f
+        assert other != good and other.ring == good.ring and other.d == good.d
+        for wrong, message in [
+            (good.reduce_to(1), "dimension"),  # wrong ring
+            (lift(f, good), "dimension"),  # wrong dimension
+            (other, "must lift"),  # wrong reduction
+        ]:
+            with pytest.raises(ValueError, match=message):
+                lift(f, wrong)
+
+
+def test_lift_wound_kummer_rejects_a_pinned_truncation_that_is_not_wound_kummer():
+    # reduces correctly, but x1 scaled by 4 makes its characters non-Teichmuller;
+    # the glue of such a part is obstructed, which must not read as an obstruction
+    f = flag_g1(RingSpec(3, 1), *_FROZEN_WOUND)
+    flat = lift_wound_kummer(f.truncate()).flag
+    x1, y1 = flat.mats
+    bad = Flag(SurfaceRep(flat.ring, 1, (x1.scale(4), y1)))
+    assert bad.reduce_to(1) == f.truncate() and not is_wound_kummer(bad)
+    with pytest.raises(ValueError, match="not wound"):
+        lift_wound_kummer(f, bad)

@@ -353,6 +353,17 @@ def relator_calls(tree):
     return list(walk(tree, ()))
 
 
+def private_parameters(tree):
+    """(function name, line) of every parameter whose name starts with ``_``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            for a in params:
+                if a is not None and a.arg.startswith("_"):
+                    yield getattr(node, "name", "<lambda>"), a.lineno
+
+
 def test_guards_flag_the_patterns_they_forbid():
     bad = ast.parse(
         "import functools\nfrom functools import cache, lru_cache\n_MEMO = {}\n"
@@ -373,6 +384,11 @@ def test_guards_flag_the_patterns_they_forbid():
         "relator()\nx.relator\n"
     )
     assert relator_calls(walks) == [("C.d1", 3), ("f", 5), ("f", 6)]
+    hidden = ast.parse(
+        "def f(x, _verify=True):\n    pass\ng = lambda y, *, _k: y\n"
+        "def h(x, y_=1, *_a, **_kw):\n    pass\ndef ok(self, x, *args, **kwargs):\n    pass\n"
+    )
+    assert sorted(private_parameters(hidden)) == [("<lambda>", 3), ("f", 1), ("h", 4), ("h", 4)]
 
 
 def test_no_unbounded_or_hidden_global_memo():
@@ -409,3 +425,13 @@ def test_only_the_check_and_d1_walk_the_relator():
             assert scope in _RELATOR_WALKS.get(rel, ()), f"{rel}:{line} ({scope}) walks the relator"
             seen.add((rel, scope))
     assert seen == {(rel, s) for rel, scopes in _RELATOR_WALKS.items() for s in scopes}
+
+
+# -- tooling guard: no hidden switch past the boundary ---------------------------------
+
+
+def test_no_function_takes_a_private_parameter():
+    """Checks run once at the boundary; no parameter turns them off below it."""
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        found = list(private_parameters(ast.parse(path.read_text(), str(path))))
+        assert not found, f"{path.relative_to(_ROOT).as_posix()} has private parameters: {found}"
