@@ -294,12 +294,21 @@ class WoundLiftResult:
     adjusted: bool
 
 
-def _check_pinned(pinned: Flag, part: Flag, name: str) -> None:
-    """Reject a pinned part that does not lift ``part`` of the input one level up."""
-    if pinned.ring != RingSpec(part.ring.p, part.ring.r + 1) or pinned.d != part.d:
+def _check_pinned(pinned: Flag, f: Flag, name: str) -> None:
+    """Reject a pinned part that does not lift the ``name`` part of ``f`` one level up.
+
+    ``name`` is "truncation" or "quotient".  The dimension is checked first,
+    so a 0-flag, which has neither part, rejects every pinned part here.
+    """
+    if pinned.ring != RingSpec(f.ring.p, f.ring.r + 1) or pinned.d != f.d - 1:
         raise ValueError(f"{name} part must live one level above with dimension d-1")
-    if pinned.reduce_to(part.ring.r) != part:
+    if pinned.reduce_to(f.ring.r) != _part(f, name):
         raise ValueError(f"{name} part must lift the {name} of the input")
+
+
+def _part(f: Flag, name: str) -> Flag:
+    """The "truncation" or the "quotient" (by the first line) of ``f``."""
+    return f.truncate() if name == "truncation" else f.quotient_by_first()
 
 
 def _teichmuller_diagonal(f: Flag) -> Flag:
@@ -329,7 +338,7 @@ def lift_wound_kummer(f: Flag, flat: Flag | None = None) -> WoundLiftResult:
     if not is_wound_kummer(f):
         raise ValueError("input flag is not wound with Teichmuller characters")
     if flat is not None:
-        _check_pinned(flat, f.truncate(), "truncation")
+        _check_pinned(flat, f, "truncation")
         if not is_wound_kummer(flat):
             raise ValueError("truncation part is not wound with Teichmuller characters")
     res = _lift_wound(f, flat)
@@ -653,17 +662,35 @@ def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
     engine is one relator solve plus one joint solve per splitting choice.
     Raises KummerInconclusive when the choices run past their budget.
     """
+    return _checked_kummer_lift(f, sharp, "quotient")
+
+
+def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
+    """Lift a Kummer flag one level, pinning the truncation part exactly.
+
+    Carried out through the duality involution: dualize, lift with the
+    dual of ``flat`` as the pinned quotient part, dualize back.  The input
+    and ``flat`` are checked before dualizing, so errors name the truncation.
+    """
+    return _checked_kummer_lift(f, flat, "truncation")
+
+
+def _checked_kummer_lift(f: Flag, pinned: Flag | None, name: str) -> Flag:
+    """Both Kummer lifts, pinning f's ``name`` part: check the boundary once, lift, check the output."""
     v = is_kummer(f)
     if not v.ok:
         raise ValueError(f"input flag is not Kummer: {v.reason}")
-    if sharp is not None:
-        _check_pinned(sharp, f.quotient_by_first(), "quotient")
-        vs = is_kummer(sharp)
-        if not vs.ok:
-            raise ValueError(f"quotient part is not Kummer: {vs.reason}")
-    out = _lift_kummer(f, sharp)
-    if out.reduce_to(f.ring.r) != f or (sharp is not None and out.quotient_by_first() != sharp):
-        raise AssertionError("Kummer lift must reduce to the input and pin the quotient part")
+    if pinned is not None:
+        _check_pinned(pinned, f, name)
+        vp = is_kummer(pinned)
+        if not vp.ok:
+            raise ValueError(f"{name} part is not Kummer: {vp.reason}")
+    if name == "quotient":
+        out = _lift_kummer(f, pinned)
+    else:
+        out = _lift_kummer(f.dual(), pinned.dual() if pinned is not None else None).dual()
+    if out.reduce_to(f.ring.r) != f or (pinned is not None and _part(out, name) != pinned):
+        raise AssertionError(f"Kummer lift must reduce to the input and pin the {name} part")
     vv = is_kummer(out)
     if not vv.ok:
         raise LiftConsistencyError(f"lifted flag lost the Kummer property: {vv.reason}")
@@ -677,16 +704,6 @@ def _lift_kummer(f: Flag, sharp: Flag | None) -> Flag:
     if sharp is None:
         sharp = _lift_kummer(f.quotient_by_first(), None)
     return _kummerize_pinned(f, _pinned_relator_lift(f, sharp))
-
-
-def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
-    """Lift a Kummer flag one level, pinning the truncation part exactly.
-
-    Carried out through the duality involution: dualize, lift with the
-    dual of ``flat`` as the pinned quotient part, dualize back.
-    """
-    dual_sharp = flat.dual() if flat is not None else None
-    return lift_kummer(f.dual(), dual_sharp).dual()
 
 
 def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:

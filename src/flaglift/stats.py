@@ -1,8 +1,10 @@
 """Scoped run context: the bounded memo tables of one session.
 
-A ``Session`` owns one ``Memo`` per memoised question.  Every table is
-bounded by ``MEMO_BOUND`` entries (the oldest entry is evicted first) and
-counts its own hits and misses, so a run can report what it reused.
+A ``Session`` owns one ``Memo`` per memoised question: the split and
+is-Kummer verdicts of ``flags`` and the relator walks of ``surface``.
+Every table is bounded by ``MEMO_BOUND`` entries (the oldest entry is
+evicted first, in constant time) and counts its own hits and misses, so a
+run can report what it reused.
 
 ``with session() as s:`` installs a fresh session and restores the
 previous one on exit; nothing stored inside outlives the ``with``.  Code
@@ -13,12 +15,15 @@ that depend only on their key.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any, Hashable, Iterator
 
 # Entries per table.  The lift battery decides a few hundred distinct
-# split verdicts per pass, so a bound this size evicts nothing there.
+# split verdicts and walks about 800 distinct generator tuples per pass, so
+# a bound this size evicts nothing there; the oracle audit walks more
+# distinct tuples than this and evicts.
 MEMO_BOUND = 4096
 
 
@@ -32,7 +37,7 @@ class Memo:
 
     def __init__(self) -> None:
         self.bound = MEMO_BOUND
-        self.entries: dict[Hashable, Any] = {}
+        self.entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -50,7 +55,7 @@ class Memo:
     def put(self, key: Hashable, value: Any) -> Any:
         """Store ``value`` under ``key`` and return it."""
         if len(self.entries) >= self.bound:
-            del self.entries[next(iter(self.entries))]
+            self.entries.popitem(last=False)
         self.entries[key] = value
         return value
 
@@ -60,12 +65,18 @@ class Memo:
 
 @dataclass
 class Session:
-    """The memo tables of one run."""
+    """The memo tables of one run.
+
+    ``walks`` makes equal generator tuples cost one relator walk per
+    session; the check on its product still runs on every construction.
+    """
 
     # (segment flag V_k/V_i, offset j - i) -> whether the extension splits
     splits: Memo = field(default_factory=Memo)
     # (flag, strict_chars) -> KummerVerdict
     kummer: Memo = field(default_factory=Memo)
+    # (genus, generator matrices) -> (product along the relator, their inverses)
+    walks: Memo = field(default_factory=Memo)
 
     def summary(self) -> dict[str, dict[str, int]]:
         """Hits, misses and size of every table, by table name."""

@@ -23,7 +23,12 @@ values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
 every generator, which is also the invertibility check: a singular
 generator raises a plain ``ValueError`` naming it before any
 ``RelatorError``.  The walk starts at the first letter, not the identity,
-so it makes 4g - 1 products.  A checked object keeps those inverses.  A
+so it makes 4g - 1 products.  Equal generator tuples are walked once per
+session: the product and the inverses are kept in the session's ``walks``
+table under ``(genus, matrices)``, and every construction still checks
+the product it reads there, so a rejected tuple is rejected again.
+Matrix equality covers the ring, the shape and the least-residue entries,
+so equal keys have equal walks.  A checked object keeps those inverses.  A
 derived object records a function that works its inverses out from its
 source's when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
@@ -40,6 +45,7 @@ import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, TypeVar, Union
 
+from .stats import current
 from .zmod import RingSpec, RMatrix
 
 Word = tuple[int, ...]
@@ -77,15 +83,33 @@ class Presentation:
 
 
 class RelatorError(ValueError):
-    """Raised when generator matrices do not satisfy the surface relator."""
+    """Raised when generator matrices do not satisfy the surface relator.
+
+    The message, which prints the defect (product - I), is built only when
+    it is read: most rejected candidates are caught and dropped unread.
+    """
+
+    def __init__(self, what: str, product: RMatrix) -> None:
+        super().__init__(what, product)
+        self.what, self.product = what, product
+
+    def __str__(self) -> str:
+        defect = self.product - RMatrix.identity(self.product.ring, self.product.rows)
+        return f"{self.what}: relator defect is nonzero: {defect.to_lists()}"
 
 
 def _relator_product(genus: int, mats: Sequence[RMatrix]) -> tuple[RMatrix, tuple[RMatrix, ...]]:
     """Product of the square matrices ``mats`` along the relator word, and their inverses.
 
     A singular matrix raises ValueError naming it, before the walk starts.
-    The product starts at the first letter: 4g - 1 matmuls.
+    The product starts at the first letter: 4g - 1 matmuls.  Equal tuples
+    are walked once per session (``stats.Session.walks``).
     """
+    memo = current().walks
+    key = (genus, tuple(mats))
+    walked = memo.get(key)
+    if walked is not None:
+        return walked
     inv = []
     for i, m in enumerate(mats):
         try:
@@ -93,7 +117,7 @@ def _relator_product(genus: int, mats: Sequence[RMatrix]) -> tuple[RMatrix, tupl
         except ZeroDivisionError:
             raise ValueError(f"generator matrix {i + 1} is not invertible") from None
     word = (mats[t - 1] if t > 0 else inv[-t - 1] for t in Presentation(genus).relator())
-    return functools.reduce(operator.matmul, word), tuple(inv)
+    return memo.put(key, (functools.reduce(operator.matmul, word), tuple(inv)))
 
 
 def _check_relator(
@@ -112,10 +136,7 @@ def _check_relator(
         return None
     acc, inv = _relator_product(genus, mats)
     if not acc.is_identity():
-        defect = acc - RMatrix.identity(ring, n)
-        raise RelatorError(
-            f"{what}: relator defect is nonzero: {defect.to_lists()}"
-        )
+        raise RelatorError(what, acc)
     return inv
 
 

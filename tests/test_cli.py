@@ -311,8 +311,8 @@ def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path,
         stated = capsys.readouterr()
         assert stated.out == plain.out
         report = json.loads(stated.err.splitlines()[-1])
-        assert set(report) == {"splits", "kummer", "complex_of"}
-        for name in ("splits", "kummer"):
+        assert set(report) == {"splits", "kummer", "walks", "complex_of"}
+        for name in ("splits", "kummer", "walks"):
             table = report[name]
             assert set(table) == {"hits", "misses", "size"}
             # each command runs in a fresh session, and the bound evicts nothing here
@@ -324,6 +324,16 @@ def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path,
     before = stats.current().summary()
     assert main(["flag-check", str(src)]) == 0
     assert stats.current().summary() == before
+
+
+def test_cli_error_line_for_a_rep_file_that_breaks_the_relator(tmp_path, capsys):
+    bad = tmp_path / "bad.rep"
+    bad.write_text("p 2\nr 2\ngenus 1\ndim 2\ngenerator x1\n1 1\n0 1\ngenerator y1\n1 0\n1 1\n")
+    for command in ("flag-check", "cohomology"):
+        assert main([command, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: representation: relator defect is nonzero: [[2, 3], [1, 3]]\n"
 
 
 def test_cli_error_codes(tmp_path, capsys):

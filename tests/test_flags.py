@@ -335,6 +335,21 @@ def test_each_split_verdict_is_decided_once_per_session(monkeypatch):
     assert s.splits.hits > s.splits.misses
 
 
+def test_an_overfilled_memo_evicts_its_oldest_entries_first(monkeypatch):
+    monkeypatch.setattr(stats, "MEMO_BOUND", 4)
+    memo = stats.Memo()
+    for k in range(10):
+        assert memo.get(k) is None
+        assert memo.put(k, str(k)) == str(k)
+    assert len(memo) == memo.bound == 4
+    assert list(memo.entries) == [6, 7, 8, 9]
+    # a hit does not refresh an entry: eviction follows insertion order
+    assert [memo.get(k) for k in (9, 6, 5)] == ["9", "6", None]
+    memo.put(10, "10")
+    assert list(memo.entries) == [7, 8, 9, 10] and len(memo) == 4
+    assert memo.summary() == {"hits": 2, "misses": 11, "size": 4}
+
+
 def test_a_bound_of_eight_changes_no_verdict(monkeypatch):
     def verdicts():
         out, sizes = [], []

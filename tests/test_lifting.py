@@ -328,24 +328,54 @@ _FROZEN_WOUND = ([[1, 2, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 2], [0, 0
 def test_pinned_parts_are_checked_at_the_boundary():
     f = flag_g1(RingSpec(3, 1), *_FROZEN_WOUND)
     engines = [
-        (lift_kummer, lift_kummer(f.quotient_by_first()), lift_kummer(f.truncate())),
-        (lift_kummer_truncation, lift_kummer_truncation(f.truncate()), lift_kummer(f.quotient_by_first())),
+        (lift_kummer, "quotient", lift_kummer(f.quotient_by_first()), lift_kummer(f.truncate())),
+        (
+            lift_kummer_truncation,
+            "truncation",
+            lift_kummer_truncation(f.truncate()),
+            lift_kummer(f.quotient_by_first()),
+        ),
         (
             lambda f, pinned: lift_wound_kummer(f, pinned).flag,
+            "truncation",
             lift_wound_kummer(f.truncate()).flag,
             lift_wound_kummer(f.quotient_by_first()).flag,
         ),
     ]
-    for lift, good, other in engines:
+    for lift, name, good, other in engines:
         assert lift(f, good).reduce_to(1) == f
         assert other != good and other.ring == good.ring and other.d == good.d
         for wrong, message in [
-            (good.reduce_to(1), "dimension"),  # wrong ring
-            (lift(f, good), "dimension"),  # wrong dimension
-            (other, "must lift"),  # wrong reduction
+            (good.reduce_to(1), f"^{name} part must live one level above with dimension d-1$"),  # ring
+            (lift(f, good), f"^{name} part must live one level above with dimension d-1$"),  # dimension
+            (other, f"^{name} part must lift the {name} of the input$"),  # reduction
         ]:
             with pytest.raises(ValueError, match=message):
                 lift(f, wrong)
+    # reduces correctly, but the character 4 of x1 is not trivial mod 9
+    for lift, name, good, _ in engines[:2]:
+        x1, y1 = good.mats
+        bad = Flag(SurfaceRep(good.ring, 1, (x1.scale(4), y1)))
+        assert bad.reduce_to(1) == good.reduce_to(1) and not is_kummer(bad).ok
+        with pytest.raises(ValueError, match=f"^{name} part is not Kummer: "):
+            lift(f, bad)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_0_flag_rejects_a_pinned_part_by_name(r):
+    # a 0-flag has no truncation or quotient: the pinned part has the wrong dimension
+    f = Flag.from_rows(RingSpec(2, r), 1, [[]] * 2)
+    up = RingSpec(2, r + 1)
+    pinned = [Flag.from_rows(up, 1, [[]] * 2), Flag.from_rows(up, 1, [[[1]]] * 2)]
+    engines = [
+        (lift_kummer, "quotient"),
+        (lift_kummer_truncation, "truncation"),
+        (lambda f, pinned: lift_wound_kummer(f, pinned).flag, "truncation"),
+    ]
+    for lift, name in engines:
+        for part in pinned:
+            with pytest.raises(ValueError, match=f"^{name} part must live one level above with dimension d-1$"):
+                lift(f, part)
 
 
 def test_lift_wound_kummer_rejects_a_pinned_truncation_that_is_not_wound_kummer():

@@ -32,6 +32,7 @@ def test_script_runs(argv):
     if argv[0] == "lift_battery.py":
         # the battery reports its session's memo use
         assert re.search(
-            r"^memo: splits \d+ hits / \d+ misses, kummer \d+ hits / \d+ misses$",
+            r"^memo: splits \d+ hits / \d+ misses, kummer \d+ hits / \d+ misses, "
+            r"walks \d+ hits / \d+ misses$",
             proc.stdout, re.MULTILINE,
         ), proc.stdout

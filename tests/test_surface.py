@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flaglift.oracle import gen_random_flag
+from flaglift.stats import session
 from flaglift.surface import (
     GModule,
     Presentation,
@@ -47,7 +48,8 @@ def test_relator_validation_rejects_bad_tuples(cls):
 
 def test_validation_inverses_are_handed_on(monkeypatch):
     # the relator walk inverts every generator once; the object keeps those
-    # inverses, and as_module / reduce_to hand them on instead of inverting
+    # inverses, an equal tuple in the same session reads them off the walks
+    # table, and as_module / reduce_to hand them on instead of inverting
     rep0 = gen_random_flag(3, 2, 3, 2, seed=4).rep
     ring, genus, mats = rep0.ring, rep0.genus, rep0.mats
     inverted = []
@@ -58,20 +60,23 @@ def test_validation_inverses_are_handed_on(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(RMatrix, "inverse", counted)
-    rep = SurfaceRep(ring, genus, mats)
-    mod = GModule(ring, genus, mats)
-    got = {
-        "rep": (rep.inverses, mats),
-        "rep.as_module": (rep.as_module().inverses, mats),
-        "rep.reduce_to": (rep.reduce_to(1).inverses, rep.reduce_to(1).mats),
-        "rep.as_module.reduce_to": (
-            rep.as_module().reduce_to(1).inverses,
-            rep.as_module().reduce_to(1).acts,
-        ),
-        "mod": (mod.inverses, mats),
-        "mod.reduce_to": (mod.reduce_to(1).inverses, mod.reduce_to(1).acts),
-    }
-    assert len(inverted) == 2 * (2 * genus), "only the two relator walks invert"
+    with session():
+        rep = SurfaceRep(ring, genus, mats)
+        assert len(inverted) == 2 * genus, "a miss walks the relator once"
+        mod = GModule(ring, genus, mats)
+        got = {
+            "rep": (rep.inverses, mats),
+            "rep.as_module": (rep.as_module().inverses, mats),
+            "rep.reduce_to": (rep.reduce_to(1).inverses, rep.reduce_to(1).mats),
+            "rep.as_module.reduce_to": (
+                rep.as_module().reduce_to(1).inverses,
+                rep.as_module().reduce_to(1).acts,
+            ),
+            "mod": (mod.inverses, mats),
+            "mod.reduce_to": (mod.reduce_to(1).inverses, mod.reduce_to(1).acts),
+        }
+    assert len(inverted) == 2 * genus, "only the one relator walk inverts"
+    assert mod.inverses is rep.inverses, "the equal tuple gets the walk's inverses"
     monkeypatch.undo()
     for name, (inverses, source) in got.items():
         assert inverses == tuple(m.inverse() for m in source), name
@@ -79,9 +84,13 @@ def test_validation_inverses_are_handed_on(monkeypatch):
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_a_checked_construction_makes_4g_minus_1_products(monkeypatch, genus):
-    # the walk starts at x1, not at I @ x1, and inverts each generator once
+    # a miss starts the walk at x1, not at I @ x1, and inverts each generator
+    # once; a construction on equal matrices in the same session reads the
+    # walks table and makes no product or inversion
     mats = gen_random_flag(3, 2, 3, genus, seed=genus).mats
     ring = mats[0].ring
+    equal = tuple(RMatrix(m.ring, m.rows, m.cols, m.entries) for m in mats)
+    assert equal == mats and all(a is not b for a, b in zip(equal, mats))
     calls = {"matmul": 0, "inverse": 0}
 
     def counting(name, kernel):
@@ -93,10 +102,52 @@ def test_a_checked_construction_makes_4g_minus_1_products(monkeypatch, genus):
     monkeypatch.setattr(RMatrix, "__matmul__", counting("matmul", RMatrix.__matmul__))
     monkeypatch.setattr(RMatrix, "inverse", counting("inverse", RMatrix.inverse))
     for cls in (SurfaceRep, GModule):
-        before = dict(calls)
-        cls(ring, genus, mats)
-        assert calls["matmul"] - before["matmul"] == 4 * genus - 1, cls
-        assert calls["inverse"] - before["inverse"] == 2 * genus, cls
+        with session():
+            before = dict(calls)
+            first = cls(ring, genus, mats)
+            assert calls["matmul"] - before["matmul"] == 4 * genus - 1, cls
+            assert calls["inverse"] - before["inverse"] == 2 * genus, cls
+            for again in (SurfaceRep, GModule):
+                before = dict(calls)
+                second = again(ring, genus, equal)
+                assert calls == before, (cls, again)
+                assert second.inverses == first.inverses, (cls, again)
+
+
+def test_relator_error_message(monkeypatch):
+    # the message is built when read, and reads the same on a walks-table hit
+    ring = RingSpec(2, 2)
+    a = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
+    b = RMatrix.from_rows(ring, [[1, 0], [1, 1]])
+    with session() as s:
+        for cls, what in [(SurfaceRep, "representation"), (GModule, "module action")]:
+            with pytest.raises(RelatorError) as exc:
+                cls(ring, 1, (a, b))
+            assert str(exc.value) == f"{what}: relator defect is nonzero: [[2, 3], [1, 3]]"
+        assert (s.walks.misses, s.walks.hits) == (1, 1)
+    # a rejection that is caught unread builds no defect matrix
+    monkeypatch.setattr(RMatrix, "__sub__", lambda *args: pytest.fail("message built unread"))
+    with pytest.raises(RelatorError):
+        SurfaceRep(ring, 1, (a, b))
+
+
+def test_the_walks_table_keeps_rings_apart():
+    # x and y commute mod 2 (y = x^2 there), but not mod 4, where x^2 = [[1, 1], [1, 2]]
+    rows = ([[0, 1], [1, 1]], [[1, 1], [1, 0]])
+    z2, z4 = RingSpec(2, 1), RingSpec(2, 2)
+
+    def build(ring):
+        return SurfaceRep(ring, 1, tuple(RMatrix.from_rows(ring, m) for m in rows))
+
+    for order in [(z2, z4), (z4, z2)]:
+        with session() as s:
+            for ring in order:
+                if ring == z2:
+                    assert build(ring).ring == z2
+                else:
+                    with pytest.raises(RelatorError):
+                        build(ring)
+            assert s.walks.misses == len(s.walks) == 2
 
 
 def commuting_pair_rep(ring, rng, n=2):
