@@ -3,8 +3,9 @@
 Samples random flags of the requested kind, lifts each one level, and
 verifies the postconditions (relator exactness upstairs, entrywise
 reduction to the input, predicate preservation). Prints a per-cell table,
-a summary and one "memo:" line (the hits and misses of the run's split and
-Kummer verdict memos); exits nonzero if any instance fails.
+a summary and one "memo:" line (the hits and misses of the run's split
+verdict, Kummer verdict and relator walk memos); exits nonzero if any
+instance fails.
 """
 
 import argparse

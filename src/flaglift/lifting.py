@@ -28,7 +28,8 @@ twist as row operations.  The engines:
 The two obstruction-free engines check their input predicate, their
 pinned part (``_check_pinned``) and their output predicate once, then run
 a private recursion that trusts every part it derives.  Its d <= 1 base
-case is the Teichmuller lift of the diagonal.
+case is the Teichmuller lift of the diagonal.  ``lift_kummer_truncation``
+makes the same checks on its own input and truncation before it dualizes.
 """
 
 from __future__ import annotations
