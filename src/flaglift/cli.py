@@ -197,7 +197,7 @@ def _cmd_oracle_compare(args) -> int:
     except BudgetExceededError as exc:
         print(f"skipped h1 comparison: {exc}", file=sys.stderr)
     try:
-        flag = Flag(rep)
+        flag = Flag(rep.ring, rep.genus, rep.mats)
     except ValueError:
         flag = None
     one = (1,) * (2 * rep.genus)

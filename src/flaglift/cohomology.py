@@ -32,6 +32,7 @@ from .surface import (
 )
 from .zmod import (
     LinearSolver,
+    ModuleShape,
     RingSpec,
     RMatrix,
     SpanReducer,
@@ -199,14 +200,6 @@ class CohClass:
 
 
 @dataclass(frozen=True)
-class ModuleShape:
-    """A finite abelian p-group: ascending exponents plus representatives."""
-
-    invariants: tuple[int, ...]
-    reps: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class CohomologyReport:
     module: GModule
     h0: ModuleShape
@@ -222,11 +215,8 @@ def h_groups(module: GModule) -> CohomologyReport:
     h0 = ModuleShape(tuple(e for _, e in kg0), tuple(v for v, _ in kg0))
     gens1 = [vec for vec, _ in cx.d1_solver.kernel()]
     rels1 = [cx.d0.col(j) for j in range(cx.d0.cols)]
-    q = quotient_data(ring, gens1, rels1)
-    h1 = ModuleShape(q.invariants, q.reps)
-    c = cokernel_data(cx.d1)
-    h2 = ModuleShape(c.invariants, c.reps)
-    return CohomologyReport(module, h0, h1, h2)
+    h1 = quotient_data(ring, gens1, rels1)
+    return CohomologyReport(module, h0, h1, cokernel_data(cx.d1))
 
 
 # ---------------------------------------------------------------------------

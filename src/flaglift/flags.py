@@ -7,11 +7,13 @@ calculus (segments, truncation, quotient by the first piece, duality),
 splitting indices of the one-step extensions, and the three predicates:
 wound, wound-Kummer, Kummer.
 
-The public ``Flag(...)`` checks that every generator is upper triangular;
-``segment``, ``dual`` and ``reduce_to`` keep that shape and skip the scan
-(``_trusted_flag``), and their representations record closed-form inverses
-(see ``surface``); the dual's are ``m.transpose().submatrix(rev, rev)`` over
-``rep.mats``.
+A ``Flag`` is a ``SurfaceRep``: the public ``Flag(ring, genus, mats)``
+runs the relator check and then checks that every generator is upper
+triangular.  ``segment``, ``dual`` and ``reduce_to`` keep that shape and
+skip both checks, and their flags record closed-form inverses (see
+``surface``); the dual's are ``m.transpose().submatrix(rev, rev)`` over
+``mats``.  A flag never equals a bare ``SurfaceRep`` on the same matrices,
+so the two never share a memo entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from .cohomology import coordinate_extension, split_section
 from .stats import current
-from .surface import GModule, SurfaceRep, _diagonal_block, _trusted
+from .surface import SurfaceRep, _diagonal_block, _trusted
 from .zmod import RingSpec, RMatrix, teichmuller
 
 
@@ -30,13 +32,12 @@ class KummerInconclusive(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Flag:
+class Flag(SurfaceRep):
     """An upper triangular representation with unit diagonal characters."""
 
-    rep: SurfaceRep
-
     def __post_init__(self) -> None:
-        for g, m in enumerate(self.rep.mats):
+        super().__post_init__()
+        for g, m in enumerate(self.mats):
             for i in range(m.rows):
                 for j in range(i):
                     if m.entry(i, j):
@@ -46,25 +47,11 @@ class Flag:
 
     # -- basic data ---------------------------------------------------------
 
-    @property
-    def ring(self) -> RingSpec:
-        return self.rep.ring
-
-    @property
-    def genus(self) -> int:
-        return self.rep.genus
-
-    @property
-    def d(self) -> int:
-        return self.rep.dim
-
-    @property
-    def mats(self) -> tuple[RMatrix, ...]:
-        return self.rep.mats
+    d = SurfaceRep.dim
 
     @staticmethod
     def from_rows(ring: RingSpec, genus: int, mats: Sequence[Sequence[Sequence[int]]]) -> "Flag":
-        return Flag(SurfaceRep(ring, genus, tuple(RMatrix.from_rows(ring, m) for m in mats)))
+        return Flag(ring, genus, tuple(RMatrix.from_rows(ring, m) for m in mats))
 
     def char(self, i: int) -> tuple[int, ...]:
         """Diagonal character of the i-th piece (1-based), per generator."""
@@ -74,9 +61,6 @@ class Flag:
 
     def chars(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.char(i) for i in range(1, self.d + 1))
-
-    def as_module(self) -> GModule:
-        return self.rep.as_module()
 
     # -- subquotients ---------------------------------------------------------
 
@@ -89,7 +73,7 @@ class Flag:
         """
         if not 0 <= i <= j <= self.d:
             raise ValueError(f"bad segment ({i}, {j}) of a {self.d}-flag")
-        return _trusted_flag(_diagonal_block(self.rep, range(i, j)))
+        return _diagonal_block(self, range(i, j))
 
     def truncate(self) -> "Flag":
         return self.segment(0, self.d - 1)
@@ -97,27 +81,15 @@ class Flag:
     def quotient_by_first(self) -> "Flag":
         return self.segment(1, self.d)
 
-    def reduce_to(self, s: int) -> "Flag":
-        return _trusted_flag(self.rep.reduce_to(s))
-
     def dual(self) -> "Flag":
         """Inverse transpose, indices reversed (antidiagonal conjugate); an involution.
 
         Reverses the filtration: piece i of the dual has character
         char(d+1-i)^-1, truncation and quotient-by-first are exchanged.
         """
-        rev, rep = range(self.d - 1, -1, -1), self.rep
+        rev = range(self.d - 1, -1, -1)
         flip = lambda ms: tuple(m.transpose().submatrix(rev, rev) for m in ms)
-        return _trusted_flag(
-            _trusted(SurfaceRep, self.ring, self.genus, flip(rep.inverses), lambda: flip(rep.mats))
-        )
-
-
-def _trusted_flag(rep: SurfaceRep) -> Flag:
-    """A Flag built without the upper-triangular scan; see the module docstring."""
-    flag = object.__new__(Flag)
-    object.__setattr__(flag, "rep", rep)
-    return flag
+        return _trusted(Flag, self.ring, self.genus, flip(self.inverses), lambda: flip(self.mats))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .cohomology import (
 from .flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer, segment_extension_splits
 from .surface import (
     GModule,
-    SurfaceRep,
     _relator_product,
     char_module,
     dual_module,
@@ -124,7 +123,7 @@ def _torsor_step(
     if sol is None:
         return LiftOutcome(None, CohClass(cx, 2, vec))
     mats = _twist(cand, support, scale, unstack(sol, len(support), len(cand)))
-    return LiftOutcome(Flag(SurfaceRep(cand[0].ring, genus, mats)), None)
+    return LiftOutcome(Flag(cand[0].ring, genus, mats), None)
 
 
 def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:
@@ -133,18 +132,21 @@ def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: 
     return char_module(ring, genus, vals)
 
 
-def glued_mats(e: Flag, f: Flag, top: Sequence[int]) -> list[RMatrix]:
-    """(d+1)-sized candidates: e on the leading block, f on the trailing one.
+def _seeded(ring: RingSpec, seed: Sequence[RMatrix], blocks: Sequence[tuple[int, Flag]]) -> list[RMatrix]:
+    """Candidates over ``ring``: the least residues of each seed matrix, blocks written over them.
 
-    Entry (0, d) of generator g is top[g]; the overlap of the two blocks is
-    the caller's responsibility (checked by the engines), and d >= 1.
+    Each (offset, flag) block replaces the diagonal block of generator g
+    starting at (offset, offset) by the flag's matrix g.  Where two blocks
+    overlap they must agree; the engines check that.
     """
-    d = e.d
     out = []
-    for em, fm, t in zip(e.mats, f.mats, top, strict=True):
-        rows = [list(em.row(i)) + [fm.entry(i - 1, d - 1) if i else t] for i in range(d)]
-        rows.append([0] * d + [fm.entry(d - 1, d - 1)])
-        out.append(RMatrix.from_rows(e.ring, rows))
+    for g, m in enumerate(seed):
+        rows = m.to_lists()
+        for offset, part in blocks:
+            pm = part.mats[g]
+            for i in range(pm.rows):
+                rows[offset + i][offset : offset + pm.cols] = pm.row(i)
+        out.append(RMatrix.from_rows(ring, rows))
     return out
 
 
@@ -170,11 +172,13 @@ def glue(e: Flag, f: Flag) -> GlueOutcome:
     ring = e.ring
     if (f.ring, f.genus, f.d) != (ring, e.genus, e.d):
         raise ValueError("glue parts must share ring, genus and dimension")
+    if e.d < 1:
+        raise ValueError("glue parts must have dimension at least 1")
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
     d = e.d
     corner = _corner_module(ring, e.genus, e.char(1), f.char(d))
-    cand = glued_mats(e, f, (0,) * (2 * e.genus))
+    cand = _seeded(ring, [RMatrix.zeros(ring, d + 1, d + 1)] * (2 * e.genus), [(0, e), (1, f)])
     out = _torsor_step(cand, e.genus, [(0, d)], 1, corner)
     if out.lifted and (out.flag.truncate() != e or out.flag.quotient_by_first() != f):
         raise AssertionError("glued flag must contain both parts verbatim")
@@ -264,6 +268,8 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> LiftOutcome:
     d = base.d - 1
     if e_up.d != d or f_up.d != d:
         raise ValueError("glue parts must have dimension one below the base")
+    if d < 1:
+        raise ValueError("glue parts must have dimension at least 1")
     if e_up.reduce_to(ring.r) != base.truncate():
         raise ValueError("e_up does not lift the truncation of the base")
     if f_up.reduce_to(ring.r) != base.quotient_by_first():
@@ -272,7 +278,7 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> LiftOutcome:
         raise ValueError("overlap mismatch between the lifted parts")
     mod_p = lambda chi: tuple(v % ring.p for v in chi)
     corner1 = _corner_module(RingSpec(ring.p, 1), base.genus, mod_p(e_up.char(1)), mod_p(f_up.char(d)))
-    cand = glued_mats(e_up, f_up, tuple(m.entry(0, d) for m in base.mats))
+    cand = _seeded(up, base.mats, [(0, e_up), (1, f_up)])
     out = _torsor_step(cand, base.genus, [(0, d)], ring.modulus, corner1)
     if out.lifted and (out.flag.truncate() != e_up or out.flag.quotient_by_first() != f_up):
         raise AssertionError("gluift output must contain both parts verbatim")
@@ -320,7 +326,7 @@ def _teichmuller_diagonal(f: Flag) -> Flag:
     """
     up = RingSpec(f.ring.p, f.ring.r + 1)
     mats = tuple(RMatrix.from_rows(up, [[teichmuller(up, m.entry(0, 0))]] if f.d else []) for m in f.mats)
-    out = Flag(SurfaceRep(up, f.genus, mats))
+    out = Flag(up, f.genus, mats)
     if out.reduce_to(f.ring.r) != f:
         raise AssertionError("the Teichmuller diagonal must lift the input")
     return out
@@ -373,7 +379,7 @@ def _lift_wound(f: Flag, flat: Flag | None) -> WoundLiftResult:
     # the corner of sharp's last column moves by sign * p^r * eps * chi_last
     signed = [(CORNER_TWIST_SIGN * v[0],) for v in eps.values()]
     mats = _twist(sharp.mats, [(0, sharp.d - 1)], ring.modulus, signed)
-    sharp_adj = Flag(SurfaceRep(sharp.ring, f.genus, mats))
+    sharp_adj = Flag(sharp.ring, f.genus, mats)
     if sharp_adj.truncate() != flat.quotient_by_first():
         raise AssertionError("corner twist must not disturb the overlap")
     res = gluift(flat, sharp_adj, f)
@@ -406,24 +412,13 @@ def _pinned_relator_lift(f: Flag, sharp: Flag) -> Flag:
     """Some relator-exact lift of ``f`` with quotient block exactly ``sharp``.
 
     The candidate keeps the least residues of f's first row over the sharp
-    block; its defect is supported on the first row and vanishes mod p^r,
-    and a first-row twist kills it iff one mod-p cochain equation is
-    solvable.  Unsolvable means no lift pins this quotient part at all.
+    block (its (0, 0) entry is 1, the trivial character of a Kummer flag);
+    its defect is supported on the first row and vanishes mod p^r, and a
+    first-row twist kills it iff one mod-p cochain equation is solvable.
+    Unsolvable means no lift pins this quotient part at all.
     """
-    ring = f.ring
-    up = sharp.ring
-    d = f.d
-    n_gens = 2 * f.genus
-    cand = []
-    for g in range(n_gens):
-        ent = [[0] * d for _ in range(d)]
-        ent[0][0] = 1
-        for j in range(1, d):
-            ent[0][j] = f.mats[g].entry(0, j)
-            for i in range(1, d):
-                ent[i][j] = sharp.mats[g].entry(i - 1, j - 1)
-        cand.append(RMatrix.from_rows(up, ent))
-    out = _torsor_step(cand, f.genus, _first_row(d), ring.modulus, _pinned_torsor_module(f))
+    cand = _seeded(sharp.ring, f.mats, [(1, sharp)])
+    out = _torsor_step(cand, f.genus, _first_row(f.d), f.ring.modulus, _pinned_torsor_module(f))
     if not out.lifted:
         raise LiftConsistencyError("no relator-exact lift pins the given quotient part")
     return out.flag
@@ -437,7 +432,7 @@ def _row_class_matrix(bar: Flag, k: int, g: int) -> RMatrix:
     cochain of generator g by p^r * (this matrix @ twist vector of g).
     """
     rows = bar.mats[g].submatrix(range(1, bar.d), range(1, k))
-    return (rows @ bar.segment(1, k).rep.inverses[g]).transpose()
+    return (rows @ bar.segment(1, k).inverses[g]).transpose()
 
 
 def _splitting_grid(bar: Flag, j: int, k: int) -> tuple[RMatrix, list[tuple[tuple[int, ...], int]]]:
@@ -641,7 +636,7 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
         if sol is None:
             continue
         twists = unstack(sol[mu : mu + n_gens * (d - 1)], d - 1, n_gens)
-        return Flag(SurfaceRep(up, f.genus, _twist(o0.mats, _first_row(d), pr, twists)))
+        return Flag(up, f.genus, _twist(o0.mats, _first_row(d), pr, twists))
     if n_points > _SPLITTING_GRID_CAP:
         raise KummerInconclusive(
             f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
@@ -729,7 +724,7 @@ def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:
         ent = [[bar.mats[g].entry(i, j) for j in range(d)] + [vals[g][i]] for i in range(d)]
         ent.append([0] * d + [1])
         mats.append(RMatrix.from_rows(ring1, ent))
-    cur = Flag(SurfaceRep(ring1, f.genus, tuple(mats)))
+    cur = Flag(ring1, f.genus, tuple(mats))
     for s in range(1, ring.r):
         cur = lift_kummer_truncation(cur, f.reduce_to(s + 1))
     out_vals = [tuple(cur.mats[g].entry(i, d) for i in range(d)) for g in range(n_gens)]

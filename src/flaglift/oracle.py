@@ -4,7 +4,11 @@ Everything here recomputes from first principles: cocycles are found by
 evaluating candidate crossed homomorphisms on the relator directly (no Fox
 matrices), coboundaries by orbiting all module elements, group shapes by
 order counting, and lift/glue existence by exhaustive candidate search.
-The only shared code with the engines is matrix arithmetic itself.
+Only ``brute_cocycles`` walks the relator on its own, in numpy.
+``brute_lift`` and ``brute_glue`` accept candidates through the checked
+``Flag`` constructor, so besides matrix arithmetic they share the relator
+check (``surface._check_relator`` and the session's ``walks`` table) with
+the engines.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import ModuleShape
 from .flags import Flag, is_kummer, is_wound_kummer
-from .surface import GModule, Presentation, RelatorError, SurfaceRep
-from .zmod import LinearSolver, RingSpec, RMatrix, teichmuller
+from .surface import GModule, Presentation, RelatorError
+from .zmod import LinearSolver, ModuleShape, RingSpec, RMatrix, teichmuller
 
 
 class BudgetExceededError(RuntimeError):
@@ -206,10 +209,9 @@ def brute_lift(f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
         for (g, i, j), t in zip(slots, digits):
             ents[g][i][j] += p * int(t)
         try:
-            rep = SurfaceRep(up, f.genus, tuple(RMatrix.from_rows(up, e) for e in ents))
+            out.append(Flag(up, f.genus, tuple(RMatrix.from_rows(up, e) for e in ents)))
         except RelatorError:
             continue
-        out.append(Flag(rep))
     return out
 
 
@@ -223,6 +225,8 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
     ring = e.ring
     if (f.ring, f.genus, f.d) != (ring, e.genus, e.d):
         raise ValueError("glue parts must share ring, genus and dimension")
+    if e.d < 1:
+        raise ValueError("glue parts must have dimension at least 1")
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
     d, n_gens = e.d, 2 * e.genus
@@ -237,10 +241,9 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
             ent[0][d] = int(t)
             mats.append(RMatrix.from_rows(ring, ent))
         try:
-            rep = SurfaceRep(ring, e.genus, tuple(mats))
+            out.append(Flag(ring, e.genus, tuple(mats)))
         except RelatorError:
             continue
-        out.append(Flag(rep))
     return out
 
 
@@ -328,7 +331,7 @@ def gen_random_flag(
             if kind == "wound-kummer" and any(v != teichmuller(ring, v % p) for v in diag):
                 continue
         try:
-            f = Flag(SurfaceRep(ring, genus, tuple(mats + [last])))
+            f = Flag(ring, genus, tuple(mats + [last]))
         except RelatorError:
             continue
         if kind == "kummer" and not is_kummer(f).ok:

@@ -13,15 +13,16 @@ integer matrix per generator, in x1, y1, x2, y2, ... order:
     0 0 1
     generator y1
     ...
-    characters        (optional; one row per piece, one value per generator)
+    characters        (optional, a flag's: one row per piece, one value per generator)
     1 1
     ...
 
 Blank lines and '#' comments are ignored on load; save emits the canonical
-layout so that load then save is the identity on saved documents.  The
-exponent r may be at most 64 and p^r at most 512 bits, so that the largest
-legal document loads in about a second; dim may be at most 32 and genus at
-most 16, since validation walks the relator with dim x dim matrices.
+layout so that load then save is the identity on saved documents (a flag's
+document loads with ``load_flag``).  The exponent r may be at most 64 and
+p^r at most 512 bits, so that the largest legal document loads in about a
+second; dim may be at most 32 and genus at most 16, since validation walks
+the relator with dim x dim matrices.
 """
 
 from __future__ import annotations
@@ -169,8 +170,11 @@ def _finish(cur: _Cursor) -> None:
         raise RepFileError(f"trailing content: {' '.join(cur.peek())}")
 
 
-def load_rep(text: str) -> SurfaceRep:
-    """Parse a representation file; validates ranges, invertibility, relator."""
+def load_rep(text: str, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:
+    """Parse a representation file as ``cls``; validates ranges, invertibility, relator.
+
+    ``load_flag`` passes ``Flag``, whose constructor also checks the shape.
+    """
     cur = _Cursor(text)
     ring, genus, dim = _parse_header(cur)
     mats = _parse_generators(cur, ring, genus, dim)
@@ -181,49 +185,33 @@ def load_rep(text: str) -> SurfaceRep:
         if chars != diag:
             raise RepFileError("character block does not match the matrix diagonal")
     try:
-        return SurfaceRep(ring, genus, tuple(mats))
+        return cls(ring, genus, tuple(mats))
     except ValueError as exc:
         raise RepFileError(str(exc)) from exc
 
 
 def load_flag(text: str) -> Flag:
     """Parse as a flag; a characters block, when present, must match."""
-    rep = load_rep(text)
-    try:
-        return Flag(rep)
-    except ValueError as exc:
-        raise RepFileError(str(exc)) from exc
+    return load_rep(text, Flag)
 
 
 def load_module(text: str) -> GModule:
     """Parse a coefficient module file (same layout as a representation)."""
-    rep = load_rep(text)
-    return rep.as_module()
+    return load_rep(text).as_module()
 
 
-def save_rep(obj: SurfaceRep | Flag, with_characters: bool | None = None) -> str:
-    """Canonical text form; flags include their character table by default."""
-    flag = obj if isinstance(obj, Flag) else None
-    rep = obj.rep if flag is not None else obj
-    if with_characters is None:
-        with_characters = flag is not None
+def save_rep(rep: SurfaceRep) -> str:
+    """Canonical text form; a ``Flag`` adds its character table, a bare rep does not."""
     pres = Presentation(rep.genus)
-    out = [
-        f"p {rep.ring.p}",
-        f"r {rep.ring.r}",
-        f"genus {rep.genus}",
-        f"dim {rep.dim}",
-    ]
+    out = [f"p {rep.ring.p}", f"r {rep.ring.r}", f"genus {rep.genus}", f"dim {rep.dim}"]
     for g in range(1, 2 * rep.genus + 1):
         out.append(f"generator {pres.gen_name(g)}")
         m = rep.mats[g - 1]
         for i in range(rep.dim):
             out.append(" ".join(str(m.entry(i, j)) for j in range(rep.dim)))
-    if with_characters:
-        target = flag if flag is not None else Flag(rep)
+    if isinstance(rep, Flag):
         out.append("characters")
-        for i in range(1, rep.dim + 1):
-            out.append(" ".join(str(v) for v in target.char(i)))
+        out.extend(" ".join(str(v) for v in chi) for chi in rep.chars())
     return "\n".join(out) + "\n"
 
 

@@ -10,13 +10,16 @@ Validation happens once, at the boundary.  The public ``SurfaceRep(...)``
 and ``GModule(...)`` constructors check invertibility and the relator; so
 does everything built through them from raw or hand-assembled matrices
 (file loading, ``trivial_module``, ``char_module``, the oracle's candidate
-filters and every engine candidate and output).  Objects derived from a
-checked one by a map that preserves invertibility and the relator are
-built by ``_trusted`` without a second walk: ``as_module``, ``reduce_to``
-(reduction is a ring map), ``tensor_module`` (Kronecker products multiply
-blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
-diagonal blocks of block upper triangular actions (flag segments and the
-ends of a coordinate extension).
+filters and every engine candidate and output).  ``flags.Flag`` is a
+SurfaceRep whose constructor runs the same check and then scans for the
+upper triangular shape.  Objects derived from a checked one by a map that
+preserves invertibility and the relator are built by ``_trusted`` without
+a second walk: ``as_module``, ``reduce_to`` (reduction is a ring map),
+``tensor_module`` (Kronecker products multiply blockwise), ``dual_module``
+(inverse transpose is a homomorphism), and the diagonal blocks of block
+upper triangular actions (flag segments and the ends of a coordinate
+extension).  Reductions and diagonal blocks keep the class of their
+source, so those of a flag are flags, built without the scan.
 
 The relator check is this module's only walk along the relator (cochain
 values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar, Union
 
 from .stats import current
@@ -198,21 +201,20 @@ class GModule:
         return _reduction(self, s)
 
 
-_Checked = TypeVar("_Checked", SurfaceRep, GModule)
-
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (SurfaceRep, GModule)}
+_Checked = TypeVar("_Checked", bound=Union[SurfaceRep, GModule])
 
 
 def _trusted(
     cls: type[_Checked], ring: RingSpec, genus: int, mats: Sequence[RMatrix], inverses: _InverseSlot
 ) -> _Checked:
-    """A SurfaceRep or GModule built without ``__post_init__``'s relator check.
+    """A SurfaceRep (or Flag) or GModule built without ``__post_init__``'s checks.
 
     Only for matrices derived from an already checked object by a map that
-    preserves invertibility and the relator (see the module docstring).
+    preserves invertibility, the relator and, for a Flag, the upper
+    triangular shape (see the module docstring).
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(_FIELDS[cls], (ring, genus, tuple(mats), inverses)))
+    obj.__dict__.update(zip(cls.__dataclass_fields__, (ring, genus, tuple(mats), inverses)))
     return obj
 
 

@@ -739,8 +739,8 @@ class SpanReducer:
 
 
 @dataclass(frozen=True)
-class QuotientData:
-    """Invariants and lifted generators of span(gens) / span(rels)."""
+class ModuleShape:
+    """A finite abelian p-group: ascending exponents plus representatives."""
 
     invariants: tuple[int, ...]  # ascending exponents e, group = + Z/p^e
     reps: tuple[tuple[int, ...], ...]  # ambient representatives, one per invariant
@@ -750,7 +750,7 @@ def quotient_data(
     ring: RingSpec,
     gens: Sequence[Sequence[int]],
     rels: Sequence[Sequence[int]],
-) -> QuotientData:
+) -> ModuleShape:
     """Structure of span(gens)/span(rels); rels must lie in span(gens).
 
     Presents the subquotient on the given generators: relations are the
@@ -761,7 +761,7 @@ def quotient_data(
     if not gens:
         if any(any(x % ring.modulus for x in v) for v in rels):
             raise ValueError("relations outside the zero span")
-        return QuotientData((), ())
+        return ModuleShape((), ())
     g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
     solver = LinearSolver(g)
     rel_cols: list[tuple[int, ...]] = [vec for vec, _ in solver.kernel()]
@@ -776,10 +776,10 @@ def quotient_data(
     else:
         rel = RMatrix.zeros(ring, k, 0)
     q = cokernel_data(rel)
-    return QuotientData(q.invariants, tuple(g.apply(v) for v in q.reps))
+    return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
 
 
-def cokernel_data(a: RMatrix) -> QuotientData:
+def cokernel_data(a: RMatrix) -> ModuleShape:
     """Invariants and representatives of R^rows / column-span(A), from one smithify.
 
     With P A Q = diag(p^e), the quotient is the sum of Z/p^e_i (e_i = r past
@@ -794,4 +794,4 @@ def cokernel_data(a: RMatrix) -> QuotientData:
         if exps[i] > 0:
             invariants.append(exps[i])
             reps.append(_dense(sm.left_inverse_cols[i], k))
-    return QuotientData(tuple(invariants), tuple(reps))
+    return ModuleShape(tuple(invariants), tuple(reps))

@@ -38,10 +38,10 @@ def test_rep_round_trip_is_identity():
     again = save_rep(load_flag(text))
     assert again == text
     rep = load_rep(text)
-    assert rep == f.rep
-    bare = save_rep(f.rep)
-    assert "characters" not in bare
-    assert save_rep(load_rep(bare), with_characters=False) == bare
+    assert rep == SurfaceRep(f.ring, f.genus, f.mats) and rep != f
+    bare = save_rep(rep)
+    assert "characters" in text and "characters" not in bare
+    assert save_rep(load_rep(bare)) == bare
 
 
 def test_cocycle_round_trip():
@@ -106,7 +106,7 @@ def identity_rep_text(genus: int, dim: int) -> str:
 _SEED_DOCUMENTS = [
     save_rep(kummer_fixture()),
     save_rep(gen_random_flag(2, 2, 3, 2, kind="any", seed=0)),
-    save_rep(gen_random_flag(5, 1, 2, 1, kind="any", seed=1).rep),
+    save_rep(load_rep(save_rep(gen_random_flag(5, 1, 2, 1, kind="any", seed=1)))),
     save_rep(SurfaceRep(RingSpec(2, 1), 1, (RMatrix.zeros(RingSpec(2, 1), 0, 0),) * 2)),
     save_cocycle(RingSpec(3, 2), 2, 2, ((1, 0), (2, 8), (0, 0), (4, 4))),
     save_cocycle(RingSpec(2, 1), 1, 0, ((), ())),
@@ -177,7 +177,7 @@ def test_load_rep_validates_relator_and_invertibility():
 def test_cli_cohomology_reports_h1_dim(tmp_path, capsys):
     mod = trivial_module(RingSpec(2, 1), 2, 1)
     path = tmp_path / "triv.rep"
-    path.write_text(save_rep(SurfaceRep(mod.ring, 2, mod.acts), with_characters=False))
+    path.write_text(save_rep(SurfaceRep(mod.ring, 2, mod.acts)))
     assert main(["cohomology", str(path)]) == 0
     out = capsys.readouterr().out
     assert "H1: dim 4" in out
@@ -224,6 +224,15 @@ def test_cli_glue_verdicts(tmp_path, capsys):
     bad_f.write_text(save_rep(Flag.from_rows(ring, 1, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])))
     assert main(["glue", str(bad_e), str(bad_f)]) == 2
     assert capsys.readouterr().out == "obstructed: class 1 in H2 of the corner module\n"
+
+
+def test_cli_glue_rejects_0_flags(tmp_path, capsys):
+    z = tmp_path / "z.rep"
+    z.write_text(save_rep(Flag.from_rows(RingSpec(2, 1), 1, [[]] * 2)))
+    assert main(["glue", str(z), str(z)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: glue parts must have dimension at least 1\n"
 
 
 @pytest.mark.parametrize(

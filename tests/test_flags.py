@@ -22,7 +22,7 @@ from flaglift.lifting import lift_kummer, lift_kummer_truncation
 from flaglift.oracle import gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.stats import current, session
-from flaglift.surface import SurfaceRep, hom_module
+from flaglift.surface import hom_module
 from flaglift.zmod import RingSpec, RMatrix
 
 
@@ -31,7 +31,7 @@ def flag2(ring, ax, ay, chars=((1, 1), (1, 1))):
     (c1x, c1y), (c2x, c2y) = chars
     x = RMatrix.from_rows(ring, [[c1x, ax], [0, c2x]])
     y = RMatrix.from_rows(ring, [[c1y, ay], [0, c2y]])
-    return Flag(SurfaceRep(ring, 1, (x, y)))
+    return Flag(ring, 1, (x, y))
 
 
 def flag_g1(ring, rows_x, rows_y):
@@ -79,10 +79,10 @@ def test_dual_is_an_involution_and_swaps_operations():
         y = RMatrix.identity(ring, d)
         for _ in range(k):
             y = y @ x
-        f = Flag(SurfaceRep(ring, 1, (x, y)))
+        f = Flag(ring, 1, (x, y))
         assert f.dual().dual() == f
         j = RMatrix(ring, d, d, tuple(int(a + b == d - 1) for a in range(d) for b in range(d)))
-        assert f.dual().mats == tuple(j @ m.transpose() @ j for m in f.rep.inverses)
+        assert f.dual().mats == tuple(j @ m.transpose() @ j for m in f.inverses)
         for i in range(1, d + 1):
             chi = f.char(i)
             dual_chi = f.dual().char(d + 1 - i)
@@ -129,13 +129,13 @@ def test_is_wound_kummer_with_teichmuller_characters():
     # scalar 8 = teichmuller(2); unipotent part keeps the 2-step nonsplit
     x = RMatrix.from_rows(ring, [[8, 8], [0, 8]])
     y = RMatrix.from_rows(ring, [[8, 0], [0, 8]])
-    f = Flag(SurfaceRep(ring, 1, (x, y)))
+    f = Flag(ring, 1, (x, y))
     assert is_wound(f)
     assert is_wound_kummer(f)
     # same shape with a non-Teichmuller character
     x2 = RMatrix.from_rows(ring, [[2, 2], [0, 2]])
     y2 = RMatrix.from_rows(ring, [[2, 0], [0, 2]])
-    f2 = Flag(SurfaceRep(ring, 1, (x2, y2)))
+    f2 = Flag(ring, 1, (x2, y2))
     assert is_wound(f2) and not is_wound_kummer(f2)
     assert is_wound_kummer(flag2(RingSpec(2, 2), 1, 1))
 
@@ -147,13 +147,7 @@ def test_is_kummer_characters_and_r1():
     f = flag_g1(ring1, x, y)
     assert is_kummer(f).ok, "mod p with trivial characters is always Kummer"
     ring = RingSpec(3, 1)
-    bad = Flag(
-        SurfaceRep(
-            ring,
-            1,
-            (RMatrix.diagonal(ring, [1, 2]), RMatrix.identity(ring, 2)),
-        )
-    )
+    bad = Flag(ring, 1, (RMatrix.diagonal(ring, [1, 2]), RMatrix.identity(ring, 2)))
     v = is_kummer(bad)
     assert not v.ok and "character" in v.reason
     assert is_kummer(bad, strict_chars=False).ok, "teichmuller characters allowed when relaxed"
@@ -241,7 +235,7 @@ def handle_moved(flag, first):
     """
     x, y, *rest = flag.mats
     pair = (x @ y, y) if first else (x, y @ x)
-    return Flag(SurfaceRep(flag.ring, flag.genus, pair + tuple(rest)))
+    return Flag(flag.ring, flag.genus, pair + tuple(rest))
 
 
 def conjugated(flag, rng):
@@ -251,7 +245,7 @@ def conjugated(flag, rng):
     """
     t = unit_upper(flag.ring, flag.d, rng)
     t_inv = t.inverse()
-    return Flag(SurfaceRep(flag.ring, flag.genus, tuple(t_inv @ m @ t for m in flag.mats)))
+    return Flag(flag.ring, flag.genus, tuple(t_inv @ m @ t for m in flag.mats))
 
 
 def test_invariants_and_verdicts_survive_handle_moves():

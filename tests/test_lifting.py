@@ -18,9 +18,9 @@ from flaglift.lifting import (
     lift_wound_kummer,
     relator_defect,
 )
-from flaglift.oracle import gen_random_flag
+from flaglift.oracle import brute_glue, gen_random_flag
 from flaglift.repfile import save_rep
-from flaglift.surface import SurfaceRep, RelatorError
+from flaglift.surface import RelatorError
 from flaglift.zmod import LinearSolver, RingSpec, RMatrix, teichmuller
 
 
@@ -47,7 +47,7 @@ def rand_kummer_flag(rng, p, r, d, genus):
         y = RMatrix.from_rows(ring, ent[1])
         mats = (x, y) if genus == 1 else (x, y, y, x)
         try:
-            f = Flag(SurfaceRep(ring, genus, mats))
+            f = Flag(ring, genus, mats)
         except RelatorError:
             continue
         if is_kummer(f).ok:
@@ -88,13 +88,15 @@ def test_glue_rejects_overlap_mismatch():
 
 def test_glue_and_gluift_reject_zero_dimensional_parts():
     ring, up = RingSpec(2, 1), RingSpec(2, 2)
-    empty = Flag(SurfaceRep(ring, 1, (RMatrix.zeros(ring, 0, 0),) * 2))
-    empty_up = Flag(SurfaceRep(up, 1, (RMatrix.zeros(up, 0, 0),) * 2))
-    with pytest.raises(ValueError):
-        glue(empty, empty)
-    with pytest.raises(ValueError):
+    empty = Flag(ring, 1, (RMatrix.zeros(ring, 0, 0),) * 2)
+    empty_up = Flag(up, 1, (RMatrix.zeros(up, 0, 0),) * 2)
+    # the dimension is checked before the overlap, which a 0-flag does not have
+    for build in (glue, brute_glue):
+        with pytest.raises(ValueError, match="^glue parts must have dimension at least 1$"):
+            build(empty, empty)
+    with pytest.raises(ValueError, match="^glue parts must have dimension at least 1$"):
         gluift(empty_up, empty_up, Flag.from_rows(ring, 1, [[[1]], [[1]]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^glue parts must have dimension one below the base$"):
         gluift(empty_up, empty_up, empty)
 
 
@@ -355,7 +357,7 @@ def test_pinned_parts_are_checked_at_the_boundary():
     # reduces correctly, but the character 4 of x1 is not trivial mod 9
     for lift, name, good, _ in engines[:2]:
         x1, y1 = good.mats
-        bad = Flag(SurfaceRep(good.ring, 1, (x1.scale(4), y1)))
+        bad = Flag(good.ring, 1, (x1.scale(4), y1))
         assert bad.reduce_to(1) == good.reduce_to(1) and not is_kummer(bad).ok
         with pytest.raises(ValueError, match=f"^{name} part is not Kummer: "):
             lift(f, bad)
@@ -384,7 +386,7 @@ def test_lift_wound_kummer_rejects_a_pinned_truncation_that_is_not_wound_kummer(
     f = flag_g1(RingSpec(3, 1), *_FROZEN_WOUND)
     flat = lift_wound_kummer(f.truncate()).flag
     x1, y1 = flat.mats
-    bad = Flag(SurfaceRep(flat.ring, 1, (x1.scale(4), y1)))
+    bad = Flag(flat.ring, 1, (x1.scale(4), y1))
     assert bad.reduce_to(1) == f.truncate() and not is_wound_kummer(bad)
     with pytest.raises(ValueError, match="not wound"):
         lift_wound_kummer(f, bad)

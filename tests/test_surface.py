@@ -50,8 +50,8 @@ def test_validation_inverses_are_handed_on(monkeypatch):
     # the relator walk inverts every generator once; the object keeps those
     # inverses, an equal tuple in the same session reads them off the walks
     # table, and as_module / reduce_to hand them on instead of inverting
-    rep0 = gen_random_flag(3, 2, 3, 2, seed=4).rep
-    ring, genus, mats = rep0.ring, rep0.genus, rep0.mats
+    flag = gen_random_flag(3, 2, 3, 2, seed=4)
+    ring, genus, mats = flag.ring, flag.genus, flag.mats
     inverted = []
     inverse = RMatrix.inverse
 

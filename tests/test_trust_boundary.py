@@ -24,23 +24,21 @@ from flaglift.lifting import (
     lift_wound_kummer,
 )
 from flaglift.oracle import gen_random_flag
-from flaglift.repfile import load_rep, save_rep
-from flaglift.surface import GModule, SurfaceRep, dual_module, hom_module, tensor_module
+from flaglift.repfile import load_flag, load_rep, save_rep
+from flaglift.surface import GModule, RelatorError, SurfaceRep, dual_module, hom_module, tensor_module
 from flaglift.zmod import RingSpec, RMatrix
 
 
 def rebuilt(obj):
-    """``obj`` built again from its matrices through the public constructors."""
-    if isinstance(obj, Flag):
-        return Flag(rebuilt(obj.rep))
-    if isinstance(obj, SurfaceRep):
-        return SurfaceRep(obj.ring, obj.genus, obj.mats)
+    """``obj`` built again from its matrices through the public constructor of its class."""
+    if isinstance(obj, SurfaceRep):  # a Flag too
+        return type(obj)(obj.ring, obj.genus, obj.mats)
     return GModule(obj.ring, obj.genus, obj.acts)
 
 
 def test_derived_objects_skip_the_relator_walk(monkeypatch):
     flag = gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5)
-    rep = flag.rep
+    rep = SurfaceRep(flag.ring, flag.genus, flag.mats)
 
     def refuse(*args):
         raise AssertionError("a derived object walked the relator")
@@ -62,9 +60,12 @@ def test_derived_objects_skip_the_relator_walk(monkeypatch):
         ext.quotient,
     ]
     monkeypatch.undo()
+    assert rep != flag, "a flag never equals the bare representation on its matrices"
     for obj in derived:
         again = rebuilt(obj)
         assert obj == again and hash(obj) == hash(again)
+        if isinstance(obj, Flag):
+            assert obj != SurfaceRep(obj.ring, obj.genus, obj.mats)
 
 
 def test_boundary_constructions_walk_the_relator(monkeypatch):
@@ -91,6 +92,7 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
         "SurfaceRep": SurfaceRep(ring, 1, (a, eye)),
         "GModule": GModule(ring, 1, (a, eye)),
         "load_rep": load_rep(text),
+        "load_flag": load_flag(text),
         "glue": glue(kummer.truncate(), kummer.quotient_by_first()).flag,
         "gluift": gluift(
             kummer_up.truncate(), kummer_up.quotient_by_first(), kummer_up.reduce_to(1)
@@ -115,18 +117,18 @@ _SOURCES = [(2, 2, 3, 1), (2, 2, 4, 2), (3, 2, 3, 2), (3, 2, 4, 1), (2, 3, 3, 1)
 def checked_flag(p, r, d, genus, seed):
     """A flag over Z/p^r built through the public constructors, inverses recorded."""
     f = gen_random_flag(p, r, d, genus, kind="any", seed=seed)
-    return Flag(SurfaceRep(f.ring, f.genus, f.mats))
+    return Flag(f.ring, f.genus, f.mats)
 
 
 def derived_builders(flag):
     """Builders of every kind of derived object, from ``flag`` and from derived flags."""
     out = []
     for f in (flag, flag.reduce_to(1), flag.dual(), flag.reduce_to(1).dual()):
-        mod, d = f.rep.as_module(), f.d
+        mod, d = f.as_module(), f.d
         if f is not flag:
-            out.append(lambda f=f: f.rep)
-        out += [lambda f=f: f.rep.as_module(), lambda f=f: f.rep.reduce_to(1)]
-        out += [lambda f=f, i=i, j=j: f.segment(i, j).rep for i in range(d + 1) for j in range(i, d + 1)]
+            out.append(lambda f=f: f)
+        out += [lambda f=f: f.as_module(), lambda f=f: f.reduce_to(1)]
+        out += [lambda f=f, i=i, j=j: f.segment(i, j) for i in range(d + 1) for j in range(i, d + 1)]
         out += [lambda f=f, i=i: f.segment(i, f.d).as_module() for i in range(d)]
         for n_sub in range(d + 1):
             out += [
@@ -141,7 +143,9 @@ def derived_builders(flag):
             lambda ext=ext: hom_module(ext.quotient, ext.sub),
             lambda mod=mod: mod.reduce_to(1),
         ]
-    return out + [lambda s=s: flag.rep.reduce_to(s) for s in range(1, flag.ring.r)]
+    bare = SurfaceRep(flag.ring, flag.genus, flag.mats)
+    out.append(lambda: bare.as_module())
+    return out + [lambda src=src, s=s: src.reduce_to(s) for src in (flag, bare) for s in range(1, flag.ring.r)]
 
 
 def generators(obj):
@@ -242,12 +246,15 @@ def test_trusted_flags_match_the_public_constructor():
         derived += [flag.segment(i, j) for i in range(d + 1) for j in range(i, d + 1)]
         derived += [flag.dual().segment(1, d), flag.reduce_to(1).segment(0, d - 1)]
         for f in derived:
-            again = Flag(SurfaceRep(f.ring, f.genus, f.mats))
+            again = Flag(f.ring, f.genus, f.mats)
             assert f == again and hash(f) == hash(again)
     ring = RingSpec(3, 1)
     lower = RMatrix.from_rows(ring, [[1, 0], [1, 1]])
     with pytest.raises(ValueError, match="not upper triangular at \\(1,0\\)"):
-        Flag(SurfaceRep(ring, 1, (lower, RMatrix.identity(ring, 2))))
+        Flag(ring, 1, (lower, RMatrix.identity(ring, 2)))
+    # neither triangular nor relator-exact: the inherited relator check runs first
+    with pytest.raises(RelatorError):
+        Flag(ring, 1, (lower, RMatrix.from_rows(ring, [[1, 1], [0, 1]])))
 
 
 # -- tooling guard: who may build without checking ------------------------------
@@ -258,7 +265,6 @@ _TRUSTED_NAMES = {
     "_trusted_ring": {"src/flaglift/zmod.py"},
     "_trusted": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
     "_diagonal_block": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
-    "_trusted_flag": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
 }
 
 
@@ -353,6 +359,15 @@ def relator_calls(tree):
     return list(walk(tree, ()))
 
 
+def wrapped_flags(tree):
+    """Lines of every ``Flag(SurfaceRep(...))``: a flag is built once, as ``Flag(ring, genus, mats)``."""
+    name = lambda node: getattr(node, "attr", getattr(node, "id", None))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "Flag":
+            if any(isinstance(a, ast.Call) and name(a.func) == "SurfaceRep" for a in node.args):
+                yield node.lineno
+
+
 def private_parameters(tree):
     """(function name, line) of every parameter whose name starts with ``_``."""
     for node in ast.walk(tree):
@@ -389,6 +404,11 @@ def test_guards_flag_the_patterns_they_forbid():
         "def h(x, y_=1, *_a, **_kw):\n    pass\ndef ok(self, x, *args, **kwargs):\n    pass\n"
     )
     assert sorted(private_parameters(hidden)) == [("<lambda>", 3), ("f", 1), ("h", 4), ("h", 4)]
+    wrapped = ast.parse(
+        "a = Flag(SurfaceRep(r, 1, m))\nb = flags.Flag(surface.SurfaceRep(r, 1, m))\n"
+        "c = Flag(r, 1, m)\nd = SurfaceRep(r, 1, m)\ne = Flag(r, 1, SurfaceRep(r, 1, m).mats)\n"
+    )
+    assert sorted(wrapped_flags(wrapped)) == [1, 2]
 
 
 def test_no_unbounded_or_hidden_global_memo():
@@ -407,8 +427,10 @@ def test_no_unbounded_or_hidden_global_memo():
 # -- tooling guard: one relator walk ------------------------------------------------
 
 # The relator check and the Fox matrix are the only walks in the package; every
-# other relator value is read off ``d1``.  The oracle keeps its own walk on
-# purpose, so that it stays independent of the code it checks.
+# other relator value is read off ``d1``.  Of the oracle, only ``brute_cocycles``
+# keeps its own walk, so that it stays independent of the code it checks;
+# ``brute_lift`` and ``brute_glue`` accept candidates through the checked
+# ``Flag`` constructor, and so share the check and its ``walks`` table.
 _RELATOR_WALKS = {
     "src/flaglift/surface.py": {"_relator_product"},
     "src/flaglift/cohomology.py": {"CochainComplex.d1"},
@@ -425,6 +447,18 @@ def test_only_the_check_and_d1_walk_the_relator():
             assert scope in _RELATOR_WALKS.get(rel, ()), f"{rel}:{line} ({scope}) walks the relator"
             seen.add((rel, scope))
     assert seen == {(rel, s) for rel, scopes in _RELATOR_WALKS.items() for s in scopes}
+
+
+# -- tooling guard: a flag is built once --------------------------------------------
+
+
+def test_no_flag_wraps_a_surface_rep():
+    """A ``Flag`` is a ``SurfaceRep``; building one around another checks the relator twice."""
+    files = sorted(p for d in ("src", "scripts", "tests") for p in (_ROOT / d).rglob("*.py"))
+    assert _ROOT / "src/flaglift/lifting.py" in files and _ROOT / "tests/test_flags.py" in files
+    for path in files:
+        lines = list(wrapped_flags(ast.parse(path.read_text(), str(path))))
+        assert not lines, f"{path.relative_to(_ROOT).as_posix()} wraps a SurfaceRep in a Flag at lines {lines}"
 
 
 # -- tooling guard: no hidden switch past the boundary ---------------------------------
