@@ -115,10 +115,12 @@ def test_h1_reps_are_cocycles_not_coboundaries():
 # sha256 over repr((h0, h1, h2)) of every report below, invariants and
 # representatives both; any change to the kernels' output changes it
 H_GROUPS_DIGEST = "f022679a396699dc3d2ee6ec6cc39ad3afbbf8e2cbfd19dcdfa809bcebf4dd38"
+# the same reports with H^1 cut to its invariants: H^0 and H^2 in full
+H_GROUPS_INVARIANT_DIGEST = "10d0ffee9cf072d59e61e3b3ca542e06c44138d714e4a15534d7954724870998"
 
 
-def test_h_groups_full_report_digest():
-    digest = hashlib.sha256()
+def h_groups_reports():
+    """The 48 reports both digests hash: trivial and adjoint flag modules."""
     for p in (2, 3):
         for r in (1, 2):
             ring = RingSpec(p, r)
@@ -126,9 +128,21 @@ def test_h_groups_full_report_digest():
                 for d in (2, 3):
                     v = gen_random_flag(p, r, d, genus, seed=10 * genus + d).as_module()
                     for mod in (trivial_module(ring, genus, d * d), hom_module(v, v)):
-                        rep = h_groups(mod)
-                        digest.update(repr((rep.h0, rep.h1, rep.h2)).encode())
+                        yield h_groups(mod)
+
+
+def test_h_groups_full_report_digest():
+    digest = hashlib.sha256()
+    for rep in h_groups_reports():
+        digest.update(repr((rep.h0, rep.h1, rep.h2)).encode())
     assert digest.hexdigest() == H_GROUPS_DIGEST, "h_groups reports changed"
+
+
+def test_h_groups_invariant_digest():
+    digest = hashlib.sha256()
+    for rep in h_groups_reports():
+        digest.update(repr((rep.h0, rep.h1.invariants, rep.h2)).encode())
+    assert digest.hexdigest() == H_GROUPS_INVARIANT_DIGEST, "h_groups H^0, H^2 or H^1 invariants changed"
 
 
 # -- cup products --------------------------------------------------------------
