@@ -8,11 +8,12 @@ presentation: for a module M of rank n the cochain spaces are
 d0 sends m to the cochain g -> g.m - m, and d1 sends a cochain c to the
 value of its crossed extension on the relator (a stacked matrix of Fox
 derivative evaluations).  H^0 = ker d0, H^1 = ker d1 / im d0 and
-H^2 = coker d1; class arithmetic, cup products, extension classes and the
-connecting map of a short exact sequence of modules all reduce to the
-Z/p^r solvers in zmod.  Building ``d1`` is the only walk along the relator:
-the connecting map applies the middle module's cached ``d1``, and a cup
-product is a connecting image (see ``cup``).
+H^2 = coker d1; H^1 is presented on generators of ker d1 read off one
+sweep of d1^T (``zmod.kernel_solver``).  Class arithmetic, cup products,
+extension classes and the connecting map of a short exact sequence of
+modules all reduce to the Z/p^r solvers in zmod.  Building ``d1`` is the
+only walk along the relator: the connecting map applies the middle module's
+cached ``d1``, and a cup product is a connecting image (see ``cup``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .zmod import (
     RMatrix,
     SpanReducer,
     cokernel_data,
+    kernel_solver,
     quotient_data,
+    smithify,
     vec_add,
     vec_mod,
     vec_scale,
@@ -104,11 +107,11 @@ class CochainComplex:
 
     @cached_property
     def d0_solver(self) -> LinearSolver:
-        return LinearSolver(self.d0)
+        return LinearSolver(self.d0, smithify(self.d0))
 
     @cached_property
     def d1_solver(self) -> LinearSolver:
-        return LinearSolver(self.d1)
+        return LinearSolver(self.d1, smithify(self.d1))
 
     @cached_property
     def im_d0_reducer(self) -> SpanReducer:
@@ -210,12 +213,10 @@ class CohomologyReport:
 def h_groups(module: GModule) -> CohomologyReport:
     """Invariants and representative generators of H^0, H^1, H^2."""
     cx = complex_of(module)
-    ring = module.ring
     kg0 = sorted(cx.d0_solver.kernel(), key=lambda ge: ge[1])
     h0 = ModuleShape(tuple(e for _, e in kg0), tuple(v for v, _ in kg0))
-    gens1 = [vec for vec, _ in cx.d1_solver.kernel()]
-    rels1 = [cx.d0.col(j) for j in range(cx.d0.cols)]
-    h1 = quotient_data(ring, gens1, rels1)
+    # H^1 = ker d1 / im d0, on ker d1's generators read off one sweep of d1^T
+    h1 = quotient_data(kernel_solver(cx.d1), [cx.d0.col(j) for j in range(cx.d0.cols)])
     return CohomologyReport(module, h0, h1, cokernel_data(cx.d1))
 
 
@@ -380,7 +381,7 @@ def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:
             return CohClass(cx_c, 1, (0,) * (ext.quotient.rank * 2 * ext.quotient.genus))
         raise LiftConsistencyError("connecting map cannot hit a nonzero target")
     mat = RMatrix.from_rows(ring, [list(col) for col in cols + im_cols]).transpose()
-    sol = LinearSolver(mat).solve(target.vector)
+    sol = LinearSolver(mat, smithify(mat)).solve(target.vector)
     if sol is None:
         raise LiftConsistencyError("no cocycle maps onto the target obstruction")
     eps = [0] * (ext.quotient.rank * 2 * ext.quotient.genus)

@@ -58,7 +58,15 @@ from .surface import (
     hom_mat,
     hom_module,
 )
-from .zmod import LinearSolver, RingSpec, RMatrix, _dense, span_coefficients, teichmuller
+from .zmod import (
+    LinearSolver,
+    RingSpec,
+    RMatrix,
+    _dense,
+    smithify,
+    span_coefficients,
+    teichmuller,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +489,7 @@ class _JointSystem:
 
     def solve(self) -> tuple[int, ...] | None:
         mat = RMatrix.from_rows(self.ring, [_dense(row, self.width) for row, _ in self.rows])
-        return LinearSolver(mat).solve(tuple(rhs for _, rhs in self.rows))
+        return LinearSolver(mat, smithify(mat)).solve(tuple(rhs for _, rhs in self.rows))
 
 
 @dataclass(frozen=True)

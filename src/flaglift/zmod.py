@@ -15,10 +15,13 @@ staircase form without any general PID machinery.  The module provides:
   P^-1 carried through the same sweep.  P, Q and P^-1 are handed out as
   the sweep's own sparse lines, never as matrices,
 * ``LinearSolver``: one solution of A x = b plus an independent kernel
-  basis with annihilator exponents,
+  basis with annihilator exponents, from Smith factors of A,
+* ``kernel_solver``: a solver on a generator matrix of ker A, its Smith
+  factors read off one ``smithify`` of A^T instead of a sweep of its own,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``quotient_data`` / ``cokernel_data``: invariants and representatives of
-  a subquotient; a cokernel is read off one ``smithify`` of its matrix,
+  a subquotient colspan(G) / span(rels), presented on a solver of G, and of
+  a cokernel, read off one ``smithify`` of its matrix,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
@@ -629,15 +632,17 @@ def _dense(line: dict[int, int], n: int) -> tuple[int, ...]:
 
 
 class LinearSolver:
-    """Solve A x = b repeatedly and enumerate ker A, from one smithify call.
+    """Solve A x = b repeatedly and enumerate ker A, from Smith factors of A.
 
-    Keeps the rows of P and the columns of Q, not P^-1.
+    ``sm`` must hold invertible P, Q with P @ A @ Q = diag(p^e): the result
+    of ``smithify(a)``, or factors known without a sweep of A, as
+    ``kernel_solver`` builds them.  Keeps the rows of P and the columns of
+    Q, not P^-1.
     """
 
-    def __init__(self, a: RMatrix):
+    def __init__(self, a: RMatrix, sm: SmithResult):
         self.a = a
         self.ring = a.ring
-        sm = smithify(a)
         self._left_rows, self._right_cols = sm.left_rows, sm.right_cols
         # slots past min(rows, cols) count as zero diagonal entries, exponent r
         pad = max(a.rows, a.cols) - len(sm.exponents)
@@ -684,6 +689,40 @@ class LinearSolver:
                 gens.append((_dense({k: scale * x % m for k, x in col.items()}, self.a.cols), e))
         self._kernel = gens
         return gens
+
+
+def kernel_solver(a: RMatrix) -> LinearSolver:
+    """A solver on a matrix G whose columns generate ker A, from one sweep of A^T.
+
+    ``smithify(A^T)`` gives P' A^T Q' = D, so Q1 = P'^T is a right Smith
+    transform of A.  With x = Q1 y, A x = 0 exactly when p^e_i y_i = 0 for
+    every i (e_i = r past min(rows, cols)), so ker A is generated by the
+    columns of G = Q1 diag(p^(r - e_i)) over e_i > 0, that is rows i of P'
+    scaled by p^(r - e_i).  Then Q1^-1 G = diag(p^(r - e_i)) on top of
+    zeros: the solver's P is Q1^-1, whose rows are the columns of P'^-1
+    (``left_inverse_cols``), its Q is the identity and its exponents are
+    r - e_i.  G itself is never swept.  The columns come in descending e_i,
+    so the exponents ascend as ``smithify``'s do.
+    """
+    ring = a.ring
+    p, r, m = ring.p, ring.r, ring.modulus
+    n = a.cols
+    sm = smithify(a.transpose())
+    exps = sm.exponents + (r,) * (n - len(sm.exponents))
+    order = sorted(range(n), key=lambda i: -exps[i])  # stable: ties keep P' row order
+    k = sum(1 for e in exps if e > 0)
+    ents = [0] * (n * k)
+    for j, i in enumerate(order[:k]):
+        scale = p ** (r - exps[i])
+        for row, x in sm.left_rows[i].items():
+            ents[row * k + j] = scale * x % m
+    factors = SmithResult(
+        left_rows=[sm.left_inverse_cols[i] for i in order],
+        right_cols=[{j: 1} for j in range(k)],
+        exponents=tuple(r - exps[i] for i in order[:k]),
+        left_inverse_cols=[sm.left_rows[i] for i in order],
+    )
+    return LinearSolver(_trusted_matrix(ring, n, k, tuple(ents)), factors)
 
 
 def span_coefficients(p: int, exps: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -746,35 +785,25 @@ class ModuleShape:
     reps: tuple[tuple[int, ...], ...]  # ambient representatives, one per invariant
 
 
-def quotient_data(
-    ring: RingSpec,
-    gens: Sequence[Sequence[int]],
-    rels: Sequence[Sequence[int]],
-) -> ModuleShape:
-    """Structure of span(gens)/span(rels); rels must lie in span(gens).
+def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> ModuleShape:
+    """Structure of colspan(G)/span(rels) for G = ``solver.a``; rels must lie in colspan(G).
 
-    Presents the subquotient on the given generators: relations are the
-    kernel of the generator matrix plus the coordinates of each rel vector.
-    The quotient is the cokernel of that relation matrix, carried into the
-    ambient space by the generator matrix.
+    Presents the subquotient on the columns of G: relations are the
+    generators of ker G (``solver.kernel()``) plus one solution of
+    G x = v for each rel vector v.  The quotient is the cokernel of that
+    relation matrix, carried into the ambient space by G.
     """
-    if not gens:
-        if any(any(x % ring.modulus for x in v) for v in rels):
-            raise ValueError("relations outside the zero span")
-        return ModuleShape((), ())
-    g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
-    solver = LinearSolver(g)
+    g = solver.a
     rel_cols: list[tuple[int, ...]] = [vec for vec, _ in solver.kernel()]
     for v in rels:
         lam = solver.solve(v)
         if lam is None:
             raise ValueError("relation vector outside the generator span")
         rel_cols.append(lam)
-    k = len(gens)
     if rel_cols:
-        rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
+        rel = RMatrix.from_rows(g.ring, [list(c) for c in rel_cols]).transpose()
     else:
-        rel = RMatrix.zeros(ring, k, 0)
+        rel = RMatrix.zeros(g.ring, g.cols, 0)
     q = cokernel_data(rel)
     return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
 

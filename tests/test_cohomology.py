@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from flaglift import cohomology, zmod
 from flaglift.cohomology import (
+    CochainComplex,
     CohClass,
     LiftConsistencyError,
     complex_of,
@@ -32,7 +34,8 @@ from flaglift.surface import (
     tensor_module,
     trivial_module,
 )
-from flaglift.zmod import RingSpec, RMatrix
+from flaglift.zmod import RingSpec, RMatrix, SpanReducer, kernel_solver
+from h1_reference import h1_reference
 from relator_walk import crossed_value
 
 
@@ -143,6 +146,81 @@ def test_h_groups_invariant_digest():
     for rep in h_groups_reports():
         digest.update(repr((rep.h0, rep.h1.invariants, rep.h2)).encode())
     assert digest.hexdigest() == H_GROUPS_INVARIANT_DIGEST, "h_groups H^0, H^2 or H^1 invariants changed"
+
+
+# sha256 over repr((h0, h1, h2)) of the same 48 reports with H^1 from the
+# reference: the value H_GROUPS_DIGEST had while h_groups took that path
+H1_REFERENCE_DIGEST = "f022679a396699dc3d2ee6ec6cc39ad3afbbf8e2cbfd19dcdfa809bcebf4dd38"
+
+
+def test_h1_reference_digest():
+    digest = hashlib.sha256()
+    for rep in h_groups_reports():
+        digest.update(repr((rep.h0, h1_reference(rep.module), rep.h2)).encode())
+    assert digest.hexdigest() == H1_REFERENCE_DIGEST, "the reference H^1 path changed"
+
+
+def check_h1_representatives(module, h1):
+    """Each rep is a cocycle of exact order p^e in H^1, and with im d0 they span ker d1."""
+    cx = complex_of(module)
+    p = module.ring.p
+    for vec, e in zip(h1.reps, h1.invariants):
+        cls = CohClass(cx, 1, vec)  # checks the cocycle condition
+        assert cls.scale(p**e).is_zero(), "order must divide p^e"
+        assert not cls.scale(p ** (e - 1)).is_zero(), "order below p^e"
+    coboundaries = [cx.d0.col(j) for j in range(cx.d0.cols)]
+    span = SpanReducer(module.ring, list(h1.reps) + coboundaries, width=cx.d0.rows)
+    assert all(span.contains(vec) for vec, _ in cx.d1_solver.kernel()), "reps and im d0 miss ker d1"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_h1_matches_the_reference(p):
+    # trivial modules, flag modules of each kind and their adjoints:
+    # 189 modules per prime, r 1-3, g 1-3, d 1-3
+    checked = 0
+    for r, genus, d in itertools.product((1, 2, 3), repeat=3):
+        mods = [trivial_module(RingSpec(p, r), genus, d)]
+        for kind in ("any", "kummer", "wound-kummer"):
+            v = gen_random_flag(p, r, d, genus, kind=kind, seed=10 * genus + d).as_module()
+            mods += [v, hom_module(v, v)]
+        for mod in mods:
+            h1 = h_groups(mod).h1
+            assert h1.invariants == h1_reference(mod).invariants, (r, genus, d, mod.rank)
+            if mod.rank <= 4:
+                check_h1_representatives(mod, h1)
+                checked += 1
+    assert checked > 100
+
+
+def test_h_groups_sweeps_no_kernel_generator_matrix(monkeypatch):
+    # one sweep each of d0, d1^T, the relation matrix of H^1 and d1 (for
+    # H^2); the generator matrix of ker d1 is never swept
+    v = gen_random_flag(3, 2, 3, 2, seed=7).as_module()
+    mod = hom_module(v, v)
+    cx = CochainComplex(mod)  # a fresh complex: no solver built yet
+    gens = kernel_solver(cx.d1).a
+    swept, smith = [], cohomology.smithify
+    record = lambda a: swept.append(a) or smith(a)
+    monkeypatch.setattr(cohomology, "complex_of", lambda m: cx)
+    monkeypatch.setattr(cohomology, "smithify", record)
+    monkeypatch.setattr(zmod, "smithify", record)
+    rep = h_groups(mod)
+    assert [swept[0], swept[1], swept[3]] == [cx.d0, cx.d1.transpose(), cx.d1]
+    assert len(swept) == 4 and swept[2].rows == gens.cols < gens.rows
+    assert gens not in swept
+    assert rep.h1.invariants == h1_reference(mod).invariants
+
+
+def test_genus_10_rank_16_adjoint_rung():
+    # the top rung of the North star: H^1 of a genus-10 rank-16 adjoint module
+    v = gen_random_flag(3, 2, 4, 10, kind="any", seed=1).as_module()
+    mod = hom_module(v, v)
+    rep = h_groups(mod)
+    h0, h1, h2 = rep.h0.invariants, rep.h1.invariants, rep.h2.invariants
+    assert h1 == h1_reference(mod).invariants
+    assert h2 == h0
+    # Euler characteristic: |H^0| |H^2| / |H^1| = |M|^(2 - 2g)
+    assert sum(h0) - sum(h1) + sum(h2) == (2 - 2 * 10) * 16 * 2
 
 
 # -- cup products --------------------------------------------------------------

@@ -21,7 +21,7 @@ from flaglift.lifting import (
 from flaglift.oracle import brute_glue, gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.surface import RelatorError
-from flaglift.zmod import LinearSolver, RingSpec, RMatrix, teichmuller
+from flaglift.zmod import RingSpec, RMatrix, teichmuller
 
 
 def flag_g1(ring, rows_x, rows_y):
@@ -255,7 +255,7 @@ def test_lift_h1_class_zero_and_spanning_set():
         zero = CohClass(cx1, 1, (0,) * (2 * d))
         assert lift_h1_class(f, zero).is_zero()
         cxr = complex_of(f.as_module())
-        for vec, _ in LinearSolver(cx1.d1).kernel():
+        for vec, _ in cx1.d1_solver.kernel():
             up = lift_h1_class(f, CohClass(cx1, 1, vec))
             assert up.degree == 1
             assert cxr.d1.apply(up.vector) == (0,) * d, "output is a cocycle"

@@ -17,6 +17,7 @@ from flaglift.zmod import (
     _is_prime,
     cokernel_data,
     echelonize,
+    kernel_solver,
     quotient_data,
     smithify,
     teichmuller,
@@ -520,7 +521,7 @@ def test_solve_roundtrip_and_kernel(ring):
     for _ in range(30):
         rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
         a = rand_matrix(ring, rows, cols, rng)
-        solver = LinearSolver(a)
+        solver = LinearSolver(a, smithify(a))
         x = tuple(rng.randrange(ring.modulus) for _ in range(cols))
         b = a.apply(x)
         got = solver.solve(b)
@@ -539,7 +540,7 @@ def test_solve_agrees_with_enumeration(ring):
     for _ in range(15):
         rows, cols = rng.randrange(1, 3), rng.randrange(1, 3)
         a = rand_matrix(ring, rows, cols, rng)
-        solver = LinearSolver(a)
+        solver = LinearSolver(a, smithify(a))
         all_images = {}
         for x in itertools.product(range(m), repeat=cols):
             all_images.setdefault(a.apply(x), set()).add(x)
@@ -554,6 +555,51 @@ def test_solve_agrees_with_enumeration(ring):
                 assert got is not None and a.apply(got) == b
             else:
                 assert got is None
+
+
+def same_span(ring, us, vs, width):
+    """Whether two lists of length-width vectors generate the same subgroup."""
+    return all(SpanReducer(ring, us, width=width).contains(v) for v in vs) and all(
+        SpanReducer(ring, vs, width=width).contains(u) for u in us
+    )
+
+
+@pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
+def test_kernel_solver_agrees_with_a_swept_solver(ring):
+    # kernel_solver reads the Smith factors of its generator matrix G off one
+    # sweep of A^T; a solver that sweeps G itself must give the same answers
+    rng = random.Random(1313)
+    p, m = ring.p, ring.modulus
+    cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in [(0, 3), (3, 0), (0, 0), (2, 4)]]
+    wide = rand_matrix(ring, 2, 3, rng)
+    cases += [
+        RMatrix.identity(ring, 3),  # ker A = 0: G has no columns
+        RMatrix.diagonal(ring, [1, p, p * p]),
+        RMatrix.hstack([RMatrix.identity(ring, 2), wide]),  # full row rank
+    ]
+    cases += [rand_matrix(ring, rng.randrange(1, 5), rng.randrange(1, 6), rng) for _ in range(12)]
+    cases += [sparse_matrix(ring, 6, 12, rng, density=0.2)]
+    for a in cases:
+        built = kernel_solver(a)
+        g = built.a
+        swept = LinearSolver(g, smithify(g))
+        assert g.rows == a.cols and (a @ g).is_zero()
+        ker_a = [vec for vec, _ in LinearSolver(a, smithify(a)).kernel()]
+        assert same_span(ring, [g.col(j) for j in range(g.cols)], ker_a, a.cols), "G spans ker A"
+        rhs = [g.apply(tuple(rng.randrange(m) for _ in range(g.cols))) for _ in range(4)]
+        rhs += [tuple(rng.randrange(m) for _ in range(g.rows)) for _ in range(4)]
+        rhs += [tuple(int(i == j) * p for j in range(g.rows)) for i in range(g.rows)]
+        for b in rhs:
+            x, y = built.solve(b), swept.solve(b)
+            assert (x is None) == (y is None), "solvability differs"
+            if x is not None:
+                assert g.apply(x) == vec_mod(ring, b)
+        kb, ks = built.kernel(), swept.kernel()
+        assert same_span(ring, [v for v, _ in kb], [v for v, _ in ks], g.cols), "kernels differ"
+        assert sum(e for _, e in kb) == sum(e for _, e in ks)
+        for vec, e in kb:
+            assert not any(g.apply(vec))
+            assert any(vec_scale(ring, p ** (e - 1), vec)), "annihilator exponent overstated"
 
 
 # -- invariants ---------------------------------------------------------------
@@ -587,6 +633,12 @@ def torsion_invariants_by_counting(ring, elements):
     return tuple(sorted(out))
 
 
+def span_solver(ring, gens):
+    """A swept solver on the matrix whose columns are the (nonempty) gens."""
+    g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
+    return LinearSolver(g, smithify(g))
+
+
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2), RingSpec(2, 3)])
 def test_span_invariants_vs_counting(ring):
     rng = random.Random(707)
@@ -594,7 +646,7 @@ def test_span_invariants_vs_counting(ring):
         k, width = rng.randrange(1, 4), rng.randrange(1, 4)
         gens = [tuple(rng.randrange(ring.modulus) for _ in range(width)) for _ in range(k)]
         span = enumerate_span(ring, gens, width)
-        got = quotient_data(ring, gens, []).invariants  # span(gens) / 0
+        got = quotient_data(span_solver(ring, gens), []).invariants  # span(gens) / 0
         assert got == torsion_invariants_by_counting(ring, span)
 
 
@@ -632,8 +684,9 @@ def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring, monkeypatch):
     cases += [rand_matrix(ring, rng.randrange(1, 6), rng.randrange(1, 6), rng) for _ in range(12)]
     cases += [sparse_matrix(ring, rows, cols, rng, 0.03) for rows, cols in [(30, 40), (40, 30)]]
     for a in cases:
-        basis = [tuple(int(i == j) for j in range(a.rows)) for i in range(a.rows)]
-        assert cokernel_data(a) == quotient_data(ring, basis, [a.col(j) for j in range(a.cols)])
+        basis = RMatrix.identity(ring, a.rows)
+        solver = LinearSolver(basis, smithify(basis))
+        assert cokernel_data(a) == quotient_data(solver, [a.col(j) for j in range(a.cols)])
     swept, smith = [], zmod.smithify
     monkeypatch.setattr(zmod, "smithify", lambda a: swept.append(a) or smith(a))
     monkeypatch.setattr(zmod, "LinearSolver", None)  # building a solver would fail
@@ -651,7 +704,7 @@ def test_quotient_data_subspan(ring):
         gens = [tuple(rng.randrange(m) for _ in range(width)) for _ in range(k)]
         span = sorted(enumerate_span(ring, gens, width))
         rels = [rng.choice(span) for _ in range(rng.randrange(0, 3))]
-        data = quotient_data(ring, gens, rels)
+        data = quotient_data(span_solver(ring, gens), rels)
         rel_span = enumerate_span(ring, rels, width) if rels else {(0,) * width}
         red = SpanReducer(ring, sorted(rel_span), width=width)
         cosets = {red.reduce(v) for v in span}
