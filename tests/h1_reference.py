@@ -27,9 +27,7 @@ def h1_reference(module: GModule) -> ModuleShape:
         if lam is None:
             raise AssertionError("a coboundary outside ker d1")
         rel_cols.append(lam)
-    if rel_cols:
-        rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
-    else:
-        rel = RMatrix.zeros(ring, len(gens), 0)
+    # gens is nonempty, so the rank and the number of d0 columns are positive
+    rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
     q = cokernel_data(rel)
     return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
