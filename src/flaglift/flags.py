@@ -162,11 +162,11 @@ class KummerVerdict:
         return self.ok
 
 
-def is_kummer(flag: Flag, strict_chars: bool = True) -> KummerVerdict:
+def is_kummer(flag: Flag) -> KummerVerdict:
     """The Kummer predicate: splittings of subquotients survive reduction.
 
-    Checks (a) every graded character is trivial (strict) or a Teichmuller
-    lift (relaxed), and (b) for every coordinate subquotient extension
+    Checks (a) every graded character is trivial, and (b) for every
+    coordinate subquotient extension
     0 -> V_j/V_i -> V_k/V_i -> V_k/V_j -> 0 with 0 <= i < j < k <= d,
     if the extension splits mod p then it splits over the full ring.
     Condition (b) specialized to j = k-1 says the splitting index table
@@ -175,23 +175,18 @@ def is_kummer(flag: Flag, strict_chars: bool = True) -> KummerVerdict:
     are kept in the session's ``kummer`` table.
     """
     memo = current().kummer
-    key = (flag, strict_chars)
-    verdict = memo.get(key)
+    verdict = memo.get(flag)
     if verdict is None:
-        verdict = memo.put(key, _is_kummer_inner(flag, strict_chars))
+        verdict = memo.put(flag, _is_kummer_inner(flag))
     return verdict
 
 
-def _is_kummer_inner(flag: Flag, strict: bool) -> KummerVerdict:
+def _is_kummer_inner(flag: Flag) -> KummerVerdict:
     ring = flag.ring
     d = flag.d
     for i in range(1, d + 1):
-        chi = flag.char(i)
-        if strict:
-            if any(v != 1 for v in chi):
-                return KummerVerdict(False, f"character of piece {i} is nontrivial")
-        elif not char_is_teichmuller(ring, chi):
-            return KummerVerdict(False, f"character of piece {i} is not a Teichmuller lift")
+        if any(v != 1 for v in flag.char(i)):
+            return KummerVerdict(False, f"character of piece {i} is nontrivial")
     if d <= 1 or ring.r == 1:
         # one step at most, or nothing beyond the mod-p layer to compare
         return KummerVerdict(True)

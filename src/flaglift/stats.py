@@ -73,7 +73,7 @@ class Session:
 
     # (segment flag V_k/V_i, offset j - i) -> whether the extension splits
     splits: Memo = field(default_factory=Memo)
-    # (flag, strict_chars) -> KummerVerdict
+    # flag -> KummerVerdict
     kummer: Memo = field(default_factory=Memo)
     # (genus, generator matrices) -> (product along the relator, their inverses)
     walks: Memo = field(default_factory=Memo)

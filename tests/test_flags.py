@@ -12,6 +12,7 @@ from flaglift import flags, stats
 from flaglift.cohomology import h_groups, split_section
 from flaglift.flags import (
     Flag,
+    char_is_teichmuller,
     index_of,
     is_kummer,
     is_wound,
@@ -150,7 +151,7 @@ def test_is_kummer_characters_and_r1():
     bad = Flag(ring, 1, (RMatrix.diagonal(ring, [1, 2]), RMatrix.identity(ring, 2)))
     v = is_kummer(bad)
     assert not v.ok and "character" in v.reason
-    assert is_kummer(bad, strict_chars=False).ok, "teichmuller characters allowed when relaxed"
+    assert char_is_teichmuller(ring, bad.char(2)), "a Teichmuller character is still not Kummer"
 
 
 def test_is_kummer_two_step():
@@ -253,7 +254,7 @@ def test_invariants_and_verdicts_survive_handle_moves():
         mod = flag.as_module()
         reports = [h_groups(m) for m in (mod, hom_module(mod, mod))]
         groups = [(h.h0.invariants, h.h1.invariants, h.h2.invariants) for h in reports]
-        return groups, is_kummer(flag), is_kummer(flag, strict_chars=False), is_wound(flag)
+        return groups, is_kummer(flag), is_wound(flag)
 
     seen, moved_apart, conjugated_apart = set(), 0, 0
     rng = random.Random(2403)
@@ -267,7 +268,7 @@ def test_invariants_and_verdicts_survive_handle_moves():
         based = conjugated(flag, rng)
         conjugated_apart += based != flag
         assert invariants(based) == before, (p, genus, d, kind, seed, "change of basis")
-        seen.add((before[1].ok, before[3]))
+        seen.add((before[1].ok, before[2]))
     # the moves change the matrices, and the battery reaches both verdicts of each predicate
     assert moved_apart >= 60
     assert conjugated_apart >= 24  # conjugation fixes some generator tuples
@@ -349,7 +350,7 @@ def test_a_bound_of_eight_changes_no_verdict(monkeypatch):
         out, sizes = [], []
         for f in criterion_5_flags():
             lifted = lift_kummer(f)
-            out.append((save_rep(lifted), is_kummer(lifted), is_kummer(f, strict_chars=False),
+            out.append((save_rep(lifted), is_kummer(lifted), is_kummer(f),
                         splitting_indices(f), splitting_indices(f.reduce_to(1)), is_wound(f)))
             sizes.append(max(len(current().splits), len(current().kummer)))
         return out, max(sizes)
