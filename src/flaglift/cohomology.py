@@ -8,8 +8,10 @@ presentation: for a module M of rank n the cochain spaces are
 d0 sends m to the cochain g -> g.m - m, and d1 sends a cochain c to the
 value of its crossed extension on the relator (a stacked matrix of Fox
 derivative evaluations).  H^0 = ker d0, H^1 = ker d1 / im d0 and
-H^2 = coker d1; H^1 is presented on generators of ker d1 read off one
-sweep of d1^T (``zmod.kernel_solver``).  Class arithmetic, cup products,
+H^2 = coker d1.  One sweep of each differential serves everything read
+from it: ``d1_solver`` solves, gives ker d1 and coker d1, and hands out the
+solver on ker d1's generators (``on_kernel``) that presents H^1.  Class
+arithmetic, cup products,
 extension classes and the connecting map of a short exact sequence of
 modules all reduce to the Z/p^r solvers in zmod.  Building ``d1`` is the
 only walk along the relator: the connecting map applies the middle module's
@@ -37,8 +39,6 @@ from .zmod import (
     RingSpec,
     RMatrix,
     SpanReducer,
-    cokernel_data,
-    kernel_solver,
     quotient_data,
     smithify,
     vec_add,
@@ -107,11 +107,11 @@ class CochainComplex:
 
     @cached_property
     def d0_solver(self) -> LinearSolver:
-        return LinearSolver(self.d0, smithify(self.d0))
+        return smithify(self.d0)
 
     @cached_property
     def d1_solver(self) -> LinearSolver:
-        return LinearSolver(self.d1, smithify(self.d1))
+        return smithify(self.d1)
 
     @cached_property
     def im_d0_reducer(self) -> SpanReducer:
@@ -215,9 +215,9 @@ def h_groups(module: GModule) -> CohomologyReport:
     cx = complex_of(module)
     kg0 = sorted(cx.d0_solver.kernel(), key=lambda ge: ge[1])
     h0 = ModuleShape(tuple(e for _, e in kg0), tuple(v for v, _ in kg0))
-    # H^1 = ker d1 / im d0, on ker d1's generators read off one sweep of d1^T
-    h1 = quotient_data(kernel_solver(cx.d1), [cx.d0.col(j) for j in range(cx.d0.cols)])
-    return CohomologyReport(module, h0, h1, cokernel_data(cx.d1))
+    # H^1 = ker d1 / im d0 on ker d1's generators; H^2 = coker d1
+    h1 = quotient_data(cx.d1_solver.on_kernel(), [cx.d0.col(j) for j in range(cx.d0.cols)])
+    return CohomologyReport(module, h0, h1, cx.d1_solver.cokernel())
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def demushkin_report(p: int, genus: int) -> DemushkinReport:
             row.append(val[0])
         gram_rows.append(row)
     gram = RMatrix.from_rows(ring, gram_rows)
-    h2 = cokernel_data(cx.d1)
+    h2 = cx.d1_solver.cokernel()
     return DemushkinReport(p, genus, h2.invariants, gram, gram.is_invertible())
 
 
@@ -381,7 +381,7 @@ def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:
             return CohClass(cx_c, 1, (0,) * (ext.quotient.rank * 2 * ext.quotient.genus))
         raise LiftConsistencyError("connecting map cannot hit a nonzero target")
     mat = RMatrix.from_rows(ring, [list(col) for col in cols + im_cols]).transpose()
-    sol = LinearSolver(mat, smithify(mat)).solve(target.vector)
+    sol = smithify(mat).solve(target.vector)
     if sol is None:
         raise LiftConsistencyError("no cocycle maps onto the target obstruction")
     eps = [0] * (ext.quotient.rank * 2 * ext.quotient.genus)

@@ -59,7 +59,6 @@ from .surface import (
     hom_module,
 )
 from .zmod import (
-    LinearSolver,
     RingSpec,
     RMatrix,
     _dense,
@@ -489,7 +488,7 @@ class _JointSystem:
 
     def solve(self) -> tuple[int, ...] | None:
         mat = RMatrix.from_rows(self.ring, [_dense(row, self.width) for row, _ in self.rows])
-        return LinearSolver(mat, smithify(mat)).solve(tuple(rhs for _, rhs in self.rows))
+        return smithify(mat).solve(tuple(rhs for _, rhs in self.rows))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .flags import Flag, is_kummer, is_wound_kummer
 from .surface import GModule, Presentation, RelatorError
-from .zmod import LinearSolver, ModuleShape, RingSpec, RMatrix, smithify, teichmuller
+from .zmod import ModuleShape, RingSpec, RMatrix, smithify, teichmuller
 
 
 class BudgetExceededError(RuntimeError):
@@ -286,7 +286,7 @@ def _solve_last_generator(
                 row.append(v % ring.modulus)
             rows.append(row)
     mat = RMatrix.from_rows(ring, rows)
-    gens = LinearSolver(mat, smithify(mat)).kernel()
+    gens = smithify(mat).kernel()
     vec = [0] * len(slots)
     for gvec, e in gens:
         t = rng.randrange(ring.p**e)

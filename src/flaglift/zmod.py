@@ -12,16 +12,16 @@ staircase form without any general PID machinery.  The module provides:
   which a plain staircase cannot do over Z/p^r (example: the row (0, p)
   lies in the span of (p, 1) over Z/p^2),
 * ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e), with
-  P^-1 carried through the same sweep.  P, Q and P^-1 are handed out as
-  the sweep's own sparse lines, never as matrices,
-* ``LinearSolver``: one solution of A x = b plus an independent kernel
-  basis with annihilator exponents, from Smith factors of A,
-* ``kernel_solver``: a solver on a generator matrix of ker A, its Smith
-  factors read off one ``smithify`` of A^T instead of a sweep of its own,
+  P^-1 and Q^-1 carried through the same sweep.  It returns the
+  ``LinearSolver`` on A, which owns the four factors as the sweep's own
+  sparse lines, never as matrices,
+* ``LinearSolver``: everything read off that one sweep: one solution of
+  A x = b, an independent kernel basis with annihilator exponents, the
+  cokernel (``cokernel``), and the solver on the matrix of kernel
+  generators (``on_kernel``), whose Smith factors are known without a sweep,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
-* ``quotient_data`` / ``cokernel_data``: invariants and representatives of
-  a subquotient colspan(G) / span(rels), presented on a solver of G, and of
-  a cokernel, read off one ``smithify`` of its matrix,
+* ``quotient_data``: invariants and representatives of a subquotient
+  colspan(G) / span(rels), presented on a solver of G,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
@@ -516,24 +516,7 @@ def echelonize(a: RMatrix) -> EchelonResult:
 # two-sided diagonalization and linear solving
 
 
-@dataclass(frozen=True)
-class SmithResult:
-    """Invertible P, Q with P @ A @ Q = diag(p^e) (exponents nondecreasing).
-
-    The factors are the sweep's own sparse lines, each a dict from index to
-    nonzero residue: ``left_rows[i]`` is row i of P, ``right_cols[j]`` is
-    column j of Q and ``left_inverse_cols[i]`` is column i of P^-1.  The
-    diagonal is not stored: ``exponents`` has one entry per diagonal slot
-    min(rows, cols), a zero diagonal entry recorded as exponent r.
-    """
-
-    left_rows: list[dict[int, int]]
-    right_cols: list[dict[int, int]]
-    exponents: tuple[int, ...]
-    left_inverse_cols: list[dict[int, int]]
-
-
-def smithify(a: RMatrix) -> SmithResult:
+def smithify(a: RMatrix) -> "LinearSolver":
     """Diagonalize over Z/p^r by global minimal-valuation full pivoting.
 
     One sweep suffices over the local ring: after moving a minimal-valuation
@@ -542,12 +525,14 @@ def smithify(a: RMatrix) -> SmithResult:
     are broken towards the smallest (row, col) lexicographically, and the
     search stops at the first row holding a unit.
 
-    The sweep works on sparse lines: A and P as one dict of nonzeros per
-    row, Q and P^-1 as one dict per column.  Every row operation on P is
-    mirrored by the inverse column operation on P^-1, so the result carries
-    P^-1 without a separate inversion.  A's columns are swapped by
-    relabelling: a row dict is keyed by column label, and ``pos`` maps a
-    label to its current column.
+    The sweep works on sparse lines: A, P and Q^-1 as one dict of nonzeros
+    per row, Q and P^-1 as one dict per column.  Every row operation on P is
+    mirrored by the inverse column operation on P^-1, and every column
+    operation on Q by the inverse row operation on Q^-1, so the result
+    carries both inverses without a separate inversion.  A's columns are
+    swapped by relabelling: a row dict is keyed by column label, and ``pos``
+    maps a label to its current column.  Returns the solver on A, which owns
+    all four factors.
     """
     ring = a.ring
     p, r, m = ring.p, ring.r, ring.modulus
@@ -559,6 +544,7 @@ def smithify(a: RMatrix) -> SmithResult:
     pmat = [{i: 1} for i in range(nr)]
     pinv = [{i: 1} for i in range(nr)]
     qmat = [{j: 1} for j in range(nc)]
+    qinv = [{j: 1} for j in range(nc)]
     lim = min(nr, nc)
     exps: list[int] = []
     for k in range(lim):
@@ -585,6 +571,7 @@ def smithify(a: RMatrix) -> SmithResult:
             label[k], label[bj] = cj, ck
             pos[ck], pos[cj] = bj, k
             qmat[k], qmat[bj] = qmat[bj], qmat[k]
+            qinv[k], qinv[bj] = qinv[bj], qinv[k]
         ck = label[k]
         w = ring.unit_part(mat[k][ck])
         u = ring.inv(w)
@@ -605,12 +592,15 @@ def smithify(a: RMatrix) -> SmithResult:
         # column k of mat is now zero off the pivot, and every mat[k][j] is
         # an exact multiple of pval, so a column operation only turns
         # mat[k][j] into 0 and changes Q where column k of Q is nonzero
-        qk_items = list(qmat[k].items())
+        qk_items, qinv_k = list(qmat[k].items()), qinv[k]
         for c, x in prow.items():
             if c != ck:
-                _axpy(qmat[pos[c]], -(x // pval), qk_items, m)
+                j, f = pos[c], x // pval
+                _axpy(qmat[j], -f, qk_items, m)
+                # Q gained col_j -= f col_k, so Q^-1 gains row_k += f row_j
+                _axpy(qinv_k, f, qinv[j].items(), m)
         exps.append(v)
-    return SmithResult(pmat, qmat, tuple(exps), pinv)
+    return LinearSolver(a, pmat, qmat, tuple(exps), pinv, qinv)
 
 
 def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
@@ -632,21 +622,35 @@ def _dense(line: dict[int, int], n: int) -> tuple[int, ...]:
 
 
 class LinearSolver:
-    """Solve A x = b repeatedly and enumerate ker A, from Smith factors of A.
+    """Everything read off one Smith form P @ A @ Q = diag(p^e) of A.
 
-    ``sm`` must hold invertible P, Q with P @ A @ Q = diag(p^e): the result
-    of ``smithify(a)``, or factors known without a sweep of A, as
-    ``kernel_solver`` builds them.  Keeps the rows of P and the columns of
-    Q, not P^-1.
+    Solves A x = b, enumerates ker A, presents coker A, and hands out the
+    solver on a generator matrix of ker A.  Built by ``smithify``, or by
+    ``on_kernel`` from factors known without a sweep.  The factors are the
+    sweep's own sparse lines, each a dict from index to nonzero residue:
+    ``left_rows[i]`` is row i of P, ``right_cols[j]`` is column j of Q,
+    ``left_inverse_cols[i]`` is column i of P^-1 and ``right_inverse_rows[j]``
+    is row j of Q^-1.  The diagonal is not stored: ``exponents`` has one
+    entry per diagonal slot min(rows, cols), a zero diagonal entry recorded
+    as exponent r.
     """
 
-    def __init__(self, a: RMatrix, sm: SmithResult):
+    def __init__(
+        self,
+        a: RMatrix,
+        left_rows: list[dict[int, int]],
+        right_cols: list[dict[int, int]],
+        exponents: tuple[int, ...],
+        left_inverse_cols: list[dict[int, int]],
+        right_inverse_rows: list[dict[int, int]],
+    ):
         self.a = a
         self.ring = a.ring
-        self._left_rows, self._right_cols = sm.left_rows, sm.right_cols
+        self.left_rows, self.right_cols = left_rows, right_cols
+        self.left_inverse_cols, self.right_inverse_rows = left_inverse_cols, right_inverse_rows
+        self.exponents = exponents
         # slots past min(rows, cols) count as zero diagonal entries, exponent r
-        pad = max(a.rows, a.cols) - len(sm.exponents)
-        self._exponents = sm.exponents + (a.ring.r,) * pad
+        self._slots = exponents + (a.ring.r,) * (max(a.rows, a.cols) - len(exponents))
         self._kernel: list[tuple[tuple[int, ...], int]] | None = None
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -657,14 +661,14 @@ class LinearSolver:
             raise ValueError("rhs length mismatch")
         # x = Q y with y_i = (P b)_i / p^e_i, which must divide exactly
         x: dict[int, int] = {}
-        for i, row in enumerate(self._left_rows):
+        for i, row in enumerate(self.left_rows):
             c = sum(f * b[k] for k, f in row.items()) % m
             if c == 0:
                 continue
-            e = self._exponents[i]
+            e = self._slots[i]
             if ring.val(c) < e:
                 return None
-            _axpy(x, c // p**e, self._right_cols[i].items(), m)
+            _axpy(x, c // p**e, self.right_cols[i].items(), m)
         x = _dense(x, self.a.cols)
         if self.a.apply(x) != vec_mod(ring, b):
             raise AssertionError("smith solve postcondition failed")
@@ -676,53 +680,60 @@ class LinearSolver:
         The span of the generators is the whole kernel; generator i has
         order p^exponent_i and the coefficient tuples
         (t_i in range(p^exponent_i)) hit each kernel element exactly once.
+        With x = Q y, A x = 0 exactly when p^e_j y_j = 0 for every slot j,
+        so the generators are p^(r - e_j) times column j of Q, over e_j > 0.
         """
         if self._kernel is not None:
             return self._kernel
         ring = self.ring
         p, r, m = ring.p, ring.r, ring.modulus
         gens: list[tuple[tuple[int, ...], int]] = []
-        for j, col in enumerate(self._right_cols):
-            e = self._exponents[j]
+        for j, col in enumerate(self.right_cols):
+            e = self._slots[j]
             if e > 0:
                 scale = p ** (r - e)
                 gens.append((_dense({k: scale * x % m for k, x in col.items()}, self.a.cols), e))
         self._kernel = gens
         return gens
 
+    def on_kernel(self) -> "LinearSolver":
+        """The solver on G, the matrix whose columns are ``kernel()``'s vectors.
 
-def kernel_solver(a: RMatrix) -> LinearSolver:
-    """A solver on a matrix G whose columns generate ker A, from one sweep of A^T.
+        Column t of G is p^(r - e_j) Q e_j for the t-th slot j with e_j > 0,
+        so Q^-1 G has the one entry p^(r - e_j) in row j of column t.  Taking
+        those rows of Q^-1 first, in order, and the others after them gives
+        Smith factors of G with no sweep of G: P is Q^-1 with its rows so
+        ordered, P^-1 is Q with its columns so ordered, Q = Q^-1 = I, and the
+        exponents are r - e_j.
+        """
+        n, r = self.a.cols, self.ring.r
+        vecs = [vec for vec, _ in self.kernel()]
+        slots = [j for j in range(n) if self._slots[j] > 0]
+        order = slots + [j for j in range(n) if self._slots[j] == 0]
+        eye = [{t: 1} for t in range(len(slots))]
+        g = _trusted_matrix(self.ring, n, len(vecs), tuple(x for row in zip(*vecs) for x in row))
+        return LinearSolver(
+            g,
+            [self.right_inverse_rows[j] for j in order],
+            eye,
+            tuple(r - self._slots[j] for j in slots),
+            [self.right_cols[j] for j in order],
+            eye,
+        )
 
-    ``smithify(A^T)`` gives P' A^T Q' = D, so Q1 = P'^T is a right Smith
-    transform of A.  With x = Q1 y, A x = 0 exactly when p^e_i y_i = 0 for
-    every i (e_i = r past min(rows, cols)), so ker A is generated by the
-    columns of G = Q1 diag(p^(r - e_i)) over e_i > 0, that is rows i of P'
-    scaled by p^(r - e_i).  Then Q1^-1 G = diag(p^(r - e_i)) on top of
-    zeros: the solver's P is Q1^-1, whose rows are the columns of P'^-1
-    (``left_inverse_cols``), its Q is the identity and its exponents are
-    r - e_i.  G itself is never swept.  The columns come in descending e_i,
-    so the exponents ascend as ``smithify``'s do.
-    """
-    ring = a.ring
-    p, r, m = ring.p, ring.r, ring.modulus
-    n = a.cols
-    sm = smithify(a.transpose())
-    exps = sm.exponents + (r,) * (n - len(sm.exponents))
-    order = sorted(range(n), key=lambda i: -exps[i])  # stable: ties keep P' row order
-    k = sum(1 for e in exps if e > 0)
-    ents = [0] * (n * k)
-    for j, i in enumerate(order[:k]):
-        scale = p ** (r - exps[i])
-        for row, x in sm.left_rows[i].items():
-            ents[row * k + j] = scale * x % m
-    factors = SmithResult(
-        left_rows=[sm.left_inverse_cols[i] for i in order],
-        right_cols=[{j: 1} for j in range(k)],
-        exponents=tuple(r - exps[i] for i in order[:k]),
-        left_inverse_cols=[sm.left_rows[i] for i in order],
-    )
-    return LinearSolver(_trusted_matrix(ring, n, k, tuple(ents)), factors)
+    def cokernel(self) -> "ModuleShape":
+        """Invariants and representatives of R^rows / column-span(A).
+
+        The quotient is the sum of Z/p^e_i over the rows (e_i = r past
+        min(rows, cols)), and column i of P^-1 represents summand i.
+        """
+        k = self.a.rows
+        exps = self._slots[:k]
+        order = sorted((i for i in range(k) if exps[i] > 0), key=exps.__getitem__)
+        return ModuleShape(
+            tuple(exps[i] for i in order),
+            tuple(_dense(self.left_inverse_cols[i], k) for i in order),
+        )
 
 
 def span_coefficients(p: int, exps: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -804,23 +815,6 @@ def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> Module
         rel = RMatrix.from_rows(g.ring, [list(c) for c in rel_cols]).transpose()
     else:
         rel = RMatrix.zeros(g.ring, g.cols, 0)
-    q = cokernel_data(rel)
+    q = smithify(rel).cokernel()
     return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
 
-
-def cokernel_data(a: RMatrix) -> ModuleShape:
-    """Invariants and representatives of R^rows / column-span(A), from one smithify.
-
-    With P A Q = diag(p^e), the quotient is the sum of Z/p^e_i (e_i = r past
-    min(rows, cols)), and column i of P^-1 represents summand i.
-    """
-    sm = smithify(a)
-    k, r = a.rows, a.ring.r
-    exps = sm.exponents + (r,) * (k - len(sm.exponents))
-    invariants: list[int] = []
-    reps: list[tuple[int, ...]] = []
-    for i in sorted(range(k), key=lambda i: exps[i]):
-        if exps[i] > 0:
-            invariants.append(exps[i])
-            reps.append(_dense(sm.left_inverse_cols[i], k))
-    return ModuleShape(tuple(invariants), tuple(reps))

@@ -2,14 +2,14 @@
 
 ``h1_reference`` takes ker d1's generators from ``CochainComplex.d1_solver``,
 sweeps the matrix of those generators once more and solves for every column
-of d0 in that basis.  ``h_groups`` reads the same kind of generator matrix,
-with its Smith factors, off one sweep of d1^T (``zmod.kernel_solver``), so
-the two agree on invariants but not on representatives.
+of d0 in that basis.  ``h_groups`` presents H^1 on the same generator
+matrix, but with Smith factors read off d1's sweep (``on_kernel``), so its
+solutions, and so its representatives, differ; the invariants agree.
 """
 
 from flaglift.cohomology import complex_of
 from flaglift.surface import GModule
-from flaglift.zmod import LinearSolver, ModuleShape, RMatrix, cokernel_data, smithify
+from flaglift.zmod import ModuleShape, RMatrix, smithify
 
 
 def h1_reference(module: GModule) -> ModuleShape:
@@ -20,7 +20,7 @@ def h1_reference(module: GModule) -> ModuleShape:
     if not gens:
         return ModuleShape((), ())
     g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
-    solver = LinearSolver(g, smithify(g))
+    solver = smithify(g)
     rel_cols = [vec for vec, _ in solver.kernel()]
     for j in range(cx.d0.cols):
         lam = solver.solve(cx.d0.col(j))
@@ -29,5 +29,5 @@ def h1_reference(module: GModule) -> ModuleShape:
         rel_cols.append(lam)
     # gens is nonempty, so the rank and the number of d0 columns are positive
     rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
-    q = cokernel_data(rel)
+    q = smithify(rel).cokernel()
     return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))

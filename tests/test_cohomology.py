@@ -34,7 +34,7 @@ from flaglift.surface import (
     tensor_module,
     trivial_module,
 )
-from flaglift.zmod import RingSpec, RMatrix, SpanReducer, kernel_solver
+from flaglift.zmod import RingSpec, RMatrix, SpanReducer
 from h1_reference import h1_reference
 from relator_walk import crossed_value
 
@@ -193,22 +193,26 @@ def test_h1_matches_the_reference(p):
 
 
 def test_h_groups_sweeps_no_kernel_generator_matrix(monkeypatch):
-    # one sweep each of d0, d1^T, the relation matrix of H^1 and d1 (for
-    # H^2); the generator matrix of ker d1 is never swept
+    # one sweep each of d0, d1 and the relation matrix of H^1: H^1's
+    # generator solver and H^2 are read off d1's sweep, and the generator
+    # matrix of ker d1 is never swept; a second call sweeps only the
+    # relation matrix again
     v = gen_random_flag(3, 2, 3, 2, seed=7).as_module()
     mod = hom_module(v, v)
     cx = CochainComplex(mod)  # a fresh complex: no solver built yet
-    gens = kernel_solver(cx.d1).a
-    swept, smith = [], cohomology.smithify
+    swept, smith = [], zmod.smithify
     record = lambda a: swept.append(a) or smith(a)
     monkeypatch.setattr(cohomology, "complex_of", lambda m: cx)
     monkeypatch.setattr(cohomology, "smithify", record)
     monkeypatch.setattr(zmod, "smithify", record)
     rep = h_groups(mod)
-    assert [swept[0], swept[1], swept[3]] == [cx.d0, cx.d1.transpose(), cx.d1]
-    assert len(swept) == 4 and swept[2].rows == gens.cols < gens.rows
-    assert gens not in swept
+    gens = [vec for vec, _ in cx.d1_solver.kernel()]
+    assert len(swept) == 3 and swept[:2] == [cx.d0, cx.d1]
+    assert swept[2].rows == len(gens) < cx.d1.cols
     assert rep.h1.invariants == h1_reference(mod).invariants
+    swept.clear()
+    assert h_groups(mod) == rep
+    assert len(swept) == 1 and swept[0].rows == len(gens), "d0 and d1 are not swept again"
 
 
 def test_genus_10_rank_16_adjoint_rung():

@@ -19,7 +19,7 @@ from flaglift.oracle import (
     gen_random_flag,
 )
 from flaglift.surface import GModule, RelatorError, SurfaceRep, char_module, trivial_module
-from flaglift.zmod import LinearSolver, RingSpec, RMatrix
+from flaglift.zmod import RingSpec, RMatrix
 
 
 def all_unipotent_flags_d3_p2():

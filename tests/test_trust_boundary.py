@@ -368,6 +368,17 @@ def wrapped_flags(tree):
                 yield node.lineno
 
 
+
+def sweep_bypasses(tree):
+    """(kind, line) of every ``LinearSolver(...)`` and every ``smithify(<...>.transpose())``."""
+    name = lambda node: getattr(node, "attr", getattr(node, "id", None))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) == "LinearSolver":
+            yield "LinearSolver", node.lineno
+        elif isinstance(node, ast.Call) and name(node.func) == "smithify":
+            if any(isinstance(a, ast.Call) and name(a.func) == "transpose" for a in node.args):
+                yield "transpose", node.lineno
+
 def private_parameters(tree):
     """(function name, line) of every parameter whose name starts with ``_``."""
     for node in ast.walk(tree):
@@ -409,6 +420,18 @@ def test_guards_flag_the_patterns_they_forbid():
         "c = Flag(r, 1, m)\nd = SurfaceRep(r, 1, m)\ne = Flag(r, 1, SurfaceRep(r, 1, m).mats)\n"
     )
     assert sorted(wrapped_flags(wrapped)) == [1, 2]
+    sweeps = ast.parse(
+        "a = smithify(m.transpose())\nb = zmod.smithify(cx.d1.transpose())\n"
+        "c = LinearSolver(m, smithify(m))\nd = zmod.LinearSolver(m)\n"
+    )
+    assert sorted(sweep_bypasses(sweeps)) == [
+        ("LinearSolver", 3), ("LinearSolver", 4), ("transpose", 1), ("transpose", 2)
+    ]
+    ok = ast.parse(
+        "a = smithify(m)\nt = m.transpose()\nb = smithify(t)\nc = smithify(m).solve(v)\n"
+        "s: LinearSolver = a\nd = a.on_kernel().cokernel()\n"
+    )
+    assert not list(sweep_bypasses(ok))
 
 
 def test_no_unbounded_or_hidden_global_memo():
@@ -460,6 +483,25 @@ def test_no_flag_wraps_a_surface_rep():
         lines = list(wrapped_flags(ast.parse(path.read_text(), str(path))))
         assert not lines, f"{path.relative_to(_ROOT).as_posix()} wraps a SurfaceRep in a Flag at lines {lines}"
 
+
+
+# -- tooling guard: one sweep per matrix ----------------------------------------------
+
+
+def test_solvers_come_from_one_sweep_of_their_own_matrix():
+    """Only ``zmod`` builds a ``LinearSolver``, and no sweep reads a transpose.
+
+    ``smithify(A)`` returns the solver that owns A's factors; ker A, coker A
+    and the solver on ker A's generators are read off it, not off a sweep
+    of A^T.
+    """
+    built = []
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        rel = path.relative_to(_ROOT).as_posix()
+        for kind, line in sweep_bypasses(ast.parse(path.read_text(), str(path))):
+            assert kind == "LinearSolver" and path.name == "zmod.py", f"{rel}:{line} {kind}"
+            built.append(line)
+    assert built, "zmod builds no solver"
 
 # -- tooling guard: no hidden switch past the boundary ---------------------------------
 

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from flaglift import zmod
 from flaglift.zmod import (
-    LinearSolver,
     RingSpec,
     RMatrix,
     SpanReducer,
     _is_prime,
-    cokernel_data,
     echelonize,
-    kernel_solver,
     quotient_data,
     smithify,
     teichmuller,
@@ -366,7 +363,7 @@ def test_span_reducer_is_canonical_and_complete(ring):
 
 
 def dense_factors(sm, a):
-    """P, Q and P^-1 of ``smithify(a)`` as matrices, built from its sparse lines."""
+    """P, Q, P^-1 and Q^-1 of a solver on ``a`` as matrices, built from its sparse lines."""
     ring, nr, nc = a.ring, a.rows, a.cols
 
     def dense(n, lines, by_column):
@@ -380,6 +377,7 @@ def dense_factors(sm, a):
         dense(nr, sm.left_rows, False),
         dense(nc, sm.right_cols, True),
         dense(nr, sm.left_inverse_cols, True),
+        dense(nc, sm.right_inverse_rows, False),
     )
 
 
@@ -395,10 +393,10 @@ def test_smithify_random(ring):
     for a in cases:
         rows, cols = a.rows, a.cols
         sm = smithify(a)
-        left, right, left_inverse = dense_factors(sm, a)
+        left, right, left_inverse, right_inverse = dense_factors(sm, a)
         diag = left @ a @ right
         assert left.is_invertible() and right.is_invertible()
-        assert (left @ left_inverse).is_identity()
+        assert (left @ left_inverse).is_identity() and (right @ right_inverse).is_identity()
         exps = sm.exponents
         assert len(exps) == min(rows, cols)
         assert list(exps) == sorted(exps), "diagonal exponents must be nondecreasing"
@@ -503,15 +501,16 @@ def test_smithify_matches_dense_reference(ring):
         # across rows 0 and 1: the pivot is row 0, column 1
         p, m = ring.p, ring.modulus
         a = RMatrix.from_rows(ring, [[0, p, m - p], [p, 0, 0], [0, 0, 0]])
-        left, right, _ = dense_factors(smithify(a), a)
+        left, right, _, _ = dense_factors(smithify(a), a)
         assert left.row(0) == (1, 0, 0) and right.col(0) == (0, 1, 0)
         cases.append(a)
     for a in cases:
         sm = smithify(a)
-        left, right, left_inverse = dense_factors(sm, a)
+        left, right, left_inverse, right_inverse = dense_factors(sm, a)
         assert (left, right, left @ a @ right, sm.exponents) == ref_smithify(a)
-        assert left_inverse == left.inverse()
-        lines = sm.left_rows + sm.right_cols + sm.left_inverse_cols
+        assert left_inverse == left.inverse() and right_inverse == right.inverse()
+        assert (right @ right_inverse).is_identity()
+        lines = sm.left_rows + sm.right_cols + sm.left_inverse_cols + sm.right_inverse_rows
         assert all(0 < x < ring.modulus for line in lines for x in line.values())
 
 
@@ -521,7 +520,7 @@ def test_solve_roundtrip_and_kernel(ring):
     for _ in range(30):
         rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
         a = rand_matrix(ring, rows, cols, rng)
-        solver = LinearSolver(a, smithify(a))
+        solver = smithify(a)
         x = tuple(rng.randrange(ring.modulus) for _ in range(cols))
         b = a.apply(x)
         got = solver.solve(b)
@@ -540,7 +539,7 @@ def test_solve_agrees_with_enumeration(ring):
     for _ in range(15):
         rows, cols = rng.randrange(1, 3), rng.randrange(1, 3)
         a = rand_matrix(ring, rows, cols, rng)
-        solver = LinearSolver(a, smithify(a))
+        solver = smithify(a)
         all_images = {}
         for x in itertools.product(range(m), repeat=cols):
             all_images.setdefault(a.apply(x), set()).add(x)
@@ -565,9 +564,10 @@ def same_span(ring, us, vs, width):
 
 
 @pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
-def test_kernel_solver_agrees_with_a_swept_solver(ring):
-    # kernel_solver reads the Smith factors of its generator matrix G off one
-    # sweep of A^T; a solver that sweeps G itself must give the same answers
+def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
+    # on_kernel reads the Smith factors of G, whose columns are kernel()'s
+    # vectors, off the sweep of A; a solver that sweeps G itself must give
+    # the same answers
     rng = random.Random(1313)
     p, m = ring.p, ring.modulus
     cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in [(0, 3), (3, 0), (0, 0), (2, 4)]]
@@ -579,13 +579,24 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring):
     ]
     cases += [rand_matrix(ring, rng.randrange(1, 5), rng.randrange(1, 6), rng) for _ in range(12)]
     cases += [sparse_matrix(ring, 6, 12, rng, density=0.2)]
-    for a in cases:
-        built = kernel_solver(a)
+    solvers = [smithify(a) for a in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(zmod, "smithify", None)  # a sweep would fail
+        built_solvers = [solver.on_kernel() for solver in solvers]
+    for a, solver, built in zip(cases, solvers, built_solvers):
         g = built.a
-        swept = LinearSolver(g, smithify(g))
         assert g.rows == a.cols and (a @ g).is_zero()
-        ker_a = [vec for vec, _ in LinearSolver(a, smithify(a)).kernel()]
-        assert same_span(ring, [g.col(j) for j in range(g.cols)], ker_a, a.cols), "G spans ker A"
+        assert [g.col(j) for j in range(g.cols)] == [vec for vec, _ in solver.kernel()]
+        left, right, left_inverse, right_inverse = dense_factors(built, g)
+        assert right.is_identity() and right_inverse.is_identity()
+        assert (left @ left_inverse).is_identity()
+        exps = built.exponents
+        assert len(exps) == g.cols
+        assert left @ g == RMatrix(
+            ring, g.rows, g.cols,
+            tuple(p ** exps[i] if i == j else 0 for i in range(g.rows) for j in range(g.cols)),
+        )
+        swept = smithify(g)
         rhs = [g.apply(tuple(rng.randrange(m) for _ in range(g.cols))) for _ in range(4)]
         rhs += [tuple(rng.randrange(m) for _ in range(g.rows)) for _ in range(4)]
         rhs += [tuple(int(i == j) * p for j in range(g.rows)) for i in range(g.rows)]
@@ -600,6 +611,7 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring):
         for vec, e in kb:
             assert not any(g.apply(vec))
             assert any(vec_scale(ring, p ** (e - 1), vec)), "annihilator exponent overstated"
+        assert built.cokernel().invariants == swept.cokernel().invariants
 
 
 # -- invariants ---------------------------------------------------------------
@@ -635,8 +647,7 @@ def torsion_invariants_by_counting(ring, elements):
 
 def span_solver(ring, gens):
     """A swept solver on the matrix whose columns are the (nonempty) gens."""
-    g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
-    return LinearSolver(g, smithify(g))
+    return smithify(RMatrix.from_rows(ring, [list(v) for v in gens]).transpose())
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2), RingSpec(2, 3)])
@@ -657,7 +668,7 @@ def test_cokernel_data_vs_counting(ring):
     for _ in range(15):
         rows, cols = rng.randrange(1, 3), rng.randrange(0, 3)
         a = rand_matrix(ring, rows, cols, rng)
-        data = cokernel_data(a)
+        data = smithify(a).cokernel()
         img = enumerate_span(ring, [a.col(j) for j in range(cols)], rows) if cols else {
             (0,) * rows
         }
@@ -677,22 +688,20 @@ def test_cokernel_data_vs_counting(ring):
 
 @pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
 def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring, monkeypatch):
-    # cokernel_data reads the cokernel off one smithify of A; quotient_data
-    # on the identity basis with A's columns as relations is the same group
+    # cokernel() reads the cokernel off the one sweep of A that built the
+    # solver; quotient_data on the identity basis with A's columns as
+    # relations is the same group
     rng = random.Random(1212)
     cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in [(0, 3), (3, 0), (0, 0)]]
     cases += [rand_matrix(ring, rng.randrange(1, 6), rng.randrange(1, 6), rng) for _ in range(12)]
     cases += [sparse_matrix(ring, rows, cols, rng, 0.03) for rows, cols in [(30, 40), (40, 30)]]
-    for a in cases:
-        basis = RMatrix.identity(ring, a.rows)
-        solver = LinearSolver(basis, smithify(basis))
-        assert cokernel_data(a) == quotient_data(solver, [a.col(j) for j in range(a.cols)])
-    swept, smith = [], zmod.smithify
-    monkeypatch.setattr(zmod, "smithify", lambda a: swept.append(a) or smith(a))
-    monkeypatch.setattr(zmod, "LinearSolver", None)  # building a solver would fail
-    for a in cases:
-        cokernel_data(a)
-    assert swept == cases, "one smithify per cokernel, of the matrix itself"
+    solvers = [smithify(a) for a in cases]
+    for a, solver in zip(cases, solvers):
+        basis = smithify(RMatrix.identity(ring, a.rows))
+        assert solver.cokernel() == quotient_data(basis, [a.col(j) for j in range(a.cols)])
+    monkeypatch.setattr(zmod, "smithify", None)  # a sweep would fail
+    for solver in solvers:
+        solver.cokernel()
 
 
 @pytest.mark.parametrize("ring", [RingSpec(2, 2), RingSpec(3, 2)])
