@@ -651,7 +651,6 @@ class LinearSolver:
         self.exponents = exponents
         # slots past min(rows, cols) count as zero diagonal entries, exponent r
         self._slots = exponents + (a.ring.r,) * (max(a.rows, a.cols) - len(exponents))
-        self._kernel: list[tuple[tuple[int, ...], int]] | None = None
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of A x = b, or None.  Deterministic."""
@@ -683,8 +682,6 @@ class LinearSolver:
         With x = Q y, A x = 0 exactly when p^e_j y_j = 0 for every slot j,
         so the generators are p^(r - e_j) times column j of Q, over e_j > 0.
         """
-        if self._kernel is not None:
-            return self._kernel
         ring = self.ring
         p, r, m = ring.p, ring.r, ring.modulus
         gens: list[tuple[tuple[int, ...], int]] = []
@@ -693,7 +690,6 @@ class LinearSolver:
             if e > 0:
                 scale = p ** (r - e)
                 gens.append((_dense({k: scale * x % m for k, x in col.items()}, self.a.cols), e))
-        self._kernel = gens
         return gens
 
     def on_kernel(self) -> "LinearSolver":
