@@ -11,11 +11,11 @@ derivative evaluations).  H^0 = ker d0, H^1 = ker d1 / im d0 and
 H^2 = coker d1.  One sweep of each differential serves everything read
 from it: ``d1_solver`` solves, gives ker d1 and coker d1, and hands out the
 solver on ker d1's generators (``on_kernel``) that presents H^1.  Class
-arithmetic, cup products,
-extension classes and the connecting map of a short exact sequence of
-modules all reduce to the Z/p^r solvers in zmod.  Building ``d1`` is the
-only walk along the relator: the connecting map applies the middle module's
-cached ``d1``, and a cup product is a connecting image (see ``cup``).
+arithmetic, cup products, extension classes and the connecting map of a
+short exact sequence of modules all reduce to the Z/p^r solvers in zmod.
+Building ``d1`` is the only walk along the relator: the connecting map
+applies the middle module's cached ``d1``, and a cup product is a
+connecting image (see ``cup``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 ``h1_reference`` takes ker d1's generators from ``CochainComplex.d1_solver``,
 sweeps the matrix of those generators once more and solves for every column
 of d0 in that basis.  ``h_groups`` presents H^1 on the same generator
-matrix, but with Smith factors read off d1's sweep (``on_kernel``), so its
-solutions, and so its representatives, differ; the invariants agree.
+matrix, but with Smith factors read off d1's sweep (``on_kernel``).  The
+two solvers need not pick the same solutions, so only the invariants must
+agree; on the modules the tests use, the representatives agree as well.
 """
 
 from flaglift.cohomology import complex_of

@@ -368,7 +368,6 @@ def wrapped_flags(tree):
                 yield node.lineno
 
 
-
 def sweep_bypasses(tree):
     """(kind, line) of every ``LinearSolver(...)`` and every ``smithify(<...>.transpose())``."""
     name = lambda node: getattr(node, "attr", getattr(node, "id", None))
@@ -378,6 +377,7 @@ def sweep_bypasses(tree):
         elif isinstance(node, ast.Call) and name(node.func) == "smithify":
             if any(isinstance(a, ast.Call) and name(a.func) == "transpose" for a in node.args):
                 yield "transpose", node.lineno
+
 
 def private_parameters(tree):
     """(function name, line) of every parameter whose name starts with ``_``."""
@@ -484,7 +484,6 @@ def test_no_flag_wraps_a_surface_rep():
         assert not lines, f"{path.relative_to(_ROOT).as_posix()} wraps a SurfaceRep in a Flag at lines {lines}"
 
 
-
 # -- tooling guard: one sweep per matrix ----------------------------------------------
 
 
@@ -502,6 +501,7 @@ def test_solvers_come_from_one_sweep_of_their_own_matrix():
             assert kind == "LinearSolver" and path.name == "zmod.py", f"{rel}:{line} {kind}"
             built.append(line)
     assert built, "zmod builds no solver"
+
 
 # -- tooling guard: no hidden switch past the boundary ---------------------------------
 
