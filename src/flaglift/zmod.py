@@ -679,37 +679,38 @@ class LinearSolver:
         The span of the generators is the whole kernel; generator i has
         order p^exponent_i and the coefficient tuples
         (t_i in range(p^exponent_i)) hit each kernel element exactly once.
+        The generators are the columns of ``on_kernel()``'s matrix G, and
+        column t has order p^e where p^(r - e) is G's Smith entry t.
+        """
+        g = self.on_kernel()
+        r = self.ring.r
+        return [(g.a.col(t), r - e) for t, e in enumerate(g.exponents)]
+
+    def on_kernel(self) -> "LinearSolver":
+        """The solver on G, a matrix whose columns generate ker A, with no sweep of G.
+
         With x = Q y, A x = 0 exactly when p^e_j y_j = 0 for every slot j,
-        so the generators are p^(r - e_j) times column j of Q, over e_j > 0.
+        so the columns p^(r - e_j) Q e_j of G, one per slot j with e_j > 0,
+        generate ker A.  Q^-1 G has the one entry p^(r - e_j) in row j of
+        column t, for the t-th such slot j.  Taking those rows of Q^-1 first,
+        in order, and the others after them gives Smith factors of G: P is
+        Q^-1 with its rows so ordered, P^-1 is Q with its columns so ordered,
+        Q = Q^-1 = I, and the exponents are r - e_j.
         """
         ring = self.ring
         p, r, m = ring.p, ring.r, ring.modulus
-        gens: list[tuple[tuple[int, ...], int]] = []
-        for j, col in enumerate(self.right_cols):
-            e = self._slots[j]
-            if e > 0:
-                scale = p ** (r - e)
-                gens.append((_dense({k: scale * x % m for k, x in col.items()}, self.a.cols), e))
-        return gens
-
-    def on_kernel(self) -> "LinearSolver":
-        """The solver on G, the matrix whose columns are ``kernel()``'s vectors.
-
-        Column t of G is p^(r - e_j) Q e_j for the t-th slot j with e_j > 0,
-        so Q^-1 G has the one entry p^(r - e_j) in row j of column t.  Taking
-        those rows of Q^-1 first, in order, and the others after them gives
-        Smith factors of G with no sweep of G: P is Q^-1 with its rows so
-        ordered, P^-1 is Q with its columns so ordered, Q = Q^-1 = I, and the
-        exponents are r - e_j.
-        """
-        n, r = self.a.cols, self.ring.r
-        vecs = [vec for vec, _ in self.kernel()]
+        n = self.a.cols
         slots = [j for j in range(n) if self._slots[j] > 0]
         order = slots + [j for j in range(n) if self._slots[j] == 0]
-        eye = [{t: 1} for t in range(len(slots))]
-        g = _trusted_matrix(self.ring, n, len(vecs), tuple(x for row in zip(*vecs) for x in row))
+        k = len(slots)
+        ents = [0] * (n * k)
+        for t, j in enumerate(slots):
+            scale = p ** (r - self._slots[j])
+            for i, x in self.right_cols[j].items():
+                ents[i * k + t] = scale * x % m
+        eye = [{t: 1} for t in range(k)]
         return LinearSolver(
-            g,
+            _trusted_matrix(ring, n, k, tuple(ents)),
             [self.right_inverse_rows[j] for j in order],
             eye,
             tuple(r - self._slots[j] for j in slots),
