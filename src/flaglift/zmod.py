@@ -15,30 +15,35 @@ staircase form without any general PID machinery.  The module provides:
   P^-1 and Q^-1 carried through the same sweep.  It returns the
   ``LinearSolver`` on A, which owns the four factors as the sweep's own
   sparse lines, never as matrices,
-* ``LinearSolver``: everything read off that one sweep: one solution of
-  A x = b, an independent kernel basis with annihilator exponents, the
-  cokernel (``cokernel``), and the solver on the matrix of kernel
-  generators (``on_kernel``), whose Smith factors are known without a sweep,
+* ``LinearSolver``: A as sparse columns with everything read off that one
+  sweep: the product A x (``apply``), one solution of A x = b, an
+  independent kernel basis with annihilator exponents, the cokernel
+  (``cokernel``), and the solver on the matrix G of kernel generators
+  (``on_kernel``), whose columns and Smith factors are read off A's sweep,
+  so G is neither swept nor built as a matrix,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``quotient_data``: invariants and representatives of a subquotient
-  colspan(G) / span(rels), presented on a solver of G,
+  colspan(G) / span(rels), presented on a solver of G and carried into the
+  ambient space by that solver's ``apply``,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
-least residues.  ``@``, ``submatrix``, ``transpose``, ``kron``, ``reduce_to``,
-``inverse``, ``identity`` and ``zeros`` build least residues of the right
-count, so they skip that scan (``_trusted_matrix``).  Likewise
-``RingSpec(p, r)`` tests p for primality, and ``shrink`` builds a smaller
-ring of the same, already tested, prime without a second test
-(``_trusted_ring``).
+least residues.  ``+``, ``-``, ``scale``, ``@``, ``hstack``, ``vstack``,
+``submatrix``, ``transpose``, ``kron``, ``reduce_to``, ``inverse``,
+``identity`` and ``zeros`` build least residues of the right count, so they
+skip that scan (``_trusted_matrix``).  Likewise ``RingSpec(p, r)`` tests p
+for primality, and ``shrink`` builds a smaller ring of the same, already
+tested, prime without a second test (``_trusted_ring``).
 
-Vectors are plain tuples of ints; matrices are ``RMatrix``.  ``apply``
-walks only the nonzero entries of the vector and of the matching matrix
-columns, so its cost scales with the nonzeros of both, not with the shape.
-``smithify`` likewise sweeps over sparse rows and columns (dicts of
-nonzeros): a pivot search walks only nonzero entries, and an elimination
-touches only the rows that are nonzero in the pivot column and only the
-nonzeros of the pivot row.
+Vectors are plain tuples of ints; matrices are ``RMatrix``.
+``RMatrix.apply`` skips the zero entries of the vector but slices a whole
+dense column for each other one.  ``LinearSolver.apply`` walks only the
+nonzero entries of the vector and of the matching columns, which the
+solver holds as dicts of nonzeros, so its cost scales with the nonzeros
+of both, not with the shape.  ``smithify`` likewise sweeps over sparse
+rows and columns (dicts of nonzeros): a pivot search walks only nonzero
+entries, and an elimination touches only the rows that are nonzero in the
+pivot column and only the nonzeros of the pivot row.
 """
 
 from __future__ import annotations
@@ -266,11 +271,11 @@ class RMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
         m = self.ring.modulus
-        return RMatrix(
+        return _trusted_matrix(
             self.ring,
             self.rows,
             self.cols,
-            tuple((a + b) % m for a, b in zip(self.entries, other.entries)),
+            tuple([(a + b) % m for a, b in zip(self.entries, other.entries)]),
         )
 
     def __sub__(self, other: "RMatrix") -> "RMatrix":
@@ -278,17 +283,19 @@ class RMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in -")
         m = self.ring.modulus
-        return RMatrix(
+        return _trusted_matrix(
             self.ring,
             self.rows,
             self.cols,
-            tuple((a - b) % m for a, b in zip(self.entries, other.entries)),
+            tuple([(a - b) % m for a, b in zip(self.entries, other.entries)]),
         )
 
     def scale(self, c: int) -> "RMatrix":
         m = self.ring.modulus
         c %= m
-        return RMatrix(self.ring, self.rows, self.cols, tuple((c * a) % m for a in self.entries))
+        return _trusted_matrix(
+            self.ring, self.rows, self.cols, tuple([(c * a) % m for a in self.entries])
+        )
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         self._check_ring(other)
@@ -364,7 +371,7 @@ class RMatrix:
         for i in range(rows):
             for b in blocks:
                 out.extend(b.row(i))
-        return RMatrix(ring, rows, sum(b.cols for b in blocks), tuple(out))
+        return _trusted_matrix(ring, rows, sum(b.cols for b in blocks), tuple(out))
 
     @staticmethod
     def vstack(blocks: Sequence["RMatrix"]) -> "RMatrix":
@@ -376,7 +383,7 @@ class RMatrix:
         out = []
         for b in blocks:
             out.extend(b.entries)
-        return RMatrix(ring, sum(b.rows for b in blocks), cols, tuple(out))
+        return _trusted_matrix(ring, sum(b.rows for b in blocks), cols, tuple(out))
 
     def reduce_to(self, s: int) -> "RMatrix":
         """Entrywise reduction to Z/p^s for s <= r."""
@@ -532,13 +539,18 @@ def smithify(a: RMatrix) -> "LinearSolver":
     carries both inverses without a separate inversion.  A's columns are
     swapped by relabelling: a row dict is keyed by column label, and ``pos``
     maps a label to its current column.  Returns the solver on A, which owns
-    all four factors.
+    all four factors and A's sparse columns, copied from the row dicts
+    before the sweep changes them.
     """
     ring = a.ring
     p, r, m = ring.p, ring.r, ring.modulus
     nr, nc = a.rows, a.cols
     ents = a.entries
     mat = [{j: x for j, x in enumerate(ents[i * nc : (i + 1) * nc]) if x} for i in range(nr)]
+    columns: list[dict[int, int]] = [{} for _ in range(nc)]
+    for i, row in enumerate(mat):
+        for j, x in row.items():
+            columns[j][i] = x
     label = list(range(nc))  # label[j]: the label of column j
     pos = list(range(nc))  # pos[c]: the column of label c
     pmat = [{i: 1} for i in range(nr)]
@@ -600,7 +612,7 @@ def smithify(a: RMatrix) -> "LinearSolver":
                 # Q gained col_j -= f col_k, so Q^-1 gains row_k += f row_j
                 _axpy(qinv_k, f, qinv[j].items(), m)
         exps.append(v)
-    return LinearSolver(a, pmat, qmat, tuple(exps), pinv, qinv)
+    return LinearSolver(ring, nr, columns, pmat, qmat, tuple(exps), pinv, qinv)
 
 
 def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
@@ -626,37 +638,51 @@ class LinearSolver:
 
     Solves A x = b, enumerates ker A, presents coker A, and hands out the
     solver on a generator matrix of ker A.  Built by ``smithify``, or by
-    ``on_kernel`` from factors known without a sweep.  The factors are the
-    sweep's own sparse lines, each a dict from index to nonzero residue:
-    ``left_rows[i]`` is row i of P, ``right_cols[j]`` is column j of Q,
-    ``left_inverse_cols[i]`` is column i of P^-1 and ``right_inverse_rows[j]``
-    is row j of Q^-1.  The diagonal is not stored: ``exponents`` has one
-    entry per diagonal slot min(rows, cols), a zero diagonal entry recorded
-    as exponent r.
+    ``on_kernel`` from factors known without a sweep.  A itself is held as
+    ``rows`` and sparse ``columns``, and ``apply`` multiplies by it.  A and
+    the factors are sparse lines, each a dict from index to nonzero
+    residue: ``columns[j]`` is column j of A, ``left_rows[i]`` is row i of
+    P, ``right_cols[j]`` is column j of Q, ``left_inverse_cols[i]`` is
+    column i of P^-1 and ``right_inverse_rows[j]`` is row j of Q^-1.  The
+    diagonal is not stored: ``exponents`` has one entry per diagonal slot
+    min(rows, cols), a zero diagonal entry recorded as exponent r.
     """
 
     def __init__(
         self,
-        a: RMatrix,
+        ring: RingSpec,
+        rows: int,
+        columns: list[dict[int, int]],
         left_rows: list[dict[int, int]],
         right_cols: list[dict[int, int]],
         exponents: tuple[int, ...],
         left_inverse_cols: list[dict[int, int]],
         right_inverse_rows: list[dict[int, int]],
     ):
-        self.a = a
-        self.ring = a.ring
+        self.ring, self.rows, self.columns = ring, rows, columns
         self.left_rows, self.right_cols = left_rows, right_cols
         self.left_inverse_cols, self.right_inverse_rows = left_inverse_cols, right_inverse_rows
         self.exponents = exponents
         # slots past min(rows, cols) count as zero diagonal entries, exponent r
-        self._slots = exponents + (a.ring.r,) * (max(a.rows, a.cols) - len(exponents))
+        self._slots = exponents + (ring.r,) * (max(rows, len(columns)) - len(exponents))
+
+    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
+        """A x, as a tuple: walks only the nonzero x_j and the nonzeros of column j."""
+        if len(x) != len(self.columns):
+            raise ValueError("vector length mismatch")
+        out = [0] * self.rows
+        for c, col in zip(x, self.columns):
+            if c:
+                for i, a in col.items():
+                    out[i] += c * a
+        m = self.ring.modulus
+        return tuple(y % m for y in out)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of A x = b, or None.  Deterministic."""
         ring = self.ring
         p, m = ring.p, ring.modulus
-        if len(b) != self.a.rows:
+        if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
         # x = Q y with y_i = (P b)_i / p^e_i, which must divide exactly
         x: dict[int, int] = {}
@@ -668,8 +694,8 @@ class LinearSolver:
             if ring.val(c) < e:
                 return None
             _axpy(x, c // p**e, self.right_cols[i].items(), m)
-        x = _dense(x, self.a.cols)
-        if self.a.apply(x) != vec_mod(ring, b):
+        x = _dense(x, len(self.columns))
+        if self.apply(x) != vec_mod(ring, b):
             raise AssertionError("smith solve postcondition failed")
         return x
 
@@ -684,33 +710,34 @@ class LinearSolver:
         """
         g = self.on_kernel()
         r = self.ring.r
-        return [(g.a.col(t), r - e) for t, e in enumerate(g.exponents)]
+        return [(_dense(col, g.rows), r - e) for col, e in zip(g.columns, g.exponents)]
 
     def on_kernel(self) -> "LinearSolver":
         """The solver on G, a matrix whose columns generate ker A, with no sweep of G.
 
         With x = Q y, A x = 0 exactly when p^e_j y_j = 0 for every slot j,
         so the columns p^(r - e_j) Q e_j of G, one per slot j with e_j > 0,
-        generate ker A.  Q^-1 G has the one entry p^(r - e_j) in row j of
-        column t, for the t-th such slot j.  Taking those rows of Q^-1 first,
-        in order, and the others after them gives Smith factors of G: P is
-        Q^-1 with its rows so ordered, P^-1 is Q with its columns so ordered,
-        Q = Q^-1 = I, and the exponents are r - e_j.
+        generate ker A; each is read off Q's sparse column j, so G is never
+        dense.  Q^-1 G has the one entry p^(r - e_j) in row j of column t,
+        for the t-th such slot j.  Taking those rows of Q^-1 first, in
+        order, and the others after them gives Smith factors of G: P is
+        Q^-1 with its rows so ordered, P^-1 is Q with its columns so
+        ordered, Q = Q^-1 = I, and the exponents are r - e_j.
         """
         ring = self.ring
         p, r, m = ring.p, ring.r, ring.modulus
-        n = self.a.cols
+        n = len(self.columns)
         slots = [j for j in range(n) if self._slots[j] > 0]
         order = slots + [j for j in range(n) if self._slots[j] == 0]
-        k = len(slots)
-        ents = [0] * (n * k)
-        for t, j in enumerate(slots):
+        columns = []
+        for j in slots:
             scale = p ** (r - self._slots[j])
-            for i, x in self.right_cols[j].items():
-                ents[i * k + t] = scale * x % m
-        eye = [{t: 1} for t in range(k)]
+            columns.append({i: y for i, x in self.right_cols[j].items() if (y := scale * x % m)})
+        eye = [{t: 1} for t in range(len(slots))]
         return LinearSolver(
-            _trusted_matrix(ring, n, k, tuple(ents)),
+            ring,
+            n,
+            columns,
             [self.right_inverse_rows[j] for j in order],
             eye,
             tuple(r - self._slots[j] for j in slots),
@@ -724,7 +751,7 @@ class LinearSolver:
         The quotient is the sum of Z/p^e_i over the rows (e_i = r past
         min(rows, cols)), and column i of P^-1 represents summand i.
         """
-        k = self.a.rows
+        k = self.rows
         exps = self._slots[:k]
         order = sorted((i for i in range(k) if exps[i] > 0), key=exps.__getitem__)
         return ModuleShape(
@@ -794,14 +821,15 @@ class ModuleShape:
 
 
 def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> ModuleShape:
-    """Structure of colspan(G)/span(rels) for G = ``solver.a``; rels must lie in colspan(G).
+    """Structure of colspan(G)/span(rels) for G the solver's matrix; rels must lie in colspan(G).
 
     Presents the subquotient on the columns of G: relations are the
     generators of ker G (``solver.kernel()``) plus one solution of
     G x = v for each rel vector v.  The quotient is the cokernel of that
-    relation matrix, carried into the ambient space by G.
+    relation matrix, carried into the ambient space as G v
+    (``solver.apply``).
     """
-    g = solver.a
+    ring = solver.ring
     rel_cols: list[tuple[int, ...]] = [vec for vec, _ in solver.kernel()]
     for v in rels:
         lam = solver.solve(v)
@@ -809,9 +837,8 @@ def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> Module
             raise ValueError("relation vector outside the generator span")
         rel_cols.append(lam)
     if rel_cols:
-        rel = RMatrix.from_rows(g.ring, [list(c) for c in rel_cols]).transpose()
+        rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
     else:
-        rel = RMatrix.zeros(g.ring, g.cols, 0)
+        rel = RMatrix.zeros(ring, len(solver.columns), 0)
     q = smithify(rel).cokernel()
-    return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
-
+    return ModuleShape(q.invariants, tuple(solver.apply(v) for v in q.reps))

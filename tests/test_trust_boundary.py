@@ -211,6 +211,7 @@ def test_trusted_matrix_producers_match_the_public_constructor():
         ]
         for rows, cols in shapes:
             a, b, c = rand(ring, rows, cols), rand(ring, cols, rng.randrange(4)), rand(ring, 2, 3)
+            d, k = rand(ring, rows, cols), rng.randrange(-2 * m, 2 * m)
             ri = [rng.randrange(rows) for _ in range(rng.randrange(4))] if rows else []
             ci = [rng.randrange(cols) for _ in range(rng.randrange(4))] if cols else []
             kron = a.kron(c)
@@ -219,9 +220,15 @@ def test_trusted_matrix_producers_match_the_public_constructor():
                 for i in range(rows * 2) for j in range(cols * 3)
             )
             assert a.submatrix(ri, ci).entries == tuple(a.entry(i, j) for i in ri for j in ci)
+            assert (a + d).entries == tuple((x + y) % m for x, y in zip(a.entries, d.entries))
+            assert (a - d).entries == tuple((x - y) % m for x, y in zip(a.entries, d.entries))
+            assert a.scale(k).entries == tuple(k * x % m for x in a.entries)
+            wide, tall = RMatrix.hstack([a, d]), RMatrix.vstack([a, d])
+            assert [wide.row(i) for i in range(rows)] == [a.row(i) + d.row(i) for i in range(rows)]
+            assert tall.entries == a.entries + d.entries
             results = [
                 a @ b, a.submatrix(ri, ci), a.submatrix(range(rows), range(cols - 1, -1, -1)),
-                a.transpose(), kron, c.kron(a),
+                a.transpose(), kron, c.kron(a), a + d, a - d, a.scale(k), wide, tall,
                 RMatrix.identity(ring, rows), RMatrix.zeros(ring, rows, cols),
                 invertible(ring, max(rows, 1)).inverse(), RMatrix.identity(ring, 0).inverse(),
             ]

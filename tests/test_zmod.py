@@ -362,6 +362,16 @@ def test_span_reducer_is_canonical_and_complete(ring):
 # -- smithify and solving ----------------------------------------------------
 
 
+def dense_matrix(sm):
+    """The solver's matrix A as an RMatrix, written from its sparse ``columns``."""
+    rows, cols = sm.rows, len(sm.columns)
+    ents = [0] * (rows * cols)
+    for j, col in enumerate(sm.columns):
+        for i, x in col.items():
+            ents[i * cols + j] = x
+    return RMatrix(sm.ring, rows, cols, tuple(ents))
+
+
 def dense_factors(sm, a):
     """P, Q, P^-1 and Q^-1 of a solver on ``a`` as matrices, built from its sparse lines."""
     ring, nr, nc = a.ring, a.rows, a.cols
@@ -584,7 +594,7 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
         patch.setattr(zmod, "smithify", None)  # a sweep would fail
         built_solvers = [solver.on_kernel() for solver in solvers]
     for a, solver, built in zip(cases, solvers, built_solvers):
-        g = built.a
+        g = dense_matrix(built)
         assert g.rows == a.cols and (a @ g).is_zero()
         assert [g.col(j) for j in range(g.cols)] == [vec for vec, _ in solver.kernel()]
         left, right, left_inverse, right_inverse = dense_factors(built, g)
@@ -612,6 +622,80 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
             assert not any(g.apply(vec))
             assert any(vec_scale(ring, p ** (e - 1), vec)), "annihilator exponent overstated"
         assert built.cokernel().invariants == swept.cokernel().invariants
+
+
+@pytest.mark.parametrize("ring", [RingSpec(p, r) for p in (2, 3) for r in (1, 2, 3)])
+def test_solver_product_matches_dense_apply(ring):
+    # the solver holds A as sparse columns: its A x must be RMatrix.apply's,
+    # and the solve postcondition must still see every entry of A
+    rng = random.Random(1414)
+    m = ring.modulus
+    shapes = [(0, 4), (4, 0), (0, 0)]
+    cases = [RMatrix.zeros(ring, rows, cols) for rows, cols in shapes + [(3, 5)]]
+    cases += [rand_matrix(ring, rng.randrange(1, 6), rng.randrange(1, 6), rng) for _ in range(12)]
+    cases += [sparse_matrix(ring, rows, cols, rng, 0.05) for rows, cols in [(30, 40), (40, 30)]]
+    for a in cases:
+        solver = smithify(a)
+        kernel_solver = solver.on_kernel()
+        for sm, dense in [(solver, a), (kernel_solver, dense_matrix(kernel_solver))]:
+            assert dense_matrix(sm) == dense
+            assert all(0 < x < m for col in sm.columns for x in col.values())
+            xs = [(0,) * dense.cols, tuple(rng.randrange(m) for _ in range(dense.cols))]
+            xs += [tuple(rng.randrange(-2 * m, 2 * m) for _ in range(dense.cols))]
+            xs += [tuple(int(i == j) for i in range(dense.cols)) for j in range(dense.cols)]
+            for x in xs:
+                assert sm.apply(x) == dense.apply(x)
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                sm.apply((0,) * (dense.cols + 1))
+    # corrupt one entry of a column that a solution reaches: solve computes
+    # the same x from the factors, and its postcondition must now fail
+    corrupted = 0
+    for a in cases:
+        for sm in (smithify(a), smithify(a).on_kernel()):
+            dense = dense_matrix(sm)
+            if not dense.rows or not dense.cols:
+                continue
+            b = dense.apply(tuple(rng.randrange(m) for _ in range(dense.cols)))
+            x = sm.solve(b)
+            j = next((j for j, c in enumerate(x) if c), None)
+            if j is None:
+                continue
+            i = rng.randrange(dense.rows)
+            sm.columns[j][i] = (sm.columns[j].get(i, 0) + 1) % m
+            with pytest.raises(AssertionError, match="smith solve postcondition failed"):
+                sm.solve(b)
+            corrupted += 1
+    assert corrupted >= 10
+
+
+def test_on_kernel_builds_no_matrix(monkeypatch):
+    # on_kernel writes G's sparse columns from Q's, and the solver on G
+    # multiplies, solves and lists its kernel without building a matrix
+    rng = random.Random(1515)
+    cases = []
+    for ring in (RingSpec(2, 3), RingSpec(3, 2)):
+        cases += [rand_matrix(ring, rng.randrange(1, 5), rng.randrange(1, 6), rng) for _ in range(6)]
+        cases += [sparse_matrix(ring, 12, 20, rng, density=0.1), RMatrix.zeros(ring, 2, 3)]
+    solvers = [smithify(a) for a in cases]
+    solutions = []
+
+    def build(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zmod, "smithify", None)  # a sweep would fail
+        patch.setattr(zmod, "_trusted_matrix", build)
+        patch.setattr(RMatrix, "__post_init__", build)
+        built = [solver.on_kernel() for solver in solvers]
+        kernels = [solver.kernel() for solver in solvers]
+        for g in built:
+            m = g.ring.modulus
+            for _ in range(3):
+                solutions.append(g.solve(g.apply(tuple(rng.randrange(m) for _ in g.columns))))
+    for a, g, kernel in zip(cases, built, kernels):
+        assert [vec for vec, _ in kernel] == [dense_matrix(g).col(t) for t in range(len(g.columns))]
+        assert all(not any(a.apply(vec)) for vec, _ in kernel)
+    assert None not in solutions
 
 
 # -- invariants ---------------------------------------------------------------
