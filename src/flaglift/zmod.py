@@ -676,7 +676,7 @@ class LinearSolver:
                 for i, a in col.items():
                     out[i] += c * a
         m = self.ring.modulus
-        return tuple(y % m for y in out)
+        return tuple([y % m for y in out])
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of A x = b, or None.  Deterministic."""
