@@ -636,9 +636,9 @@ def test_solver_product_matches_dense_apply(ring):
     cases += [sparse_matrix(ring, rows, cols, rng, 0.05) for rows, cols in [(30, 40), (40, 30)]]
     for a in cases:
         solver = smithify(a)
+        assert dense_matrix(solver) == a
         kernel_solver = solver.on_kernel()
         for sm, dense in [(solver, a), (kernel_solver, dense_matrix(kernel_solver))]:
-            assert dense_matrix(sm) == dense
             assert all(0 < x < m for col in sm.columns for x in col.values())
             xs = [(0,) * dense.cols, tuple(rng.randrange(m) for _ in range(dense.cols))]
             xs += [tuple(rng.randrange(-2 * m, 2 * m) for _ in range(dense.cols))]
