@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .surface import (
     GModule,
+    Presentation,
     _diagonal_block,
     hom_mat,
     hom_module,
@@ -92,7 +93,7 @@ class CochainComplex:
         n = mod.rank
         blocks = [RMatrix.zeros(mod.ring, n, n) for _ in range(self.n_gens)]
         pref = RMatrix.identity(mod.ring, n)
-        for t in mod.presentation.relator():
+        for t in Presentation(mod.genus).relator():
             k = abs(t) - 1
             if t > 0:
                 blocks[k] = blocks[k] + pref

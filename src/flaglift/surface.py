@@ -3,23 +3,28 @@
 The group is presented on 2g generators x1, y1, ..., xg, yg with the single
 relator [x1,y1]...[xg,yg], commutator convention [a,b] = a b a^-1 b^-1.
 Words are tuples of signed 1-based generator indices (positive = generator,
-negative = inverse).  Representations and coefficient modules are tuples of
-invertible matrices over some Z/p^s.
+negative = inverse).  A representation (``SurfaceRep``) is a tuple of 2g
+invertible matrices over some Z/p^s that satisfies the relator.  A
+coefficient module (``GModule``) is a representation, and so is a
+triangular flag (``flags.Flag``): the three share one checked generator
+tuple, ``mats``, with its inverses and its reduction.
 
 Validation happens once, at the boundary.  The public ``SurfaceRep(...)``
-and ``GModule(...)`` constructors check invertibility and the relator; so
-does everything built through them from raw or hand-assembled matrices
-(file loading, ``trivial_module``, ``char_module``, the oracle's candidate
-filters and every engine candidate and output).  ``flags.Flag`` is a
-SurfaceRep whose constructor runs the same check and then scans for the
-upper triangular shape.  Objects derived from a checked one by a map that
+constructor and those of its subclasses ``GModule`` and ``flags.Flag``
+check invertibility and the relator; so does everything built through
+them from raw or hand-assembled matrices (file loading, ``trivial_module``,
+``char_module``, the oracle's candidate filters and every engine
+candidate and output).  A flag's constructor then scans for the upper
+triangular shape.  Objects derived from a checked one by a map that
 preserves invertibility and the relator are built by ``_trusted`` without
-a second walk: ``as_module``, ``reduce_to`` (reduction is a ring map),
-``tensor_module`` (Kronecker products multiply blockwise), ``dual_module``
-(inverse transpose is a homomorphism), and the diagonal blocks of block
-upper triangular actions (flag segments and the ends of a coordinate
-extension).  Reductions and diagonal blocks keep the class of their
-source, so those of a flag are flags, built without the scan.
+a second walk: ``as_module``, ``reduce_to`` of any representation
+(reduction is a ring map), ``tensor_module`` (Kronecker products multiply
+blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
+diagonal blocks of block upper triangular generators (flag segments and
+the ends of a coordinate extension).  ``_trusted`` fills the fields of the
+class it is given, and reductions and diagonal blocks keep the class of
+their source: those of a module are modules, and those of a flag are
+flags, built without the scan.
 
 The relator check is this module's only walk along the relator (cochain
 values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
@@ -54,6 +59,7 @@ from .zmod import RingSpec, RMatrix
 Word = tuple[int, ...]
 
 _InverseSlot = Union[tuple[RMatrix, ...], Callable[[], tuple[RMatrix, ...]]]
+_Checked = TypeVar("_Checked", bound="SurfaceRep")
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,11 @@ def _check_relator(
 
 @dataclass(frozen=True)
 class SurfaceRep:
-    """A representation of the surface group by invertible matrices."""
+    """A representation of the surface group by invertible matrices.
+
+    The one checked generator tuple: ``GModule`` and ``flags.Flag`` are
+    SurfaceReps, and inherit its inverses and reduction.
+    """
 
     ring: RingSpec
     genus: int
@@ -153,61 +163,56 @@ class SurfaceRep:
     _inverses: _InverseSlot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check(self, self.mats, "representation")
+        _check(self, "representation")
 
     @property
     def dim(self) -> int:
-        return self.mats[0].rows
+        return self.mats[0].rows if self.mats else 0
 
     @property
     def inverses(self) -> tuple[RMatrix, ...]:
-        return _inverses(self)
+        """The inverses of the generators, worked out on first read."""
+        inv = self._inverses
+        if callable(inv):
+            inv = inv()
+            object.__setattr__(self, "_inverses", inv)
+        return inv
 
     def as_module(self) -> "GModule":
         return _trusted(GModule, self.ring, self.genus, self.mats, lambda: self.inverses)
 
-    def reduce_to(self, s: int) -> "SurfaceRep":
-        return _reduction(self, s)
+    def reduce_to(self: _Checked, s: int) -> _Checked:
+        """Reduced to Z/p^s, trusted: reduction is a ring map."""
+        red = lambda ms: tuple(m.reduce_to(s) for m in ms)
+        ring = self.ring.shrink(s)
+        return _trusted(type(self), ring, self.genus, red(self.mats), lambda: red(self.inverses))
 
 
 @dataclass(frozen=True)
-class GModule:
-    """A surface group module: (Z/p^s)^rank with an action by each generator."""
+class GModule(SurfaceRep):
+    """A surface group module: (Z/p^s)^rank with an action by each generator.
 
-    ring: RingSpec
-    genus: int
-    acts: tuple[RMatrix, ...]
-    _inverses: _InverseSlot = field(init=False, repr=False, compare=False)
+    A module is a representation; ``acts`` and ``rank`` name its ``mats``
+    and ``dim``.  It never equals the bare SurfaceRep on the same matrices.
+    """
 
     def __post_init__(self) -> None:
-        _check(self, self.acts, "module action")
+        _check(self, "module action")
 
     @property
-    def rank(self) -> int:
-        return self.acts[0].rows if self.acts else 0
+    def acts(self) -> tuple[RMatrix, ...]:
+        return self.mats
 
-    @property
-    def presentation(self) -> Presentation:
-        return Presentation(self.genus)
-
-    @property
-    def inverses(self) -> tuple[RMatrix, ...]:
-        return _inverses(self)
+    rank = SurfaceRep.dim
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
-
-    def reduce_to(self, s: int) -> "GModule":
-        return _reduction(self, s)
-
-
-_Checked = TypeVar("_Checked", bound=Union[SurfaceRep, GModule])
 
 
 def _trusted(
     cls: type[_Checked], ring: RingSpec, genus: int, mats: Sequence[RMatrix], inverses: _InverseSlot
 ) -> _Checked:
-    """A SurfaceRep (or Flag) or GModule built without ``__post_init__``'s checks.
+    """A SurfaceRep (or Flag, or GModule) built without ``__post_init__``'s checks.
 
     Only for matrices derived from an already checked object by a map that
     preserves invertibility, the relator and, for a Flag, the upper
@@ -218,33 +223,17 @@ def _trusted(
     return obj
 
 
-def _check(obj: SurfaceRep | GModule, mats: tuple[RMatrix, ...], what: str) -> None:
+def _check(obj: SurfaceRep, what: str) -> None:
     """Check ``obj`` and record the inverses its relator walk computed (none at rank 0)."""
+    mats = obj.mats
     inv = _check_relator(obj.ring, obj.genus, mats, what)
     object.__setattr__(obj, "_inverses", inv or (lambda: tuple(m.inverse() for m in mats)))
 
 
-def _inverses(obj: SurfaceRep | GModule) -> tuple[RMatrix, ...]:
-    """The inverses of the generators of ``obj``, worked out on first read."""
-    inv = obj._inverses
-    if callable(inv):
-        inv = inv()
-        object.__setattr__(obj, "_inverses", inv)
-    return inv
-
-
 def _diagonal_block(obj: _Checked, idx: Sequence[int]) -> _Checked:
     """The diagonal block ``idx`` of a block upper triangular ``obj``, trusted."""
-    mats = obj.mats if isinstance(obj, SurfaceRep) else obj.acts
     block = lambda ms: tuple(m.submatrix(idx, idx) for m in ms)
-    return _trusted(type(obj), obj.ring, obj.genus, block(mats), lambda: block(obj.inverses))
-
-
-def _reduction(obj: _Checked, s: int) -> _Checked:
-    """``obj`` reduced to Z/p^s, trusted: reduction is a ring map."""
-    mats = obj.mats if isinstance(obj, SurfaceRep) else obj.acts
-    red = lambda ms: tuple(m.reduce_to(s) for m in ms)
-    return _trusted(type(obj), obj.ring.shrink(s), obj.genus, red(mats), lambda: red(obj.inverses))
+    return _trusted(type(obj), obj.ring, obj.genus, block(obj.mats), lambda: block(obj.inverses))
 
 
 # -- module constructors ------------------------------------------------------

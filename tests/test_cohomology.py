@@ -26,6 +26,7 @@ from flaglift.cohomology import (
 from flaglift.oracle import gen_random_flag
 from flaglift.surface import (
     GModule,
+    Presentation,
     SurfaceRep,
     char_module,
     hom_mat,
@@ -83,7 +84,7 @@ def test_differentials_compose_to_zero_and_match_crossed_values(ring, genus):
             for _ in range(cx.n_gens)
         ]
         by_matrix = cx.d1.apply(stack(vals))
-        by_walk = crossed_value(mod, vals, mod.presentation.relator())
+        by_walk = crossed_value(mod, vals, Presentation(mod.genus).relator())
         assert by_matrix == tuple(by_walk), "d1 must evaluate the relator"
 
 
@@ -442,7 +443,7 @@ def test_coordinate_extension_matches_matrix_reference():
             for vec, _ in cxq.d1_solver.kernel():
                 v = CohClass(cxq, 1, vec)
                 lifted = [section.apply(val) for val in v.values()]
-                rel = crossed_value(b, lifted, b.presentation.relator())
+                rel = crossed_value(b, lifted, Presentation(b.genus).relator())
                 assert not any(pi.apply(rel))
                 assert connecting(ext, v).vector == retraction.apply(rel)
                 connecting_values.add(any(rel))
