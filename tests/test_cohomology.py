@@ -297,7 +297,7 @@ def test_cup_graded_antisymmetry():
 # sha256 over repr((vector, module)) of every cup(u, v) below: seeded cocycle
 # pairs on a rank-1 flag segment, a flag module and its adjoint, all ordered
 # pairs of the three; any change to the chain-level cup changes it
-CUP_DIGEST = "acdfbb93e2d24d4e69ad6c62238113cef6144f3f4bb01405ea5c4a7eca5fe659"
+CUP_DIGEST = "912bb44f45c004417b47af834e05ebdb2725a0f1c7a58001a9eef8d614462149"
 
 
 def test_cup_chain_level_digest():
