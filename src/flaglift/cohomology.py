@@ -376,11 +376,6 @@ def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:
     kgens = [vec for vec, _ in cx_c.d1_solver.kernel()]
     cols = [connecting(ext, CohClass(cx_c, 1, vec)).vector for vec in kgens]
     im_cols = [cx_a.d1.col(j) for j in range(cx_a.d1.cols)]
-    width = len(cols) + len(im_cols)
-    if width == 0:
-        if all(x == 0 for x in target.vector):
-            return CohClass(cx_c, 1, (0,) * (ext.quotient.rank * 2 * ext.quotient.genus))
-        raise LiftConsistencyError("connecting map cannot hit a nonzero target")
     mat = RMatrix.from_rows(ring, [list(col) for col in cols + im_cols]).transpose()
     sol = smithify(mat).solve(target.vector)
     if sol is None:

@@ -374,6 +374,13 @@ def test_connecting_solve_cup_roundtrip():
             target = connecting(ext, v)
             eps = solve_cup(ext, target)
             assert connecting(ext, eps) == target, "solve_cup must invert connecting"
+    for genus in (1, 2):
+        # a rank-0 total module: no columns, an empty target, the rank-0 quotient's zero class
+        ext = coordinate_extension(trivial_module(ring, genus, 0), 0)
+        target = CohClass(complex_of(ext.sub), 2, ())
+        eps = solve_cup(ext, target)
+        assert (eps.cx, eps.degree, eps.vector) == (complex_of(ext.quotient), 1, ())
+        assert connecting(ext, eps) == target
 
 
 def test_solve_cup_unreachable_target_raises():
