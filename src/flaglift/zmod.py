@@ -228,16 +228,6 @@ class RMatrix:
             raise ValueError("negative matrix dimensions")
         return _trusted_matrix(ring, rows, cols, (0,) * (rows * cols))
 
-    @staticmethod
-    def diagonal(ring: RingSpec, diag: Sequence[int]) -> "RMatrix":
-        n = len(diag)
-        return RMatrix(
-            ring,
-            n,
-            n,
-            tuple(diag[i] % ring.modulus if i == j else 0 for i in range(n) for j in range(n)),
-        )
-
     # -- access -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:

@@ -337,9 +337,8 @@ def test_extension_class_detects_splitting():
 
     # a nonzero but exact section defect: conjugated direct sum
     u = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
-    mod = GModule(
-        ring, 1, (u @ RMatrix.diagonal(ring, [1, 3]) @ u.inverse(), RMatrix.identity(ring, 2))
-    )
+    diag = RMatrix.from_rows(ring, [[1, 0], [0, 3]])
+    mod = GModule(ring, 1, (u @ diag @ u.inverse(), RMatrix.identity(ring, 2)))
     ext = coordinate_extension(mod, 1)
     res = split_section(ext)
     assert res.splits, "conjugate of a direct sum splits"

@@ -148,7 +148,7 @@ def test_is_kummer_characters_and_r1():
     f = flag_g1(ring1, x, y)
     assert is_kummer(f).ok, "mod p with trivial characters is always Kummer"
     ring = RingSpec(3, 1)
-    bad = Flag(ring, 1, (RMatrix.diagonal(ring, [1, 2]), RMatrix.identity(ring, 2)))
+    bad = Flag(ring, 1, (RMatrix.from_rows(ring, [[1, 0], [0, 2]]), RMatrix.identity(ring, 2)))
     v = is_kummer(bad)
     assert not v.ok and "character" in v.reason
     assert char_is_teichmuller(ring, bad.char(2)), "a Teichmuller character is still not Kummer"
