@@ -286,6 +286,30 @@ def test_cli_lift_class_round_trip(tmp_path, capsys):
     assert cx2.d1.apply(stacked) == (0,) * cx2.d1.rows
 
 
+
+@pytest.mark.parametrize(
+    "ring, genus, rows, message",
+    [
+        (RingSpec(2, 1), 1, ((0, 0, 0),) * 2, "cocycle must be mod p for the flag's prime"),
+        (RingSpec(3, 2), 1, ((0, 0, 0),) * 2, "cocycle must be mod p for the flag's prime"),
+        (RingSpec(3, 1), 2, ((0, 0, 0),) * 4, "cocycle shape does not match the representation"),
+        (RingSpec(3, 1), 1, ((0, 0),) * 2, "cocycle shape does not match the representation"),
+        (RingSpec(3, 1), 1, ((0, 0, 1), (0, 0, 0)), "the given values do not form a cocycle"),
+    ],
+)
+def test_cli_lift_class_rejects_bad_cocycles(tmp_path, capsys, ring, genus, rows, message):
+    from flaglift.lifting import lift_kummer
+
+    k1 = kummer_fixture()
+    src, coc = tmp_path / "k2.rep", tmp_path / "c.coc"
+    src.write_text(save_rep(lift_kummer(k1)))
+    coc.write_text(save_cocycle(ring, genus, len(rows[0]), rows))
+    if message.startswith("the given values"):
+        assert not complex_of(k1.as_module()).is_cocycle([v for row in rows for v in row])
+    assert main(["lift-class", str(src), str(coc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
 def test_cli_oracle_compare_and_budget(tmp_path, capsys, monkeypatch):
     src = tmp_path / "k.rep"
     src.write_text(save_rep(kummer_fixture()))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from flaglift import surface
-from flaglift.cohomology import coordinate_extension
+from flaglift.cohomology import complex_of, coordinate_extension
 from flaglift.flags import Flag
 from flaglift.lifting import (
     glue,
@@ -31,9 +31,7 @@ from flaglift.zmod import RingSpec, RMatrix
 
 def rebuilt(obj):
     """``obj`` built again from its matrices through the public constructor of its class."""
-    if isinstance(obj, SurfaceRep):  # a Flag too
-        return type(obj)(obj.ring, obj.genus, obj.mats)
-    return GModule(obj.ring, obj.genus, obj.acts)
+    return type(obj)(obj.ring, obj.genus, obj.mats)
 
 
 def test_derived_objects_skip_the_relator_walk(monkeypatch):
@@ -61,6 +59,11 @@ def test_derived_objects_skip_the_relator_walk(monkeypatch):
     ]
     monkeypatch.undo()
     assert rep != flag, "a flag never equals the bare representation on its matrices"
+    # a module is a representation, yet never equal to the bare one on its matrices
+    assert isinstance(mod, SurfaceRep)
+    assert mod != rep and hash(mod) == hash(rep)
+    assert mod.acts is mod.mats and mod.rank == rep.dim
+    assert complex_of(mod) is complex_of(rebuilt(mod))
     for obj in derived:
         again = rebuilt(obj)
         assert obj == again and hash(obj) == hash(again)
@@ -77,8 +80,7 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
         check(ring, genus, mats, what)
 
     def was_checked(obj):
-        mats = obj.acts if isinstance(obj, GModule) else obj.mats
-        return any(m is mats for m in checked)
+        return any(m is obj.mats for m in checked)
 
     kummer = gen_random_flag(2, 1, 3, 1, kind="kummer", seed=5)
     kummer_up = gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5)
@@ -148,10 +150,6 @@ def derived_builders(flag):
     return out + [lambda src=src, s=s: src.reduce_to(s) for src in (flag, bare) for s in range(1, flag.ring.r)]
 
 
-def generators(obj):
-    return obj.mats if isinstance(obj, SurfaceRep) else obj.acts
-
-
 def counting_inverse(monkeypatch):
     inverted = []
     inverse = RMatrix.inverse
@@ -180,7 +178,7 @@ def test_derived_inverses_are_closed_form_and_lazy(monkeypatch):
         assert inverted == [], "a derived object inverted a matrix"
         monkeypatch.undo()
         for obj, inverses in zip(derived, got):
-            assert inverses == tuple(m.inverse() for m in generators(obj)), obj
+            assert inverses == tuple(m.inverse() for m in obj.mats), obj
             assert obj.inverses is inverses, "inverses are worked out once"
 
 
@@ -375,6 +373,15 @@ def wrapped_flags(tree):
                 yield node.lineno
 
 
+def class_dispatches(tree):
+    """Lines of every ``isinstance`` or ``issubclass`` test against ``SurfaceRep`` or ``GModule``."""
+    name = lambda node: getattr(node, "attr", getattr(node, "id", None))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name(node.func) in ("isinstance", "issubclass"):
+            if any(name(n) in ("SurfaceRep", "GModule") for a in node.args[1:] for n in ast.walk(a)):
+                yield node.lineno
+
+
 def sweep_bypasses(tree):
     """(kind, line) of every ``LinearSolver(...)`` and every ``smithify(<...>.transpose())``."""
     name = lambda node: getattr(node, "attr", getattr(node, "id", None))
@@ -427,6 +434,12 @@ def test_guards_flag_the_patterns_they_forbid():
         "c = Flag(r, 1, m)\nd = SurfaceRep(r, 1, m)\ne = Flag(r, 1, SurfaceRep(r, 1, m).mats)\n"
     )
     assert sorted(wrapped_flags(wrapped)) == [1, 2]
+    dispatch = ast.parse(
+        "a = isinstance(x, SurfaceRep)\nb = isinstance(x, (Flag, surface.GModule))\n"
+        "c = issubclass(t, int | SurfaceRep)\nd = isinstance(SurfaceRep, type)\n"
+        "e = isinstance(x, Flag)\nf = x.mats if y else SurfaceRep\n"
+    )
+    assert sorted(class_dispatches(dispatch)) == [1, 2, 3]
     sweeps = ast.parse(
         "a = smithify(m.transpose())\nb = zmod.smithify(cx.d1.transpose())\n"
         "c = LinearSolver(m, smithify(m))\nd = zmod.LinearSolver(m)\n"
@@ -489,6 +502,16 @@ def test_no_flag_wraps_a_surface_rep():
     for path in files:
         lines = list(wrapped_flags(ast.parse(path.read_text(), str(path))))
         assert not lines, f"{path.relative_to(_ROOT).as_posix()} wraps a SurfaceRep in a Flag at lines {lines}"
+
+
+# -- tooling guard: a module is a representation ------------------------------------
+
+
+def test_no_isinstance_dispatch_on_representations():
+    """``GModule`` and ``Flag`` are SurfaceReps: one generator tuple, picked by no class test."""
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        lines = list(class_dispatches(ast.parse(path.read_text(), str(path))))
+        assert not lines, f"{path.relative_to(_ROOT).as_posix()} tests for SurfaceRep or GModule at lines {lines}"
 
 
 # -- tooling guard: one sweep per matrix ----------------------------------------------
