@@ -172,7 +172,7 @@ def _cmd_lift_class(args) -> int:
         raise RepFileError("cocycle shape does not match the representation")
     cx = complex_of(flag.reduce_to(1).as_module())
     stacked = tuple(v for row in rows for v in row)
-    if cx.d1.apply(stacked) != (0,) * cx.d1.rows:
+    if not cx.is_cocycle(stacked):
         raise RepFileError("the given values do not form a cocycle")
     lifted = lift_h1_class(flag, CohClass(cx, 1, stacked))
     out_rows = tuple(tuple(row) for row in lifted.values())

@@ -8,7 +8,9 @@ presentation: for a module M of rank n the cochain spaces are
 d0 sends m to the cochain g -> g.m - m, and d1 sends a cochain c to the
 value of its crossed extension on the relator (a stacked matrix of Fox
 derivative evaluations).  H^0 = ker d0, H^1 = ker d1 / im d0 and
-H^2 = coker d1.  One sweep of each differential serves everything read
+H^2 = coker d1.  Each differential is built once, as a ``SparseMatrix``,
+and its solver keeps that matrix's own columns, so the complex holds one
+copy of each.  One sweep of each differential serves everything read
 from it: ``d1_solver`` solves, gives ker d1 and coker d1, and hands out the
 solver on ker d1's generators (``on_kernel``) that presents H^1.  Class
 arithmetic, cup products, extension classes and the connecting map of a
@@ -39,7 +41,9 @@ from .zmod import (
     ModuleShape,
     RingSpec,
     RMatrix,
+    SparseMatrix,
     SpanReducer,
+    _sparse,
     quotient_data,
     smithify,
     vec_add,
@@ -81,13 +85,13 @@ class CochainComplex:
         return 2 * self.module.genus
 
     @cached_property
-    def d0(self) -> RMatrix:
+    def d0(self) -> SparseMatrix:
         mod = self.module
         eye = RMatrix.identity(mod.ring, mod.rank)
-        return RMatrix.vstack([a - eye for a in mod.acts])
+        return RMatrix.vstack([a - eye for a in mod.acts]).sparse()
 
     @cached_property
-    def d1(self) -> RMatrix:
+    def d1(self) -> SparseMatrix:
         """Fox derivative blocks of the relator, one n x n block per generator."""
         mod = self.module
         n = mod.rank
@@ -101,8 +105,8 @@ class CochainComplex:
             else:
                 pref = pref @ mod.inverses[k]
                 blocks[k] = blocks[k] - pref
-        d1 = RMatrix.hstack(blocks)
-        if not (d1 @ self.d0).is_zero():
+        d1, d0 = RMatrix.hstack(blocks).sparse(), self.d0
+        if any(any(d1.apply(d0.col(j))) for j in range(d0.cols)):
             raise AssertionError("d1 . d0 != 0; relator check should prevent this")
         return d1
 
@@ -374,10 +378,8 @@ def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:
     cx_c = complex_of(ext.quotient)
     cx_a = complex_of(ext.sub)
     kgens = [vec for vec, _ in cx_c.d1_solver.kernel()]
-    cols = [connecting(ext, CohClass(cx_c, 1, vec)).vector for vec in kgens]
-    im_cols = [cx_a.d1.col(j) for j in range(cx_a.d1.cols)]
-    mat = RMatrix.from_rows(ring, [list(col) for col in cols + im_cols]).transpose()
-    sol = smithify(mat).solve(target.vector)
+    cols = [_sparse(connecting(ext, CohClass(cx_c, 1, vec)).vector) for vec in kgens]
+    sol = smithify(SparseMatrix(ring, cx_a.d1.rows, cols + cx_a.d1.columns)).solve(target.vector)
     if sol is None:
         raise LiftConsistencyError("no cocycle maps onto the target obstruction")
     eps = [0] * (ext.quotient.rank * 2 * ext.quotient.genus)

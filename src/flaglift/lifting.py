@@ -61,7 +61,7 @@ from .surface import (
 from .zmod import (
     RingSpec,
     RMatrix,
-    _dense,
+    SparseMatrix,
     smithify,
     span_coefficients,
     teichmuller,
@@ -465,7 +465,8 @@ class _JointSystem:
     """A linear system over Z/p^(r+1) whose unknowns come in column blocks.
 
     ``block`` hands out fresh columns in order; rows are sparse
-    {column: coefficient} maps, densified to the full width by ``solve``.
+    {column: nonzero coefficient} maps, which ``solve`` writes into sparse
+    columns.
     """
 
     ring: RingSpec
@@ -480,14 +481,18 @@ class _JointSystem:
 
     def add(self, coeffs: dict[int, int], rhs: int) -> None:
         m = self.ring.modulus
-        self.rows.append(({c: v % m for c, v in coeffs.items()}, rhs % m))
+        self.rows.append(({c: x for c, v in coeffs.items() if (x := v % m)}, rhs % m))
 
     def fork(self) -> "_JointSystem":
         """A copy that takes further rows without touching this one."""
         return replace(self, rows=list(self.rows))
 
     def solve(self) -> tuple[int, ...] | None:
-        mat = RMatrix.from_rows(self.ring, [_dense(row, self.width) for row, _ in self.rows])
+        columns: list[dict[int, int]] = [{} for _ in range(self.width)]
+        for i, (row, _) in enumerate(self.rows):
+            for c, x in row.items():
+                columns[c][i] = x
+        mat = SparseMatrix(self.ring, len(self.rows), columns)
         return smithify(mat).solve(tuple(rhs for _, rhs in self.rows))
 
 
@@ -596,7 +601,7 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
     # twists must preserve relator exactness: d1 of the twist vector is 0
     dmat = complex_of(_pinned_torsor_module(f)).d1
     for i in range(d - 1):
-        system.add({mu + c: pr * dmat.entry(i, c) for c in range(dmat.cols)}, 0)
+        system.add({mu + c: pr * dmat.columns[c].get(i, 0) for c in range(dmat.cols)}, 0)
 
     grids = []
     n_points = 1  # size of the full grid

@@ -286,7 +286,7 @@ def _solve_last_generator(
                 row.append(v % ring.modulus)
             rows.append(row)
     mat = RMatrix.from_rows(ring, rows)
-    gens = smithify(mat).kernel()
+    gens = smithify(mat.sparse()).kernel()
     vec = [0] * len(slots)
     for gvec, e in gens:
         t = rng.randrange(ring.p**e)

@@ -133,9 +133,11 @@ def _check_relator(
     ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: str
 ) -> tuple[RMatrix, ...] | None:
     """Check ``mats`` as generator matrices; return their inverses (None at rank 0)."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
     if len(mats) != 2 * genus:
         raise ValueError(f"need {2 * genus} matrices, got {len(mats)}")
-    n = mats[0].rows if mats else 0
+    n = mats[0].rows
     for i, m in enumerate(mats):
         if m.ring != ring:
             raise ValueError(f"matrix {i + 1} lives over {m.ring}, expected {ring}")
@@ -167,7 +169,7 @@ class SurfaceRep:
 
     @property
     def dim(self) -> int:
-        return self.mats[0].rows if self.mats else 0
+        return self.mats[0].rows
 
     @property
     def inverses(self) -> tuple[RMatrix, ...]:

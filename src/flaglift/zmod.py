@@ -11,20 +11,23 @@ staircase form without any general PID machinery.  The module provides:
   canonical coset representatives can be read off by greedy reduction,
   which a plain staircase cannot do over Z/p^r (example: the row (0, p)
   lies in the span of (p, 1) over Z/p^2),
-* ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e), with
-  P^-1 and Q^-1 carried through the same sweep.  It returns the
-  ``LinearSolver`` on A, which owns the four factors as the sweep's own
-  sparse lines, never as matrices,
-* ``LinearSolver``: A as sparse columns with everything read off that one
-  sweep: the product A x (``apply``), one solution of A x = b, an
-  independent kernel basis with annihilator exponents, the cokernel
-  (``cokernel``), and the solver on the matrix G of kernel generators
-  (``on_kernel``), whose columns and Smith factors are read off A's sweep,
-  so G is neither swept nor built as a matrix,
+* ``SparseMatrix``: a matrix as one dict of nonzeros per column, with the
+  package's one matrix-vector product (``apply``),
+* ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e) of a
+  ``SparseMatrix``, with P^-1 and Q^-1 carried through the same sweep.  It
+  returns the ``LinearSolver`` on A, which keeps A's own columns, uncopied,
+  and owns the four factors as the sweep's own sparse lines, never as
+  matrices,
+* ``LinearSolver``: a ``SparseMatrix`` with everything read off its one
+  sweep: one solution of A x = b, an independent kernel basis with
+  annihilator exponents, the cokernel (``cokernel``), and the solver on the
+  matrix G of kernel generators (``on_kernel``), whose columns and Smith
+  factors are read off A's sweep, so G is neither swept nor built densely,
 * ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``quotient_data``: invariants and representatives of a subquotient
-  colspan(G) / span(rels), presented on a solver of G and carried into the
-  ambient space by that solver's ``apply``,
+  colspan(G) / span(rels), presented on a solver of G by a relation matrix
+  built as sparse columns, and carried into the ambient space by that
+  solver's ``apply``,
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
@@ -35,15 +38,14 @@ skip that scan (``_trusted_matrix``).  Likewise ``RingSpec(p, r)`` tests p
 for primality, and ``shrink`` builds a smaller ring of the same, already
 tested, prime without a second test (``_trusted_ring``).
 
-Vectors are plain tuples of ints; matrices are ``RMatrix``.
-``RMatrix.apply`` skips the zero entries of the vector but slices a whole
-dense column for each other one.  ``LinearSolver.apply`` walks only the
-nonzero entries of the vector and of the matching columns, which the
-solver holds as dicts of nonzeros, so its cost scales with the nonzeros
-of both, not with the shape.  ``smithify`` likewise sweeps over sparse
-rows and columns (dicts of nonzeros): a pivot search walks only nonzero
-entries, and an elimination touches only the rows that are nonzero in the
-pivot column and only the nonzeros of the pivot row.
+Vectors are plain tuples of ints; dense matrices are ``RMatrix``, and
+``RMatrix.sparse`` gives the ``SparseMatrix`` that ``smithify`` takes.
+``SparseMatrix.apply`` walks only the nonzero entries of the vector and of
+the matching columns, so its cost scales with the nonzeros of both, not
+with the shape.  ``smithify`` likewise sweeps over sparse rows and columns
+(dicts of nonzeros): a pivot search walks only nonzero entries, and an
+elimination touches only the rows that are nonzero in the pivot column and
+only the nonzeros of the pivot row.
 """
 
 from __future__ import annotations
@@ -309,19 +311,10 @@ class RMatrix:
                     out[base + j] += av * brow[j]
         return _trusted_matrix(self.ring, n, q, tuple([x % m for x in out]))
 
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector, as a tuple."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
+    def sparse(self) -> "SparseMatrix":
+        """The same matrix as sparse columns of its nonzero entries."""
         cols, ents = self.cols, self.entries
-        out = [0] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i, a in enumerate(ents[j::cols]):
-                    if a:
-                        out[i] += x * a
-        m = self.ring.modulus
-        return tuple(y % m for y in out)
+        return SparseMatrix(self.ring, self.rows, [_sparse(ents[j::cols]) for j in range(cols)])
 
     def transpose(self) -> "RMatrix":
         cols, ents = self.cols, self.entries
@@ -510,10 +503,43 @@ def echelonize(a: RMatrix) -> EchelonResult:
 
 
 # ---------------------------------------------------------------------------
-# two-sided diagonalization and linear solving
+# sparse matrices, two-sided diagonalization and linear solving
 
 
-def smithify(a: RMatrix) -> "LinearSolver":
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A rows x cols matrix over Z/p^r as sparse columns, the format ``smithify`` sweeps.
+
+    ``columns[j]`` is column j, a dict from row index to nonzero least
+    residue.  The entries are not checked: ``RMatrix.sparse`` and the
+    callers that already hold sparse columns build them.
+    """
+
+    ring: RingSpec
+    rows: int
+    columns: list[dict[int, int]]
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    def col(self, j: int) -> tuple[int, ...]:
+        return _dense(self.columns[j], self.rows)
+
+    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
+        """A x, as a tuple: walks only the nonzero x_j and the nonzeros of column j."""
+        if len(x) != len(self.columns):
+            raise ValueError("vector length mismatch")
+        out = [0] * self.rows
+        for c, col in zip(x, self.columns):
+            if c:
+                for i, a in col.items():
+                    out[i] += c * a
+        m = self.ring.modulus
+        return tuple([y % m for y in out])
+
+
+def smithify(a: SparseMatrix) -> "LinearSolver":
     """Diagonalize over Z/p^r by global minimal-valuation full pivoting.
 
     One sweep suffices over the local ring: after moving a minimal-valuation
@@ -529,18 +555,16 @@ def smithify(a: RMatrix) -> "LinearSolver":
     carries both inverses without a separate inversion.  A's columns are
     swapped by relabelling: a row dict is keyed by column label, and ``pos``
     maps a label to its current column.  Returns the solver on A, which owns
-    all four factors and A's sparse columns, copied from the row dicts
-    before the sweep changes them.
+    all four factors and keeps ``a.columns`` itself: the sweep works on row
+    dicts copied from it.
     """
     ring = a.ring
     p, r, m = ring.p, ring.r, ring.modulus
     nr, nc = a.rows, a.cols
-    ents = a.entries
-    mat = [{j: x for j, x in enumerate(ents[i * nc : (i + 1) * nc]) if x} for i in range(nr)]
-    columns: list[dict[int, int]] = [{} for _ in range(nc)]
-    for i, row in enumerate(mat):
-        for j, x in row.items():
-            columns[j][i] = x
+    mat: list[dict[int, int]] = [{} for _ in range(nr)]
+    for j, col in enumerate(a.columns):
+        for i, x in col.items():
+            mat[i][j] = x
     label = list(range(nc))  # label[j]: the label of column j
     pos = list(range(nc))  # pos[c]: the column of label c
     pmat = [{i: 1} for i in range(nr)]
@@ -602,7 +626,7 @@ def smithify(a: RMatrix) -> "LinearSolver":
                 # Q gained col_j -= f col_k, so Q^-1 gains row_k += f row_j
                 _axpy(qinv_k, f, qinv[j].items(), m)
         exps.append(v)
-    return LinearSolver(ring, nr, columns, pmat, qmat, tuple(exps), pinv, qinv)
+    return LinearSolver(ring, nr, a.columns, pmat, qmat, tuple(exps), pinv, qinv)
 
 
 def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
@@ -615,6 +639,11 @@ def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -
             dst.pop(key, None)
 
 
+def _sparse(v: Sequence[int]) -> dict[int, int]:
+    """The nonzero entries of a vector of least residues, as a sparse line."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def _dense(line: dict[int, int], n: int) -> tuple[int, ...]:
     """A sparse line as a length-n tuple: its nonzeros written into zeros."""
     out = [0] * n
@@ -623,50 +652,30 @@ def _dense(line: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class LinearSolver:
-    """Everything read off one Smith form P @ A @ Q = diag(p^e) of A.
+@dataclass(frozen=True, eq=False)
+class LinearSolver(SparseMatrix):
+    """A ``SparseMatrix`` A with everything read off one Smith form P @ A @ Q = diag(p^e).
 
     Solves A x = b, enumerates ker A, presents coker A, and hands out the
     solver on a generator matrix of ker A.  Built by ``smithify``, or by
-    ``on_kernel`` from factors known without a sweep.  A itself is held as
-    ``rows`` and sparse ``columns``, and ``apply`` multiplies by it.  A and
-    the factors are sparse lines, each a dict from index to nonzero
-    residue: ``columns[j]`` is column j of A, ``left_rows[i]`` is row i of
-    P, ``right_cols[j]`` is column j of Q, ``left_inverse_cols[i]`` is
-    column i of P^-1 and ``right_inverse_rows[j]`` is row j of Q^-1.  The
-    diagonal is not stored: ``exponents`` has one entry per diagonal slot
+    ``on_kernel`` from factors known without a sweep.  The factors are
+    sparse lines, as A's columns are: ``left_rows[i]`` is row i of P,
+    ``right_cols[j]`` is column j of Q, ``left_inverse_cols[i]`` is column
+    i of P^-1 and ``right_inverse_rows[j]`` is row j of Q^-1.  The diagonal
+    is not stored: ``exponents`` has one entry per diagonal slot
     min(rows, cols), a zero diagonal entry recorded as exponent r.
     """
 
-    def __init__(
-        self,
-        ring: RingSpec,
-        rows: int,
-        columns: list[dict[int, int]],
-        left_rows: list[dict[int, int]],
-        right_cols: list[dict[int, int]],
-        exponents: tuple[int, ...],
-        left_inverse_cols: list[dict[int, int]],
-        right_inverse_rows: list[dict[int, int]],
-    ):
-        self.ring, self.rows, self.columns = ring, rows, columns
-        self.left_rows, self.right_cols = left_rows, right_cols
-        self.left_inverse_cols, self.right_inverse_rows = left_inverse_cols, right_inverse_rows
-        self.exponents = exponents
-        # slots past min(rows, cols) count as zero diagonal entries, exponent r
-        self._slots = exponents + (ring.r,) * (max(rows, len(columns)) - len(exponents))
+    left_rows: list[dict[int, int]]
+    right_cols: list[dict[int, int]]
+    exponents: tuple[int, ...]
+    left_inverse_cols: list[dict[int, int]]
+    right_inverse_rows: list[dict[int, int]]
 
-    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """A x, as a tuple: walks only the nonzero x_j and the nonzeros of column j."""
-        if len(x) != len(self.columns):
-            raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        for c, col in zip(x, self.columns):
-            if c:
-                for i, a in col.items():
-                    out[i] += c * a
-        m = self.ring.modulus
-        return tuple([y % m for y in out])
+    def __post_init__(self) -> None:
+        # slots past min(rows, cols) count as zero diagonal entries, exponent r
+        pad = (self.ring.r,) * (max(self.rows, self.cols) - len(self.exponents))
+        object.__setattr__(self, "_slots", self.exponents + pad)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of A x = b, or None.  Deterministic."""
@@ -813,22 +822,17 @@ class ModuleShape:
 def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> ModuleShape:
     """Structure of colspan(G)/span(rels) for G the solver's matrix; rels must lie in colspan(G).
 
-    Presents the subquotient on the columns of G: relations are the
-    generators of ker G (``solver.kernel()``) plus one solution of
-    G x = v for each rel vector v.  The quotient is the cokernel of that
-    relation matrix, carried into the ambient space as G v
-    (``solver.apply``).
+    Presents the subquotient on the columns of G: the relation matrix has
+    as sparse columns the generators of ker G (the columns of
+    ``solver.on_kernel()``) and one solution of G x = v for each rel vector
+    v.  The quotient is the cokernel of that relation matrix, carried into
+    the ambient space as G v (``solver.apply``).
     """
-    ring = solver.ring
-    rel_cols: list[tuple[int, ...]] = [vec for vec, _ in solver.kernel()]
+    rel_cols = list(solver.on_kernel().columns)
     for v in rels:
         lam = solver.solve(v)
         if lam is None:
             raise ValueError("relation vector outside the generator span")
-        rel_cols.append(lam)
-    if rel_cols:
-        rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
-    else:
-        rel = RMatrix.zeros(ring, len(solver.columns), 0)
-    q = smithify(rel).cokernel()
+        rel_cols.append(_sparse(lam))
+    q = smithify(SparseMatrix(solver.ring, solver.cols, rel_cols)).cokernel()
     return ModuleShape(q.invariants, tuple(solver.apply(v) for v in q.reps))

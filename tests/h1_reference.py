@@ -6,11 +6,15 @@ of d0 in that basis.  ``h_groups`` presents H^1 on the same generator
 matrix, but with Smith factors read off d1's sweep (``on_kernel``).  The
 two solvers need not pick the same solutions, so only the invariants must
 agree; on the modules the tests use, the representatives agree as well.
+Both matrices are built densely and handed to ``smithify`` by
+``RMatrix.sparse``, and the representatives are carried into the ambient
+space by a dense product (``relator_walk.times``).
 """
 
 from flaglift.cohomology import complex_of
 from flaglift.surface import GModule
 from flaglift.zmod import ModuleShape, RMatrix, smithify
+from relator_walk import times
 
 
 def h1_reference(module: GModule) -> ModuleShape:
@@ -21,7 +25,7 @@ def h1_reference(module: GModule) -> ModuleShape:
     if not gens:
         return ModuleShape((), ())
     g = RMatrix.from_rows(ring, [list(v) for v in gens]).transpose()
-    solver = smithify(g)
+    solver = smithify(g.sparse())
     rel_cols = [vec for vec, _ in solver.kernel()]
     for j in range(cx.d0.cols):
         lam = solver.solve(cx.d0.col(j))
@@ -30,5 +34,5 @@ def h1_reference(module: GModule) -> ModuleShape:
         rel_cols.append(lam)
     # gens is nonempty, so the rank and the number of d0 columns are positive
     rel = RMatrix.from_rows(ring, [list(c) for c in rel_cols]).transpose()
-    q = smithify(rel).cokernel()
-    return ModuleShape(q.invariants, tuple(g.apply(v) for v in q.reps))
+    q = smithify(rel.sparse()).cokernel()
+    return ModuleShape(q.invariants, tuple(times(g, v) for v in q.reps))

@@ -1,13 +1,21 @@
 """An independent walk along a word, to check the Fox matrix ``d1`` against.
 
 ``crossed_value`` extends generator values letter by letter; the package
-itself reads every relator value off ``CochainComplex.d1``.
+itself reads every relator value off ``CochainComplex.d1``.  Its
+matrix-vector products go through ``times``, a dense ``RMatrix`` product,
+so the reference shares no code with ``SparseMatrix.apply``, the product
+that ``d1`` uses.
 """
 
 from typing import Sequence
 
 from flaglift.surface import GModule
-from flaglift.zmod import RMatrix, vec_add, vec_mod, vec_scale
+from flaglift.zmod import RMatrix, vec_add, vec_scale
+
+
+def times(a: RMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """a v, as the dense product of ``a`` with the one-column matrix v."""
+    return (a @ RMatrix(a.ring, len(v), 1, tuple(v))).entries
 
 
 def crossed_value(
@@ -24,12 +32,11 @@ def crossed_value(
     for t in word:
         k = abs(t) - 1
         if t > 0:
-            step = vec_mod(ring, values[k])
-            acc = vec_add(ring, acc, pref.apply(step))
+            acc = vec_add(ring, acc, times(pref, values[k]))
             pref = pref @ module.acts[k]
         else:
             inv = module.inverses[k]
-            step = vec_scale(ring, -1, inv.apply(values[k]))
-            acc = vec_add(ring, acc, pref.apply(step))
+            step = vec_scale(ring, -1, times(inv, values[k]))
+            acc = vec_add(ring, acc, times(pref, step))
             pref = pref @ inv
     return acc

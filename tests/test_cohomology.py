@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from flaglift import cohomology, zmod
+from flaglift import cohomology, surface, zmod
 from flaglift.cohomology import (
     CochainComplex,
     CohClass,
@@ -27,6 +27,7 @@ from flaglift.oracle import gen_random_flag
 from flaglift.surface import (
     GModule,
     Presentation,
+    RelatorError,
     SurfaceRep,
     char_module,
     hom_mat,
@@ -35,9 +36,9 @@ from flaglift.surface import (
     tensor_module,
     trivial_module,
 )
-from flaglift.zmod import RingSpec, RMatrix, SpanReducer
+from flaglift.zmod import ModuleShape, RingSpec, RMatrix, SpanReducer
 from h1_reference import h1_reference
-from relator_walk import crossed_value
+from relator_walk import crossed_value, times
 
 
 def rand_invertible(ring, n, rng):
@@ -78,7 +79,8 @@ def test_differentials_compose_to_zero_and_match_crossed_values(ring, genus):
     for _ in range(10):
         mod = rand_commuting_module(ring, genus, rng.randrange(1, 3), rng)
         cx = complex_of(mod)
-        assert (cx.d1 @ cx.d0).is_zero()
+        for j in range(cx.d0.cols):
+            assert not any(cx.d1.apply(cx.d0.col(j))), f"d1 . d0 != 0 at column {j}"
         vals = [
             tuple(rng.randrange(ring.modulus) for _ in range(mod.rank))
             for _ in range(cx.n_gens)
@@ -86,6 +88,27 @@ def test_differentials_compose_to_zero_and_match_crossed_values(ring, genus):
         by_matrix = cx.d1.apply(stack(vals))
         by_walk = crossed_value(mod, vals, Presentation(mod.genus).relator())
         assert by_matrix == tuple(by_walk), "d1 must evaluate the relator"
+
+
+def test_d1_refuses_a_module_that_breaks_the_relator(monkeypatch):
+    # [a, b] != 1 over Z/4, so the constructor refuses the pair; with the
+    # relator check switched off, the d1 . d0 = 0 check is the one that fires
+    ring = RingSpec(2, 2)
+    a = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
+    b = RMatrix.from_rows(ring, [[1, 0], [1, 1]])
+    with pytest.raises(RelatorError):
+        GModule(ring, 1, (a, b))
+    monkeypatch.setattr(surface, "_check_relator", lambda *args: (a.inverse(), b.inverse()))
+    mod = GModule(ring, 1, (a, b))
+    with pytest.raises(AssertionError, match=r"d1 \. d0 != 0; "):
+        CochainComplex(mod).d1
+
+
+def test_rank_zero_modules_have_empty_groups():
+    # genus 0 is refused at the boundary; rank 0 at genus 1 and 2 still builds
+    for genus in (1, 2):
+        rep = h_groups(trivial_module(RingSpec(2, 1), genus, 0))
+        assert (rep.h0, rep.h1, rep.h2) == (ModuleShape((), ()),) * 3
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -208,7 +231,9 @@ def test_h_groups_sweeps_no_kernel_generator_matrix(monkeypatch):
     monkeypatch.setattr(zmod, "smithify", record)
     rep = h_groups(mod)
     gens = [vec for vec, _ in cx.d1_solver.kernel()]
-    assert len(swept) == 3 and swept[:2] == [cx.d0, cx.d1]
+    assert len(swept) == 3 and swept[0] is cx.d0 and swept[1] is cx.d1
+    # one copy of each differential: the solvers keep the complex's columns
+    assert cx.d0_solver.columns is cx.d0.columns and cx.d1_solver.columns is cx.d1.columns
     assert swept[2].rows == len(gens) < cx.d1.cols
     assert rep.h1.invariants == h1_reference(mod).invariants
     swept.clear()
@@ -448,10 +473,10 @@ def test_coordinate_extension_matches_matrix_reference():
             cxq = complex_of(c)
             for vec, _ in cxq.d1_solver.kernel():
                 v = CohClass(cxq, 1, vec)
-                lifted = [section.apply(val) for val in v.values()]
+                lifted = [times(section, val) for val in v.values()]
                 rel = crossed_value(b, lifted, Presentation(b.genus).relator())
-                assert not any(pi.apply(rel))
-                assert connecting(ext, v).vector == retraction.apply(rel)
+                assert not any(times(pi, rel))
+                assert connecting(ext, v).vector == times(retraction, rel)
                 connecting_values.add(any(rel))
     assert verdicts == {True, False}
     assert connecting_values == {True, False}

@@ -20,7 +20,8 @@ from flaglift.surface import (
     trivial_module,
 )
 from flaglift.zmod import RingSpec, RMatrix, vec_add
-from relator_walk import crossed_value
+from flaglift.flags import Flag
+from relator_walk import crossed_value, times
 
 
 def test_relator_shape():
@@ -30,7 +31,7 @@ def test_relator_shape():
     assert Presentation(2).gen_name(4) == "y2"
 
 
-@pytest.mark.parametrize("cls", [SurfaceRep, GModule])
+@pytest.mark.parametrize("cls", [SurfaceRep, GModule, Flag])
 def test_relator_validation_rejects_bad_tuples(cls):
     ring = RingSpec(2, 2)
     a = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
@@ -44,6 +45,11 @@ def test_relator_validation_rejects_bad_tuples(cls):
     with pytest.raises(ValueError) as exc:
         cls(ring, 1, (a, RMatrix.zeros(ring, 2, 2)))
     assert not isinstance(exc.value, RelatorError), "singular generator is caught first"
+    for genus in (0, -1):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            cls(RingSpec(2, 1), genus, ())
+    with pytest.raises(ValueError, match="genus must be >= 1"):
+        trivial_module(RingSpec(2, 1), 0, 3)
 
 
 def test_validation_inverses_are_handed_on(monkeypatch):
@@ -172,10 +178,10 @@ def test_tensor_dual_hom_actions():
     # hom action matches g.F = act_A(g) F act_C(g)^-1 under the flattening
     f = RMatrix(ring, a.rank, c.rank, tuple(rng.randrange(9) for _ in range(6)))
     for g in range(2):
-        lhs = h.acts[g].apply(hom_vec(f))
+        lhs = times(h.acts[g], hom_vec(f))
         rhs = hom_vec(a.acts[g] @ f @ c.inverses[g])
         assert lhs == rhs, f"hom action convention broken at generator {g + 1}"
-        lhs = h.inverses[g].apply(hom_vec(f))
+        lhs = times(h.inverses[g], hom_vec(f))
         rhs = hom_vec(a.inverses[g] @ f @ c.acts[g])
         assert lhs == rhs, f"hom action convention broken at generator {-(g + 1)}"
     assert hom_mat(ring, hom_vec(f), a.rank, c.rank) == f
@@ -210,7 +216,7 @@ def test_crossed_value_cocycle_rule():
         for t in u:
             act_u = act_u @ (mod.acts[t - 1] if t > 0 else mod.inverses[-t - 1])
         lhs = crossed_value(mod, vals, u + v)
-        rhs = vec_add(ring, crossed_value(mod, vals, u), act_u.apply(crossed_value(mod, vals, v)))
+        rhs = vec_add(ring, crossed_value(mod, vals, u), times(act_u, crossed_value(mod, vals, v)))
         assert lhs == rhs, "crossed extension must satisfy c(uv) = c(u) + u.c(v)"
     # inverse rule makes c(s s^-1) vanish
     assert crossed_value(mod, vals, (1, -1)) == mod.zero()

@@ -383,13 +383,18 @@ def class_dispatches(tree):
 
 
 def sweep_bypasses(tree):
-    """(kind, line) of every ``LinearSolver(...)`` and every ``smithify(<...>.transpose())``."""
+    """(kind, line) of every ``LinearSolver(...)`` and every ``smithify`` of a transpose.
+
+    A ``transpose()`` call anywhere inside the argument counts, so
+    ``smithify(m.transpose().sparse())`` is flagged.
+    """
     name = lambda node: getattr(node, "attr", getattr(node, "id", None))
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and name(node.func) == "LinearSolver":
             yield "LinearSolver", node.lineno
         elif isinstance(node, ast.Call) and name(node.func) == "smithify":
-            if any(isinstance(a, ast.Call) and name(a.func) == "transpose" for a in node.args):
+            args = [n for a in node.args for n in ast.walk(a)]
+            if any(isinstance(n, ast.Call) and name(n.func) == "transpose" for n in args):
                 yield "transpose", node.lineno
 
 
@@ -443,12 +448,15 @@ def test_guards_flag_the_patterns_they_forbid():
     sweeps = ast.parse(
         "a = smithify(m.transpose())\nb = zmod.smithify(cx.d1.transpose())\n"
         "c = LinearSolver(m, smithify(m))\nd = zmod.LinearSolver(m)\n"
+        "e = smithify(m.transpose().sparse())\nf = smithify(SparseMatrix(r, n, t(m.transpose())))\n"
     )
     assert sorted(sweep_bypasses(sweeps)) == [
-        ("LinearSolver", 3), ("LinearSolver", 4), ("transpose", 1), ("transpose", 2)
+        ("LinearSolver", 3), ("LinearSolver", 4),
+        ("transpose", 1), ("transpose", 2), ("transpose", 5), ("transpose", 6),
     ]
     ok = ast.parse(
         "a = smithify(m)\nt = m.transpose()\nb = smithify(t)\nc = smithify(m).solve(v)\n"
+        "e = smithify(m.sparse()).solve(m.transpose().col(0))\n"
         "s: LinearSolver = a\nd = a.on_kernel().cokernel()\n"
     )
     assert not list(sweep_bypasses(ok))
