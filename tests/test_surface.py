@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flaglift.flags import Flag
 from flaglift.oracle import gen_random_flag
 from flaglift.stats import session
 from flaglift.surface import (
@@ -20,7 +21,6 @@ from flaglift.surface import (
     trivial_module,
 )
 from flaglift.zmod import RingSpec, RMatrix, vec_add
-from flaglift.flags import Flag
 from relator_walk import crossed_value, times
 
 
