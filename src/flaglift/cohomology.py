@@ -13,7 +13,7 @@ and its solver keeps that matrix's own columns, so the complex holds one
 copy of each.  One sweep of each differential serves everything read
 from it: ``d1_solver`` solves, gives ker d1 and coker d1, and hands out the
 solver on ker d1's generators (``on_kernel``) that presents H^1.  Class
-arithmetic, cup products, extension classes and the connecting map of a
+equality, cup products, extension classes and the connecting map of a
 short exact sequence of modules all reduce to the Z/p^r solvers in zmod.
 Building ``d1`` is the only walk along the relator: the connecting map
 applies the middle module's cached ``d1``, and a cup product is a
@@ -46,9 +46,7 @@ from .zmod import (
     _sparse,
     quotient_data,
     smithify,
-    vec_add,
     vec_mod,
-    vec_scale,
 )
 
 
@@ -145,9 +143,9 @@ def complex_of(module: GModule) -> CochainComplex:
 class CohClass:
     """A cohomology class in degree 1 or 2, held as one cochain vector.
 
-    Degree-1 vectors are cocycles (checked); equality and is_zero are taken
-    modulo the image of the lower differential, via canonical coset
-    representatives.
+    Degree-1 vectors are cocycles (checked).  Equality is taken modulo the
+    image of the lower differential, via canonical coset representatives;
+    a class is zero when it has a ``witness``.
     """
 
     __slots__ = ("cx", "degree", "vector")
@@ -170,9 +168,6 @@ class CohClass:
         red = self.cx.im_d0_reducer if self.degree == 1 else self.cx.im_d1_reducer
         return red.reduce(self.vector)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.canonical())
-
     def witness(self) -> tuple[int, ...] | None:
         """A cochain one degree down hitting this vector, if one exists."""
         solver = self.cx.d0_solver if self.degree == 1 else self.cx.d1_solver
@@ -183,14 +178,6 @@ class CohClass:
             raise ValueError("per-generator values only make sense in degree 1")
         return unstack(self.vector, self.cx.module.rank, self.cx.n_gens)
 
-    def __add__(self, other: "CohClass") -> "CohClass":
-        if self.cx != other.cx or self.degree != other.degree:
-            raise ValueError("classes live in different groups")
-        return CohClass(self.cx, self.degree, vec_add(self.cx.ring, self.vector, other.vector))
-
-    def scale(self, c: int) -> "CohClass":
-        return CohClass(self.cx, self.degree, vec_scale(self.cx.ring, c, self.vector))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohClass):
             return NotImplemented
@@ -199,12 +186,6 @@ class CohClass:
             and self.degree == other.degree
             and self.canonical() == other.canonical()
         )
-
-    def __hash__(self) -> int:
-        return hash((self.cx.module, self.degree, self.canonical()))
-
-    def __repr__(self) -> str:
-        return f"CohClass(deg={self.degree}, vec={list(self.vector)})"
 
 
 @dataclass(frozen=True)
@@ -327,27 +308,20 @@ def extension_class(ext: ExtensionData) -> CohClass:
     return CohClass(complex_of(hom_module(c, a)), 1, stack(vals))
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    splits: bool
-    section: RMatrix | None  # equivariant when splits
-
-
-def split_section(ext: ExtensionData) -> SplitResult:
-    """Decide splitness; on success return an equivariant section.
+def split_section(ext: ExtensionData) -> RMatrix | None:
+    """An equivariant section of the projection when the extension splits, else None.
 
     The section is [[-m], [I]] for the canonical witness m of the class.
     """
-    cls = extension_class(ext)
-    w = cls.witness()
+    w = extension_class(ext).witness()
     if w is None:
-        return SplitResult(False, None)
+        return None
     m = hom_mat(ext.ring, w, ext.sub.rank, ext.quotient.rank)
     s2 = RMatrix.vstack([m.scale(-1), RMatrix.identity(ext.ring, ext.quotient.rank)])
     for g in range(2 * ext.sub.genus):
         if ext.total.acts[g] @ s2 != s2 @ ext.quotient.acts[g]:
             raise AssertionError("corrected section is not equivariant")
-    return SplitResult(True, s2)
+    return s2
 
 
 def connecting(ext: ExtensionData, v: CohClass) -> CohClass:
@@ -377,15 +351,9 @@ def solve_cup(ext: ExtensionData, target: CohClass) -> CohClass:
         raise ValueError("target must be a degree-2 class in the sub module")
     cx_c = complex_of(ext.quotient)
     cx_a = complex_of(ext.sub)
-    kgens = [vec for vec, _ in cx_c.d1_solver.kernel()]
-    cols = [_sparse(connecting(ext, CohClass(cx_c, 1, vec)).vector) for vec in kgens]
+    kgens = cx_c.d1_solver.on_kernel()
+    cols = [_sparse(connecting(ext, CohClass(cx_c, 1, kgens.col(t))).vector) for t in range(kgens.cols)]
     sol = smithify(SparseMatrix(ring, cx_a.d1.rows, cols + cx_a.d1.columns)).solve(target.vector)
     if sol is None:
         raise LiftConsistencyError("no cocycle maps onto the target obstruction")
-    eps = [0] * (ext.quotient.rank * 2 * ext.quotient.genus)
-    for lam, gen in zip(sol[: len(cols)], kgens):
-        if lam:
-            eps = [
-                (x + lam * y) % ring.modulus for x, y in zip(eps, gen)
-            ]
-    return CohClass(cx_c, 1, tuple(eps))
+    return CohClass(cx_c, 1, kgens.apply(sol[: len(cols)]))

@@ -108,7 +108,7 @@ def segment_extension_splits(flag: Flag, i: int, j: int, k: int) -> bool:
     verdict = memo.get(key)
     if verdict is None:
         ext = coordinate_extension(segment.as_module(), j - i)
-        verdict = memo.put(key, split_section(ext).splits)
+        verdict = memo.put(key, split_section(ext) is not None)
     return verdict
 
 

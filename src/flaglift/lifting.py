@@ -9,7 +9,8 @@ part of a solution x of d1 x = -cochain along the support.  The corrected
 candidates form a torsor under these twists.  ``_torsor_step`` is that
 step: it returns a ``LiftOutcome``, the corrected flag (built, and its
 relator walked, once) or the obstruction class.  ``_twist`` applies a
-twist as row operations.  The engines:
+twist as row operations, and ``_corner_step`` is the step in the corner
+(0, d) that both glues take.  The engines:
 
 * ``glue``: extend two overlapping d-flags to a (d+1)-flag (same level),
   obstruction in the rank-1 corner module,
@@ -133,12 +134,6 @@ def _torsor_step(
     return LiftOutcome(Flag(cand[0].ring, genus, mats), None)
 
 
-def _corner_module(ring: RingSpec, genus: int, chi_top: Sequence[int], chi_bot: Sequence[int]) -> GModule:
-    """Rank-1 module with action chi_top * chi_bot^-1."""
-    vals = tuple((a * ring.inv(b)) % ring.modulus for a, b in zip(chi_top, chi_bot))
-    return char_module(ring, genus, vals)
-
-
 def _seeded(ring: RingSpec, seed: Sequence[RMatrix], blocks: Sequence[tuple[int, Flag]]) -> list[RMatrix]:
     """Candidates over ``ring``: the least residues of each seed matrix, blocks written over them.
 
@@ -154,6 +149,22 @@ def _seeded(ring: RingSpec, seed: Sequence[RMatrix], blocks: Sequence[tuple[int,
             for i in range(pm.rows):
                 rows[offset + i][offset : offset + pm.cols] = pm.row(i)
         out.append(RMatrix.from_rows(ring, rows))
+    return out
+
+
+def _corner_step(e: Flag, f: Flag, seed: Sequence[RMatrix], scale: int, corner_ring: RingSpec) -> LiftOutcome:
+    """The (d+1)-flag with truncation ``e`` and quotient ``f`` over ``seed``, or the obstruction.
+
+    Both parts are written over ``seed`` (``_seeded``); the candidate's
+    defect sits in the corner (0, d), and is read at ``scale`` in the
+    rank-1 module over ``corner_ring`` acting by chi_1(e) * chi_d(f)^-1.
+    """
+    d = e.d
+    chars = zip(e.char(1), f.char(d))
+    corner = char_module(corner_ring, e.genus, tuple(a * corner_ring.inv(b) for a, b in chars))
+    out = _torsor_step(_seeded(e.ring, seed, [(0, e), (1, f)]), e.genus, [(0, d)], scale, corner)
+    if out.lifted and (out.flag.truncate() != e or out.flag.quotient_by_first() != f):
+        raise AssertionError("glued flag must contain both parts verbatim")
     return out
 
 
@@ -183,12 +194,7 @@ def glue(e: Flag, f: Flag) -> GlueOutcome:
         raise ValueError("glue parts must have dimension at least 1")
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
-    d = e.d
-    corner = _corner_module(ring, e.genus, e.char(1), f.char(d))
-    cand = _seeded(ring, [RMatrix.zeros(ring, d + 1, d + 1)] * (2 * e.genus), [(0, e), (1, f)])
-    out = _torsor_step(cand, e.genus, [(0, d)], 1, corner)
-    if out.lifted and (out.flag.truncate() != e or out.flag.quotient_by_first() != f):
-        raise AssertionError("glued flag must contain both parts verbatim")
+    out = _corner_step(e, f, [RMatrix.zeros(ring, e.d + 1, e.d + 1)] * (2 * e.genus), 1, ring)
     return GlueOutcome(out.flag, out.obstruction)
 
 
@@ -283,12 +289,7 @@ def gluift(e_up: Flag, f_up: Flag, base: Flag) -> LiftOutcome:
         raise ValueError("f_up does not lift the quotient of the base")
     if e_up.quotient_by_first() != f_up.truncate():
         raise ValueError("overlap mismatch between the lifted parts")
-    mod_p = lambda chi: tuple(v % ring.p for v in chi)
-    corner1 = _corner_module(RingSpec(ring.p, 1), base.genus, mod_p(e_up.char(1)), mod_p(f_up.char(d)))
-    cand = _seeded(up, base.mats, [(0, e_up), (1, f_up)])
-    out = _torsor_step(cand, base.genus, [(0, d)], ring.modulus, corner1)
-    if out.lifted and (out.flag.truncate() != e_up or out.flag.quotient_by_first() != f_up):
-        raise AssertionError("gluift output must contain both parts verbatim")
+    out = _corner_step(e_up, f_up, base.mats, ring.modulus, RingSpec(ring.p, 1))
     if out.lifted and out.flag.reduce_to(ring.r) != base:
         raise AssertionError("gluift output must reduce to the base")
     return out
@@ -379,7 +380,7 @@ def _lift_wound(f: Flag, flat: Flag | None) -> WoundLiftResult:
     chi_bot = tuple(v % ring.p for v in f.char(f.d))
     twisted = GModule(ring1, f.genus, tuple(m.scale(ring1.inv(c)) for m, c in zip(seg.mats, chi_bot)))
     ext = coordinate_extension(twisted, 1)
-    if split_section(ext).splits:
+    if split_section(ext) is not None:
         raise AssertionError("woundness should make the leading 2-step twist nonsplit")
     target = CohClass(complex_of(ext.sub), 2, res.obstruction.vector)
     eps = solve_cup(ext, target)
@@ -449,12 +450,11 @@ def _splitting_grid(bar: Flag, j: int, k: int) -> tuple[RMatrix, list[tuple[tupl
     """
     if j == 1:
         return RMatrix.identity(bar.ring, k - 1), []
-    ext = coordinate_extension(bar.segment(1, k).as_module(), j - 1)
-    res = split_section(ext)
-    if not res.splits:
+    section = split_section(coordinate_extension(bar.segment(1, k).as_module(), j - 1))
+    if section is None:
         raise AssertionError("projection of a split extension must split")
     hom = hom_module(bar.segment(j, k).as_module(), bar.segment(1, j).as_module())
-    return res.section, complex_of(hom).d0_solver.kernel()
+    return section, complex_of(hom).d0_solver.kernel()
 
 
 _SPLITTING_GRID_CAP = 2048

@@ -3,16 +3,15 @@ obstruction showing that mod-4 lifts with cyclotomic-power diagonal can fail.
 
 Square classes are canonicalized integers: {+-1, +-2, +-5, +-10} for Q_2 and
 {1, u, ell, u*ell} for Q_ell with u the least positive non-residue.  The
-Hilbert symbol is computed in closed form and cross-checkable against a
-finite solubility search at Hensel-sufficient precision.
+Hilbert symbol is computed in closed form; the tests cross-check it
+against a finite solubility search at Hensel-sufficient precision
+(``tests/hilbert_reference.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .zmod import _is_prime
 
@@ -59,11 +58,6 @@ class SquareClass:
     def __post_init__(self) -> None:
         if self.rep not in canonical_classes(self.prime):
             raise ValueError(f"{self.rep} is not a canonical square class mod squares")
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if other.prime != self.prime:
-            raise ValueError("square classes live over different fields")
-        return square_class(self.prime, self.rep * other.rep)
 
 
 def canonical_classes(prime: int) -> tuple[int, ...]:
@@ -121,31 +115,6 @@ def hilbert(a: SquareClass, b: SquareClass) -> int:
     return sign
 
 
-def hilbert_oracle(a: SquareClass, b: SquareClass) -> int:
-    """Brute-force the symbol: primitive solubility at finite precision.
-
-    Searches a x^2 + b y^2 = z^2 over residues modulo 2^6 (resp. ell^3)
-    requiring a unit among x, y, z; enough precision for ternary quadratic
-    forms by the usual smoothness bound.
-    """
-    if a.prime != b.prime:
-        raise ValueError("hilbert symbol needs both classes over the same field")
-    p = a.prime
-    mod = 2**6 if p == 2 else p**3
-    res = np.arange(mod, dtype=np.int64)
-    sq = (res * res) % mod
-    square_any = np.zeros(mod, dtype=bool)
-    square_any[sq] = True
-    square_of_unit = np.zeros(mod, dtype=bool)
-    square_of_unit[sq[res % p != 0]] = True
-    x = res[:, None]
-    y = res[None, :]
-    t = (a.rep * x * x + b.rep * y * y) % mod
-    xy_unit = (x % p != 0) | (y % p != 0)
-    ok = np.where(xy_unit, square_any[t], square_of_unit[t])
-    return 1 if bool(ok.any()) else -1
-
-
 def liftable_mod4(x: SquareClass) -> bool:
     """Whether the class lifts one 2-power level with the same square pairing.
 
@@ -181,32 +150,11 @@ DISPLAY_SHAPE = (
 _EDGES = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
 
 
-@dataclass(frozen=True)
-class ParityConstraintSystem:
-    """Binary variables xi_1..xi_5 with disequality constraints on edges."""
-
-    n_vars: int = 5
-    edges: tuple[tuple[int, int], ...] = _EDGES
-
-    def __post_init__(self) -> None:
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.n_vars):
-                raise ValueError(f"bad edge ({i}, {j})")
-
-    def satisfies(self, assignment: tuple[int, ...]) -> bool:
-        return all(assignment[i - 1] != assignment[j - 1] for (i, j) in self.edges)
-
-    def satisfying_assignments(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            a for a in itertools.product((0, 1), repeat=self.n_vars) if self.satisfies(a)
-        )
-
-    def drop_edge(self, edge: tuple[int, int]) -> "ParityConstraintSystem":
-        if edge not in self.edges:
-            raise ValueError(f"edge {edge} is not part of the system")
-        return ParityConstraintSystem(
-            self.n_vars, tuple(e for e in self.edges if e != edge)
-        )
+def _satisfying(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The parities xi_1..xi_5 in {0, 1} with xi_i != xi_j on every edge (i, j)."""
+    return tuple(
+        a for a in itertools.product((0, 1), repeat=5) if all(a[i - 1] != a[j - 1] for i, j in edges)
+    )
 
 
 def shape_edges() -> tuple[tuple[int, int], ...]:
@@ -247,20 +195,18 @@ def check_no_cyclotomic_lift() -> CyclotomicLiftReport:
     and exhibits, for each edge, a satisfying assignment of the system with
     that one edge removed (minimality of the obstruction).
     """
-    system = ParityConstraintSystem()
     derived = shape_edges()
-    if derived != tuple(sorted(system.edges)):
+    if derived != _EDGES:
         raise AssertionError("the displayed shape must reproduce the edge list")
-    sat = system.satisfying_assignments()
     witnesses = []
-    for edge in system.edges:
-        relaxed = system.drop_edge(edge).satisfying_assignments()
+    for edge in _EDGES:
+        relaxed = _satisfying(tuple(e for e in _EDGES if e != edge))
         if relaxed:
             witnesses.append((edge, relaxed[0]))
     return CyclotomicLiftReport(
-        edges=system.edges,
+        edges=_EDGES,
         derived_edges=derived,
-        assignments_checked=2**system.n_vars,
-        satisfying=sat,
+        assignments_checked=2**5,
+        satisfying=_satisfying(_EDGES),
         removal_witnesses=tuple(witnesses),
     )

@@ -285,13 +285,8 @@ def _solve_last_generator(
                 v -= q.entry(k, i) * a.entry(j, l)
                 row.append(v % ring.modulus)
             rows.append(row)
-    mat = RMatrix.from_rows(ring, rows)
-    gens = smithify(mat.sparse()).kernel()
-    vec = [0] * len(slots)
-    for gvec, e in gens:
-        t = rng.randrange(ring.p**e)
-        for i in range(len(slots)):
-            vec[i] = (vec[i] + t * gvec[i]) % ring.modulus
+    gens = smithify(RMatrix.from_rows(ring, rows).sparse()).on_kernel()
+    vec = gens.apply([rng.randrange(ring.p ** (ring.r - e)) for e in gens.exponents])
     ent = [[0] * d for _ in range(d)]
     for (i, j), v in zip(slots, vec):
         ent[i][j] = v

@@ -8,8 +8,8 @@ run can report what it reused.
 
 ``with session() as s:`` installs a fresh session and restores the
 previous one on exit; nothing stored inside outlives the ``with``.  Code
-outside any ``with`` runs in one explicit default session, which
-``reset()`` empties.  A memo changes no result: a table holds verdicts
+outside any ``with`` runs in one explicit default session, which lives
+as long as the process.  A memo changes no result: a table holds verdicts
 that depend only on their key.
 """
 
@@ -40,9 +40,6 @@ class Memo:
         self.entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def get(self, key: Hashable) -> Any:
         value = self.entries.get(key)
@@ -83,19 +80,12 @@ class Session:
         return {f.name: getattr(self, f.name).summary() for f in fields(self)}
 
 
-_DEFAULT = Session()
-_current = _DEFAULT
+_current = Session()
 
 
 def current() -> Session:
     """The innermost active session, or the default one."""
     return _current
-
-
-def reset() -> None:
-    """Empty the default session's tables and zero their counts."""
-    for f in fields(_DEFAULT):
-        setattr(_DEFAULT, f.name, Memo())
 
 
 @contextmanager

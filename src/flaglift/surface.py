@@ -36,7 +36,8 @@ session: the product and the inverses are kept in the session's ``walks``
 table under ``(genus, matrices)``, and every construction still checks
 the product it reads there, so a rejected tuple is rejected again.
 Matrix equality covers the ring, the shape and the least-residue entries,
-so equal keys have equal walks.  A checked object keeps those inverses.  A
+so equal keys have equal walks.  A checked object keeps those inverses, at
+every rank: rank 0 walks 0 x 0 matrices and records 2g empty ones.  A
 derived object records a function that works its inverses out from its
 source's when ``inverses`` is first read: the same (``as_module``),
 reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
@@ -131,8 +132,11 @@ def _relator_product(genus: int, mats: Sequence[RMatrix]) -> tuple[RMatrix, tupl
 
 def _check_relator(
     ring: RingSpec, genus: int, mats: Sequence[RMatrix], what: str
-) -> tuple[RMatrix, ...] | None:
-    """Check ``mats`` as generator matrices; return their inverses (None at rank 0)."""
+) -> tuple[RMatrix, ...]:
+    """Check ``mats`` as generator matrices; return their inverses.
+
+    Rank 0 is walked like any other rank, on 0 x 0 matrices.
+    """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if len(mats) != 2 * genus:
@@ -143,8 +147,6 @@ def _check_relator(
             raise ValueError(f"matrix {i + 1} lives over {m.ring}, expected {ring}")
         if m.rows != n or m.cols != n:
             raise ValueError("generator matrices must be square of equal size")
-    if n == 0:
-        return None
     acc, inv = _relator_product(genus, mats)
     if not acc.is_identity():
         raise RelatorError(what, acc)
@@ -226,10 +228,8 @@ def _trusted(
 
 
 def _check(obj: SurfaceRep, what: str) -> None:
-    """Check ``obj`` and record the inverses its relator walk computed (none at rank 0)."""
-    mats = obj.mats
-    inv = _check_relator(obj.ring, obj.genus, mats, what)
-    object.__setattr__(obj, "_inverses", inv or (lambda: tuple(m.inverse() for m in mats)))
+    """Check ``obj`` and record the inverses its relator walk computed."""
+    object.__setattr__(obj, "_inverses", _check_relator(obj.ring, obj.genus, obj.mats, what))
 
 
 def _diagonal_block(obj: _Checked, idx: Sequence[int]) -> _Checked:

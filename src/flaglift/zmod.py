@@ -38,8 +38,11 @@ skip that scan (``_trusted_matrix``).  Likewise ``RingSpec(p, r)`` tests p
 for primality, and ``shrink`` builds a smaller ring of the same, already
 tested, prime without a second test (``_trusted_ring``).
 
-Vectors are plain tuples of ints; dense matrices are ``RMatrix``, and
-``RMatrix.sparse`` gives the ``SparseMatrix`` that ``smithify`` takes.
+Vectors are plain tuples of ints, reduced by ``vec_mod``; a linear
+combination of vectors is ``SparseMatrix.apply`` on the matrix that holds
+them as columns.  Dense matrices are ``RMatrix``, read by ``entry`` and
+``row``, and ``RMatrix.sparse`` gives the ``SparseMatrix`` that
+``smithify`` takes and whose ``col`` reads a column.
 ``SparseMatrix.apply`` walks only the nonzero entries of the vector and of
 the matching columns, so its cost scales with the nonzeros of both, not
 with the shape.  ``smithify`` likewise sweeps over sparse rows and columns
@@ -171,16 +174,6 @@ def vec_mod(ring: RingSpec, v: Iterable[int]) -> tuple[int, ...]:
     return tuple(x % m for x in v)
 
 
-def vec_add(ring: RingSpec, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    m = ring.modulus
-    return tuple((a + b) % m for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(ring: RingSpec, c: int, v: Sequence[int]) -> tuple[int, ...]:
-    m = ring.modulus
-    return tuple((c * a) % m for a in v)
-
-
 @dataclass(frozen=True)
 class RMatrix:
     """Immutable matrix over Z/p^r with row-major tuple storage."""
@@ -237,9 +230,6 @@ class RMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]

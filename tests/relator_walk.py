@@ -10,7 +10,7 @@ that ``d1`` uses.
 from typing import Sequence
 
 from flaglift.surface import GModule
-from flaglift.zmod import RMatrix, vec_add, vec_scale
+from flaglift.zmod import RMatrix
 
 
 def times(a: RMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -32,11 +32,11 @@ def crossed_value(
     for t in word:
         k = abs(t) - 1
         if t > 0:
-            acc = vec_add(ring, acc, times(pref, values[k]))
+            step = times(pref, values[k])
             pref = pref @ module.acts[k]
         else:
             inv = module.inverses[k]
-            step = vec_scale(ring, -1, times(inv, values[k]))
-            acc = vec_add(ring, acc, times(pref, step))
+            step = times(pref, times(inv, [-x for x in values[k]]))
             pref = pref @ inv
+        acc = tuple((x + y) % ring.modulus for x, y in zip(acc, step, strict=True))
     return acc

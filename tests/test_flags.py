@@ -301,7 +301,7 @@ def test_nothing_an_inner_session_stores_survives_it():
             assert current() is inner and inner.summary()["splits"]["size"] == 0
             assert is_kummer(g).ok
             splitting_indices(g)
-            assert len(inner.splits) > 0 and len(inner.kummer) > 0
+            assert inner.splits.summary()["size"] > 0 and inner.kummer.summary()["size"] > 0
         assert current() is outer
         assert {name: getattr(outer, name).entries for name in kept} == kept
         assert outer.summary() == counts
@@ -312,11 +312,13 @@ def test_nothing_an_inner_session_stores_survives_it():
     assert current() is default
 
 
-def test_reset_empties_the_default_session():
-    is_kummer(gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5))
-    assert len(current().kummer) > 0
-    stats.reset()
-    assert all(t == {"hits": 0, "misses": 0, "size": 0} for t in current().summary().values())
+def test_a_kummer_verdict_is_true_exactly_when_ok():
+    kummer = gen_random_flag(2, 2, 3, 1, kind="kummer", seed=5)
+    # a nontrivial diagonal character: not Kummer
+    other = Flag.from_rows(RingSpec(3, 1), 1, [[[2]], [[1]]])
+    verdicts = [is_kummer(kummer), is_kummer(other)]
+    assert [v.ok for v in verdicts] == [True, False]
+    assert [bool(v) for v in verdicts] == [True, False]
 
 
 def test_each_split_verdict_is_decided_once_per_session(monkeypatch):
@@ -326,7 +328,7 @@ def test_each_split_verdict_is_decided_once_per_session(monkeypatch):
     with session() as s:
         for f in criterion_5_flags():
             assert is_kummer(lift_kummer(f)).ok
-    assert s.splits.misses == len(s.splits) == len(reached) > 0
+    assert s.splits.misses == s.splits.summary()["size"] == len(reached) > 0
     assert s.splits.hits > s.splits.misses
 
 
@@ -336,12 +338,12 @@ def test_an_overfilled_memo_evicts_its_oldest_entries_first(monkeypatch):
     for k in range(10):
         assert memo.get(k) is None
         assert memo.put(k, str(k)) == str(k)
-    assert len(memo) == memo.bound == 4
+    assert memo.summary()["size"] == memo.bound == 4
     assert list(memo.entries) == [6, 7, 8, 9]
     # a hit does not refresh an entry: eviction follows insertion order
     assert [memo.get(k) for k in (9, 6, 5)] == ["9", "6", None]
     memo.put(10, "10")
-    assert list(memo.entries) == [7, 8, 9, 10] and len(memo) == 4
+    assert list(memo.entries) == [7, 8, 9, 10] and memo.summary()["size"] == 4
     assert memo.summary() == {"hits": 2, "misses": 11, "size": 4}
 
 
@@ -352,7 +354,7 @@ def test_a_bound_of_eight_changes_no_verdict(monkeypatch):
             lifted = lift_kummer(f)
             out.append((save_rep(lifted), is_kummer(lifted), is_kummer(f),
                         splitting_indices(f), splitting_indices(f.reduce_to(1)), is_wound(f)))
-            sizes.append(max(len(current().splits), len(current().kummer)))
+            sizes.append(max(current().splits.summary()["size"], current().kummer.summary()["size"]))
         return out, max(sizes)
 
     with session():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from flaglift import surface
-from flaglift.cohomology import complex_of, coordinate_extension
+from flaglift.cohomology import complex_of, coordinate_extension, h_groups
 from flaglift.flags import Flag
 from flaglift.lifting import (
     glue,
@@ -25,7 +25,16 @@ from flaglift.lifting import (
 )
 from flaglift.oracle import gen_random_flag
 from flaglift.repfile import load_flag, load_rep, save_rep
-from flaglift.surface import GModule, RelatorError, SurfaceRep, dual_module, hom_module, tensor_module
+from flaglift.stats import session
+from flaglift.surface import (
+    GModule,
+    RelatorError,
+    SurfaceRep,
+    dual_module,
+    hom_module,
+    tensor_module,
+    trivial_module,
+)
 from flaglift.zmod import RingSpec, RMatrix
 
 
@@ -77,7 +86,7 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
 
     def counted(ring, genus, mats, what):
         checked.append(mats)
-        check(ring, genus, mats, what)
+        return check(ring, genus, mats, what)
 
     def was_checked(obj):
         return any(m is obj.mats for m in checked)
@@ -109,6 +118,20 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
         assert was_checked(obj), f"{name} skipped the relator check"
     for obj in derived:
         assert not was_checked(obj), "a derived object was checked again"
+
+
+def test_rank_zero_walks_the_relator_like_any_other_rank():
+    ring = RingSpec(3, 2)
+    empty = RMatrix.zeros(ring, 0, 0)
+    for genus in (1, 2):
+        for cls in (SurfaceRep, GModule, Flag):
+            with session() as s:
+                obj = cls(ring, genus, (empty,) * (2 * genus))
+            assert s.walks.summary() == {"hits": 0, "misses": 1, "size": 1}, (cls, genus)
+            assert not callable(obj._inverses)
+            assert obj._inverses == (empty,) * (2 * genus) == obj.inverses
+        rep = h_groups(trivial_module(ring, genus, 0))
+        assert all(h.invariants == () and h.reps == () for h in (rep.h0, rep.h1, rep.h2))
 
 
 # -- closed-form inverses of derived objects ----------------------------------
@@ -301,6 +324,51 @@ def test_only_the_trusted_modules_build_without_checking():
         assert where, f"{name} is defined nowhere"
 
 
+# -- tooling guard: every public name is reached --------------------------------------
+
+
+def dead_public_names(trees):
+    """Public top-level functions and classes of ``src/flaglift`` that no tree names.
+
+    ``trees`` maps a repository path to its parsed module.  A name counts
+    when any tree uses it (a name, an attribute, an import or a string
+    constant equal to it) outside the definition that binds it, so
+    recursion does not keep a name alive.  Methods are not seen: only
+    module-level definitions are checked.
+    """
+    used, defined = set(), []
+    for rel, tree in trees.items():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_") and rel.startswith("src/flaglift/"):
+                defined.append((rel, own, stmt.lineno))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rsplit(".", 1)[-1]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [(rel, name, line) for rel, name, line in defined if name not in used]
+
+
+def test_every_public_function_and_class_is_named_by_a_program_path():
+    """Tests do not count: a name only tests reach is dead code, or a test helper."""
+    trees = {
+        path.relative_to(_ROOT).as_posix(): ast.parse(path.read_text(), str(path))
+        for d in ("src", "scripts", "perfbench")
+        for path in sorted((_ROOT / d).rglob("*.py"))
+    }
+    assert "src/flaglift/cli.py" in trees and "perfbench/workloads.py" in trees
+    assert dead_public_names(trees) == []
+
+
 # -- tooling guard: no unbounded or hidden global memo ------------------------------
 
 
@@ -460,6 +528,14 @@ def test_guards_flag_the_patterns_they_forbid():
         "s: LinearSolver = a\nd = a.on_kernel().cokernel()\n"
     )
     assert not list(sweep_bypasses(ok))
+    modules = {
+        "src/flaglift/m.py": ast.parse(
+            "def used():\n    pass\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
+            "class Kept:\n    def unreached(self):\n        pass\nclass Named:\n    pass\n"
+        ),
+        "scripts/s.py": ast.parse("from flaglift.m import used\nKept()\nLayer((m, 'Named'),)\n"),
+    }
+    assert dead_public_names(modules) == [("src/flaglift/m.py", "dead", 3)]
 
 
 def test_no_unbounded_or_hidden_global_memo():

@@ -19,7 +19,6 @@ from flaglift.zmod import (
     smithify,
     teichmuller,
     vec_mod,
-    vec_scale,
 )
 
 RINGS = [RingSpec(2, 1), RingSpec(2, 2), RingSpec(2, 3), RingSpec(3, 2), RingSpec(5, 2)]
@@ -280,7 +279,7 @@ def test_sparse_keeps_the_shape_and_only_nonzero_residues(ring):
             assert all(0 < x < m for col in sm.columns for x in col.values())
             for j in range(cols):
                 assert sm.columns[j] == {i: a.entry(i, j) for i in range(rows) if a.entry(i, j)}
-                assert sm.col(j) == a.col(j)
+                assert sm.col(j) == a.entries[j :: a.cols]
 
 
 def test_rmatrix_stores_least_residues_and_checks_lengths():
@@ -533,7 +532,7 @@ def test_smithify_matches_dense_reference(ring):
         p, m = ring.p, ring.modulus
         a = RMatrix.from_rows(ring, [[0, p, m - p], [p, 0, 0], [0, 0, 0]])
         left, right, _, _ = dense_factors(smithify(a.sparse()), a)
-        assert left.row(0) == (1, 0, 0) and right.col(0) == (0, 1, 0)
+        assert left.row(0) == (1, 0, 0) and right.entries[0::3] == (0, 1, 0)
         cases.append(a)
     for a in cases:
         sm = smithify(a.sparse())
@@ -558,7 +557,7 @@ def test_solve_roundtrip_and_kernel(ring):
         assert got is not None and ref_apply(a, got) == b
         for vec, e in solver.kernel():
             assert all(v == 0 for v in ref_apply(a, vec)), "kernel generator not in kernel"
-            assert vec_scale(ring, ring.p ** (e - 1), vec) != (0,) * cols, (
+            assert any(ring.p ** (e - 1) * v % ring.modulus for v in vec), (
                 "annihilator exponent overstated"
             )
 
@@ -617,7 +616,7 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
     for a, solver, built in zip(cases, solvers, built_solvers):
         g = dense_matrix(built)
         assert g.rows == a.cols and (a @ g).is_zero()
-        assert [g.col(j) for j in range(g.cols)] == [vec for vec, _ in solver.kernel()]
+        assert [g.entries[j :: g.cols] for j in range(g.cols)] == [vec for vec, _ in solver.kernel()]
         left, right, left_inverse, right_inverse = dense_factors(built, g)
         assert right.is_identity() and right_inverse.is_identity()
         assert (left @ left_inverse).is_identity()
@@ -641,7 +640,7 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
         assert sum(e for _, e in kb) == sum(e for _, e in ks)
         for vec, e in kb:
             assert not any(ref_apply(g, vec))
-            assert any(vec_scale(ring, p ** (e - 1), vec)), "annihilator exponent overstated"
+            assert any(p ** (e - 1) * v % ring.modulus for v in vec), "annihilator exponent overstated"
         assert built.cokernel().invariants == swept.cokernel().invariants
 
 
@@ -714,7 +713,7 @@ def test_on_kernel_builds_no_matrix(monkeypatch):
             for _ in range(3):
                 solutions.append(g.solve(g.apply(tuple(rng.randrange(m) for _ in g.columns))))
     for a, g, kernel in zip(cases, built, kernels):
-        assert [vec for vec, _ in kernel] == [dense_matrix(g).col(t) for t in range(len(g.columns))]
+        assert [vec for vec, _ in kernel] == [dense_matrix(g).entries[t :: g.cols] for t in range(g.cols)]
         assert all(not any(ref_apply(a, vec)) for vec, _ in kernel)
     assert None not in solutions
 
@@ -774,10 +773,9 @@ def test_cokernel_data_vs_counting(ring):
         rows, cols = rng.randrange(1, 3), rng.randrange(0, 3)
         a = rand_matrix(ring, rows, cols, rng)
         data = smithify(a.sparse()).cokernel()
-        img = enumerate_span(ring, [a.col(j) for j in range(cols)], rows) if cols else {
-            (0,) * rows
-        }
-        red = SpanReducer(ring, [a.col(j) for j in range(cols)], width=rows)
+        columns = [a.sparse().col(j) for j in range(cols)]
+        img = enumerate_span(ring, columns, rows) if cols else {(0,) * rows}
+        red = SpanReducer(ring, columns, width=rows)
         cosets = {red.reduce(x) for x in itertools.product(range(m), repeat=rows)}
         assert ring.p ** sum(data.invariants) == len(cosets)
         # generator representatives must generate the quotient
@@ -785,8 +783,8 @@ def test_cokernel_data_vs_counting(ring):
         hit = {red.reduce(v) for v in gen_span}
         assert len(hit) == len(cosets), "representatives do not generate the cokernel"
         for rep, e in zip(data.reps, data.invariants):
-            assert red.contains(vec_scale(ring, ring.p**e, rep)), "rep order too small"
-            assert not red.contains(vec_scale(ring, ring.p ** (e - 1), rep)), (
+            assert red.contains([ring.p**e * x for x in rep]), "rep order too small"
+            assert not red.contains([ring.p ** (e - 1) * x for x in rep]), (
                 "rep order overstated"
             )
 
@@ -803,7 +801,7 @@ def test_cokernel_data_is_the_quotient_of_the_identity_basis(ring, monkeypatch):
     solvers = [smithify(a.sparse()) for a in cases]
     for a, solver in zip(cases, solvers):
         basis = smithify(RMatrix.identity(ring, a.rows).sparse())
-        assert solver.cokernel() == quotient_data(basis, [a.col(j) for j in range(a.cols)])
+        assert solver.cokernel() == quotient_data(basis, [a.sparse().col(j) for j in range(a.cols)])
     monkeypatch.setattr(zmod, "smithify", None)  # a sweep would fail
     for solver in solvers:
         solver.cokernel()
