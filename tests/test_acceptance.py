@@ -362,7 +362,8 @@ def test_criterion_8_local_field_example(capsys):
         failures.append("parity system is not UNSAT over 32 assignments")
     for edge in report.edges:
         rest = [e for e in report.edges if e != edge]
-        if not any(all(xi[i - 1] != xi[j - 1] for i, j in rest) for xi in itertools.product((0, 1), repeat=5)):
+        parities = itertools.product((0, 1), repeat=5)
+        if not any(all(xi[i - 1] != xi[j - 1] for i, j in rest) for xi in parities):
             failures.append(f"removing edge {edge} should make the system satisfiable")
     dt = time.monotonic() - t0
     ok = not failures and dt < 1.0
