@@ -1,9 +1,11 @@
 """Tests for the brute-force baselines and the seeded instance generator."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from test_acceptance import _exhaustive_unipotent_flags, _random_modules
 
 from flaglift.cohomology import complex_of, h_groups
 from flaglift.flags import Flag, is_kummer, is_wound_kummer
@@ -203,3 +205,68 @@ def test_coboundaries_form_subgroup_of_cocycles():
     zset = {tuple(int(v) for v in row) for row in z}
     for row in b:
         assert tuple(int(v) for v in row) in zset
+
+
+# sha256 over the brute-force oracles' raw outputs: brute_h1's repr and the
+# coboundary rows on criterion 3's modules and on the engine-check stream
+# above, then every brute_lift and brute_glue solution on criterion 4's pool
+BRUTE_ORACLE_DIGEST = "85fb7a3dced7871578916a102ad73e73326dfe4aeb35a4b6a751addd5df8a7f4"
+
+
+def _engine_check_modules():
+    """The 25 modules of ``test_brute_h1_matches_engine_on_random_modules``, same stream."""
+    rng = random.Random(17)
+    out = []
+    while len(out) < 25:
+        p = rng.choice([2, 3])
+        r = rng.choice([1, 2])
+        genus = rng.choice([1, 2])
+        rank = rng.choice([1, 2])
+        ring = RingSpec(p, r)
+        if (p**r) ** (2 * genus * rank) > (1 << 18):
+            continue
+
+        def rnd_tri():
+            ent = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                ent[i][i] = rng.choice([v for v in range(1, p**r) if v % p])
+                for j in range(i + 1, rank):
+                    ent[i][j] = rng.randrange(p**r)
+            return RMatrix.from_rows(ring, ent)
+
+        x = rnd_tri()
+        if genus == 1:
+            out.append(GModule(ring, 1, (x, x @ x)))
+        else:
+            y = rnd_tri()
+            out.append(GModule(ring, 2, (x, y, y, x)))
+    return out
+
+
+def test_brute_oracle_outputs_are_pinned():
+    digest = hashlib.sha256()
+    counts = {"modules": 0, "lifts": 0, "gluings": 0}
+
+    def fold(tag: str, value) -> None:
+        digest.update(f"{tag} {value}\n".encode())
+
+    for mod in _random_modules(60) + _engine_check_modules():
+        fold("h1", repr(brute_h1(mod)))
+        fold("b", brute_coboundaries(mod).tolist())
+        counts["modules"] += 1
+    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    for pool in pools:
+        for f in pool:
+            for s in brute_lift(f):
+                fold("lift", [m.to_lists() for m in s.mats])
+                counts["lifts"] += 1
+    for pool in pools:
+        for e in pool:
+            for f in pool:
+                if e.quotient_by_first() != f.truncate():
+                    continue
+                for s in brute_glue(e, f):
+                    fold("glue", [m.to_lists() for m in s.mats])
+                    counts["gluings"] += 1
+    assert min(counts.values()) > 0, counts
+    assert digest.hexdigest() == BRUTE_ORACLE_DIGEST, ("brute-force oracle outputs changed", counts)
