@@ -289,8 +289,8 @@ def _cmd_selftest(args) -> int:
     )
     check("non-liftable square classes over Q_2",
           {c.rep for c in non_liftable_classes(2)} == {-1, -2, -5, -10})
-    check("parity system is unsatisfiable and minimal",
-          check_no_cyclotomic_lift().unsat and check_no_cyclotomic_lift().minimal)
+    parity = check_no_cyclotomic_lift()
+    check("parity system is unsatisfiable and minimal", parity.unsat and parity.minimal)
     print(f"selftest: {'all passed' if not failures else f'{failures} failures'}")
     return 2 if failures else 0
 

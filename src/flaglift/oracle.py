@@ -5,6 +5,10 @@ evaluating candidate crossed homomorphisms on the relator directly (no Fox
 matrices), coboundaries by orbiting all module elements, group shapes by
 order counting, and lift/glue existence by exhaustive candidate search.
 Only ``brute_cocycles`` walks the relator on its own, in numpy.
+``brute_coboundaries`` and ``brute_h1`` count in whole arrays: each row
+is read as its base-m integer code, membership is ``np.isin`` on codes,
+and the subgroup the representatives span is kept as rows deduplicated
+on their codes.
 ``brute_lift`` and ``brute_glue`` accept candidates through the checked
 ``Flag`` constructor, so besides matrix arithmetic they share the relator
 check (``surface._check_relator`` and the session's ``walks`` table) with
@@ -69,10 +73,22 @@ def _np_mat(m: RMatrix) -> np.ndarray:
 
 
 def _codes(rows: np.ndarray, m: int) -> np.ndarray:
-    """Base-m integer code per row; fits in int64 for in-budget sizes."""
+    """Base-m integer code per row, the first column most significant.
+
+    Codes order as the rows do, so sorting or matching codes sorts or
+    matches rows.  Rows too long for an int64 code are refused.
+    """
     n = rows.shape[1]
+    if m**n > 1 << 63:
+        raise BudgetExceededError(f"{n} digits base {m} overflow an int64 row code")
     powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return rows @ powers
+
+
+def _unique_rows(rows: np.ndarray, m: int) -> np.ndarray:
+    """The distinct rows in ascending order, as ``np.unique(rows, axis=0)``."""
+    _, first = np.unique(_codes(rows, m), return_index=True)
+    return rows[first]
 
 
 def brute_cocycles(module: GModule, budget: SearchBudget = SearchBudget()) -> np.ndarray:
@@ -115,7 +131,7 @@ def brute_coboundaries(module: GModule, budget: SearchBudget = SearchBudget()) -
     parts = [(elts @ _np_mat(a).T - elts) % m for a in module.acts]
     if not parts:
         return np.zeros((1, 0), dtype=np.int64)
-    return np.unique(np.concatenate(parts, axis=1), axis=0)
+    return _unique_rows(np.concatenate(parts, axis=1), m)
 
 
 _REPS_CAP = 1 << 15
@@ -128,21 +144,22 @@ def brute_h1(module: GModule, budget: SearchBudget = SearchBudget()) -> ModuleSh
     by p^k; this avoids any echelon-form machinery.  Representatives are
     extracted greedily by descending order relative to the subgroup built
     so far (skipped above a size cap, where only the shape is certified).
+    Rows are matched by their base-m codes with ``np.isin``, and the
+    subgroup is kept as rows, deduplicated on their codes.
     """
     ring = module.ring
     p, r, m = ring.p, ring.r, ring.modulus
     z = brute_cocycles(module, budget)
     b = brute_coboundaries(module, budget)
-    bcodes = set(int(c) for c in _codes(b, m))
-    n_b = len(bcodes)
+    bcodes = _codes(b, m)
+    n_b = bcodes.shape[0]
     n_classes = z.shape[0] // n_b
     if n_classes * n_b != z.shape[0]:
         raise AssertionError("coboundaries must partition the cocycles evenly")
     s_prev = 0
     ge_counts = []  # ge_counts[k-1] = number of invariant exponents >= k
     for k in range(1, r + 1):
-        killed = _codes((z * p**k) % m, m)
-        c_k = sum(1 for c in killed if int(c) in bcodes)
+        c_k = int(np.isin(_codes((z * p**k) % m, m), bcodes).sum())
         s_k = _log(p, c_k // n_b)
         ge_counts.append(s_k - s_prev)
         s_prev = s_k
@@ -157,21 +174,17 @@ def brute_h1(module: GModule, budget: SearchBudget = SearchBudget()) -> ModuleSh
     if z.shape[0] <= _REPS_CAP:
         closure = b
         for e in sorted(invariants, reverse=True):
-            ccodes = set(int(c) for c in _codes(closure, m))
-            found = None
-            for i in range(z.shape[0]):
-                row = z[i]
-                # order exactly p^e relative to the subgroup built so far
-                if int(_codes(((row * p ** (e - 1)) % m)[None, :], m)[0]) in ccodes:
-                    continue
-                if int(_codes(((row * p**e) % m)[None, :], m)[0]) in ccodes:
-                    found = row
-                    break
-            if found is None:
+            ccodes = _codes(closure, m)
+            # the first row of order exactly p^e relative to the subgroup built so far
+            below = np.isin(_codes((z * p ** (e - 1)) % m, m), ccodes)
+            at = np.isin(_codes((z * p**e) % m, m), ccodes)
+            hits = np.flatnonzero(at & ~below)
+            if hits.size == 0:
                 raise AssertionError("greedy generator search must succeed within the shape")
+            found = z[hits[0]]
             reps.append(tuple(int(v) for v in found))
             stack = [(closure + t * found) % m for t in range(p**e)]
-            closure = np.unique(np.concatenate(stack, axis=0), axis=0)
+            closure = _unique_rows(np.concatenate(stack, axis=0), m)
         if closure.shape[0] != z.shape[0]:
             raise AssertionError("the representatives must span every class")
         reps.reverse()  # ascending order, aligned with the invariants
@@ -198,18 +211,17 @@ def brute_lift(f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
     slots = [(g, i, j) for g in range(n_gens) for i in range(d) for j in range(i + 1, d)]
     budget.check_count(p ** len(slots), "lift enumeration")
     deadline = time.monotonic() + budget.time_limit
+    base = [[a.entry(i, j) if j >= i else 0 for i in range(d) for j in range(d)] for a in f.mats]
+    cells = [(g, i * d + j) for g, i, j in slots]
     out = []
-    for digits in _all_vectors(p, len(slots)):
+    for digits in _all_vectors(p, len(slots)).tolist():
         if time.monotonic() > deadline:
             raise BudgetExceededError("lift enumeration ran past the time ceiling")
-        ents = [
-            [[f.mats[g].entry(i, j) if j >= i else 0 for j in range(d)] for i in range(d)]
-            for g in range(n_gens)
-        ]
-        for (g, i, j), t in zip(slots, digits):
-            ents[g][i][j] += p * int(t)
+        ents = [row[:] for row in base]
+        for (g, k), t in zip(cells, digits):
+            ents[g][k] += p * t
         try:
-            out.append(Flag(up, f.genus, tuple(RMatrix.from_rows(up, e) for e in ents)))
+            out.append(Flag(up, f.genus, tuple(RMatrix(up, d, d, tuple(e)) for e in ents)))
         except RelatorError:
             continue
     return out
@@ -231,17 +243,21 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
     d, n_gens = e.d, 2 * e.genus
     budget.check_count(ring.modulus**n_gens, "glue enumeration")
+    # each generator's entries before and after the corner (0, d), row-major
+    parts = []
+    for em, fm in zip(e.mats, f.mats):
+        ent = [list(em.row(i)) + [0] for i in range(d)] + [[0] * (d + 1)]
+        for i in range(d):
+            ent[i + 1][1:] = fm.row(i)
+        flat = tuple(v for row in ent for v in row)
+        parts.append((flat[:d], flat[d + 1 :]))
     out = []
-    for top in _all_vectors(ring.modulus, n_gens):
-        mats = []
-        for em, fm, t in zip(e.mats, f.mats, top):
-            ent = [list(em.row(i)) + [0] for i in range(d)] + [[0] * (d + 1)]
-            for i in range(d):
-                ent[i + 1][1:] = fm.row(i)
-            ent[0][d] = int(t)
-            mats.append(RMatrix.from_rows(ring, ent))
+    for top in _all_vectors(ring.modulus, n_gens).tolist():
+        mats = tuple(
+            RMatrix(ring, d + 1, d + 1, head + (t,) + tail) for (head, tail), t in zip(parts, top)
+        )
         try:
-            out.append(Flag(ring, e.genus, tuple(mats)))
+            out.append(Flag(ring, e.genus, mats))
         except RelatorError:
             continue
     return out

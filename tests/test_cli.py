@@ -465,6 +465,23 @@ def test_cli_selftest_passes(capsys):
     assert "selftest: all passed" in capsys.readouterr().out
 
 
+def test_cli_selftest_searches_the_parity_system_once(capsys, monkeypatch):
+    assert main(["selftest"]) == 0
+    plain = capsys.readouterr().out
+    calls = []
+    search = cli.check_no_cyclotomic_lift
+
+    def counted():
+        calls.append(1)
+        return search()
+
+    monkeypatch.setattr(cli, "check_no_cyclotomic_lift", counted)
+    assert main(["selftest"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == plain
+    assert "ok: parity system is unsatisfiable and minimal\n" in plain
+
+
 def test_cli_selftest_budget_exceeded_exits_inconclusive(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise BudgetExceededError("no flag found within the search budget")
