@@ -106,6 +106,45 @@ def test_brute_h1_matches_engine_on_random_modules():
         checked += 1
 
 
+def _span(gens, group, m):
+    """The subgroup that ``group`` (a subgroup, as a set of tuples) and ``gens`` generate."""
+    for g in gens:
+        group = {tuple((x + t * v) % m for x, v in zip(h, g)) for h in group for t in range(m)}
+    return group
+
+
+def _order_exponent(row, group, p, m):
+    """The least k with p^k row in ``group``."""
+    k = 0
+    while tuple(p**k * v % m for v in row) not in group:
+        k += 1
+    return k
+
+
+def test_brute_h1_representatives_are_the_greedy_choice():
+    # each representative is the first cocycle of order exactly p^e modulo
+    # the span of B and the later representatives, and together with B they
+    # span Z; checked with Python sets, sharing nothing with brute_h1
+    checked = 0
+    for mod in _random_modules(60) + _engine_check_modules():
+        z = brute_cocycles(mod)
+        if z.shape[0] > 4096:
+            continue
+        p, m = mod.ring.p, mod.ring.modulus
+        rows = [tuple(int(v) for v in row) for row in z]
+        b = {tuple(int(v) for v in row) for row in brute_coboundaries(mod)}
+        shape = brute_h1(mod)
+        assert len(shape.reps) == len(shape.invariants)
+        for i, (e, rep) in enumerate(zip(shape.invariants, shape.reps)):
+            group = _span(shape.reps[i + 1 :], b, m)
+            assert _order_exponent(rep, group, p, m) == e
+            first = next((row for row in rows if _order_exponent(row, group, p, m) == e), None)
+            assert rep == first
+        assert len(_span(shape.reps, b, m)) == z.shape[0]
+        checked += 1
+    assert checked == 81  # frozen: modules of both streams with at most 4,096 cocycles
+
+
 def test_brute_lift_agrees_with_engine_exhaustively():
     flags = all_unipotent_flags_d3_p2()
     assert len(flags) == 40  # frozen: commuting unipotent pairs at d=3, p=2
@@ -208,8 +247,8 @@ def test_coboundaries_form_subgroup_of_cocycles():
 
 
 # sha256 over the brute-force oracles' raw outputs: brute_h1's repr and the
-# coboundary rows on criterion 3's modules and on the engine-check stream
-# above, then every brute_lift and brute_glue solution on criterion 4's pool
+# coboundary rows on criterion 3's modules and on the engine-check stream,
+# then every brute_lift and brute_glue solution on criterion 4's pool
 BRUTE_ORACLE_DIGEST = "85fb7a3dced7871578916a102ad73e73326dfe4aeb35a4b6a751addd5df8a7f4"
 
 
@@ -270,3 +309,11 @@ def test_brute_oracle_outputs_are_pinned():
                     counts["gluings"] += 1
     assert min(counts.values()) > 0, counts
     assert digest.hexdigest() == BRUTE_ORACLE_DIGEST, ("brute-force oracle outputs changed", counts)
+
+
+def test_row_codes_that_overflow_int64_are_refused():
+    # coboundary rows are deduplicated on base-m int64 codes; 64 binary
+    # digits would wrap, so they are refused instead of merged wrongly
+    assert brute_coboundaries(trivial_module(RingSpec(2, 1), 7, 4)).shape == (1, 56)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        brute_coboundaries(trivial_module(RingSpec(2, 1), 8, 4))

@@ -477,6 +477,41 @@ def private_parameters(tree):
                     yield getattr(node, "name", "<lambda>"), a.lineno
 
 
+_H1_ORACLE = ("brute_cocycles", "brute_coboundaries", "brute_h1")
+_ENGINE_NAMES = {
+    "smithify", "LinearSolver", "SparseMatrix", "quotient_data", "echelonize", "SpanReducer",
+}
+
+
+def engine_names(tree, roots):
+    """(function, name, line) of every engine name that ``roots`` use.
+
+    The module-level functions that ``roots`` name are followed, and so on
+    down.  Engine names are the linear-algebra kernels in ``_ENGINE_NAMES``,
+    the name ``cohomology`` and every name imported from it.
+    """
+    banned = _ENGINE_NAMES | {"cohomology"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_cohomology = (node.module or "").rsplit(".", 1)[-1] == "cohomology"
+            named = [a for a in node.names if from_cohomology or a.name == "cohomology"]
+            banned |= {a.asname or a.name for a in named}
+        elif isinstance(node, ast.Import):
+            banned |= {a.asname for a in node.names if a.asname and a.name.endswith("cohomology")}
+    functions = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
+    todo, seen = list(roots), set()
+    while todo:
+        func = todo.pop()
+        if func in seen or func not in functions:
+            continue
+        seen.add(func)
+        for node in ast.walk(functions[func]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in banned:
+                yield func, name, node.lineno
+            todo.append(name)
+
+
 def test_guards_flag_the_patterns_they_forbid():
     bad = ast.parse(
         "import functools\nfrom functools import cache, lru_cache\n_MEMO = {}\n"
@@ -528,6 +563,18 @@ def test_guards_flag_the_patterns_they_forbid():
         "s: LinearSolver = a\nd = a.on_kernel().cokernel()\n"
     )
     assert not list(sweep_bypasses(ok))
+    oracle = ast.parse(
+        "from .cohomology import complex_of\nfrom . import cohomology\nfrom .zmod import smithify\n"
+        "def _helper(m):\n    return smithify(m)\n"
+        "def brute_h1(m):\n    return complex_of(m), _helper(m), cohomology.h_groups(m)\n"
+        "def brute_cocycles(m):\n    return zmod.echelonize(m)\n"
+        "def brute_coboundaries(m):\n    return m\n"
+        "def brute_lift(f):\n    return LinearSolver(f)\n"
+    )
+    assert sorted(engine_names(oracle, _H1_ORACLE)) == [
+        ("_helper", "smithify", 5), ("brute_cocycles", "echelonize", 9),
+        ("brute_h1", "cohomology", 7), ("brute_h1", "complex_of", 7),
+    ]
     modules = {
         "src/flaglift/m.py": ast.parse(
             "def used():\n    pass\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
@@ -574,6 +621,17 @@ def test_only_the_check_and_d1_walk_the_relator():
             assert scope in _RELATOR_WALKS.get(rel, ()), f"{rel}:{line} ({scope}) walks the relator"
             seen.add((rel, scope))
     assert seen == {(rel, s) for rel, scopes in _RELATOR_WALKS.items() for s in scopes}
+
+
+# -- tooling guard: the H^1 oracle stays independent ---------------------------------
+
+
+def test_the_h1_oracle_uses_no_engine():
+    """``brute_h1`` and what it counts on name no cohomology code and no linear-algebra kernel."""
+    path = _ROOT / "src/flaglift/oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert set(_H1_ORACLE) <= {s.name for s in tree.body if isinstance(s, ast.FunctionDef)}
+    assert list(engine_names(tree, _H1_ORACLE)) == []
 
 
 # -- tooling guard: a flag is built once --------------------------------------------
