@@ -4,15 +4,20 @@ Everything here recomputes from first principles: cocycles are found by
 evaluating candidate crossed homomorphisms on the relator directly (no Fox
 matrices), coboundaries by orbiting all module elements, group shapes by
 order counting, and lift/glue existence by exhaustive candidate search.
-Only ``brute_cocycles`` walks the relator on its own, in numpy.
+The searches walk the relator on their own, in numpy, and share no check
+with the engines.  ``brute_cocycles`` walks it over every candidate
+cocycle.  ``brute_lift`` and ``brute_glue`` decide every candidate flag
+in whole int64 arrays: the candidates are stacked in chunks of
+``_CHUNK``, inverted in one batch by a Neumann series of their nilpotent
+part (checked against the identity), and walked along the relator; only
+the survivors become flags, built by ``surface._trusted`` with the
+batch's inverses, so neither ``surface._check_relator`` nor the session's
+``walks`` table sees them.  Rings and dimensions whose int64 products
+could overflow are refused.
 ``brute_coboundaries`` and ``brute_h1`` count in whole arrays: each row
 is read as its base-m integer code, membership is ``np.isin`` on codes,
 and the subgroup the representatives span is kept as rows deduplicated
 on their codes.
-``brute_lift`` and ``brute_glue`` accept candidates through the checked
-``Flag`` constructor, so besides matrix arithmetic they share the relator
-check (``surface._check_relator`` and the session's ``walks`` table) with
-the engines.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, is_kummer, is_wound_kummer
-from .surface import GModule, Presentation, RelatorError
+from .surface import GModule, Presentation, RelatorError, _trusted
 from .zmod import ModuleShape, RingSpec, RMatrix, smithify, teichmuller
 
 
@@ -60,16 +65,20 @@ def _log(p: int, n: int) -> int:
 
 def _all_vectors(m: int, n: int) -> np.ndarray:
     """All length-n vectors over Z/m as rows, lexicographic."""
-    total = m**n
-    idx = np.arange(total, dtype=np.int64)
-    cols = [(idx // m ** (n - 1 - j)) % m for j in range(n)]
-    if not cols:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
+    return _vectors(m, n, 0, m**n)
 
 
-def _np_mat(m: RMatrix) -> np.ndarray:
-    return np.array(m.to_lists(), dtype=np.int64).reshape(m.rows, m.cols)
+def _vectors(m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of ``_all_vectors(m, n)``."""
+    powers = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = np.arange(start, stop, dtype=np.int64)[:, None] // powers
+    rows %= m
+    return rows
+
+
+def _np_mats(mats: tuple[RMatrix, ...], d: int) -> np.ndarray:
+    """The d x d matrices ``mats`` as one (len(mats), d, d) array."""
+    return np.array([a.entries for a in mats], dtype=np.int64).reshape(len(mats), d, d)
 
 
 def _codes(rows: np.ndarray, m: int) -> np.ndarray:
@@ -106,8 +115,8 @@ def brute_cocycles(module: GModule, budget: SearchBudget = SearchBudget()) -> np
     vecs = _all_vectors(m, n1)
     total = np.zeros((vecs.shape[0], rank), dtype=np.int64)
     prefix = np.eye(rank, dtype=np.int64)
-    acts = [_np_mat(a) for a in module.acts]
-    invs = [_np_mat(a) for a in module.inverses]
+    acts = _np_mats(module.acts, rank)
+    invs = _np_mats(module.inverses, rank)
     for t in Presentation(module.genus).relator():
         g = abs(t) - 1
         fg = vecs[:, g * rank : (g + 1) * rank]
@@ -128,7 +137,7 @@ def brute_coboundaries(module: GModule, budget: SearchBudget = SearchBudget()) -
     rank = module.rank
     budget.check_count(m**rank, "coboundary enumeration")
     elts = _all_vectors(m, rank)
-    parts = [(elts @ _np_mat(a).T - elts) % m for a in module.acts]
+    parts = [(elts @ a.T - elts) % m for a in _np_mats(module.acts, rank)]
     if not parts:
         return np.zeros((1, 0), dtype=np.int64)
     return _unique_rows(np.concatenate(parts, axis=1), m)
@@ -204,27 +213,10 @@ def brute_lift(f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
     for i in range(1, f.d + 1):
         if f.char(i) != one:
             raise ValueError("brute lifting requires trivial diagonal characters")
-    p = ring.p
-    up = RingSpec(p, 2)
-    d = f.d
-    n_gens = 2 * f.genus
-    slots = [(g, i, j) for g in range(n_gens) for i in range(d) for j in range(i + 1, d)]
-    budget.check_count(p ** len(slots), "lift enumeration")
-    deadline = time.monotonic() + budget.time_limit
-    base = [[a.entry(i, j) if j >= i else 0 for i in range(d) for j in range(d)] for a in f.mats]
-    cells = [(g, i * d + j) for g, i, j in slots]
-    out = []
-    for digits in _all_vectors(p, len(slots)).tolist():
-        if time.monotonic() > deadline:
-            raise BudgetExceededError("lift enumeration ran past the time ceiling")
-        ents = [row[:] for row in base]
-        for (g, k), t in zip(cells, digits):
-            ents[g][k] += p * t
-        try:
-            out.append(Flag(up, f.genus, tuple(RMatrix(up, d, d, tuple(e)) for e in ents)))
-        except RelatorError:
-            continue
-    return out
+    p, d, n_gens = ring.p, f.d, 2 * f.genus
+    base = _np_mats(f.mats, d)
+    cells = [g * d * d + i * d + j for g in range(n_gens) for i in range(d) for j in range(i + 1, d)]
+    return _exact_candidates(RingSpec(p, 2), f.genus, base, cells, p, budget, "lift enumeration")
 
 
 def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
@@ -242,25 +234,92 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
     if e.quotient_by_first() != f.truncate():
         raise ValueError("overlap mismatch: quotient of e differs from truncation of f")
     d, n_gens = e.d, 2 * e.genus
-    budget.check_count(ring.modulus**n_gens, "glue enumeration")
-    # each generator's entries before and after the corner (0, d), row-major
-    parts = []
-    for em, fm in zip(e.mats, f.mats):
-        ent = [list(em.row(i)) + [0] for i in range(d)] + [[0] * (d + 1)]
-        for i in range(d):
-            ent[i + 1][1:] = fm.row(i)
-        flat = tuple(v for row in ent for v in row)
-        parts.append((flat[:d], flat[d + 1 :]))
+    base = np.zeros((n_gens, d + 1, d + 1), dtype=np.int64)
+    base[:, :d, :d] = _np_mats(e.mats, d)
+    base[:, 1:, 1:] = _np_mats(f.mats, d)
+    cells = [g * (d + 1) ** 2 + d for g in range(n_gens)]  # the corner (0, d)
+    return _exact_candidates(ring, e.genus, base, cells, 1, budget, "glue enumeration")
+
+
+# Candidates decided per numpy batch.  The search budget admits 2^20
+# candidates, and at genus 1 and d = 5 one array of them all would take
+# 420 MB; a chunk of this many takes under 2 MB per array.
+_CHUNK = 1 << 12
+
+
+def _exact_candidates(
+    ring: RingSpec,
+    genus: int,
+    base: np.ndarray,
+    cells: list[int],
+    step: int,
+    budget: SearchBudget,
+    what: str,
+) -> list[Flag]:
+    """The candidates that satisfy the relator, as flags, in lexicographic order.
+
+    Candidate k is the upper triangular ``base`` (2g, d, d) plus ``step``
+    times the k-th digit row over Z/(modulus/step) at the flat ``cells``,
+    with the base's unit diagonal.  Each chunk is inverted by
+    ``_inverse_upper`` and walked along the relator in whole int64 arrays;
+    the survivors become flags without a second walk, carrying the batch's
+    inverses.
+    """
+    m, (n_gens, d, _) = ring.modulus, base.shape
+    if d * (m - 1) ** 2 >= 1 << 63:
+        raise BudgetExceededError(f"{what}: products over Z/{m} at dimension {d} overflow int64")
+    q = m // step
+    total = q ** len(cells)
+    budget.check_count(total, what)
+    deadline = time.monotonic() + budget.time_limit
+    diag = np.diagonal(base, axis1=1, axis2=2)
+    dinv = np.array([[pow(v, -1, m) for v in row] for row in diag.tolist()], dtype=np.int64)
+    dmat = diag[:, :, None] * np.eye(d, dtype=np.int64)
+    as_matrices = lambda ms: tuple(RMatrix(ring, d, d, tuple(e)) for e in ms)
     out = []
-    for top in _all_vectors(ring.modulus, n_gens).tolist():
-        mats = tuple(
-            RMatrix(ring, d + 1, d + 1, head + (t,) + tail) for (head, tail), t in zip(parts, top)
-        )
-        try:
-            out.append(Flag(ring, e.genus, mats))
-        except RelatorError:
-            continue
+    for start in range(0, total, _CHUNK):
+        if time.monotonic() > deadline:
+            raise BudgetExceededError(f"{what} ran past the time ceiling")
+        digits = _vectors(q, len(cells), start, min(start + _CHUNK, total))
+        flat = np.repeat(base.reshape(1, -1), digits.shape[0], axis=0)
+        flat[:, cells] += step * digits
+        stack = flat.reshape(digits.shape[0], n_gens, d, d)
+        inv = _inverse_upper(stack, dmat, dinv, m)
+        keep = np.flatnonzero(_relator_holds(genus, stack, inv, m))
+        kept = lambda a: a[keep].reshape(keep.size, n_gens, d * d).tolist()
+        for mats, invs in zip(kept(stack), kept(inv)):
+            out.append(_trusted(Flag, ring, genus, as_matrices(mats), lambda ms=invs: as_matrices(ms)))
     return out
+
+
+def _inverse_upper(stack: np.ndarray, dmat: np.ndarray, dinv: np.ndarray, m: int) -> np.ndarray:
+    """Inverses of the upper triangular ``stack`` (N, 2g, d, d) over Z/m.
+
+    Every candidate has the diagonal part ``dmat`` (2g, d, d), whose
+    entries ``dinv`` (2g, d) inverts.  With N the strictly upper part,
+    A = D (I + D^-1 N) and X = -D^-1 N is nilpotent, so
+    A^-1 = (sum_{k<d} X^k) D^-1.  The product A A^-1 is checked to be I
+    for every candidate.
+    """
+    eye = np.eye(stack.shape[-1], dtype=np.int64)
+    x = dinv[:, :, None] * (dmat - stack) % m
+    term, series = x, eye + x
+    for _ in range(stack.shape[-1] - 2):
+        term = term @ x % m
+        series = series + term
+    inv = series % m * dinv[:, None, :] % m
+    if not (stack @ inv % m == eye).all():
+        raise AssertionError("the Neumann series must invert every candidate")
+    return inv
+
+
+def _relator_holds(genus: int, stack: np.ndarray, inv: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the candidates in ``stack`` (N, 2g, d, d) whose relator product is I."""
+    word = [stack[:, t - 1] if t > 0 else inv[:, -t - 1] for t in Presentation(genus).relator()]
+    acc = word[0]
+    for a in word[1:]:
+        acc = acc @ a % m
+    return (acc == np.eye(stack.shape[-1], dtype=np.int64)).all(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

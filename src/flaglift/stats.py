@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Hashable, Iterator
 
 # Entries per table.  The lift battery decides a few hundred distinct
-# split verdicts and walks about 800 distinct generator tuples per pass, so
-# a bound this size evicts nothing there; the oracle audit walks more
-# distinct tuples than this and evicts.
+# split verdicts and walks about 800 distinct generator tuples per pass,
+# and the oracle audit loads and walks about 600 (its brute-force search
+# walks candidates in numpy, outside the table), so a bound this size
+# evicts nothing on either.
 MEMO_BOUND = 4096
 
 

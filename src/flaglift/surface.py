@@ -13,15 +13,18 @@ Validation happens once, at the boundary.  The public ``SurfaceRep(...)``
 constructor and those of its subclasses ``GModule`` and ``flags.Flag``
 check invertibility and the relator; so does everything built through
 them from raw or hand-assembled matrices (file loading, ``trivial_module``,
-``char_module``, the oracle's candidate filters and every engine
-candidate and output).  A flag's constructor then scans for the upper
-triangular shape.  Objects derived from a checked one by a map that
-preserves invertibility and the relator are built by ``_trusted`` without
-a second walk: ``as_module``, ``reduce_to`` of any representation
-(reduction is a ring map), ``tensor_module`` (Kronecker products multiply
-blockwise), ``dual_module`` (inverse transpose is a homomorphism), and the
-diagonal blocks of block upper triangular generators (flag segments and
-the ends of a coordinate extension).  ``_trusted`` fills the fields of the
+``char_module`` and every engine candidate and output).  A flag's
+constructor then scans for the upper triangular shape.  The one other
+boundary is the brute-force oracle's lift and glue search, which decides
+its candidates with its own batched relator walk and inverse check (see
+``oracle``) and builds the upper triangular survivors by ``_trusted``.
+Objects derived from a checked one by a map that preserves invertibility
+and the relator are also built by ``_trusted`` without a second walk:
+``as_module``, ``reduce_to`` of any representation (reduction is a ring
+map), ``tensor_module`` (Kronecker products multiply blockwise),
+``dual_module`` (inverse transpose is a homomorphism), and the diagonal
+blocks of block upper triangular generators (flag segments and the ends
+of a coordinate extension).  ``_trusted`` fills the fields of the
 class it is given, and reductions and diagonal blocks keep the class of
 their source: those of a module are modules, and those of a flag are
 flags, built without the scan.

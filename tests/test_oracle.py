@@ -5,11 +5,12 @@ import itertools
 import random
 
 import pytest
-from test_acceptance import _exhaustive_unipotent_flags, _random_modules
+from test_acceptance import _exhaustive_unipotent_flags, _random_modules, _small_flags
 
 from flaglift.cohomology import complex_of, h_groups
 from flaglift.flags import Flag, is_kummer, is_wound_kummer
 from flaglift.lifting import glue, least_char_lift, lift_rep
+from flaglift import oracle
 from flaglift.oracle import (
     BudgetExceededError,
     SearchBudget,
@@ -71,10 +72,11 @@ def test_brute_cocycle_count_matches_engine_kernel():
         assert z.shape[0] == p ** sum(e for _, e in kernel)
 
 
-def test_brute_h1_matches_engine_on_random_modules():
+def _engine_check_modules():
+    """25 seeded triangular modules with |M|^(2g) <= 2^18, genus 1 and 2."""
     rng = random.Random(17)
-    checked = 0
-    while checked < 25:
+    out = []
+    while len(out) < 25:
         p = rng.choice([2, 3])
         r = rng.choice([1, 2])
         genus = rng.choice([1, 2])
@@ -93,17 +95,23 @@ def test_brute_h1_matches_engine_on_random_modules():
 
         x = rnd_tri()
         if genus == 1:
-            mod = GModule(ring, 1, (x, x @ x))  # powers commute
+            out.append(GModule(ring, 1, (x, x @ x)))  # powers commute
         else:
             y = rnd_tri()
-            mod = GModule(ring, 2, (x, y, y, x))
+            out.append(GModule(ring, 2, (x, y, y, x)))
+    return out
+
+
+def test_brute_h1_matches_engine_on_random_modules():
+    modules = _engine_check_modules()
+    assert len(modules) == 25
+    for mod in modules:
         brute = brute_h1(mod)
         engine = h_groups(mod).h1
         assert brute.invariants == engine.invariants
         cx = complex_of(mod)
         for rep in brute.reps:
             assert cx.d1.apply(rep) == (0,) * cx.d1.rows
-        checked += 1
 
 
 def _span(gens, group, m):
@@ -207,9 +215,9 @@ def test_brute_glue_rejects_overlap_mismatch():
     ring = RingSpec(2, 1)
     e = Flag.from_rows(ring, 1, [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1] * 1 + [0, 0], [0, 1, 0], [0, 0, 1]]])
     f = Flag.from_rows(ring, 1, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-    if e.quotient_by_first() != f.truncate():
-        with pytest.raises(ValueError):
-            brute_glue(e, f)
+    assert e.quotient_by_first() != f.truncate()
+    with pytest.raises(ValueError, match="overlap mismatch"):
+        brute_glue(e, f)
 
 
 def test_gen_random_flag_deterministic_per_seed():
@@ -252,36 +260,6 @@ def test_coboundaries_form_subgroup_of_cocycles():
 BRUTE_ORACLE_DIGEST = "85fb7a3dced7871578916a102ad73e73326dfe4aeb35a4b6a751addd5df8a7f4"
 
 
-def _engine_check_modules():
-    """The 25 modules of ``test_brute_h1_matches_engine_on_random_modules``, same stream."""
-    rng = random.Random(17)
-    out = []
-    while len(out) < 25:
-        p = rng.choice([2, 3])
-        r = rng.choice([1, 2])
-        genus = rng.choice([1, 2])
-        rank = rng.choice([1, 2])
-        ring = RingSpec(p, r)
-        if (p**r) ** (2 * genus * rank) > (1 << 18):
-            continue
-
-        def rnd_tri():
-            ent = [[0] * rank for _ in range(rank)]
-            for i in range(rank):
-                ent[i][i] = rng.choice([v for v in range(1, p**r) if v % p])
-                for j in range(i + 1, rank):
-                    ent[i][j] = rng.randrange(p**r)
-            return RMatrix.from_rows(ring, ent)
-
-        x = rnd_tri()
-        if genus == 1:
-            out.append(GModule(ring, 1, (x, x @ x)))
-        else:
-            y = rnd_tri()
-            out.append(GModule(ring, 2, (x, y, y, x)))
-    return out
-
-
 def test_brute_oracle_outputs_are_pinned():
     digest = hashlib.sha256()
     counts = {"modules": 0, "lifts": 0, "gluings": 0}
@@ -317,3 +295,94 @@ def test_row_codes_that_overflow_int64_are_refused():
     assert brute_coboundaries(trivial_module(RingSpec(2, 1), 7, 4)).shape == (1, 56)
     with pytest.raises(BudgetExceededError, match="int64"):
         brute_coboundaries(trivial_module(RingSpec(2, 1), 8, 4))
+
+
+def test_chunked_search_keeps_the_lexicographic_order(monkeypatch):
+    # one d = 3 lift (64 candidates) and one glue (4), decided in chunks of
+    # 8 and 3: the solution lists equal the one-chunk lists, in order
+    pool = _exhaustive_unipotent_flags(3)
+    f = pool[-1]
+    e = next(e for e in pool if e.quotient_by_first() == f.truncate())
+    whole = brute_lift(f), brute_glue(e, f)
+    assert len(whole[0]) > 1 and len(whole[1]) > 1
+    for size in (8, 3):
+        monkeypatch.setattr(oracle, "_CHUNK", size)
+        assert (brute_lift(f), brute_glue(e, f)) == whole
+
+
+def test_search_stops_at_the_time_ceiling_between_chunks(monkeypatch):
+    pool = _exhaustive_unipotent_flags(3)
+    f = pool[-1]
+    e = next(e for e in pool if e.quotient_by_first() == f.truncate())
+    budget = SearchBudget(time_limit=10.0)
+    # 64 lift candidates in chunks of 8, 4 glue candidates in chunks of 1
+    for chunk, search in ((8, lambda: brute_lift(f, budget)), (1, lambda: brute_glue(e, f, budget))):
+        whole = search()
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        ticks = []
+
+        def clock():
+            # read once for the deadline, then before each chunk; past the
+            # deadline from the third chunk on
+            ticks.append(None)
+            return 0.0 if len(ticks) < 4 else 11.0
+
+        monkeypatch.setattr(oracle.time, "monotonic", clock)
+        with pytest.raises(BudgetExceededError, match="time ceiling"):
+            search()
+        assert len(ticks) == 4
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: 0.0)
+        assert search() == whole
+        monkeypatch.undo()
+
+
+def test_rings_whose_int64_products_overflow_are_refused():
+    # d (m - 1)^2 must stay below 2^63: at d = 2 that admits Z/2^31 and
+    # refuses Z/2^32 and F_65537's lifts to Z/65537^2
+    budget = SearchBudget(max_count=1 << 61)
+    for r, refusal in ((31, "exceed the cap"), (32, "overflow int64")):
+        e = Flag.from_rows(RingSpec(2, r), 1, [[[1]], [[1]]])
+        with pytest.raises(BudgetExceededError, match=refusal):
+            brute_glue(e, e, budget)
+    f = Flag.from_rows(RingSpec(65537, 1), 1, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])
+    with pytest.raises(BudgetExceededError, match="overflow int64"):
+        brute_lift(f, budget)
+
+
+def test_a_rank_zero_flag_lifts_once():
+    up = RingSpec(3, 2)
+    for genus in (1, 2):
+        f = Flag(RingSpec(3, 1), genus, (RMatrix.zeros(RingSpec(3, 1), 0, 0),) * (2 * genus))
+        sols = brute_lift(f)
+        assert sols == [Flag(up, genus, (RMatrix.zeros(up, 0, 0),) * (2 * genus))]
+        assert sols[0].inverses == sols[0].mats
+
+
+def test_lift_and_glue_verdicts_match_brute_force_at_p3():
+    # genus 1, p = 3, every unipotent flag of dimension at most 3: every
+    # lift_rep verdict, and the glue verdict on every third of the 12,475
+    # compatible pairs, which keeps the test near 5 s
+    pools = [_small_flags(RingSpec(3, 1), d, True) for d in (1, 2, 3)]
+    pairs = [(e, f) for pool in pools for e in pool for f in pool if e.quotient_by_first() == f.truncate()]
+    counts = {"flags": 0, "lifted": 0, "lifts": 0, "pairs": len(pairs), "glued": 0, "gluings": 0}
+    for f in itertools.chain.from_iterable(pools):
+        out = lift_rep(f, least_char_lift(f, 2))
+        sols = brute_lift(f)
+        assert out.lifted == bool(sols)
+        if out.lifted:
+            assert out.flag in sols
+        counts["flags"] += 1
+        counts["lifted"] += out.lifted
+        counts["lifts"] += len(sols)
+    for e, f in pairs[::3]:
+        out = glue(e, f)
+        sols = brute_glue(e, f)
+        assert out.glued == bool(sols)
+        if out.glued:
+            assert out.flag in sols
+        counts["glued"] += out.glued
+        counts["gluings"] += len(sols)
+    # frozen: every p = 3 flag lifts; a third of the sampled pairs glue
+    assert counts == {
+        "flags": 307, "lifted": 307, "lifts": 76627, "pairs": 12475, "glued": 1459, "gluings": 13131,
+    }

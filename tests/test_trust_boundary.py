@@ -7,10 +7,12 @@ assembled from raw matrices, including every engine output, is checked.
 """
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
 import pytest
+from test_acceptance import _exhaustive_unipotent_flags, _small_flags
 
 from flaglift import surface
 from flaglift.cohomology import complex_of, coordinate_extension, h_groups
@@ -23,7 +25,7 @@ from flaglift.lifting import (
     lift_rep,
     lift_wound_kummer,
 )
-from flaglift.oracle import gen_random_flag
+from flaglift.oracle import brute_glue, brute_lift, gen_random_flag
 from flaglift.repfile import load_flag, load_rep, save_rep
 from flaglift.stats import session
 from flaglift.surface import (
@@ -285,13 +287,67 @@ def test_trusted_flags_match_the_public_constructor():
         Flag(ring, 1, (lower, RMatrix.from_rows(ring, [[1, 1], [0, 1]])))
 
 
+def oracle_pools():
+    """Criterion 4's pools, and p = 3 and Z/4 pools whose glue diagonals are not all 1."""
+    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    ring = RingSpec(3, 1)
+    return pools + [_small_flags(ring, 1, False), _small_flags(ring, 2, False), _small_flags(RingSpec(2, 2), 2, True)]
+
+
+def oracle_solutions(pools):
+    """Every flag ``brute_lift`` and ``brute_glue`` return on ``pools``."""
+    out = []
+    for pool in pools:
+        for f in pool:
+            if f.ring.r == 1 and all(c == (1,) * 2 * f.genus for c in f.chars()):
+                out += brute_lift(f)
+        for e, f in itertools.product(pool, repeat=2):
+            if e.quotient_by_first() == f.truncate():
+                out += brute_glue(e, f)
+    return out
+
+
+def test_oracle_flags_match_the_public_constructor():
+    """The oracle checks its candidates itself; its survivors pass the public check."""
+    sols = oracle_solutions(oracle_pools())
+    nonunipotent = [s for s in sols if any(v != 1 for c in s.chars() for v in c)]
+    assert (len(sols), len(nonunipotent)) == (8807, 4518)  # frozen
+    for s in sols:
+        again = Flag(s.ring, s.genus, s.mats)
+        assert type(s) is Flag and s == again and hash(s) == hash(again)
+        assert s.inverses == again.inverses
+
+
+def test_the_lift_and_glue_oracles_walk_no_relator_of_the_check(monkeypatch):
+    pools = oracle_pools()
+    walked = []
+    walk = surface._relator_product
+
+    def counted(genus, mats):
+        walked.append(mats)
+        return walk(genus, mats)
+
+    monkeypatch.setattr(surface, "_relator_product", counted)
+    with session() as s:
+        sols = oracle_solutions(pools)
+    assert walked == [] and s.walks.summary() == {"hits": 0, "misses": 0, "size": 0}
+    # the counter does see the public constructor
+    Flag(sols[0].ring, sols[0].genus, sols[0].mats)
+    assert walked == [sols[0].mats]
+
+
 # -- tooling guard: who may build without checking ------------------------------
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TRUSTED_NAMES = {
     "_trusted_matrix": {"src/flaglift/zmod.py"},
     "_trusted_ring": {"src/flaglift/zmod.py"},
-    "_trusted": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
+    # the oracle builds the flags that its own batched relator walk and
+    # inverse check accepted (see test_the_lift_and_glue_oracles_*)
+    "_trusted": {
+        "src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py",
+        "src/flaglift/oracle.py",
+    },
     "_diagonal_block": {"src/flaglift/surface.py", "src/flaglift/flags.py", "src/flaglift/cohomology.py"},
 }
 
@@ -481,23 +537,28 @@ _H1_ORACLE = ("brute_cocycles", "brute_coboundaries", "brute_h1")
 _ENGINE_NAMES = {
     "smithify", "LinearSolver", "SparseMatrix", "quotient_data", "echelonize", "SpanReducer",
 }
+_LIFT_ORACLE = ("brute_lift", "brute_glue")
+_CHECK_NAMES = {"_check_relator", "_relator_product", "current"}
 
 
-def engine_names(tree, roots):
-    """(function, name, line) of every engine name that ``roots`` use.
-
-    The module-level functions that ``roots`` name are followed, and so on
-    down.  Engine names are the linear-algebra kernels in ``_ENGINE_NAMES``,
-    the name ``cohomology`` and every name imported from it.
-    """
-    banned = _ENGINE_NAMES | {"cohomology"}
+def imported_names(tree, modules):
+    """The names of ``modules`` and every name ``tree`` imports from them."""
+    names = set(modules)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            from_cohomology = (node.module or "").rsplit(".", 1)[-1] == "cohomology"
-            named = [a for a in node.names if from_cohomology or a.name == "cohomology"]
-            banned |= {a.asname or a.name for a in named}
+            from_module = (node.module or "").rsplit(".", 1)[-1] in modules
+            names |= {a.asname or a.name for a in node.names if from_module or a.name in modules}
         elif isinstance(node, ast.Import):
-            banned |= {a.asname for a in node.names if a.asname and a.name.endswith("cohomology")}
+            names |= {a.asname for a in node.names if a.asname and a.name.rsplit(".", 1)[-1] in modules}
+    return names
+
+
+def reached_nodes(tree, roots):
+    """(function, node, name) of every node of ``roots`` and of the module-level functions they name.
+
+    Those functions are followed in turn, and so on down.  ``name`` is the
+    node's identifier or attribute, or None.
+    """
     functions = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
     todo, seen = list(roots), set()
     while todo:
@@ -507,9 +568,37 @@ def engine_names(tree, roots):
         seen.add(func)
         for node in ast.walk(functions[func]):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name in banned:
-                yield func, name, node.lineno
             todo.append(name)
+            yield func, node, name
+
+
+def engine_names(tree, roots):
+    """(function, name, line) of every engine name that ``roots`` reach.
+
+    Engine names are the linear-algebra kernels in ``_ENGINE_NAMES``, the
+    name ``cohomology`` and every name imported from it.
+    """
+    banned = _ENGINE_NAMES | imported_names(tree, {"cohomology"})
+    for func, node, name in reached_nodes(tree, roots):
+        if name in banned:
+            yield func, name, node.lineno
+
+
+def check_bypasses(tree, roots):
+    """(function, name, line) of every use of the engines' relator check that ``roots`` reach.
+
+    That is the check and its session table (``_CHECK_NAMES``), the names
+    ``cohomology`` and ``lifting`` and every name imported from them, and
+    any call ``Flag(...)``, reported as ``"Flag()"``.
+    """
+    banned = _CHECK_NAMES | imported_names(tree, {"cohomology", "lifting"})
+    for func, node, name in reached_nodes(tree, roots):
+        if name in banned:
+            yield func, name, node.lineno
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == "Flag":
+                yield func, "Flag()", node.lineno
 
 
 def test_guards_flag_the_patterns_they_forbid():
@@ -575,6 +664,17 @@ def test_guards_flag_the_patterns_they_forbid():
         ("_helper", "smithify", 5), ("brute_cocycles", "echelonize", 9),
         ("brute_h1", "cohomology", 7), ("brute_h1", "complex_of", 7),
     ]
+    checks = ast.parse(
+        "from .lifting import lift_rep\nfrom .surface import _check_relator, _trusted\nfrom .stats import current\n"
+        "def _walk(f):\n    return surface._relator_product(1, f.mats), current().walks, lifting.glue(f)\n"
+        "def brute_lift(f: Flag) -> list[Flag]:\n    return [Flag(f.ring, 1, f.mats), _walk(f), lift_rep(f)]\n"
+        "def brute_glue(e, f):\n    return _check_relator(e), _trusted(Flag, e.ring, 1, f.mats), flags.Flag(e)\n"
+    )
+    assert sorted(check_bypasses(checks, _LIFT_ORACLE)) == [
+        ("_walk", "_relator_product", 5), ("_walk", "current", 5), ("_walk", "lifting", 5),
+        ("brute_glue", "Flag()", 9), ("brute_glue", "_check_relator", 9),
+        ("brute_lift", "Flag()", 7), ("brute_lift", "lift_rep", 7),
+    ]
     modules = {
         "src/flaglift/m.py": ast.parse(
             "def used():\n    pass\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
@@ -600,11 +700,11 @@ def test_no_unbounded_or_hidden_global_memo():
 
 # -- tooling guard: one relator walk ------------------------------------------------
 
-# The relator check and the Fox matrix are the only walks in the package; every
-# other relator value is read off ``d1``.  Of the oracle, only ``brute_cocycles``
-# keeps its own walk, so that it stays independent of the code it checks;
-# ``brute_lift`` and ``brute_glue`` accept candidates through the checked
-# ``Flag`` constructor, and so share the check and its ``walks`` table.
+# The relator check and the Fox matrix are the only walks in the engines; every
+# other relator value is read off ``d1``.  The oracle is left out: it keeps
+# walks of its own so that it stays independent of the code it checks,
+# ``brute_cocycles`` over candidate cocycles and ``_relator_holds`` over the
+# candidate flags of ``brute_lift`` and ``brute_glue``.
 _RELATOR_WALKS = {
     "src/flaglift/surface.py": {"_relator_product"},
     "src/flaglift/cohomology.py": {"CochainComplex.d1"},
@@ -632,6 +732,15 @@ def test_the_h1_oracle_uses_no_engine():
     tree = ast.parse(path.read_text(), str(path))
     assert set(_H1_ORACLE) <= {s.name for s in tree.body if isinstance(s, ast.FunctionDef)}
     assert list(engine_names(tree, _H1_ORACLE)) == []
+
+
+def test_the_lift_and_glue_oracles_use_no_relator_check_of_the_engines():
+    """``brute_lift``, ``brute_glue`` and their helpers decide candidates on their own."""
+    path = _ROOT / "src/flaglift/oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert set(_LIFT_ORACLE) <= {s.name for s in tree.body if isinstance(s, ast.FunctionDef)}
+    assert list(check_bypasses(tree, _LIFT_ORACLE)) == []
+    assert list(engine_names(tree, _LIFT_ORACLE)) == []
 
 
 # -- tooling guard: a flag is built once --------------------------------------------
