@@ -31,12 +31,21 @@ pinned part (``_check_pinned``) and their output predicate once, then run
 a private recursion that trusts every part it derives.  Its d <= 1 base
 case is the Teichmuller lift of the diagonal.  ``lift_kummer_truncation``
 makes the same checks on its own input and truncation before it dualizes.
+
+``lift_kummer`` keeps split steps split with one linear system over
+Z/p^(r+1) per grid point of mod-p sections s (``_kummerize_pinned``).
+Per split step (0,j,k) and generator g it has two bands of matrix blocks:
+p ((A_g E) (x) I - E (x) B_g^T) tau = s B_g - A_g s keeps the corrected
+section t = s + p E tau equivariant, and p (phi_g[:j-1] (x) I) tau +
+p^r (s^T L_g) mu_g + (I - H_g) w = -phi_g s makes the step cochain pulled
+back through t a coboundary.  ``_solve_bands`` stacks the bands into
+sparse columns for one ``smithify`` solve.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .cohomology import (
@@ -64,7 +73,6 @@ from .zmod import (
     RMatrix,
     SparseMatrix,
     smithify,
-    span_coefficients,
     teichmuller,
 )
 
@@ -443,110 +451,51 @@ def _row_class_matrix(bar: Flag, k: int, g: int) -> RMatrix:
     return (rows @ bar.segment(1, k).inverses[g]).transpose()
 
 
-def _splitting_grid(bar: Flag, j: int, k: int) -> tuple[RMatrix, list[tuple[tuple[int, ...], int]]]:
-    """Base mod-p splitting of V_k/V_j -> V_k/V_1 plus its torsor generators.
-
-    For j = 1 the splitting is the identity and the torsor is trivial.
-    """
-    if j == 1:
-        return RMatrix.identity(bar.ring, k - 1), []
-    section = split_section(coordinate_extension(bar.segment(1, k).as_module(), j - 1))
-    if section is None:
-        raise AssertionError("projection of a split extension must split")
-    hom = hom_module(bar.segment(j, k).as_module(), bar.segment(1, j).as_module())
-    return section, complex_of(hom).d0_solver.kernel()
-
-
 _SPLITTING_GRID_CAP = 2048
 
 
-@dataclass
-class _JointSystem:
-    """A linear system over Z/p^(r+1) whose unknowns come in column blocks.
+def _solve_bands(
+    ring: RingSpec, width: int, bands: Sequence[tuple[Sequence[int], Sequence[tuple[int, RMatrix]]]]
+) -> tuple[int, ...] | None:
+    """Solve the rows of ``bands``, stacked in order, for ``width`` unknowns over ``ring``.
 
-    ``block`` hands out fresh columns in order; rows are sparse
-    {column: nonzero coefficient} maps, which ``solve`` writes into sparse
-    columns.
+    A band (rhs, [(first column, block), ...]) says that its blocks, each
+    applied to the unknowns from its first column on, sum to rhs.
     """
-
-    ring: RingSpec
-    width: int = 0
-    rows: list[tuple[dict[int, int], int]] = field(default_factory=list)
-
-    def block(self, size: int) -> int:
-        """Reserve ``size`` fresh columns and return the first."""
-        start = self.width
-        self.width += size
-        return start
-
-    def add(self, coeffs: dict[int, int], rhs: int) -> None:
-        m = self.ring.modulus
-        self.rows.append(({c: x for c, v in coeffs.items() if (x := v % m)}, rhs % m))
-
-    def fork(self) -> "_JointSystem":
-        """A copy that takes further rows without touching this one."""
-        return replace(self, rows=list(self.rows))
-
-    def solve(self) -> tuple[int, ...] | None:
-        columns: list[dict[int, int]] = [{} for _ in range(self.width)]
-        for i, (row, _) in enumerate(self.rows):
-            for c, x in row.items():
-                columns[c][i] = x
-        mat = SparseMatrix(self.ring, len(self.rows), columns)
-        return smithify(mat).solve(tuple(rhs for _, rhs in self.rows))
-
-
-@dataclass(frozen=True)
-class _SplitCondition:
-    """A step (0,j,k) split mod p, with the unknowns that keep it split.
-
-    The (0,1,k) step cochain of the lift, pulled back through an equivariant
-    section of V_k/V_j -> V_k/V_1, must be a coboundary one level up.  The
-    section is ``base`` plus a point of the torsor grid mod p, corrected at
-    scale p by a (j-1) x (k-j) block.  For j = 1 the section is the identity
-    with a one-point grid and no correction block.
-    """
-
-    j: int
-    k: int
-    cochain: Sequence[tuple[int, ...]]  # step cochain of the pinned lift, per generator
-    row_class: Sequence[RMatrix]  # _row_class_matrix, per generator
-    a_mats: Sequence[RMatrix]  # pinned block V_k/V_1
-    b_mats: Sequence[RMatrix]  # pinned block V_k/V_j
-    hom_acts: Sequence[RMatrix]  # Hom(V_k/V_j, L_1) over the pinned block
-    base: RMatrix
-    torsor: Sequence[tuple[tuple[int, ...], int]]
-    section_col: int  # (j-1)(k-j) columns
-    witness_col: int  # k-j columns
-
-    def section(self, coeffs: Sequence[int], up: RingSpec) -> RMatrix:
-        """Mod-p section at a torsor grid point, as a matrix over ``up``."""
-        j, k, p = self.j, self.k, up.p
-        nh = (j - 1) * (k - j)
-        hvec = [0] * nh
-        for c_val, (gvec, _) in zip(coeffs, self.torsor):
-            for i in range(nh):
-                hvec[i] = (hvec[i] + c_val * gvec[i]) % p
-        hmat = hom_mat(self.base.ring, hvec, j - 1, k - j)
-        return RMatrix.from_rows(up, [
-            [
-                (self.base.entry(a, b) + (hmat.entry(a, b) if a < j - 1 else 0)) % p
-                for b in range(k - j)
-            ]
-            for a in range(k - 1)
-        ])
+    columns: list[dict[int, int]] = [{} for _ in range(width)]
+    rhs: list[int] = []
+    for values, blocks in bands:
+        for start, block in blocks:
+            rows = range(len(rhs), len(rhs) + block.rows)
+            cells = itertools.product(rows, range(start, start + block.cols))
+            for (i, c), x in zip(cells, block.entries):
+                if x:
+                    columns[c][i] = x
+        rhs.extend(values)
+    return smithify(SparseMatrix(ring, len(rhs), columns)).solve(rhs)
 
 
 def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
     """Twist a pinned relator-exact lift ``o0`` until split steps stay split.
 
     Every step (0,j,k) split mod p gives one condition: the lift's (0,1,k)
-    step cochain, pulled back through an equivariant section of V_k/V_j ->
-    V_k/V_1, must be a coboundary one level up.  For j = 1 the section is
-    the identity.  For j >= 2 (only where (0,1,k) is not split) the
-    condition is linear once the mod-p reduction of the section is fixed,
-    so those reductions are enumerated over their torsor grid.  Remaining
-    split steps sit inside the pinned quotient or are implied, so
+    step cochain phi, pulled back through an equivariant section of V_k/V_j
+    -> V_k/V_1, must be a coboundary one level up.  For j = 1 the section
+    is the identity; for j >= 2 (only where (0,1,k) is not split) it is
+    t = s + p E tau, where s is the mod-p section at a point of its torsor
+    grid, tau is a (j-1) x (k-j) correction and E the (k-1) x (j-1)
+    inclusion.  The unknowns are the first-row twists mu (d-1 per
+    generator), then per condition tau (row-major) and a witness w (k-j).
+    With A_g, B_g the pinned blocks V_k/V_1, V_k/V_j of generator g, H_g
+    its action on Hom(V_k/V_j, L_1) and L_g its ``_row_class_matrix``,
+    the rows are p^r d1 mu = 0 (the twisted lift stays relator-exact),
+    then per condition and generator
+
+        A_g t = t B_g (j > 1):  p ((A_g E) (x) I - E (x) B_g^T) tau = s B_g - A_g s,
+        phi_g t + p^r (s^T L_g) mu_g = (H_g - 1) w:
+            p (phi_g[:j-1] (x) I) tau + p^r (s^T L_g) mu_g + (I - H_g) w = -phi_g s.
+
+    Remaining split steps sit inside the pinned quotient or are implied, so
     solvability at some grid point is equivalent to the existence of a
     pinned Kummer lift.  A grid cut short by ``_SPLITTING_GRID_CAP``
     without a solution decides nothing and raises KummerInconclusive.
@@ -559,6 +508,9 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
     bar = f.reduce_to(1)
     l1 = char_module(up, f.genus, (1,) * n_gens)
 
+    def over_up(m: RMatrix) -> RMatrix:
+        return RMatrix(up, m.rows, m.cols, m.entries)
+
     split1 = [k for k in range(2, d + 1) if segment_extension_splits(bar, 0, 1, k)]
     sigma_pairs = [
         (j, k)
@@ -568,88 +520,54 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
         if segment_extension_splits(bar, 0, j, k)
     ]
 
-    system = _JointSystem(up)
-    mu = system.block(n_gens * (d - 1))  # the first-row twist, d-1 per generator
-    conds = []
-    for (j, k) in [(1, k) for k in split1] + sigma_pairs:
-        base, torsor = _splitting_grid(bar, j, k)
-        ext = coordinate_extension(o0.segment(0, k).as_module(), 1)
-        conds.append(_SplitCondition(
-            j,
-            k,
-            extension_class(ext).values(),
-            [_row_class_matrix(bar, k, g) for g in range(n_gens)],
-            o0.segment(1, k).mats,
-            o0.segment(j, k).mats,
-            hom_module(o0.segment(j, k).as_module(), l1).acts,
-            base,
-            torsor,
-            system.block((j - 1) * (k - j)),
-            system.block(k - j),
-        ))
+    d1 = complex_of(_pinned_torsor_module(f)).d1
+    d1_up = RMatrix.from_rows(up, [d1.col(c) for c in range(d1.cols)]).transpose()
+    exact = (0,) * (d - 1), [(0, d1_up.scale(pr))]
+    width = n_gens * (d - 1)
+    conds, exps = [], []
+    for j, k in [(1, k) for k in split1] + sigma_pairs:
+        eye = RMatrix.identity(up, k - j)
+        incl = RMatrix.identity(up, k - 1).submatrix(range(k - 1), range(j - 1))
+        tau, w = width, width + (j - 1) * (k - j)
+        width = w + k - j
+        grid = None
+        if j > 1:
+            base = split_section(coordinate_extension(bar.segment(1, k).as_module(), j - 1))
+            if base is None:
+                raise AssertionError("projection of a split extension must split")
+            hom = hom_module(bar.segment(j, k).as_module(), bar.segment(1, j).as_module())
+            d0 = complex_of(hom).d0_solver
+            exps += [e for _, e in d0.kernel()]
+            grid = base, d0.on_kernel()
+        phi = extension_class(coordinate_extension(o0.segment(0, k).as_module(), 1)).values()
+        hom_acts = hom_module(o0.segment(j, k).as_module(), l1).acts
+        blocks = []
+        for g, (a, b) in enumerate(zip(o0.segment(1, k).mats, o0.segment(j, k).mats)):
+            phi_g = RMatrix.from_rows(up, [phi[g]])
+            equi = ((a @ incl).kron(eye) - incl.kron(b.transpose())).scale(p)
+            pulled = [(tau, (phi_g @ incl).kron(eye).scale(p)), (w, eye - hom_acts[g])]
+            blocks.append((a, b, phi_g, over_up(_row_class_matrix(bar, k, g)), equi, pulled))
+        conds.append((j, k, tau, grid, blocks))
 
-    def twist(g: int, weights: Sequence[int]) -> dict[int, int]:
-        """Columns of generator g's twist, moving a cochain by p^r * weights."""
-        return {mu + g * (d - 1) + m: pr * w for m, w in enumerate(weights)}
-
-    def witness(col: int, hom_act: RMatrix, i: int) -> dict[int, int]:
-        """Columns of -(g.w - w) at coordinate i, for a witness w at ``col``."""
-        return {
-            col + c: -(hom_act.entry(i, c) - (1 if c == i else 0)) for c in range(hom_act.cols)
-        }
-
-    # twists must preserve relator exactness: d1 of the twist vector is 0
-    dmat = complex_of(_pinned_torsor_module(f)).d1
-    for i in range(d - 1):
-        system.add({mu + c: pr * dmat.columns[c].get(i, 0) for c in range(dmat.cols)}, 0)
-
-    grids = []
-    n_points = 1  # size of the full grid
-    for sc in conds:
-        exps = [e for _, e in sc.torsor]
-        grids.append(list(itertools.islice(span_coefficients(p, exps), _SPLITTING_GRID_CAP)))
-        n_points *= p ** sum(exps)
-
-    for combo in itertools.islice(itertools.product(*grids), _SPLITTING_GRID_CAP):
-        trial = system.fork()
-        for sc, coeffs in zip(conds, combo):
-            j, k = sc.j, sc.k
-            sig0 = sc.section(coeffs, up)
-            for g in range(n_gens):
+    for point in itertools.islice(itertools.product(*(range(p**e) for e in exps)), _SPLITTING_GRID_CAP):
+        coeffs = iter(point)
+        bands = [exact]
+        for j, k, tau, grid, blocks in conds:
+            s = RMatrix.identity(up, k - 1)
+            if grid is not None:
+                base, gens = grid
+                top = hom_mat(bar.ring, gens.apply(tuple(itertools.islice(coeffs, gens.cols))), j - 1, k - j)
+                s = over_up(base + RMatrix.vstack([top, RMatrix.zeros(bar.ring, k - j, k - j)]))
+            for g, (a, b, phi_g, l_g, equi, pulled) in enumerate(blocks):
                 if j > 1:
-                    # the section stays equivariant after its p-scaled
-                    # correction; for the identity section these rows read 0 = 0
-                    am, bm = sc.a_mats[g], sc.b_mats[g]
-                    const = am @ sig0 - sig0 @ bm
-                    for a in range(k - 1):
-                        for b in range(k - j):
-                            # entry (a, b) of am @ tau - tau @ bm, where tau is the
-                            # correction block (row-major) padded to k-1 rows
-                            row = {
-                                sc.section_col + ta * (k - j) + b: p * am.entry(a, ta)
-                                for ta in range(j - 1)
-                            }
-                            if a < j - 1:
-                                for tb in range(k - j):
-                                    col = sc.section_col + a * (k - j) + tb
-                                    row[col] = row.get(col, 0) - p * bm.entry(tb, b)
-                            trial.add(row, -const.entry(a, b))
-                # the cochain pulled back through the section is a coboundary
-                phi0, lm = sc.cochain[g], sc.row_class[g]
-                for b in range(k - j):
-                    row = {sc.section_col + ta * (k - j) + b: p * phi0[ta] for ta in range(j - 1)}
-                    row.update(twist(g, [
-                        sum(lm.entry(cp, m) * sig0.entry(cp, b) for cp in range(k - 1))
-                        for m in range(d - 1)
-                    ]))
-                    row.update(witness(sc.witness_col, sc.hom_acts[g], b))
-                    trial.add(row, -sum(phi0[c] * sig0.entry(c, b) for c in range(k - 1)))
-        sol = trial.solve()
-        if sol is None:
-            continue
-        twists = unstack(sol[mu : mu + n_gens * (d - 1)], d - 1, n_gens)
-        return Flag(up, f.genus, _twist(o0.mats, _first_row(d), pr, twists))
-    if n_points > _SPLITTING_GRID_CAP:
+                    bands.append(((s @ b - a @ s).entries, [(tau, equi)]))
+                mu = g * (d - 1), (s.transpose() @ l_g).scale(pr)
+                bands.append(((phi_g @ s).scale(-1).entries, [mu, *pulled]))
+        sol = _solve_bands(up, width, bands)
+        if sol is not None:
+            twists = unstack(sol[: n_gens * (d - 1)], d - 1, n_gens)
+            return Flag(up, f.genus, _twist(o0.mats, _first_row(d), pr, twists))
+    if p ** sum(exps) > _SPLITTING_GRID_CAP:
         raise KummerInconclusive(
             f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
             "before a pinned lift kept the split steps split"

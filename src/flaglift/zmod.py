@@ -693,7 +693,9 @@ class LinearSolver(SparseMatrix):
 
         The span of the generators is the whole kernel; generator i has
         order p^exponent_i and the coefficient tuples
-        (t_i in range(p^exponent_i)) hit each kernel element exactly once.
+        (t_i in range(p^exponent_i)), as ``itertools.product`` of those
+        ranges lists them, zero first, hit each kernel element exactly
+        once; ``on_kernel().apply`` combines them.
         The generators are the columns of ``on_kernel()``'s matrix G, and
         column t has order p^e where p^(r - e) is G's Smith entry t.
         """
@@ -747,16 +749,6 @@ class LinearSolver(SparseMatrix):
             tuple(exps[i] for i in order),
             tuple(_dense(self.left_inverse_cols[i], k) for i in order),
         )
-
-
-def span_coefficients(p: int, exps: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All tuples t with t[i] in range(p**exps[i]), the zero tuple first.
-
-    Matched to ``LinearSolver.kernel``: applying the tuples to the kernel
-    generators walks the kernel span without repetition.
-    """
-    ranges = [range(p**e) for e in exps]
-    return itertools.product(*ranges)
 
 
 class SpanReducer:

@@ -23,7 +23,7 @@ from flaglift.cohomology import (
     stack,
     unstack,
 )
-from flaglift.lifting import _JointSystem
+from flaglift.lifting import _solve_bands
 from flaglift.oracle import gen_random_flag
 from flaglift.surface import (
     GModule,
@@ -432,7 +432,7 @@ def test_solve_cup_unreachable_target_raises():
 
 def test_sparse_callers_build_no_dense_matrix(monkeypatch):
     # with the complexes cached, quotient_data (through h_groups), solve_cup
-    # and the lifting engine's joint system hand sparse columns to smithify
+    # and the Kummer engine's band solve hand sparse columns to smithify
     # and build no RMatrix on the way
     v = gen_random_flag(3, 2, 3, 2, seed=7).as_module()
     mod = hom_module(v, v)
@@ -440,10 +440,11 @@ def test_sparse_callers_build_no_dense_matrix(monkeypatch):
     cxq = complex_of(ext.quotient)
     targets = [connecting(ext, rand_cocycle(cxq, random.Random(s))) for s in range(4)]
     want = h_groups(mod), [solve_cup(ext, t).vector for t in targets]
-    system = _JointSystem(RingSpec(3, 2))
-    start = system.block(3)
-    system.add({start: 3, start + 1: 0, start + 2: 1}, 2)
-    system.add({start + 1: 10}, 0)
+    ring = RingSpec(3, 2)
+    bands = [
+        ((2,), [(0, RMatrix.from_rows(ring, [[3, 0]])), (2, RMatrix.from_rows(ring, [[1]]))]),
+        ((0,), [(1, RMatrix.from_rows(ring, [[10]]))]),
+    ]
 
     def build(*args, **kwargs):
         raise AssertionError("a matrix was built")
@@ -452,7 +453,7 @@ def test_sparse_callers_build_no_dense_matrix(monkeypatch):
         patch.setattr(zmod, "_trusted_matrix", build)
         patch.setattr(RMatrix, "__post_init__", build)
         got = h_groups(mod), [solve_cup(ext, t).vector for t in targets]
-        x = system.solve()
+        x = _solve_bands(ring, 3, bands)
     assert got == want
     assert x is not None and (3 * x[0] + x[2]) % 9 == 2 and x[1] == 0
 

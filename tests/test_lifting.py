@@ -1,7 +1,9 @@
 """Tests for gluing, lifting, and the pinned Kummer lift engine."""
 
 import hashlib
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +24,7 @@ from flaglift.oracle import brute_glue, gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.surface import RelatorError
 from flaglift.zmod import RingSpec, RMatrix, teichmuller
+from kummer_system_reference import reference_systems
 
 
 def flag_g1(ring, rows_x, rows_y):
@@ -300,6 +303,49 @@ def test_lift_kummer_mixed_split_conditions_digest():
         for out in (once, lift_kummer(once), lift_kummer_truncation(f)):
             digest.update(save_rep(out).encode())
     assert digest.hexdigest() == "1baef64ec6cb37e492fbae9115f88162668be5964b5e96d75c534a3923f07ff2"
+
+
+
+def test_kummer_engine_solves_the_row_by_row_reference_systems(monkeypatch):
+    # every joint system the block engine solves, columns and right-hand
+    # side, is the one the row-by-row assembly builds at the same grid
+    # point; the engine stops at the first solvable one
+    calls = []
+    kummerize, smithify = lifting._kummerize_pinned, lifting.smithify
+
+    def record_call(f, o0):
+        calls.append((f, o0, []))
+        return kummerize(f, o0)
+
+    def record_solve(mat):
+        solver = smithify(mat)
+
+        def solve(b):
+            x = solver.solve(b)
+            calls[-1][2].append(((mat.rows, mat.columns, tuple(b)), x is not None))
+            return x
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(lifting, "_kummerize_pinned", record_call)
+    monkeypatch.setattr(lifting, "smithify", record_solve)
+    for p, x1, y1 in _MIXED_SPLIT_FLAGS:
+        f = flag_g1(RingSpec(p, 1), x1, y1)
+        lift_kummer(lift_kummer(f))
+        lift_kummer_truncation(f)
+    # the inputs of acceptance criteria 5 and 9
+    for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3, 4), (1, 2), range(5)):
+        lift_kummer(gen_random_flag(p, r, d, genus, kind="kummer", seed=seed))
+    for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3), (1, 2), (10, 11)):
+        f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
+        lift_kummer(f)
+        lift_kummer_truncation(f)
+        lift_kummer_truncation(f.dual())
+    assert sum(len(solved) > 1 for _, _, solved in calls) > 0, "some call must try several grid points"
+    for f, o0, solved in calls:
+        systems = [system for system, _ in solved]
+        assert systems == list(itertools.islice(reference_systems(f, o0), len(systems)))
+        assert [ok for _, ok in solved] == [False] * (len(solved) - 1) + [True]
 
 
 # -- the boundary of the obstruction-free engines ------------------------------------

@@ -380,23 +380,24 @@ def test_only_the_trusted_modules_build_without_checking():
         assert where, f"{name} is defined nowhere"
 
 
-# -- tooling guard: every public name is reached --------------------------------------
+# -- tooling guard: every top-level name is reached -----------------------------------
 
 
-def dead_public_names(trees):
-    """Public top-level functions and classes of ``src/flaglift`` that no tree names.
+def dead_names(trees):
+    """Top-level functions and classes of ``src/flaglift``, public or private, that no tree names.
 
     ``trees`` maps a repository path to its parsed module.  A name counts
     when any tree uses it (a name, an attribute, an import or a string
     constant equal to it) outside the definition that binds it, so
-    recursion does not keep a name alive.  Methods are not seen: only
-    module-level definitions are checked.
+    recursion does not keep a name alive, and a private helper that a
+    refactor orphans is caught.  Methods are not seen: only module-level
+    definitions are checked.
     """
     used, defined = set(), []
     for rel, tree in trees.items():
         for stmt in tree.body:
             own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and not own.startswith("_") and rel.startswith("src/flaglift/"):
+            if own and rel.startswith("src/flaglift/"):
                 defined.append((rel, own, stmt.lineno))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -422,7 +423,7 @@ def test_every_public_function_and_class_is_named_by_a_program_path():
         for path in sorted((_ROOT / d).rglob("*.py"))
     }
     assert "src/flaglift/cli.py" in trees and "perfbench/workloads.py" in trees
-    assert dead_public_names(trees) == []
+    assert dead_names(trees) == []
 
 
 # -- tooling guard: no unbounded or hidden global memo ------------------------------
@@ -677,12 +678,13 @@ def test_guards_flag_the_patterns_they_forbid():
     ]
     modules = {
         "src/flaglift/m.py": ast.parse(
-            "def used():\n    pass\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
+            "def used():\n    return _Private\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
             "class Kept:\n    def unreached(self):\n        pass\nclass Named:\n    pass\n"
+            "def _orphan(m):\n    return _orphan(m)\n"
         ),
         "scripts/s.py": ast.parse("from flaglift.m import used\nKept()\nLayer((m, 'Named'),)\n"),
     }
-    assert dead_public_names(modules) == [("src/flaglift/m.py", "dead", 3)]
+    assert dead_names(modules) == [("src/flaglift/m.py", "dead", 3), ("src/flaglift/m.py", "_orphan", 12)]
 
 
 def test_no_unbounded_or_hidden_global_memo():
