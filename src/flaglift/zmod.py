@@ -692,10 +692,10 @@ class LinearSolver(SparseMatrix):
         """Independent generators of ker A as (vector, annihilator exponent).
 
         The span of the generators is the whole kernel; generator i has
-        order p^exponent_i and the coefficient tuples
-        (t_i in range(p^exponent_i)), as ``itertools.product`` of those
-        ranges lists them, zero first, hit each kernel element exactly
-        once; ``on_kernel().apply`` combines them.
+        order p^exponent_i, so ``on_kernel().apply`` maps the coefficient
+        tuples of ``itertools.product(*(range(p**e) for e in exponents))``
+        onto the kernel, each element exactly once; the Kummer engine
+        walks its section grids this way.
         The generators are the columns of ``on_kernel()``'s matrix G, and
         column t has order p^e where p^(r - e) is G's Smith entry t.
         """

@@ -305,7 +305,6 @@ def test_lift_kummer_mixed_split_conditions_digest():
     assert digest.hexdigest() == "1baef64ec6cb37e492fbae9115f88162668be5964b5e96d75c534a3923f07ff2"
 
 
-
 def test_kummer_engine_solves_the_row_by_row_reference_systems(monkeypatch):
     # every joint system the block engine solves, columns and right-hand
     # side, is the one the row-by-row assembly builds at the same grid
