@@ -42,7 +42,6 @@ from .zmod import (
     RingSpec,
     RMatrix,
     SparseMatrix,
-    SpanReducer,
     _sparse,
     quotient_data,
     smithify,
@@ -116,16 +115,6 @@ class CochainComplex:
     def d1_solver(self) -> LinearSolver:
         return smithify(self.d1)
 
-    @cached_property
-    def im_d0_reducer(self) -> SpanReducer:
-        cols = [self.d0.col(j) for j in range(self.d0.cols)]
-        return SpanReducer(self.ring, cols, width=self.d0.rows)
-
-    @cached_property
-    def im_d1_reducer(self) -> SpanReducer:
-        cols = [self.d1.col(j) for j in range(self.d1.cols)]
-        return SpanReducer(self.ring, cols, width=self.d1.rows)
-
     def is_cocycle(self, vec: Sequence[int]) -> bool:
         return all(x == 0 for x in self.d1.apply(vec))
 
@@ -143,9 +132,10 @@ def complex_of(module: GModule) -> CochainComplex:
 class CohClass:
     """A cohomology class in degree 1 or 2, held as one cochain vector.
 
-    Degree-1 vectors are cocycles (checked).  Equality is taken modulo the
-    image of the lower differential, via canonical coset representatives;
-    a class is zero when it has a ``witness``.
+    Degree-1 vectors are cocycles (checked).  A class is zero when it has a
+    ``witness``, a cochain one degree down that the lower differential maps
+    onto its vector.  Two classes are equal when they share complex and
+    degree and the difference of their vectors has a witness.
     """
 
     __slots__ = ("cx", "degree", "vector")
@@ -165,8 +155,14 @@ class CohClass:
         self.vector = vec
 
     def canonical(self) -> tuple[int, ...]:
-        red = self.cx.im_d0_reducer if self.degree == 1 else self.cx.im_d1_reducer
-        return red.reduce(self.vector)
+        """The least representative (v mod p^e,) of a rank-1 class in degree 2.
+
+        Here d1 is 1 x 2g with Smith entry p^e, so its image is p^e Z/p^r.
+        Any other class raises ValueError.
+        """
+        if self.degree != 2 or len(self.vector) != 1:
+            raise ValueError("canonical representatives exist only for rank-1 classes in degree 2")
+        return (self.vector[0] % self.cx.ring.p ** self.cx.d1_solver.exponents[0],)
 
     def witness(self) -> tuple[int, ...] | None:
         """A cochain one degree down hitting this vector, if one exists."""
@@ -181,11 +177,10 @@ class CohClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CohClass):
             return NotImplemented
-        return (
-            self.cx == other.cx
-            and self.degree == other.degree
-            and self.canonical() == other.canonical()
-        )
+        if self.cx != other.cx or self.degree != other.degree:
+            return False
+        solver = self.cx.d0_solver if self.degree == 1 else self.cx.d1_solver
+        return solver.solve([a - b for a, b in zip(self.vector, other.vector)]) is not None
 
 
 @dataclass(frozen=True)

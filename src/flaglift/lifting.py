@@ -579,8 +579,12 @@ def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
     """Lift a Kummer flag one level, pinning the quotient-by-first part.
 
     Output o satisfies o.reduce_to(r) == f and o.quotient_by_first() ==
-    sharp exactly, and is itself Kummer.  ``sharp`` must be a Kummer lift
-    of f.quotient_by_first(); when omitted it is built recursively.
+    sharp exactly, and is itself Kummer; that much is proven and checked.
+    ``sharp`` must be a Kummer lift of f.quotient_by_first(); when omitted
+    it is built recursively.  At r >= 2 a flag that passes ``is_kummer``
+    may have no Kummer lift at all, as ``gen_random_flag(2, 2, 4, 1,
+    kind="kummer", seed=25003)`` has none; then LiftConsistencyError is
+    raised.
 
     The pinned lifts form a torsor under first-row twists at scale p^r and
     every split-stability condition on the output is linear over the torsor
@@ -597,6 +601,8 @@ def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
     Carried out through the duality involution: dualize, lift with the
     dual of ``flat`` as the pinned quotient part, dualize back.  The input
     and ``flat`` are checked before dualizing, so errors name the truncation.
+    The output is Kummer, reduces to f and has truncation ``flat``; as for
+    ``lift_kummer``, a flag with no Kummer lift raises LiftConsistencyError.
     """
     return _checked_kummer_lift(f, flat, "truncation")
 

@@ -351,16 +351,10 @@ def _solve_last_generator(
         acc = acc @ x @ y @ x.inverse() @ y.inverse()
     q = acc.inverse()
     slots = [(i, j) for i in range(d) for j in range(i, d)]
-    rows = []
-    for k in range(d):
-        for l in range(d):
-            row = []
-            for (i, j) in slots:
-                v = a.entry(k, i) if j == l else 0
-                v -= q.entry(k, i) * a.entry(j, l)
-                row.append(v % ring.modulus)
-            rows.append(row)
-    gens = smithify(RMatrix.from_rows(ring, rows).sparse()).on_kernel()
+    # row (k, l) of A Y - Q Y A is row (k, l) of A (x) I - Q (x) A^T applied to vec(Y), row-major
+    eqs = a.kron(RMatrix.identity(ring, d)) - q.kron(a.transpose())
+    eqs = eqs.submatrix(range(d * d), [i * d + j for i, j in slots])
+    gens = smithify(eqs.sparse()).on_kernel()
     vec = gens.apply([rng.randrange(ring.p ** (ring.r - e)) for e in gens.exponents])
     ent = [[0] * d for _ in range(d)]
     for (i, j), v in zip(slots, vec):

@@ -6,11 +6,9 @@ p, so elimination with valuation-minimal pivots reaches a canonical
 staircase form without any general PID machinery.  The module provides:
 
 * ``RingSpec`` / ``RMatrix``: immutable ring descriptors and matrices,
-* ``echelonize``: Howell-style staircase form.  Extra "shadow" rows
-  (p-multiples of pivot rows) are woven in so that row-span membership and
-  canonical coset representatives can be read off by greedy reduction,
-  which a plain staircase cannot do over Z/p^r (example: the row (0, p)
-  lies in the span of (p, 1) over Z/p^2),
+* ``echelonize``: Howell-style staircase form, with extra "shadow" rows
+  (p-multiples of pivot rows) woven in.  No program path calls it; it stays
+  because the benchmark's tracer wraps it,
 * ``SparseMatrix``: a matrix as one dict of nonzeros per column, with the
   package's one matrix-vector product (``apply``),
 * ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e) of a
@@ -23,7 +21,6 @@ staircase form without any general PID machinery.  The module provides:
   annihilator exponents, the cokernel (``cokernel``), and the solver on the
   matrix G of kernel generators (``on_kernel``), whose columns and Smith
   factors are read off A's sweep, so G is neither swept nor built densely,
-* ``SpanReducer``: canonical coset representatives modulo a row span,
 * ``quotient_data``: invariants and representatives of a subquotient
   colspan(G) / span(rels), presented on a solver of G by a relation matrix
   built as sparse columns, and carried into the ambient space by that
@@ -749,44 +746,6 @@ class LinearSolver(SparseMatrix):
             tuple(exps[i] for i in order),
             tuple(_dense(self.left_inverse_cols[i], k) for i in order),
         )
-
-
-class SpanReducer:
-    """Greedy canonical coset representatives modulo a row span.
-
-    Built on the Howell pivots of ``echelonize``; ``reduce`` maps each coset
-    of the span to one canonical vector (entries at pivot columns lie below
-    the pivot), and ``contains`` decides membership.
-    """
-
-    def __init__(self, ring: RingSpec, vectors: Sequence[Sequence[int]], width: int | None = None):
-        self.ring = ring
-        if vectors:
-            mat = RMatrix.from_rows(ring, [list(v) for v in vectors])
-            self.width = mat.cols
-        else:
-            if width is None:
-                raise ValueError("need width when there are no generators")
-            mat = RMatrix.zeros(ring, 0, width)
-            self.width = width
-        ech = echelonize(mat)
-        self.pivot_rows = [
-            (pv.col, ring.p**pv.exponent, ech.h.row(pv.row)) for pv in ech.pivots
-        ]
-
-    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.width:
-            raise ValueError("vector width mismatch")
-        out = list(vec_mod(self.ring, v))
-        m = self.ring.modulus
-        for col, pval, row in self.pivot_rows:
-            q = out[col] // pval
-            if q:
-                out = [(x - q * y) % m for x, y in zip(out, row)]
-        return tuple(out)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ from flaglift.surface import (
     tensor_module,
     trivial_module,
 )
-from flaglift.zmod import ModuleShape, RingSpec, RMatrix, SpanReducer
+from flaglift.zmod import ModuleShape, RingSpec, RMatrix
 from h1_reference import h1_reference
 from relator_walk import crossed_value, times
+from span_reference import SpanReducer
 
 
 def rand_invertible(ring, n, rng):
@@ -266,6 +267,57 @@ def test_genus_10_rank_16_adjoint_rung():
     assert h2 == h0
     # Euler characteristic: |H^0| |H^2| / |H^1| = |M|^(2 - 2g)
     assert sum(h0) - sum(h1) + sum(h2) == (2 - 2 * 10) * 16 * 2
+
+
+# -- class equality and representatives ----------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_class_equality_matches_the_howell_reference(p):
+    # flag modules and their adjoints, r 1-3: each u is paired with u plus
+    # a coboundary, and with u plus a random cocycle (degree 1) or cochain
+    # (degree 2) and p times one; == must agree with the reference's coset
+    # test on every pair
+    rng = random.Random(p)
+    verdicts = {1: [], 2: []}
+    for r, d, kind in itertools.product((1, 2, 3), (2, 3), ("any", "kummer")):
+        v = gen_random_flag(p, r, d, 1, kind=kind, seed=r + d).as_module()
+        for mod in (v, hom_module(v, v)):
+            cx = complex_of(mod)
+            cochain = lambda n: [rng.randrange(mod.ring.modulus) for _ in range(n)]
+            for degree, lower in ((1, cx.d0), (2, cx.d1)):
+                ref = SpanReducer(mod.ring, [lower.col(j) for j in range(lower.cols)], width=lower.rows)
+                draw = lambda: rand_cocycle(cx, rng) if degree == 1 else CohClass(cx, 2, cochain(mod.rank))
+                for _ in range(8):
+                    u = draw()
+                    cob = CohClass(cx, degree, lower.apply(cochain(lower.cols)))
+                    for w in (added(u, cob), added(u, draw()), added(u, scaled(draw(), p))):
+                        equal = ref.reduce(u.vector) == ref.reduce(w.vector)
+                        assert (u == w) == (w == u) == equal, (p, r, d, degree, u.vector, w.vector)
+                        verdicts[degree].append(equal)
+    assert all(seen.count(True) > 200 and seen.count(False) > 200 for seen in verdicts.values())
+
+
+def test_canonical_is_the_howell_representative_of_rank_1_classes_in_degree_2():
+    # every genus-1 character module over Z/2^r (r <= 3) and Z/3^r (r <= 2);
+    # over Z/9 the characters (7, 1) give d1 = (0, 6), a Smith pivot 3 * 2
+    # whose unit part is not 1
+    corners = 0
+    for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        ring = RingSpec(p, r)
+        units = [a for a in range(ring.modulus) if a % p]
+        for values in itertools.product(units, repeat=2):
+            cx = complex_of(char_module(ring, 1, values))
+            ref = SpanReducer(ring, [cx.d1.col(j) for j in range(cx.d1.cols)], width=1)
+            for x in range(ring.modulus):
+                assert CohClass(cx, 2, (x,)).canonical() == ref.reduce((x,)), (p, r, values, x)
+            corners += (p, r, values) == (3, 2, (7, 1)) and cx.d1.col(1) == (6,)
+    assert corners == 1
+    ring = RingSpec(3, 2)
+    with pytest.raises(ValueError):
+        CohClass(complex_of(char_module(ring, 1, (7, 1))), 1, (0, 0)).canonical()
+    with pytest.raises(ValueError):
+        CohClass(complex_of(trivial_module(ring, 1, 2)), 2, (1, 0)).canonical()
 
 
 # -- cup products --------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from flaglift import lifting
 from flaglift.cohomology import CohClass, LiftConsistencyError, complex_of
-from flaglift.flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer
+from flaglift.flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer, segment_extension_splits
 from flaglift.lifting import (
     glue,
     gluift,
@@ -20,7 +20,7 @@ from flaglift.lifting import (
     lift_wound_kummer,
     relator_defect,
 )
-from flaglift.oracle import brute_glue, gen_random_flag
+from flaglift.oracle import SearchBudget, _exact_candidates, _np_mats, brute_glue, gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.surface import RelatorError
 from flaglift.zmod import RingSpec, RMatrix, teichmuller
@@ -272,6 +272,30 @@ def test_truncated_splitting_grid_is_inconclusive(monkeypatch):
     with pytest.raises(KummerInconclusive) as exc:
         lift_kummer(f)
     assert not isinstance(exc.value, LiftConsistencyError), "a cut search is not obstructed"
+
+
+def test_a_kummer_flag_over_z4_with_no_kummer_lift():
+    # is_kummer checks each split step on its own; no lift to Z/8 keeps the
+    # mod-2 split steps (0,2,3) and (1,2,4) split together, so the engine's
+    # "no pinned lift" verdict is right and the flag has no Kummer lift
+    f = gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)
+    assert is_kummer(f)
+    for engine in (lift_kummer, lift_kummer_truncation):
+        with pytest.raises(LiftConsistencyError):
+            engine(f)
+    # one base-2 digit at scale 4 per strictly upper entry of each generator
+    d = f.d
+    cells = [g * d * d + i * d + j for g in range(2) for i in range(d) for j in range(i + 1, d)]
+    assert 2 ** len(cells) == 4096
+    lifts = _exact_candidates(RingSpec(2, 3), 1, _np_mats(f.mats, d), cells, 4, SearchBudget(), "lift")
+    assert len(lifts) == 1024 and all(lift.reduce_to(2) == f for lift in lifts)
+    assert not any(is_kummer(lift) for lift in lifts)
+    bar = f.reduce_to(1)
+    steps = [s for s in itertools.combinations(range(d + 1), 3) if segment_extension_splits(bar, *s)]
+    assert steps == [(0, 2, 3), (1, 2, 3), (1, 2, 4)]
+    kept = {s: {n for n, x in enumerate(lifts) if segment_extension_splits(x, *s)} for s in steps}
+    assert [len(kept[s]) for s in steps] == [256, 512, 256]
+    assert not kept[(0, 2, 3)] & kept[(1, 2, 4)]
 
 
 # genus-1, r = 1 flags (p, x1, y1) whose pinned lifts meet split (0,1,k) steps

@@ -602,6 +602,25 @@ def check_bypasses(tree, roots):
                 yield func, "Flag()", node.lineno
 
 
+# The Howell form stays in zmod only because the benchmark's tracer wraps
+# ``echelonize``; class questions are decided on the cached Smith solvers.
+_HOWELL_NAMES = {"echelonize", "EchelonResult", "Pivot"}
+
+
+def howell_uses(tree):
+    """(name, line) of every use of a Howell name outside the three definitions that bind them."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name in _HOWELL_NAMES:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in _HOWELL_NAMES:
+                yield name, node.lineno
+
+
 def test_guards_flag_the_patterns_they_forbid():
     bad = ast.parse(
         "import functools\nfrom functools import cache, lru_cache\n_MEMO = {}\n"
@@ -685,6 +704,14 @@ def test_guards_flag_the_patterns_they_forbid():
         "scripts/s.py": ast.parse("from flaglift.m import used\nKept()\nLayer((m, 'Named'),)\n"),
     }
     assert dead_names(modules) == [("src/flaglift/m.py", "dead", 3), ("src/flaglift/m.py", "_orphan", 12)]
+    howell = ast.parse(
+        "from .zmod import echelonize as ech\n"
+        "class Pivot:\n    pass\n"
+        "def echelonize(a) -> EchelonResult:\n    return EchelonResult(a, (Pivot(0, 0, 0),))\n"
+        "class SpanReducer:\n    def __init__(self, a):\n        self.h = zmod.echelonize(a).h\n"
+        "def key(v, pivots: tuple[Pivot, ...]):\n    return v\n"
+    )
+    assert sorted(howell_uses(howell)) == [("Pivot", 9), ("echelonize", 1), ("echelonize", 8)]
 
 
 def test_no_unbounded_or_hidden_global_memo():
@@ -784,6 +811,18 @@ def test_solvers_come_from_one_sweep_of_their_own_matrix():
             assert kind == "LinearSolver" and path.name == "zmod.py", f"{rel}:{line} {kind}"
             built.append(line)
     assert built, "zmod builds no solver"
+
+
+# -- tooling guard: one kernel decides class questions ----------------------------------
+
+
+def test_no_program_path_uses_the_howell_form():
+    """Only ``echelonize``, ``EchelonResult`` and ``Pivot`` name one another in ``src/flaglift``."""
+    files = sorted((_ROOT / "src/flaglift").glob("*.py"))
+    assert _ROOT / "src/flaglift/zmod.py" in files
+    for path in files:
+        found = list(howell_uses(ast.parse(path.read_text(), str(path))))
+        assert not found, f"{path.relative_to(_ROOT).as_posix()} uses the Howell form: {found}"
 
 
 # -- tooling guard: no hidden switch past the boundary ---------------------------------

@@ -12,7 +12,6 @@ from flaglift import zmod
 from flaglift.zmod import (
     RingSpec,
     RMatrix,
-    SpanReducer,
     _is_prime,
     echelonize,
     quotient_data,
@@ -20,6 +19,7 @@ from flaglift.zmod import (
     teichmuller,
     vec_mod,
 )
+from span_reference import SpanReducer
 
 RINGS = [RingSpec(2, 1), RingSpec(2, 2), RingSpec(2, 3), RingSpec(3, 2), RingSpec(5, 2)]
 
