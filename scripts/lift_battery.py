@@ -20,13 +20,15 @@ from flaglift.stats import session
 from flaglift.zmod import RingSpec
 
 
+PRIMES = (2, 3)
+GENERA = (1, 2)
+LEVELS = (1, 2)
+
+
 @dataclass
 class BatteryConfig:
     mode: str = "kummer"
-    primes: tuple[int, ...] = (2, 3)
-    genera: tuple[int, ...] = (1, 2)
     dims: tuple[int, ...] = (2, 3, 4)
-    levels: tuple[int, ...] = (1, 2)
     seeds: int = 5
     failures: list[str] = field(default_factory=list)
 
@@ -70,10 +72,10 @@ def main() -> int:
     total = adj_total = 0
     print(f"{'p':>3} {'genus':>5} {'dim':>3} {'level':>5} {'lifts':>5} {'adjusted':>8}")
     with session() as s:
-        for p in cfg.primes:
-            for genus in cfg.genera:
+        for p in PRIMES:
+            for genus in GENERA:
                 for d in cfg.dims:
-                    for r in cfg.levels:
+                    for r in LEVELS:
                         n, adjusted = run_cell(cfg, p, genus, d, r)
                         total += n
                         adj_total += adjusted

@@ -1,10 +1,10 @@
 """Command-line front end: reports, lifting pipelines, oracle comparisons.
 
-Exit codes: 0 success, 2 mathematical failure (nonzero obstruction or a
-failed comparison), 3 inconclusive (a search, built-in generator included,
-hit its budget before it could decide), 1 malformed input or usage error,
-4 internal error (a failed internal consistency check, reported as
-``internal error: ...``).
+Exit codes: 0 success, 2 mathematical failure (nonzero obstruction, a
+Kummer flag with no Kummer lift, or a failed comparison), 3 inconclusive
+(a search, built-in generator included, hit its budget before it could
+decide), 1 malformed input or usage error, 4 internal error (a failed
+internal consistency check, reported as ``internal error: ...``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import os
 import sys
 from pathlib import Path
 
-from .cohomology import CohClass, LiftConsistencyError, complex_of, demushkin_report, h_groups
+from .cohomology import (
+    CohClass, LiftConsistencyError, complex_of, demushkin_report, h_groups, stack,
+)
 from .flags import Flag, KummerInconclusive, is_kummer, is_wound, is_wound_kummer, splitting_indices
 from .lifting import (
+    NoKummerLift,
     glue,
     least_char_lift,
     lift_h1_class,
@@ -171,7 +174,7 @@ def _cmd_lift_class(args) -> int:
     if (genus, dim) != (flag.genus, flag.d):
         raise RepFileError("cocycle shape does not match the representation")
     cx = complex_of(flag.reduce_to(1).as_module())
-    stacked = tuple(v for row in rows for v in row)
+    stacked = stack(rows)
     if not cx.is_cocycle(stacked):
         raise RepFileError("the given values do not form a cocycle")
     lifted = lift_h1_class(flag, CohClass(cx, 1, stacked))
@@ -375,6 +378,9 @@ def main(argv=None) -> int:
     except (KummerInconclusive, BudgetExceededError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except NoKummerLift as exc:
+        print(f"no kummer lift: {exc}", file=sys.stderr)
+        return 2
     except LiftConsistencyError as exc:
         print(f"obstructed: {exc}", file=sys.stderr)
         return 2

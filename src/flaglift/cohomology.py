@@ -30,6 +30,7 @@ from .surface import (
     GModule,
     Presentation,
     _diagonal_block,
+    column_extension,
     hom_mat,
     hom_module,
     hom_vec,
@@ -209,8 +210,8 @@ def cup(u: CohClass, v: CohClass) -> CohClass:
     """Cup product of two degree-1 classes, valued in the tensor module.
 
     u is the class of the extension E_u of the trivial line by A on which g
-    acts by [[A_g, u(g)], [0, 1]] (built by the public constructor, so its
-    relator is checked), and u cup v is the connecting image of v in
+    acts by [[A_g, u(g)], [0, 1]] (``column_extension``, so its relator is
+    checked), and u cup v is the connecting image of v in
     0 -> A (x) B -> E_u (x) B -> B -> 0, read off the ``d1`` of E_u (x) B.
     """
     if u.degree != 1 or v.degree != 1:
@@ -218,12 +219,7 @@ def cup(u: CohClass, v: CohClass) -> CohClass:
     a, b = u.cx.module, v.cx.module
     if (a.ring, a.genus) != (b.ring, b.genus):
         raise ValueError("cup factors must share ring and genus")
-    last = [0] * a.rank + [1]
-    acts = tuple(
-        RMatrix.from_rows(a.ring, [[*m.row(i), x] for i, x in enumerate(ug)] + [last])
-        for m, ug in zip(a.acts, u.values())
-    )
-    e_u = GModule(a.ring, a.genus, acts)
+    e_u = column_extension(GModule, a, u.values())
     return connecting(coordinate_extension(tensor_module(e_u, b), a.rank * b.rank), v)
 
 

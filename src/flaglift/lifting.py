@@ -64,6 +64,7 @@ from .surface import (
     GModule,
     _relator_product,
     char_module,
+    column_extension,
     dual_module,
     hom_mat,
     hom_module,
@@ -454,6 +455,10 @@ def _row_class_matrix(bar: Flag, k: int, g: int) -> RMatrix:
 _SPLITTING_GRID_CAP = 2048
 
 
+class NoKummerLift(LiftConsistencyError):
+    """No pinned lift of a Kummer flag is Kummer, though relator-exact lifts may exist."""
+
+
 def _solve_bands(
     ring: RingSpec, width: int, bands: Sequence[tuple[Sequence[int], Sequence[tuple[int, RMatrix]]]]
 ) -> tuple[int, ...] | None:
@@ -572,7 +577,7 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
             f"splitting grid truncated at {_SPLITTING_GRID_CAP} attempts "
             "before a pinned lift kept the split steps split"
         )
-    raise LiftConsistencyError("no pinned lift keeps the split steps split one level up")
+    raise NoKummerLift("no pinned lift keeps the split steps split one level up")
 
 
 def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
@@ -583,8 +588,7 @@ def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
     ``sharp`` must be a Kummer lift of f.quotient_by_first(); when omitted
     it is built recursively.  At r >= 2 a flag that passes ``is_kummer``
     may have no Kummer lift at all, as ``gen_random_flag(2, 2, 4, 1,
-    kind="kummer", seed=25003)`` has none; then LiftConsistencyError is
-    raised.
+    kind="kummer", seed=25003)`` has none; then NoKummerLift is raised.
 
     The pinned lifts form a torsor under first-row twists at scale p^r and
     every split-stability condition on the output is linear over the torsor
@@ -602,7 +606,7 @@ def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
     dual of ``flat`` as the pinned quotient part, dualize back.  The input
     and ``flat`` are checked before dualizing, so errors name the truncation.
     The output is Kummer, reduces to f and has truncation ``flat``; as for
-    ``lift_kummer``, a flag with no Kummer lift raises LiftConsistencyError.
+    ``lift_kummer``, a flag with no Kummer lift raises NoKummerLift.
     """
     return _checked_kummer_lift(f, flat, "truncation")
 
@@ -653,14 +657,8 @@ def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:
     bar = f.reduce_to(1)
     if cls.degree != 1 or cls.cx.module != bar.as_module():
         raise ValueError("class must be a degree-1 class of the mod-p flag module")
-    ring1 = RingSpec(ring.p, 1)
     vals = cls.values()
-    mats = []
-    for g in range(n_gens):
-        ent = [[bar.mats[g].entry(i, j) for j in range(d)] + [vals[g][i]] for i in range(d)]
-        ent.append([0] * d + [1])
-        mats.append(RMatrix.from_rows(ring1, ent))
-    cur = Flag(ring1, f.genus, tuple(mats))
+    cur = column_extension(Flag, bar, vals)
     for s in range(1, ring.r):
         cur = lift_kummer_truncation(cur, f.reduce_to(s + 1))
     out_vals = [tuple(cur.mats[g].entry(i, d) for i in range(d)) for g in range(n_gens)]

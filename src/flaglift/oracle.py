@@ -37,18 +37,19 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration does not fit in the search budget."""
 
 
+# Wall-time ceiling, in seconds, of one lift or glue search.
+_TIME_CEILING = 120.0
+
+
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for exhaustive searches: enumeration count and wall time."""
+    """The enumeration cap of exhaustive searches (wall time: ``_TIME_CEILING``)."""
 
     max_count: int = 1 << 20
-    time_limit: float = 120.0
 
     def __post_init__(self) -> None:
         if self.max_count <= 0:
             raise ValueError("enumeration cap must be positive")
-        if self.time_limit <= 0:
-            raise ValueError("time ceiling must be positive")
 
     def check_count(self, n: int, what: str) -> None:
         if n > self.max_count:
@@ -271,7 +272,7 @@ def _exact_candidates(
     q = m // step
     total = q ** len(cells)
     budget.check_count(total, what)
-    deadline = time.monotonic() + budget.time_limit
+    deadline = time.monotonic() + _TIME_CEILING
     diag = np.diagonal(base, axis1=1, axis2=2)
     dinv = np.array([[pow(v, -1, m) for v in row] for row in diag.tolist()], dtype=np.int64)
     dmat = diag[:, :, None] * np.eye(d, dtype=np.int64)
@@ -364,6 +365,10 @@ def _solve_last_generator(
     return RMatrix.from_rows(ring, ent)
 
 
+# Draws per generated flag before the generator gives up.
+_GEN_ATTEMPTS = 4000
+
+
 def gen_random_flag(
     p: int,
     r: int,
@@ -371,7 +376,6 @@ def gen_random_flag(
     genus: int,
     kind: str = "any",
     seed: int = 0,
-    attempts: int = 4000,
 ) -> Flag:
     """Seeded random flag of the requested kind.
 
@@ -384,7 +388,7 @@ def gen_random_flag(
         raise ValueError(f"unknown kind {kind!r}")
     ring = RingSpec(p, r)
     rng = random.Random(f"flaglift-{p}-{r}-{d}-{genus}-{kind}-{seed}")
-    for _ in range(attempts):
+    for _ in range(_GEN_ATTEMPTS):
         mats = [_random_unipotent(rng, ring, d) for _ in range(2 * genus - 1)]
         last = _solve_last_generator(ring, mats, rng, d)
         if last is None:
@@ -406,5 +410,5 @@ def gen_random_flag(
         return f
     raise BudgetExceededError(
         f"no {kind} flag found for p={p} r={r} d={d} genus={genus} seed={seed} "
-        f"within {attempts} attempts"
+        f"within {_GEN_ATTEMPTS} attempts"
     )

@@ -1,7 +1,8 @@
 """Plain-text formats for representations, modules, and cocycles.
 
-A representation file is a key-value header followed by one row-major
-integer matrix per generator, in x1, y1, x2, y2, ... order:
+Every document is a key-value header followed by one section per
+generator, in x1, y1, x2, y2, ... order.  A representation's sections are
+``generator`` sections of one row-major integer matrix each:
 
     p 2
     r 2
@@ -17,19 +18,26 @@ integer matrix per generator, in x1, y1, x2, y2, ... order:
     1 1
     ...
 
-Blank lines and '#' comments are ignored on load; save emits the canonical
-layout so that load then save is the identity on saved documents (a flag's
-document loads with ``load_flag``).  The exponent r may be at most 64 and
-p^r at most 512 bits, so that the largest legal document loads in about a
-second; dim may be at most 32 and genus at most 16, since validation walks
-the relator with dim x dim matrices.
+A cocycle's are ``values`` sections of one value row each.  Blank lines
+and '#' comments are ignored on load; save emits the canonical layout so
+that load then save is the identity on saved documents (a flag's
+document loads with ``load_flag``).  The exponent r may be at most 64 and p^r at
+most 512 bits, so that the largest legal document loads in about a
+second; dim may be at most 32 and genus at most 16, since validation
+walks the relator with dim x dim matrices.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence, TypeVar
+
 from .flags import Flag
 from .surface import GModule, Presentation, SurfaceRep
 from .zmod import RingSpec, RMatrix
+
+
+_T = TypeVar("_T")
+_Rows = Sequence[Sequence[int]]
 
 
 class RepFileError(ValueError):
@@ -100,10 +108,6 @@ def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int,
     return vals
 
 
-def _take_matrix(cur: _Cursor, ring: RingSpec, dim: int) -> RMatrix:
-    return RMatrix.from_rows(ring, [_take_row(cur, ring, dim, "matrix") for _ in range(dim)])
-
-
 def check_ring_limits(ring: RingSpec) -> None:
     """Raise RepFileError unless a file over ``ring`` is within r <= 64 and 512-bit p^r.
 
@@ -136,33 +140,16 @@ def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
     return ring, genus, dim
 
 
-def _parse_generators(cur: _Cursor, ring: RingSpec, genus: int, dim: int) -> list[RMatrix]:
+def _take_sections(cur: _Cursor, genus: int, key: str, take: Callable[[], _T]) -> list[_T]:
+    """One ``key <generator>`` section per generator, in x1, y1, ... order, each read by ``take``."""
     pres = Presentation(genus)
-    mats = []
+    out = []
     for g in range(1, 2 * genus + 1):
-        name = cur.take_key("generator")
+        name = cur.take_key(key)
         if name != [pres.gen_name(g)]:
-            raise RepFileError(f"expected generator {pres.gen_name(g)}, found {name}")
-        mats.append(_take_matrix(cur, ring, dim))
-    return mats
-
-
-def _parse_optional_characters(
-    cur: _Cursor, genus: int, dim: int
-) -> tuple[tuple[int, ...], ...] | None:
-    if cur.peek() != ["characters"]:
-        return None
-    cur.take()
-    chars = []
-    for _ in range(dim):
-        row = cur.take()
-        if len(row) != 2 * genus:
-            raise RepFileError("character row needs one value per generator")
-        try:
-            chars.append(tuple(int(v) for v in row))
-        except ValueError as exc:
-            raise RepFileError(f"non-integer character entry in {row}") from exc
-    return tuple(chars)
+            raise RepFileError(f"expected {key} {pres.gen_name(g)}, found {name}")
+        out.append(take())
+    return out
 
 
 def _finish(cur: _Cursor) -> None:
@@ -177,8 +164,12 @@ def load_rep(text: str, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:
     """
     cur = _Cursor(text)
     ring, genus, dim = _parse_header(cur)
-    mats = _parse_generators(cur, ring, genus, dim)
-    chars = _parse_optional_characters(cur, genus, dim)
+    take = lambda: RMatrix.from_rows(ring, [_take_row(cur, ring, dim, "matrix") for _ in range(dim)])
+    mats = _take_sections(cur, genus, "generator", take)
+    chars = None
+    if cur.peek() == ["characters"]:
+        cur.take()
+        chars = tuple(_take_row(cur, ring, 2 * genus, "character") for _ in range(dim))
     _finish(cur)
     if chars is not None:
         diag = tuple(tuple(m.entry(i, i) for m in mats) for i in range(dim))
@@ -200,19 +191,27 @@ def load_module(text: str) -> GModule:
     return load_rep(text).as_module()
 
 
+def _save(
+    ring: RingSpec, genus: int, dim: int, key: str, blocks: Sequence[_Rows],
+    tail: Sequence[tuple[str, _Rows]] = (),
+) -> str:
+    """The header, one ``key <generator>`` section of rows per generator, then ``tail``'s sections.
+
+    Values are written as least residues.
+    """
+    pres = Presentation(genus)
+    sections = [(f"{key} {pres.gen_name(g)}", rows) for g, rows in enumerate(blocks, start=1)]
+    out = [f"p {ring.p}", f"r {ring.r}", f"genus {genus}", f"dim {dim}"]
+    for title, rows in [*sections, *tail]:
+        out.append(title)
+        out.extend(" ".join(str(v % ring.modulus) for v in row) for row in rows)
+    return "\n".join(out) + "\n"
+
+
 def save_rep(rep: SurfaceRep) -> str:
     """Canonical text form; a ``Flag`` adds its character table, a bare rep does not."""
-    pres = Presentation(rep.genus)
-    out = [f"p {rep.ring.p}", f"r {rep.ring.r}", f"genus {rep.genus}", f"dim {rep.dim}"]
-    for g in range(1, 2 * rep.genus + 1):
-        out.append(f"generator {pres.gen_name(g)}")
-        m = rep.mats[g - 1]
-        for i in range(rep.dim):
-            out.append(" ".join(str(m.entry(i, j)) for j in range(rep.dim)))
-    if isinstance(rep, Flag):
-        out.append("characters")
-        out.extend(" ".join(str(v) for v in chi) for chi in rep.chars())
-    return "\n".join(out) + "\n"
+    tail = [("characters", rep.chars())] if isinstance(rep, Flag) else []
+    return _save(rep.ring, rep.genus, rep.dim, "generator", [m.to_lists() for m in rep.mats], tail)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,7 @@ def load_cocycle(text: str) -> tuple[RingSpec, int, int, tuple[tuple[int, ...], 
     """Parse a cocycle file: (ring, genus, dim, per-generator value rows)."""
     cur = _Cursor(text)
     ring, genus, dim = _parse_header(cur)
-    pres = Presentation(genus)
-    rows = []
-    for g in range(1, 2 * genus + 1):
-        name = cur.take_key("values")
-        if name != [pres.gen_name(g)]:
-            raise RepFileError(f"expected values {pres.gen_name(g)}, found {name}")
-        rows.append(_take_row(cur, ring, dim, "value"))
+    rows = _take_sections(cur, genus, "values", lambda: _take_row(cur, ring, dim, "value"))
     _finish(cur)
     return ring, genus, dim, tuple(rows)
 
@@ -237,9 +230,4 @@ def load_cocycle(text: str) -> tuple[RingSpec, int, int, tuple[tuple[int, ...], 
 def save_cocycle(
     ring: RingSpec, genus: int, dim: int, rows: tuple[tuple[int, ...], ...]
 ) -> str:
-    pres = Presentation(genus)
-    out = [f"p {ring.p}", f"r {ring.r}", f"genus {genus}", f"dim {dim}"]
-    for g, row in enumerate(rows, start=1):
-        out.append(f"values {pres.gen_name(g)}")
-        out.append(" ".join(str(v % ring.modulus) for v in row))
-    return "\n".join(out) + "\n"
+    return _save(ring, genus, dim, "values", [[row] for row in rows])

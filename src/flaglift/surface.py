@@ -255,6 +255,13 @@ def char_module(ring: RingSpec, genus: int, values: Sequence[int]) -> GModule:
     return GModule(ring, genus, acts)
 
 
+def column_extension(cls: type[_Checked], rep: SurfaceRep, cols: Sequence[Sequence[int]]) -> _Checked:
+    """The ``cls`` on [[A_g, u_g], [0, 1]]; its constructor checks that u is a cocycle of ``rep``."""
+    last = [0] * rep.dim + [1]
+    mats = [[[*m.row(i), x] for i, x in enumerate(u)] + [last] for m, u in zip(rep.mats, cols, strict=True)]
+    return cls(rep.ring, rep.genus, tuple(RMatrix.from_rows(rep.ring, rows) for rows in mats))
+
+
 def tensor_module(a: GModule, b: GModule) -> GModule:
     if (a.ring, a.genus) != (b.ring, b.genus):
         raise ValueError("tensor factors must share ring and genus")

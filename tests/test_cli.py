@@ -51,6 +51,8 @@ def test_cocycle_round_trip():
     ring2, genus, dim, rows2 = load_cocycle(text)
     assert (ring2, genus, dim, rows2) == (ring, 1, 3, rows)
     assert save_cocycle(ring2, genus, dim, rows2) == text
+    # values are written as least residues
+    assert save_cocycle(ring, 1, 1, ((10,), (-1,))) == save_cocycle(ring, 1, 1, ((1,), (8,)))
     # a dim-0 value row is an empty line, which the loader skips like a blank
     empty = save_cocycle(ring, 2, 0, ((),) * 4)
     assert load_cocycle(empty) == (ring, 2, 0, ((),) * 4)
@@ -94,6 +96,32 @@ def test_load_rejects_malformed_documents():
         load_rep(good.replace("p 3\nr 1", f"p {2**61 - 1}\nr 9"))
     assert load_rep(identity_rep_text(16, 1)).genus == 16
     assert load_rep(identity_rep_text(1, 32)).dim == 32
+
+
+def test_both_document_kinds_name_a_misnamed_section_alike():
+    rep = save_rep(kummer_fixture())
+    cocycle = save_cocycle(RingSpec(3, 1), 1, 2, ((1, 0), (2, 2)))
+    for load, text, key in ((load_rep, rep, "generator"), (load_cocycle, cocycle, "values")):
+        with pytest.raises(RepFileError, match=f"^expected {key} y1, found \\['x1'\\]$"):
+            load(text.replace(f"{key} y1", f"{key} x1"))
+        with pytest.raises(RepFileError, match=f"^expected '{key}', found 'dim'$"):
+            load(text.replace(f"{key} x1", "dim 1"))
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("1", "^character row has 1 entries, expected 2$"),
+        ("1 1 1", "^character row has 3 entries, expected 2$"),
+        ("1 3", "^entry 3 out of range \\[0, 3\\)$"),
+        ("1 z", "^non-integer character entry in \\['1', 'z'\\]$"),
+    ],
+)
+def test_character_rows_are_read_as_rows_of_residues(row, message):
+    good = save_rep(kummer_fixture())
+    assert "characters\n1 1\n" in good
+    with pytest.raises(RepFileError, match=message):
+        load_flag(good.replace("characters\n1 1\n", f"characters\n{row}\n"))
 
 
 def identity_rep_text(genus: int, dim: int) -> str:
@@ -209,6 +237,19 @@ def test_cli_flag_check_and_kummer_lift(tmp_path, capsys):
     text = capsys.readouterr().out
     lifted = load_flag(text)
     assert lifted.ring.r == 3 and lifted.reduce_to(1) == k
+
+
+def test_cli_reports_a_kummer_flag_with_no_kummer_lift(tmp_path, capsys):
+    # over Z/4 this Kummer flag has 1,024 lifts to Z/8 and none is Kummer:
+    # nothing is obstructed, so the verdict is not an obstruction line
+    src = tmp_path / "k.rep"
+    src.write_text(save_rep(gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)))
+    assert main(["lift", str(src), "--to-r", "3", "--mode", "kummer"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "no kummer lift: no pinned lift keeps the split steps split one level up\n"
+    )
 
 
 def test_cli_glue_verdicts(tmp_path, capsys):

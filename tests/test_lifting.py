@@ -11,6 +11,7 @@ from flaglift import lifting
 from flaglift.cohomology import CohClass, LiftConsistencyError, complex_of
 from flaglift.flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer, segment_extension_splits
 from flaglift.lifting import (
+    NoKummerLift,
     glue,
     gluift,
     lift_h1_class,
@@ -281,7 +282,7 @@ def test_a_kummer_flag_over_z4_with_no_kummer_lift():
     f = gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)
     assert is_kummer(f)
     for engine in (lift_kummer, lift_kummer_truncation):
-        with pytest.raises(LiftConsistencyError):
+        with pytest.raises(NoKummerLift):
             engine(f)
     # one base-2 digit at scale 4 per strictly upper entry of each generator
     d = f.d

@@ -15,6 +15,7 @@ COMMANDS = [
     ["lift_battery.py", "--seeds", "1", "--max-dim", "2", "--mode", "kummer"],
     ["lift_battery.py", "--seeds", "1", "--max-dim", "2", "--mode", "wound-kummer"],
     ["oracle_audit.py", "--modules", "2", "--max-dim", "2"],
+    ["kummer_census.py", "--dim", "3"],
 ]
 
 
@@ -36,3 +37,7 @@ def test_script_runs(argv):
             r"walks \d+ hits / \d+ misses$",
             proc.stdout, re.MULTILINE,
         ), proc.stdout
+    if argv[0] == "kummer_census.py":
+        # every Kummer flag of the d = 3 pool lifts
+        assert "dim 3: 1408 relator-exact flags over Z/4, 685 Kummer\n" in proc.stdout
+        assert "kummer lifts: 685, no kummer lift: 0, inconclusive: 0\n" in proc.stdout
