@@ -15,9 +15,12 @@ from it: ``d1_solver`` solves, gives ker d1 and coker d1, and hands out the
 solver on ker d1's generators (``on_kernel``) that presents H^1.  Class
 equality, cup products, extension classes and the connecting map of a
 short exact sequence of modules all reduce to the Z/p^r solvers in zmod.
-Building ``d1`` is the only walk along the relator: the connecting map
-applies the middle module's cached ``d1``, and a cup product is a
-connecting image (see ``cup``).
+``d1`` reads the constructor's walk: its columns are differences of the
+prefix products that ``surface._relator_product`` kept when the module's
+generators were checked, so it walks the relator again only for a module
+no constructor checked (a derived one).  Every other relator value is read
+off ``d1``: the connecting map applies the middle module's cached ``d1``,
+and a cup product is a connecting image (see ``cup``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .surface import (
     GModule,
     Presentation,
     _diagonal_block,
+    _relator_product,
     column_extension,
     hom_mat,
     hom_module,
@@ -90,20 +94,29 @@ class CochainComplex:
 
     @cached_property
     def d1(self) -> SparseMatrix:
-        """Fox derivative blocks of the relator, one n x n block per generator."""
+        """Fox derivative blocks of the relator, one n x n block per generator.
+
+        Read off the prefix products of the module's relator walk, with the
+        empty prefix I first.  Every generator k occurs once as +k and once
+        as -k in the relator, so column c of block k is column c of the
+        prefix before the letter +k minus column c of the prefix after -k.
+        """
         mod = self.module
-        n = mod.rank
-        blocks = [RMatrix.zeros(mod.ring, n, n) for _ in range(self.n_gens)]
-        pref = RMatrix.identity(mod.ring, n)
-        for t in Presentation(mod.genus).relator():
-            k = abs(t) - 1
+        n, m = mod.rank, mod.ring.modulus
+        _, _, walked = _relator_product(mod.genus, mod.acts, mod.inverses)
+        prefixes = (RMatrix.identity(mod.ring, n).entries, *walked)
+        before, after = {}, {}
+        for j, t in enumerate(Presentation(mod.genus).relator()):
             if t > 0:
-                blocks[k] = blocks[k] + pref
-                pref = pref @ mod.acts[k]
+                before[t] = prefixes[j]
             else:
-                pref = pref @ mod.inverses[k]
-                blocks[k] = blocks[k] - pref
-        d1, d0 = RMatrix.hstack(blocks).sparse(), self.d0
+                after[-t] = prefixes[j + 1]
+        columns = [
+            _sparse([(x - y) % m for x, y in zip(before[k][c::n], after[k][c::n])])
+            for k in range(1, self.n_gens + 1)
+            for c in range(n)
+        ]
+        d1, d0 = SparseMatrix(mod.ring, n, columns), self.d0
         if any(any(d1.apply(d0.col(j))) for j in range(d0.cols)):
             raise AssertionError("d1 . d0 != 0; relator check should prevent this")
         return d1

@@ -84,7 +84,7 @@ from .zmod import (
 
 def relator_defect(ring: RingSpec, genus: int, mats: Sequence[RMatrix]) -> RMatrix:
     """Product of the candidate matrices along the relator, minus identity."""
-    acc, _ = _relator_product(genus, mats)
+    acc, _, _ = _relator_product(genus, mats)
     return acc - RMatrix.identity(ring, mats[0].rows)
 
 

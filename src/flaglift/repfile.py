@@ -104,7 +104,7 @@ def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int,
         raise RepFileError(f"{what} row has {len(vals)} entries, expected {width}")
     for v in vals:
         if not 0 <= v < ring.modulus:
-            raise RepFileError(f"entry {v} out of range [0, {ring.modulus})")
+            raise RepFileError(f"{what} entry {v} out of range [0, {ring.modulus})")
     return vals
 
 

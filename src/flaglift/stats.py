@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Hashable, Iterator
 
 # Entries per table.  The lift battery decides a few hundred distinct
-# split verdicts and walks about 800 distinct generator tuples per pass,
-# and the oracle audit loads and walks about 600 (its brute-force search
-# walks candidates in numpy, outside the table), so a bound this size
-# evicts nothing on either.
+# split verdicts and keeps the walks of 1,051 distinct generator tuples per
+# pass at seed 0 (1,013 at seed 28), and the oracle audit keeps 581 (its
+# brute-force search walks candidates in numpy, outside the table), so a
+# bound this size evicts nothing on either.
 MEMO_BOUND = 4096
 
 
@@ -66,14 +66,17 @@ class Session:
     """The memo tables of one run.
 
     ``walks`` makes equal generator tuples cost one relator walk per
-    session; the check on its product still runs on every construction.
+    session; the check on its product still runs on every construction,
+    and ``d1`` reads its prefix products instead of walking again.
     """
 
     # (segment flag V_k/V_i, offset j - i) -> whether the extension splits
     splits: Memo = field(default_factory=Memo)
     # flag -> KummerVerdict
     kummer: Memo = field(default_factory=Memo)
-    # (genus, generator matrices) -> (product along the relator, their inverses)
+    # (genus, generator matrices) -> (product along the relator, their
+    # inverses, the entry tuples of its prefix products).  Constructors and
+    # relator_defect store walks; d1 only reads them (its misses count too)
     walks: Memo = field(default_factory=Memo)
 
     def summary(self) -> dict[str, dict[str, int]]:

@@ -29,31 +29,34 @@ class it is given, and reductions and diagonal blocks keep the class of
 their source: those of a module are modules, and those of a flag are
 flags, built without the scan.
 
-The relator check is this module's only walk along the relator (cochain
-values on it are read off ``cohomology``'s Fox matrix ``d1``).  It inverts
-every generator, which is also the invertibility check: a singular
+The relator walk (``_relator_product``) is the one walk along the relator
+outside the oracle, which keeps its own: the relator check reads its
+product, and ``cohomology``'s Fox matrix ``d1``, off which every cochain
+value on the relator is read, reads its prefix products.  The check's walk
+inverts every generator, which is also the invertibility check: a singular
 generator raises a plain ``ValueError`` naming it before any
-``RelatorError``.  The walk starts at the first letter, not the identity,
-so it makes 4g - 1 products.  Equal generator tuples are walked once per
-session: the product and the inverses are kept in the session's ``walks``
-table under ``(genus, matrices)``, and every construction still checks
-the product it reads there, so a rejected tuple is rejected again.
-Matrix equality covers the ring, the shape and the least-residue entries,
-so equal keys have equal walks.  A checked object keeps those inverses, at
-every rank: rank 0 walks 0 x 0 matrices and records 2g empty ones.  A
-derived object records a function that works its inverses out from its
-source's when ``inverses`` is first read: the same (``as_module``),
-reduced (``reduce_to``), ``a.acts`` transposed (``dual_module(a)``),
-``x.kron(y)`` over ``a.inverses`` and ``b.inverses`` (``tensor_module(a, b)``,
-so ``hom_module``), the same diagonal block (``Flag.segment`` and the ends
-of ``coordinate_extension``: block triangular matrices invert blockwise),
-the index-reversed transposed generators (``Flag.dual``).
+``RelatorError``.  The walk starts at the first letter, not the identity, so
+it makes 4g - 1 products.  Equal generator tuples are walked once per
+session: the product, the inverses and the prefix products (as entry
+tuples) are kept in the session's ``walks`` table under ``(genus,
+matrices)``, and every construction still checks the product it reads
+there, so a rejected tuple is rejected again.  Matrix equality covers the
+ring, the shape and the least-residue entries, so equal keys have equal
+walks.  ``d1`` of a module whose tuple a constructor walked therefore makes
+no matmul; for any other module, ``d1`` walks with the module's own
+inverses and keeps nothing.  A checked object keeps those inverses, at every
+rank: rank 0 walks 0 x 0 matrices and records 2g empty ones.  A derived
+object records a function that works its inverses out from its source's
+when ``inverses`` is first read: the same (``as_module``), reduced
+(``reduce_to``), ``a.acts`` transposed (``dual_module(a)``), ``x.kron(y)``
+over ``a.inverses`` and ``b.inverses`` (``tensor_module(a, b)``, so
+``hom_module``), the same diagonal block (``Flag.segment`` and the ends of
+``coordinate_extension``: block triangular matrices invert blockwise), the
+index-reversed transposed generators (``Flag.dual``).
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -111,26 +114,40 @@ class RelatorError(ValueError):
         return f"{self.what}: relator defect is nonzero: {defect.to_lists()}"
 
 
-def _relator_product(genus: int, mats: Sequence[RMatrix]) -> tuple[RMatrix, tuple[RMatrix, ...]]:
-    """Product of the square matrices ``mats`` along the relator word, and their inverses.
+def _relator_product(
+    genus: int, mats: Sequence[RMatrix], inverses: Sequence[RMatrix] | None = None
+) -> tuple[RMatrix, tuple[RMatrix, ...], tuple[tuple[int, ...], ...]]:
+    """The walk of the square matrices ``mats`` along the relator word.
 
-    A singular matrix raises ValueError naming it, before the walk starts.
-    The product starts at the first letter: 4g - 1 matmuls.  Equal tuples
-    are walked once per session (``stats.Session.walks``).
+    Returns the product, the inverses and the prefix products as entry
+    tuples: ``prefixes[j]`` is the product of the first j + 1 letters, so
+    the last one is the product's.  The product starts at the first letter:
+    4g - 1 matmuls.  Without ``inverses``, every matrix is inverted first (a
+    singular one raises ValueError naming it) and the walk is kept in the
+    session's ``walks`` table, so equal tuples are walked once per session.
+    A caller that passes the ``inverses`` of a checked tuple reads a kept
+    walk when there is one, and otherwise walks without keeping it.
     """
     memo = current().walks
     key = (genus, tuple(mats))
     walked = memo.get(key)
     if walked is not None:
         return walked
-    inv = []
-    for i, m in enumerate(mats):
-        try:
-            inv.append(m.inverse())
-        except ZeroDivisionError:
-            raise ValueError(f"generator matrix {i + 1} is not invertible") from None
-    word = (mats[t - 1] if t > 0 else inv[-t - 1] for t in Presentation(genus).relator())
-    return memo.put(key, (functools.reduce(operator.matmul, word), tuple(inv)))
+    keep = inverses is None
+    if keep:
+        inverses = []
+        for i, m in enumerate(mats):
+            try:
+                inverses.append(m.inverse())
+            except ZeroDivisionError:
+                raise ValueError(f"generator matrix {i + 1} is not invertible") from None
+    word = [mats[t - 1] if t > 0 else inverses[-t - 1] for t in Presentation(genus).relator()]
+    acc, prefixes = word[0], [word[0].entries]
+    for letter in word[1:]:
+        acc = acc @ letter
+        prefixes.append(acc.entries)
+    walk = (acc, tuple(inverses), tuple(prefixes))
+    return memo.put(key, walk) if keep else walk
 
 
 def _check_relator(
@@ -150,7 +167,7 @@ def _check_relator(
             raise ValueError(f"matrix {i + 1} lives over {m.ring}, expected {ring}")
         if m.rows != n or m.cols != n:
             raise ValueError("generator matrices must be square of equal size")
-    acc, inv = _relator_product(genus, mats)
+    acc, inv, _ = _relator_product(genus, mats)
     if not acc.is_identity():
         raise RelatorError(what, acc)
     return inv

@@ -28,7 +28,7 @@ staircase form without any general PID machinery.  The module provides:
 * ``teichmuller``: the multiplicative lift of a unit mod p.
 
 ``RMatrix(...)`` and ``from_rows`` check the shape and reduce entries to
-least residues.  ``+``, ``-``, ``scale``, ``@``, ``hstack``, ``vstack``,
+least residues.  ``+``, ``-``, ``scale``, ``@``, ``vstack``,
 ``submatrix``, ``transpose``, ``kron``, ``reduce_to``, ``inverse``,
 ``identity`` and ``zeros`` build least residues of the right count, so they
 skip that scan (``_trusted_matrix``).  Likewise ``RingSpec(p, r)`` tests p
@@ -41,11 +41,12 @@ them as columns.  Dense matrices are ``RMatrix``, read by ``entry`` and
 ``row``, and ``RMatrix.sparse`` gives the ``SparseMatrix`` that
 ``smithify`` takes and whose ``col`` reads a column.
 ``SparseMatrix.apply`` walks only the nonzero entries of the vector and of
-the matching columns, so its cost scales with the nonzeros of both, not
-with the shape.  ``smithify`` likewise sweeps over sparse rows and columns
-(dicts of nonzeros): a pivot search walks only nonzero entries, and an
-elimination touches only the rows that are nonzero in the pivot column and
-only the nonzeros of the pivot row.
+the matching columns, and sums them into a sparse line (``_axpy``), so
+apart from writing out the result its cost scales with the nonzeros of
+both, not with the shape.  ``smithify`` likewise sweeps over sparse rows
+and columns (dicts of nonzeros): a pivot search walks only nonzero
+entries, and an elimination touches only the rows that are nonzero in the
+pivot column and only the nonzeros of the pivot row.
 """
 
 from __future__ import annotations
@@ -331,19 +332,6 @@ class RMatrix:
         return _trusted_matrix(self.ring, len(row_idx), len(col_idx), ents)
 
     @staticmethod
-    def hstack(blocks: Sequence["RMatrix"]) -> "RMatrix":
-        if not blocks:
-            raise ValueError("hstack of nothing")
-        ring, rows = blocks[0].ring, blocks[0].rows
-        if any(b.rows != rows or b.ring != ring for b in blocks):
-            raise ValueError("hstack shape/ring mismatch")
-        out = []
-        for i in range(rows):
-            for b in blocks:
-                out.extend(b.row(i))
-        return _trusted_matrix(ring, rows, sum(b.cols for b in blocks), tuple(out))
-
-    @staticmethod
     def vstack(blocks: Sequence["RMatrix"]) -> "RMatrix":
         if not blocks:
             raise ValueError("vstack of nothing")
@@ -514,16 +502,15 @@ class SparseMatrix:
         return _dense(self.columns[j], self.rows)
 
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """A x, as a tuple: walks only the nonzero x_j and the nonzeros of column j."""
+        """A x, as a tuple: sums c_j * column j over the nonzero x_j = c_j, on a sparse line."""
         if len(x) != len(self.columns):
             raise ValueError("vector length mismatch")
-        out = [0] * self.rows
+        out: dict[int, int] = {}
+        m = self.ring.modulus
         for c, col in zip(x, self.columns):
             if c:
-                for i, a in col.items():
-                    out[i] += c * a
-        m = self.ring.modulus
-        return tuple([y % m for y in out])
+                _axpy(out, c, col.items(), m)
+        return _dense(out, self.rows)
 
 
 def smithify(a: SparseMatrix) -> "LinearSolver":
@@ -673,7 +660,10 @@ class LinearSolver(SparseMatrix):
         # x = Q y with y_i = (P b)_i / p^e_i, which must divide exactly
         x: dict[int, int] = {}
         for i, row in enumerate(self.left_rows):
-            c = sum(f * b[k] for k, f in row.items()) % m
+            c = 0
+            for k, f in row.items():
+                c += f * b[k]
+            c %= m
             if c == 0:
                 continue
             e = self._slots[i]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flaglift import cli, stats
+from flaglift import cli, cohomology, stats
 from flaglift.cli import main
-from flaglift.cohomology import complex_of
+from flaglift.cohomology import CochainComplex, complex_of
 from flaglift.flags import Flag, is_wound_kummer
 from flaglift.oracle import BudgetExceededError, gen_random_flag
 from flaglift.repfile import (
@@ -72,8 +72,8 @@ def test_load_rejects_malformed_documents():
         load_rep(good.replace("generator x1", "generator y1"))
     with pytest.raises(RepFileError):
         load_rep(good + "extra junk\n")
-    with pytest.raises(RepFileError):
-        load_rep(good.replace("1 0 1", "1 0 9", 1))  # entry out of range
+    with pytest.raises(RepFileError, match="^matrix entry 9 out of range \\[0, 3\\)$"):
+        load_rep(good.replace("1 0 1", "1 0 9", 1))
     with pytest.raises(RepFileError):
         load_rep("p 2\nr 1\n")  # truncated header
     bad_chars = good.replace("characters\n1 1", "characters\n1 2")
@@ -82,6 +82,8 @@ def test_load_rejects_malformed_documents():
     cocycle = save_cocycle(RingSpec(3, 1), 1, 2, ((1, 0), (2, 2)))
     with pytest.raises(RepFileError, match="non-integer value entry"):
         load_cocycle(cocycle.replace("2 2", "2 z"))
+    with pytest.raises(RepFileError, match="^value entry 3 out of range \\[0, 3\\)$"):
+        load_cocycle(cocycle.replace("2 2", "2 3"))
     with pytest.raises(RepFileError, match="trailing content"):
         load_cocycle(cocycle + "extra\n")
     with pytest.raises(RepFileError, match="r 200000000 exceeds the limit 64"):
@@ -113,7 +115,8 @@ def test_both_document_kinds_name_a_misnamed_section_alike():
     [
         ("1", "^character row has 1 entries, expected 2$"),
         ("1 1 1", "^character row has 3 entries, expected 2$"),
-        ("1 3", "^entry 3 out of range \\[0, 3\\)$"),
+        ("1 3", "^character entry 3 out of range \\[0, 3\\)$"),
+        ("-1 1", "^character entry -1 out of range \\[0, 3\\)$"),
         ("1 z", "^non-integer character entry in \\['1', 'z'\\]$"),
     ],
 )
@@ -395,6 +398,20 @@ def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path,
     before = stats.current().summary()
     assert main(["flag-check", str(src)]) == 0
     assert stats.current().summary() == before
+
+
+def test_cli_stats_cohomology_walks_the_relator_once(tmp_path, capsys, monkeypatch):
+    # loading walks the relator (a miss), and d1 of rep.as_module() reads that walk (a hit)
+    src = tmp_path / "r.rep"
+    src.write_text(save_rep(gen_random_flag(3, 2, 3, 2, kind="any", seed=28)))
+    monkeypatch.setattr(cohomology, "complex_of", CochainComplex)  # build d1 in the command
+    assert main(["cohomology", str(src)]) == 0
+    plain = capsys.readouterr()
+    assert main(["--stats", "cohomology", str(src)]) == 0
+    stated = capsys.readouterr()
+    assert stated.out == plain.out
+    report = json.loads(stated.err.splitlines()[-1])
+    assert report["walks"] == {"hits": 1, "misses": 1, "size": 1}
 
 
 def test_cli_error_line_for_a_rep_file_that_breaks_the_relator(tmp_path, capsys):

@@ -25,12 +25,14 @@ from flaglift.cohomology import (
 )
 from flaglift.lifting import _solve_bands
 from flaglift.oracle import gen_random_flag
+from flaglift.stats import session
 from flaglift.surface import (
     GModule,
     Presentation,
     RelatorError,
     SurfaceRep,
     char_module,
+    dual_module,
     hom_mat,
     hom_module,
     hom_vec,
@@ -119,6 +121,55 @@ def test_d1_refuses_a_module_that_breaks_the_relator(monkeypatch):
     mod = GModule(ring, 1, (a, b))
     with pytest.raises(AssertionError, match=r"d1 \. d0 != 0; "):
         CochainComplex(mod).d1
+
+
+def test_h_groups_on_a_checked_module_multiplies_no_matrices(monkeypatch):
+    # d1 reads the prefix products of the walk that the constructor kept:
+    # on a module built by GModule(...) or by as_module() of a checked
+    # representation, h_groups makes no matrix product
+    v = gen_random_flag(3, 2, 3, 2, kind="any", seed=28).as_module()
+    adjoint = hom_module(v, v)
+    monkeypatch.setattr(cohomology, "complex_of", CochainComplex)  # a fresh complex per call
+    with session():
+        want = h_groups(adjoint)  # derived: d1 walks with the module's inverses
+    with session() as s:
+        checked = [
+            GModule(adjoint.ring, adjoint.genus, adjoint.acts),
+            SurfaceRep(adjoint.ring, adjoint.genus, adjoint.acts).as_module(),
+        ]
+
+        def refuse(a, b):
+            raise AssertionError("h_groups multiplied matrices")
+
+        monkeypatch.setattr(RMatrix, "__matmul__", refuse)
+        got = [h_groups(mod) for mod in checked]
+    assert got == [want, want]
+    # one walk by the first constructor; the second constructor and both d1 read it
+    assert (s.walks.misses, s.walks.hits) == (1, 3)
+
+
+def test_d1_off_a_kept_or_a_new_walk_evaluates_the_relator():
+    # constructor-built and trusted derived modules, with the walk of their
+    # generators kept in the session (warm) or not (fresh)
+    rng = random.Random(28)
+    flag = gen_random_flag(3, 2, 3, 2, kind="any", seed=11)
+    with session():
+        v = GModule(flag.ring, flag.genus, flag.mats)
+    modules = [v, hom_module(v, v), dual_module(v), flag.segment(1, 3).as_module()]
+    word = Presentation(flag.genus).relator()
+    for warm in (False, True):
+        for mod in modules:
+            with session() as s:
+                if warm:
+                    GModule(mod.ring, mod.genus, mod.acts)
+                d1 = CochainComplex(mod).d1
+                assert (s.walks.misses, s.walks.hits) == ((1, 1) if warm else (1, 0))
+            for _ in range(5):
+                vals = [
+                    tuple(rng.randrange(mod.ring.modulus) for _ in range(mod.rank))
+                    for _ in range(2 * mod.genus)
+                ]
+                assert d1.apply(stack(vals)) == crossed_value(mod, vals, word)
 
 
 def test_rank_zero_modules_have_empty_groups():

@@ -21,25 +21,8 @@ from flaglift.oracle import (
     brute_lift,
     gen_random_flag,
 )
-from flaglift.surface import GModule, RelatorError, SurfaceRep, char_module, trivial_module
+from flaglift.surface import GModule, SurfaceRep, char_module, trivial_module
 from flaglift.zmod import RingSpec, RMatrix
-
-
-def all_unipotent_flags_d3_p2():
-    ring = RingSpec(2, 1)
-
-    def uni(t):
-        a, b, c = t
-        return [[1, a, b], [0, 1, c], [0, 0, 1]]
-
-    out = []
-    for ex in itertools.product(range(2), repeat=3):
-        for ey in itertools.product(range(2), repeat=3):
-            try:
-                out.append(Flag.from_rows(ring, 1, [uni(ex), uni(ey)]))
-            except (RelatorError, ValueError):
-                continue
-    return out
 
 
 def test_budget_validation():
@@ -152,7 +135,7 @@ def test_brute_h1_representatives_are_the_greedy_choice():
 
 
 def test_brute_lift_agrees_with_engine_exhaustively():
-    flags = all_unipotent_flags_d3_p2()
+    flags = _exhaustive_unipotent_flags(3)
     assert len(flags) == 40  # frozen: commuting unipotent pairs at d=3, p=2
     for f in flags:
         sols = brute_lift(f)
@@ -197,7 +180,7 @@ def test_brute_glue_agrees_with_engine():
 def test_brute_glue_solutions_contain_both_parts():
     # criterion 4's d = 3 pool, first 24 flags: the brute force places e and
     # f itself, so each gluing it finds must hold them verbatim
-    pool = all_unipotent_flags_d3_p2()[:24]
+    pool = _exhaustive_unipotent_flags(3)[:24]
     n_pairs = n_sols = 0
     for e, f in itertools.product(pool, repeat=2):
         if e.quotient_by_first() != f.truncate():

@@ -246,12 +246,11 @@ def test_trusted_matrix_producers_match_the_public_constructor():
             assert (a + d).entries == tuple((x + y) % m for x, y in zip(a.entries, d.entries))
             assert (a - d).entries == tuple((x - y) % m for x, y in zip(a.entries, d.entries))
             assert a.scale(k).entries == tuple(k * x % m for x in a.entries)
-            wide, tall = RMatrix.hstack([a, d]), RMatrix.vstack([a, d])
-            assert [wide.row(i) for i in range(rows)] == [a.row(i) + d.row(i) for i in range(rows)]
+            tall = RMatrix.vstack([a, d])
             assert tall.entries == a.entries + d.entries
             results = [
                 a @ b, a.submatrix(ri, ci), a.submatrix(range(rows), range(cols - 1, -1, -1)),
-                a.transpose(), kron, c.kron(a), a + d, a - d, a.scale(k), wide, tall,
+                a.transpose(), kron, c.kron(a), a + d, a - d, a.scale(k), tall,
                 RMatrix.identity(ring, rows), RMatrix.zeros(ring, rows, cols),
                 invertible(ring, max(rows, 1)).inverse(), RMatrix.identity(ring, 0).inverse(),
             ]
