@@ -728,8 +728,9 @@ def test_no_unbounded_or_hidden_global_memo():
 
 # -- tooling guard: one relator walk ------------------------------------------------
 
-# The relator check and the Fox matrix are the only walks in the engines; every
-# other relator value is read off ``d1``.  The oracle is left out: it keeps
+# Only the relator walk and the Fox matrix read the relator's letters in the
+# engines: ``d1`` places the walk's prefix products by them, and every other
+# relator value is read off ``d1``.  The oracle is left out: it keeps
 # walks of its own so that it stays independent of the code it checks,
 # ``brute_cocycles`` over candidate cocycles and ``_relator_holds`` over the
 # candidate flags of ``brute_lift`` and ``brute_glue``.
