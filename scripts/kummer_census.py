@@ -1,7 +1,7 @@
 """Census of Kummer lifts over the exhaustive mod-2, genus-1 unipotent pool.
 
-Every flag of the pool of dimension --dim (``oracle_audit.unipotent_pool``)
-is lifted to Z/4 in every relator-exact way (``brute_lift``), and each of
+Every flag of the pool of dimension --dim (``oracle.unipotent_pool``) is
+lifted to Z/4 in every relator-exact way (``brute_lift``), and each of
 those Z/4 flags that passes ``is_kummer`` is lifted to Z/8 by
 ``lift_kummer``.  Everything runs in one session.  Prints the counts of
 relator-exact Z/4 flags, Kummer flags, Kummer lifts, no-Kummer-lift
@@ -13,12 +13,11 @@ import argparse
 import sys
 import time
 
-from oracle_audit import unipotent_pool
-
 from flaglift.flags import KummerInconclusive, is_kummer
 from flaglift.lifting import NoKummerLift, lift_kummer
-from flaglift.oracle import brute_lift
+from flaglift.oracle import brute_lift, unipotent_pool
 from flaglift.stats import session
+from flaglift.zmod import RingSpec
 
 
 def main() -> int:
@@ -29,7 +28,7 @@ def main() -> int:
     t0 = time.monotonic()
     exact = kummer = lifted = no_lift = inconclusive = 0
     with session():
-        pool = unipotent_pool(args.dim)
+        pool = unipotent_pool(RingSpec(2, 1), 1, args.dim)
         enumeration = time.monotonic() - t0
         for base in pool:
             t1 = time.monotonic()

@@ -1,8 +1,11 @@
 """Cross-validate the closed-form engines against brute-force search.
 
 Three audits: degree-1 cohomology shapes on random modules, one-level
-lifting verdicts on an exhaustive small pool, and gluing verdicts on all
-compatible pairs from that pool. Exits nonzero on any disagreement.
+lifting verdicts on the exhaustive mod-2, genus-1 unipotent pools
+(``oracle.unipotent_pool``), and gluing verdicts on all compatible pairs
+from those pools. A random module whose cocycle search would exceed
+``oracle.MAX_CANDIDATES`` is drawn again. Exits nonzero on any
+disagreement.
 """
 
 import argparse
@@ -12,10 +15,9 @@ import sys
 import time
 
 from flaglift.cohomology import h_groups
-from flaglift.flags import Flag
 from flaglift.lifting import glue, least_char_lift, lift_rep
-from flaglift.oracle import SearchBudget, brute_glue, brute_h1, brute_lift
-from flaglift.surface import GModule, RelatorError, char_module, trivial_module
+from flaglift.oracle import MAX_CANDIDATES, brute_glue, brute_h1, brute_lift, unipotent_pool
+from flaglift.surface import GModule, char_module, trivial_module
 from flaglift.zmod import RingSpec, RMatrix
 
 
@@ -47,38 +49,13 @@ def random_module(rng: random.Random) -> GModule:
     return GModule(ring, 2, (x, y, y, x))
 
 
-def unipotent_pool(d: int) -> list[Flag]:
-    ring = RingSpec(2, 1)
-    slots = d * (d - 1) // 2
-
-    def uni(bits):
-        ent = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        pos = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                ent[i][j] = bits[pos]
-                pos += 1
-        return ent
-
-    pool = []
-    for ex in itertools.product(range(2), repeat=slots):
-        for ey in itertools.product(range(2), repeat=slots):
-            try:
-                pool.append(Flag.from_rows(ring, 1, [uni(ex), uni(ey)]))
-            except (RelatorError, ValueError):
-                continue
-    return pool
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--modules", type=int, default=40, help="random cohomology audits")
     ap.add_argument("--max-dim", type=int, default=3, help="pool bound for lift/glue audits")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=int, default=1 << 20, help="brute-force candidate cap")
     args = ap.parse_args()
 
-    budget = SearchBudget(max_count=args.budget)
     rng = random.Random(args.seed)
     bad = 0
     t0 = time.monotonic()
@@ -86,10 +63,10 @@ def main() -> int:
     checked = 0
     while checked < args.modules:
         mod = random_module(rng)
-        if (mod.ring.p ** mod.ring.r) ** (2 * mod.genus * mod.rank) > budget.max_count:
+        if (mod.ring.p ** mod.ring.r) ** (2 * mod.genus * mod.rank) > MAX_CANDIDATES:
             continue
         checked += 1
-        brute = brute_h1(mod, budget)
+        brute = brute_h1(mod)
         engine = h_groups(mod).h1
         if brute.invariants != engine.invariants:
             bad += 1
@@ -97,12 +74,12 @@ def main() -> int:
                   f"rank={mod.rank}: brute {brute.invariants} engine {engine.invariants}")
     print(f"cohomology: {checked} random modules, {bad} mismatches")
 
-    pools = {d: unipotent_pool(d) for d in range(1, args.max_dim + 1)}
+    pools = {d: unipotent_pool(RingSpec(2, 1), 1, d) for d in range(1, args.max_dim + 1)}
     n_lift = 0
     for pool in pools.values():
         for f in pool:
             n_lift += 1
-            if lift_rep(f, least_char_lift(f, 2)).lifted != bool(brute_lift(f, budget)):
+            if lift_rep(f, least_char_lift(f, 2)).lifted != bool(brute_lift(f)):
                 bad += 1
                 print(f"lift mismatch on {[m.to_lists() for m in f.mats]}")
     print(f"lifting: {n_lift} exhaustive instances")
@@ -113,7 +90,7 @@ def main() -> int:
             if e.quotient_by_first() != f.truncate():
                 continue
             n_glue += 1
-            if glue(e, f).glued != bool(brute_glue(e, f, budget)):
+            if glue(e, f).glued != bool(brute_glue(e, f)):
                 bad += 1
                 print(f"glue mismatch on {[m.to_lists() for m in e.mats]} | "
                       f"{[m.to_lists() for m in f.mats]}")

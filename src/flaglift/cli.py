@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,13 +37,7 @@ from .localfield import (
     non_liftable_classes,
     square_class,
 )
-from .oracle import (
-    BudgetExceededError,
-    SearchBudget,
-    brute_h1,
-    brute_lift,
-    gen_random_flag,
-)
+from .oracle import BudgetExceededError, brute_h1, brute_lift, gen_random_flag
 from .repfile import (
     RepFileError,
     check_ring_limits,
@@ -58,19 +51,6 @@ from .repfile import (
 from .stats import session
 from .surface import trivial_module
 from .zmod import RingSpec
-
-BUDGET_ENV = "FLAGLIFT_ORACLE_BUDGET"
-
-
-def _budget() -> SearchBudget:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return SearchBudget()
-    try:
-        return SearchBudget(max_count=int(raw))
-    except ValueError as exc:
-        raise RepFileError(f"bad {BUDGET_ENV}: {raw}") from exc
-
 
 def _read(path: str) -> str:
     try:
@@ -184,13 +164,12 @@ def _cmd_lift_class(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    budget = _budget()
     rep = load_rep(_read(args.repfile))
     module = rep.as_module()
     diffs: list[str] = []
     checked: list[str] = []
     try:
-        brute = brute_h1(module, budget)
+        brute = brute_h1(module)
         engine = h_groups(module).h1
         if brute.invariants != engine.invariants:
             diffs.append(
@@ -206,7 +185,7 @@ def _cmd_oracle_compare(args) -> int:
     one = (1,) * (2 * rep.genus)
     if flag is not None and rep.ring.r == 1 and all(c == one for c in flag.chars()):
         try:
-            sols = brute_lift(flag, budget)
+            sols = brute_lift(flag)
             outcome = lift_rep(flag, least_char_lift(flag, 2))
             if outcome.lifted != bool(sols):
                 diffs.append(

@@ -541,9 +541,9 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
             if base is None:
                 raise AssertionError("projection of a split extension must split")
             hom = hom_module(bar.segment(j, k).as_module(), bar.segment(1, j).as_module())
-            d0 = complex_of(hom).d0_solver
-            exps += [e for _, e in d0.kernel()]
-            grid = base, d0.on_kernel()
+            gens = complex_of(hom).d0_solver.on_kernel()
+            exps += [bar.ring.r - e for e in gens.exponents]
+            grid = base, gens
         phi = extension_class(coordinate_extension(o0.segment(0, k).as_module(), 1)).values()
         hom_acts = hom_module(o0.segment(j, k).as_module(), l1).acts
         blocks = []

@@ -4,16 +4,18 @@ Everything here recomputes from first principles: cocycles are found by
 evaluating candidate crossed homomorphisms on the relator directly (no Fox
 matrices), coboundaries by orbiting all module elements, group shapes by
 order counting, and lift/glue existence by exhaustive candidate search.
+No search enumerates more than ``MAX_CANDIDATES`` (2^20) candidates.
 The searches walk the relator on their own, in numpy, and share no check
 with the engines.  ``brute_cocycles`` walks it over every candidate
-cocycle.  ``brute_lift`` and ``brute_glue`` decide every candidate flag
-in whole int64 arrays: the candidates are stacked in chunks of
-``_CHUNK``, inverted in one batch by a Neumann series of their nilpotent
-part (checked against the identity), and walked along the relator; only
-the survivors become flags, built by ``surface._trusted`` with the
-batch's inverses, so neither ``surface._check_relator`` nor the session's
-``walks`` table sees them.  Rings and dimensions whose int64 products
-could overflow are refused.
+cocycle.  ``brute_lift`` (from any level r to r + 1), ``brute_glue`` and
+``unipotent_pool`` (the exhaustive pools the checks run on) decide every
+candidate flag in whole int64 arrays: the candidates are stacked in
+chunks of ``_CHUNK``, inverted in one batch by a Neumann series of their
+nilpotent part (checked against the identity), and walked along the
+relator; only the survivors become flags, built by ``surface._trusted``
+with the batch's inverses, so neither ``surface._check_relator`` nor the
+session's ``walks`` table sees them.  Rings and dimensions whose int64
+products could overflow are refused.
 ``brute_coboundaries`` and ``brute_h1`` count in whole arrays: each row
 is read as its base-m integer code, membership is ``np.isin`` on codes,
 and the subgroup the representatives span is kept as rows deduplicated
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +35,18 @@ from .zmod import ModuleShape, RingSpec, RMatrix, smithify, teichmuller
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested enumeration does not fit in the search budget."""
+    """The requested enumeration exceeds the candidate cap, the time ceiling or int64."""
 
 
-# Wall-time ceiling, in seconds, of one lift or glue search.
+# Wall-time ceiling, in seconds, of one lift or glue search, and the
+# enumeration cap of every exhaustive search.  Both are read at call time.
 _TIME_CEILING = 120.0
+MAX_CANDIDATES = 1 << 20
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """The enumeration cap of exhaustive searches (wall time: ``_TIME_CEILING``)."""
-
-    max_count: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        if self.max_count <= 0:
-            raise ValueError("enumeration cap must be positive")
-
-    def check_count(self, n: int, what: str) -> None:
-        if n > self.max_count:
-            raise BudgetExceededError(f"{what}: {n} candidates exceed the cap {self.max_count}")
+def _check_count(n: int, what: str) -> None:
+    if n > MAX_CANDIDATES:
+        raise BudgetExceededError(f"{what}: {n} candidates exceed the cap {MAX_CANDIDATES}")
 
 
 def _log(p: int, n: int) -> int:
@@ -101,7 +94,7 @@ def _unique_rows(rows: np.ndarray, m: int) -> np.ndarray:
     return rows[first]
 
 
-def brute_cocycles(module: GModule, budget: SearchBudget = SearchBudget()) -> np.ndarray:
+def brute_cocycles(module: GModule) -> np.ndarray:
     """All degree-1 cocycles, by evaluating candidates on the relator.
 
     A candidate assigns a module element to each generator; it survives iff
@@ -112,7 +105,7 @@ def brute_cocycles(module: GModule, budget: SearchBudget = SearchBudget()) -> np
     m = ring.modulus
     rank = module.rank
     n1 = 2 * module.genus * rank
-    budget.check_count(m**n1, "cocycle enumeration")
+    _check_count(m**n1, "cocycle enumeration")
     vecs = _all_vectors(m, n1)
     total = np.zeros((vecs.shape[0], rank), dtype=np.int64)
     prefix = np.eye(rank, dtype=np.int64)
@@ -131,12 +124,12 @@ def brute_cocycles(module: GModule, budget: SearchBudget = SearchBudget()) -> np
     return vecs[keep]
 
 
-def brute_coboundaries(module: GModule, budget: SearchBudget = SearchBudget()) -> np.ndarray:
+def brute_coboundaries(module: GModule) -> np.ndarray:
     """All degree-1 coboundaries g.v - v, unique rows, by orbiting elements."""
     ring = module.ring
     m = ring.modulus
     rank = module.rank
-    budget.check_count(m**rank, "coboundary enumeration")
+    _check_count(m**rank, "coboundary enumeration")
     elts = _all_vectors(m, rank)
     parts = [(elts @ a.T - elts) % m for a in _np_mats(module.acts, rank)]
     if not parts:
@@ -147,7 +140,7 @@ def brute_coboundaries(module: GModule, budget: SearchBudget = SearchBudget()) -
 _REPS_CAP = 1 << 15
 
 
-def brute_h1(module: GModule, budget: SearchBudget = SearchBudget()) -> ModuleShape:
+def brute_h1(module: GModule) -> ModuleShape:
     """Shape of H^1 from raw enumeration and order counting.
 
     Invariant exponents come from counting, for each k, the classes killed
@@ -159,8 +152,8 @@ def brute_h1(module: GModule, budget: SearchBudget = SearchBudget()) -> ModuleSh
     """
     ring = module.ring
     p, r, m = ring.p, ring.r, ring.modulus
-    z = brute_cocycles(module, budget)
-    b = brute_coboundaries(module, budget)
+    z = brute_cocycles(module)
+    b = brute_coboundaries(module)
     bcodes = _codes(b, m)
     n_b = bcodes.shape[0]
     n_classes = z.shape[0] // n_b
@@ -201,26 +194,37 @@ def brute_h1(module: GModule, budget: SearchBudget = SearchBudget()) -> ModuleSh
     return ModuleShape(invariants, tuple(reps))
 
 
-def brute_lift(f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
-    """All lifts of a mod-p flag to mod p^2 with trivial diagonal.
+def _upper_cells(n_gens: int, d: int) -> list[int]:
+    """Flat indices of every strictly upper cell of (n_gens, d, d), generator-major."""
+    return [g * d * d + i * d + j for g in range(n_gens) for i in range(d) for j in range(i + 1, d)]
 
-    Exhausts one base-p digit per strictly-upper entry per generator and
-    keeps the candidates that satisfy the relator.
+
+def brute_lift(f: Flag) -> list[Flag]:
+    """All lifts of a flag over Z/p^r to Z/p^(r+1) with trivial diagonal.
+
+    Exhausts one base-p digit at scale p^r per strictly-upper entry per
+    generator and keeps the candidates that satisfy the relator.
     """
     ring = f.ring
-    if ring.r != 1:
-        raise ValueError("brute lifting starts from a mod-p flag")
     one = (1,) * (2 * f.genus)
     for i in range(1, f.d + 1):
         if f.char(i) != one:
             raise ValueError("brute lifting requires trivial diagonal characters")
-    p, d, n_gens = ring.p, f.d, 2 * f.genus
-    base = _np_mats(f.mats, d)
-    cells = [g * d * d + i * d + j for g in range(n_gens) for i in range(d) for j in range(i + 1, d)]
-    return _exact_candidates(RingSpec(p, 2), f.genus, base, cells, p, budget, "lift enumeration")
+    up, cells = RingSpec(ring.p, ring.r + 1), _upper_cells(2 * f.genus, f.d)
+    return _exact_candidates(up, f.genus, _np_mats(f.mats, f.d), cells, ring.modulus, "lift enumeration")
 
 
-def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[Flag]:
+def unipotent_pool(ring: RingSpec, genus: int, d: int) -> list[Flag]:
+    """Every relator-exact unipotent d-flag over ``ring``, in lexicographic order.
+
+    One digit in [0, p^r) per strictly upper cell of each generator, the
+    first generator's cells most significant, on the identity.
+    """
+    base = np.repeat(np.eye(d, dtype=np.int64)[None], 2 * genus, axis=0)
+    return _exact_candidates(ring, genus, base, _upper_cells(2 * genus, d), 1, "pool enumeration")
+
+
+def brute_glue(e: Flag, f: Flag) -> list[Flag]:
     """All one-step gluings of overlapping flags, by exhausting the corner row.
 
     Candidates put e on the leading block, f on the trailing block (the
@@ -239,10 +243,10 @@ def brute_glue(e: Flag, f: Flag, budget: SearchBudget = SearchBudget()) -> list[
     base[:, :d, :d] = _np_mats(e.mats, d)
     base[:, 1:, 1:] = _np_mats(f.mats, d)
     cells = [g * (d + 1) ** 2 + d for g in range(n_gens)]  # the corner (0, d)
-    return _exact_candidates(ring, e.genus, base, cells, 1, budget, "glue enumeration")
+    return _exact_candidates(ring, e.genus, base, cells, 1, "glue enumeration")
 
 
-# Candidates decided per numpy batch.  The search budget admits 2^20
+# Candidates decided per numpy batch.  ``MAX_CANDIDATES`` admits 2^20
 # candidates, and at genus 1 and d = 5 one array of them all would take
 # 420 MB; a chunk of this many takes under 2 MB per array.
 _CHUNK = 1 << 12
@@ -254,7 +258,6 @@ def _exact_candidates(
     base: np.ndarray,
     cells: list[int],
     step: int,
-    budget: SearchBudget,
     what: str,
 ) -> list[Flag]:
     """The candidates that satisfy the relator, as flags, in lexicographic order.
@@ -271,7 +274,7 @@ def _exact_candidates(
         raise BudgetExceededError(f"{what}: products over Z/{m} at dimension {d} overflow int64")
     q = m // step
     total = q ** len(cells)
-    budget.check_count(total, what)
+    _check_count(total, what)
     deadline = time.monotonic() + _TIME_CEILING
     diag = np.diagonal(base, axis1=1, axis2=2)
     dinv = np.array([[pow(v, -1, m) for v in row] for row in diag.tolist()], dtype=np.int64)

@@ -38,6 +38,7 @@ from flaglift.oracle import (
     brute_h1,
     brute_lift,
     gen_random_flag,
+    unipotent_pool,
 )
 from flaglift.repfile import save_rep
 from flaglift.surface import GModule, RelatorError, char_module, trivial_module
@@ -161,33 +162,10 @@ def test_criterion_3_oracle_equivalence_cohomology(capsys):
     assert dt < 120.0, f"runtime {dt:.2f}s exceeds 2min"
 
 
-def _exhaustive_unipotent_flags(d: int):
-    ring = RingSpec(2, 1)
-    n_free = d * (d - 1) // 2
-
-    def uni(bits):
-        ent = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        pos = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                ent[i][j] = bits[pos]
-                pos += 1
-        return ent
-
-    out = []
-    for ex in itertools.product(range(2), repeat=n_free):
-        for ey in itertools.product(range(2), repeat=n_free):
-            try:
-                out.append(Flag.from_rows(ring, 1, [uni(ex), uni(ey)]))
-            except (RelatorError, ValueError):
-                continue
-    return out
-
-
 def test_criterion_4_oracle_equivalence_obstructions(capsys):
     t0 = time.monotonic()
     failures = []
-    pools = {d: _exhaustive_unipotent_flags(d) for d in (1, 2, 3)}
+    pools = {d: unipotent_pool(RingSpec(2, 1), 1, d) for d in (1, 2, 3)}
     n_lift = n_glue = 0
     for pool in pools.values():
         for f in pool:
@@ -419,10 +397,10 @@ def test_criterion_9_duality_coherence(capsys):
 GLUE_LIFT_REP_DIGEST = "18c37f01de570e9320b238c4425de39e85a1f98e906a683d4927a49eb4a6def1"
 
 
-def _small_flags(ring: RingSpec, d: int, unipotent: bool):
-    """Every genus-1 d-flag over ``ring``, or every unipotent one."""
+def _small_flags(ring: RingSpec, d: int):
+    """Every genus-1 d-flag over ``ring``."""
     q = ring.modulus
-    diag = [1] if unipotent else [v for v in range(q) if v % ring.p]
+    diag = [v for v in range(q) if v % ring.p]
     n_free = d * (d - 1) // 2
 
     def tri(cs, bits):
@@ -459,9 +437,9 @@ def test_glue_and_lift_rep_digest():
             digest.update(f"obstructed {obstruction.vector}\n".encode())
 
     # criterion 4's pool: g=1, p=2, d<=3, every glue pair and every lift
-    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    pools = [unipotent_pool(RingSpec(2, 1), 1, d) for d in (1, 2, 3)]
     # mod 3 with every unit diagonal, and Z/4, the scale-1 glue over Z/p^2
-    pools += [_small_flags(RingSpec(3, 1), 2, False), _small_flags(RingSpec(2, 2), 2, True)]
+    pools += [_small_flags(RingSpec(3, 1), 2), unipotent_pool(RingSpec(2, 2), 1, 2)]
     for pool in pools:
         for e in pool:
             for f in pool:

@@ -351,17 +351,22 @@ def test_cli_lift_class_rejects_bad_cocycles(tmp_path, capsys, ring, genus, rows
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_cli_oracle_compare_and_budget(tmp_path, capsys, monkeypatch):
+def test_cli_oracle_compare_and_budget(tmp_path, capsys):
     src = tmp_path / "k.rep"
     src.write_text(save_rep(kummer_fixture()))
     assert main(["oracle-compare", str(src)]) == 0
     assert "ok: engine and brute force agree" in capsys.readouterr().out
-    monkeypatch.setenv("FLAGLIFT_ORACLE_BUDGET", "5")
-    assert main(["oracle-compare", str(src)]) == 0
-    captured = capsys.readouterr()
-    assert "skipped" in captured.err
-    monkeypatch.setenv("FLAGLIFT_ORACLE_BUDGET", "zebra")
-    assert main(["oracle-compare", str(src)]) == 1
+    # the genus-2, rank-4, mod-3 identity flag: 3^16 cocycle and 3^24 lift
+    # candidates, both above the fixed cap, so both comparisons are skipped
+    ring = RingSpec(3, 1)
+    src.write_text(save_rep(Flag(ring, 2, (RMatrix.identity(ring, 4),) * 4)))
+    t0 = time.monotonic()
+    assert main(["oracle-compare", str(src)]) == 0 and time.monotonic() - t0 < 1.0
+    assert capsys.readouterr() == (
+        "ok: engine and brute force agree on nothing\n",
+        "skipped h1 comparison: cocycle enumeration: 43046721 candidates exceed the cap 1048576\n"
+        "skipped lift comparison: lift enumeration: 282429536481 candidates exceed the cap 1048576\n",
+    )
 
 
 def test_cli_local_example_outputs(capsys):

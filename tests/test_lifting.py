@@ -21,7 +21,7 @@ from flaglift.lifting import (
     lift_wound_kummer,
     relator_defect,
 )
-from flaglift.oracle import SearchBudget, _exact_candidates, _np_mats, brute_glue, gen_random_flag
+from flaglift.oracle import brute_glue, brute_lift, gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.surface import RelatorError
 from flaglift.zmod import RingSpec, RMatrix, teichmuller
@@ -284,11 +284,10 @@ def test_a_kummer_flag_over_z4_with_no_kummer_lift():
     for engine in (lift_kummer, lift_kummer_truncation):
         with pytest.raises(NoKummerLift):
             engine(f)
-    # one base-2 digit at scale 4 per strictly upper entry of each generator
+    # one base-2 digit at scale 4 per strictly upper entry of each generator:
+    # 2^12 = 4096 candidates over Z/8
     d = f.d
-    cells = [g * d * d + i * d + j for g in range(2) for i in range(d) for j in range(i + 1, d)]
-    assert 2 ** len(cells) == 4096
-    lifts = _exact_candidates(RingSpec(2, 3), 1, _np_mats(f.mats, d), cells, 4, SearchBudget(), "lift")
+    lifts = brute_lift(f)
     assert len(lifts) == 1024 and all(lift.reduce_to(2) == f for lift in lifts)
     assert not any(is_kummer(lift) for lift in lifts)
     bar = f.reduce_to(1)

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from test_acceptance import _exhaustive_unipotent_flags, _random_modules, _small_flags
+from test_acceptance import _random_modules
 
 from flaglift.cohomology import complex_of, h_groups
 from flaglift.flags import Flag, is_kummer, is_wound_kummer
@@ -13,24 +13,39 @@ from flaglift.lifting import glue, least_char_lift, lift_rep
 from flaglift import oracle
 from flaglift.oracle import (
     BudgetExceededError,
-    SearchBudget,
     brute_coboundaries,
     brute_cocycles,
     brute_glue,
     brute_h1,
     brute_lift,
     gen_random_flag,
+    unipotent_pool,
 )
 from flaglift.surface import GModule, SurfaceRep, char_module, trivial_module
 from flaglift.zmod import RingSpec, RMatrix
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_count=0)
-    tiny = SearchBudget(max_count=3)
-    with pytest.raises(BudgetExceededError):
-        brute_cocycles(trivial_module(RingSpec(2, 1), 1, 2), tiny)
+def test_budget_validation(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 3)
+    with pytest.raises(BudgetExceededError, match="16 candidates exceed the cap 3"):
+        brute_cocycles(trivial_module(RingSpec(2, 1), 1, 2))
+
+
+# (p, r, genus, d): size of the exhaustive unipotent pool, frozen
+_POOL_SIZES = {(2, 1, 1, 1): 1, (2, 1, 1, 2): 4, (2, 1, 1, 3): 40, (2, 1, 1, 4): 1024, (2, 2, 1, 2): 16,
+               (3, 1, 1, 1): 1, (3, 1, 1, 2): 9, (3, 1, 1, 3): 297, (2, 1, 2, 3): 2176}
+
+
+@pytest.mark.parametrize("key", sorted(_POOL_SIZES), ids=lambda k: "p%d r%d g%d d%d" % k)
+def test_unipotent_pools_are_exhaustive_and_pass_the_public_check(key):
+    p, r, genus, d = key
+    pool = unipotent_pool(RingSpec(p, r), genus, d)
+    keys = [tuple(m.entries for m in f.mats) for f in pool]
+    assert len(pool) == _POOL_SIZES[key] and keys == sorted(set(keys))  # distinct, lexicographic
+    assert all(f.d == d and c == (1,) * (2 * genus) for f in pool for c in f.chars())
+    for f in pool if d <= 3 else ():
+        again = Flag(RingSpec(p, r), genus, f.mats)
+        assert type(f) is Flag and f == again and f.inverses == again.inverses
 
 
 def test_brute_h1_frozen_trivial_example():
@@ -135,7 +150,7 @@ def test_brute_h1_representatives_are_the_greedy_choice():
 
 
 def test_brute_lift_agrees_with_engine_exhaustively():
-    flags = _exhaustive_unipotent_flags(3)
+    flags = unipotent_pool(RingSpec(2, 1), 1, 3)
     assert len(flags) == 40  # frozen: commuting unipotent pairs at d=3, p=2
     for f in flags:
         sols = brute_lift(f)
@@ -146,10 +161,12 @@ def test_brute_lift_agrees_with_engine_exhaustively():
 
 
 def test_brute_lift_rejects_bad_inputs():
+    # a flag over Z/4 lifts to Z/8: every lift reduces to it
     ring = RingSpec(2, 2)
     f = Flag.from_rows(ring, 1, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])
-    with pytest.raises(ValueError):
-        brute_lift(f)  # not a mod-p flag
+    sols = brute_lift(f)
+    assert len(sols) == 4  # unipotent 2 x 2 matrices commute: every candidate lifts
+    assert all(s.ring == RingSpec(2, 3) and s.reduce_to(2) == f for s in sols)
     ring1 = RingSpec(3, 1)
     g = Flag.from_rows(ring1, 1, [[[2, 0], [0, 1]], [[1, 0], [0, 1]]])
     with pytest.raises(ValueError):
@@ -157,12 +174,7 @@ def test_brute_lift_rejects_bad_inputs():
 
 
 def test_brute_glue_agrees_with_engine():
-    ring = RingSpec(2, 1)
-    d2 = [
-        Flag.from_rows(ring, 1, [[[1, ax], [0, 1]], [[1, ay], [0, 1]]])
-        for ax in range(2)
-        for ay in range(2)
-    ]
+    d2 = unipotent_pool(RingSpec(2, 1), 1, 2)
     glued = obstructed = 0
     for e in d2:
         for f in d2:
@@ -180,7 +192,7 @@ def test_brute_glue_agrees_with_engine():
 def test_brute_glue_solutions_contain_both_parts():
     # criterion 4's d = 3 pool, first 24 flags: the brute force places e and
     # f itself, so each gluing it finds must hold them verbatim
-    pool = _exhaustive_unipotent_flags(3)[:24]
+    pool = unipotent_pool(RingSpec(2, 1), 1, 3)[:24]
     n_pairs = n_sols = 0
     for e, f in itertools.product(pool, repeat=2):
         if e.quotient_by_first() != f.truncate():
@@ -252,7 +264,7 @@ def test_brute_oracle_outputs_are_pinned():
         fold("h1", repr(brute_h1(mod)))
         fold("b", brute_coboundaries(mod).tolist())
         counts["modules"] += 1
-    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    pools = [unipotent_pool(RingSpec(2, 1), 1, d) for d in (1, 2, 3)]
     for pool in pools:
         for f in pool:
             for s in brute_lift(f):
@@ -281,7 +293,7 @@ def test_row_codes_that_overflow_int64_are_refused():
 def test_chunked_search_keeps_the_lexicographic_order(monkeypatch):
     # one d = 3 lift (64 candidates) and one glue (4), decided in chunks of
     # 8 and 3: the solution lists equal the one-chunk lists, in order
-    pool = _exhaustive_unipotent_flags(3)
+    pool = unipotent_pool(RingSpec(2, 1), 1, 3)
     f = pool[-1]
     e = next(e for e in pool if e.quotient_by_first() == f.truncate())
     whole = brute_lift(f), brute_glue(e, f)
@@ -292,7 +304,7 @@ def test_chunked_search_keeps_the_lexicographic_order(monkeypatch):
 
 
 def test_search_stops_at_the_time_ceiling_between_chunks(monkeypatch):
-    pool = _exhaustive_unipotent_flags(3)
+    pool = unipotent_pool(RingSpec(2, 1), 1, 3)
     f = pool[-1]
     e = next(e for e in pool if e.quotient_by_first() == f.truncate())
     # 64 lift candidates in chunks of 8, 4 glue candidates in chunks of 1
@@ -317,17 +329,17 @@ def test_search_stops_at_the_time_ceiling_between_chunks(monkeypatch):
         monkeypatch.undo()
 
 
-def test_rings_whose_int64_products_overflow_are_refused():
+def test_rings_whose_int64_products_overflow_are_refused(monkeypatch):
     # d (m - 1)^2 must stay below 2^63: at d = 2 that admits Z/2^31 and
     # refuses Z/2^32 and F_65537's lifts to Z/65537^2
-    budget = SearchBudget(max_count=1 << 61)
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 1 << 61)
     for r, refusal in ((31, "exceed the cap"), (32, "overflow int64")):
         e = Flag.from_rows(RingSpec(2, r), 1, [[[1]], [[1]]])
         with pytest.raises(BudgetExceededError, match=refusal):
-            brute_glue(e, e, budget)
+            brute_glue(e, e)
     f = Flag.from_rows(RingSpec(65537, 1), 1, [[[1, 1], [0, 1]], [[1, 0], [0, 1]]])
     with pytest.raises(BudgetExceededError, match="overflow int64"):
-        brute_lift(f, budget)
+        brute_lift(f)
 
 
 def test_a_rank_zero_flag_lifts_once():
@@ -343,7 +355,7 @@ def test_lift_and_glue_verdicts_match_brute_force_at_p3():
     # genus 1, p = 3, every unipotent flag of dimension at most 3: every
     # lift_rep verdict, and the glue verdict on every third of the 12,475
     # compatible pairs, which keeps the test near 5 s
-    pools = [_small_flags(RingSpec(3, 1), d, True) for d in (1, 2, 3)]
+    pools = [unipotent_pool(RingSpec(3, 1), 1, d) for d in (1, 2, 3)]
     pairs = [(e, f) for pool in pools for e in pool for f in pool if e.quotient_by_first() == f.truncate()]
     counts = {"flags": 0, "lifted": 0, "lifts": 0, "pairs": len(pairs), "glued": 0, "gluings": 0}
     for f in itertools.chain.from_iterable(pools):

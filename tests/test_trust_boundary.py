@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 
 import pytest
-from test_acceptance import _exhaustive_unipotent_flags, _small_flags
+from test_acceptance import _small_flags
 
 from flaglift import surface
 from flaglift.cohomology import complex_of, coordinate_extension, h_groups
@@ -25,7 +25,7 @@ from flaglift.lifting import (
     lift_rep,
     lift_wound_kummer,
 )
-from flaglift.oracle import brute_glue, brute_lift, gen_random_flag
+from flaglift.oracle import brute_glue, brute_lift, gen_random_flag, unipotent_pool
 from flaglift.repfile import load_flag, load_rep, save_rep
 from flaglift.stats import session
 from flaglift.surface import (
@@ -288,9 +288,9 @@ def test_trusted_flags_match_the_public_constructor():
 
 def oracle_pools():
     """Criterion 4's pools, and p = 3 and Z/4 pools whose glue diagonals are not all 1."""
-    pools = [_exhaustive_unipotent_flags(d) for d in (1, 2, 3)]
+    pools = [unipotent_pool(RingSpec(2, 1), 1, d) for d in (1, 2, 3)]
     ring = RingSpec(3, 1)
-    return pools + [_small_flags(ring, 1, False), _small_flags(ring, 2, False), _small_flags(RingSpec(2, 2), 2, True)]
+    return pools + [_small_flags(ring, 1), _small_flags(ring, 2), unipotent_pool(RingSpec(2, 2), 1, 2)]
 
 
 def oracle_solutions(pools):
@@ -533,11 +533,21 @@ def private_parameters(tree):
                     yield getattr(node, "name", "<lambda>"), a.lineno
 
 
+def call_defaults(tree):
+    """(function name, line) of every parameter default that makes a call, such as ``SearchBudget()``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            for default in defaults:
+                if any(isinstance(n, ast.Call) for n in ast.walk(default)):
+                    yield getattr(node, "name", "<lambda>"), default.lineno
+
+
 _H1_ORACLE = ("brute_cocycles", "brute_coboundaries", "brute_h1")
 _ENGINE_NAMES = {
     "smithify", "LinearSolver", "SparseMatrix", "quotient_data", "echelonize", "SpanReducer",
 }
-_LIFT_ORACLE = ("brute_lift", "brute_glue")
+_LIFT_ORACLE = ("brute_lift", "brute_glue", "unipotent_pool")
 _CHECK_NAMES = {"_check_relator", "_relator_product", "current"}
 
 
@@ -645,6 +655,13 @@ def test_guards_flag_the_patterns_they_forbid():
         "def h(x, y_=1, *_a, **_kw):\n    pass\ndef ok(self, x, *args, **kwargs):\n    pass\n"
     )
     assert sorted(private_parameters(hidden)) == [("<lambda>", 3), ("f", 1), ("h", 4), ("h", 4)]
+    knobs = ast.parse(
+        "def f(m, budget: SearchBudget = SearchBudget()):\n    pass\n"
+        "def g(m, *, cap=oracle.Cap(max_count=3), ok=None):\n    pass\n"
+        "h = lambda x, y=(frozenset(),): x\n"
+        "def fine(m, n=1 << 20, s='x', t=(), *, k=None, u=-1, v=Mode.FAST):\n    return max(m, n)\n"
+    )
+    assert sorted(call_defaults(knobs)) == [("<lambda>", 5), ("f", 1), ("g", 3)]
     wrapped = ast.parse(
         "a = Flag(SurfaceRep(r, 1, m))\nb = flags.Flag(surface.SurfaceRep(r, 1, m))\n"
         "c = Flag(r, 1, m)\nd = SurfaceRep(r, 1, m)\ne = Flag(r, 1, SurfaceRep(r, 1, m).mats)\n"
@@ -764,7 +781,7 @@ def test_the_h1_oracle_uses_no_engine():
 
 
 def test_the_lift_and_glue_oracles_use_no_relator_check_of_the_engines():
-    """``brute_lift``, ``brute_glue`` and their helpers decide candidates on their own."""
+    """``brute_lift``, ``brute_glue``, ``unipotent_pool`` and their helpers decide candidates on their own."""
     path = _ROOT / "src/flaglift/oracle.py"
     tree = ast.parse(path.read_text(), str(path))
     assert set(_LIFT_ORACLE) <= {s.name for s in tree.body if isinstance(s, ast.FunctionDef)}
@@ -826,6 +843,13 @@ def test_no_program_path_uses_the_howell_form():
 
 
 # -- tooling guard: no hidden switch past the boundary ---------------------------------
+
+
+def test_no_parameter_defaults_to_a_call():
+    """A search limit is a module constant read at call time, not a default object."""
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        found = list(call_defaults(ast.parse(path.read_text(), str(path))))
+        assert not found, f"{path.relative_to(_ROOT).as_posix()} has parameters defaulting to calls: {found}"
 
 
 def test_no_function_takes_a_private_parameter():
