@@ -108,7 +108,7 @@ def _cmd_lift(args) -> int:
     check_ring_limits(RingSpec(flag.ring.p, args.to_r))  # the output must load again
     cur = flag
     for level in range(flag.ring.r + 1, args.to_r + 1):
-        prev = cur
+        # both engines raise unless the output reduces to cur and passes the mode's predicate
         if args.mode == "wound":
             result = lift_wound_kummer(cur)
             cur = result.flag
@@ -116,15 +116,11 @@ def _cmd_lift(args) -> int:
         else:
             cur = lift_kummer(cur)
             note = ""
-        ok_reduce = cur.reduce_to(prev.ring.r) == prev
-        ok_pred = is_wound_kummer(cur) if args.mode == "wound" else is_kummer(cur).ok
         print(
-            f"level {level}: relator exact; reduces to level {level - 1}: "
-            f"{_yesno(ok_reduce)}; {args.mode} verdict: {_yesno(ok_pred)}{note}",
+            f"level {level}: relator exact; reduces to level {level - 1}: yes; "
+            f"{args.mode} verdict: yes{note}",
             file=sys.stderr,
         )
-        if not (ok_reduce and ok_pred):
-            return 2
     text = save_rep(cur)
     if args.out:
         Path(args.out).write_text(text)
@@ -179,23 +175,19 @@ def _cmd_oracle_compare(args) -> int:
     except BudgetExceededError as exc:
         print(f"skipped h1 comparison: {exc}", file=sys.stderr)
     try:
+        # load_rep checked the relator, so a ValueError here names a lower
+        # entry, or brute_lift's refusal of a nontrivial diagonal
         flag = Flag(rep.ring, rep.genus, rep.mats)
-    except ValueError:
-        flag = None
-    one = (1,) * (2 * rep.genus)
-    if flag is not None and rep.ring.r == 1 and all(c == one for c in flag.chars()):
-        try:
-            sols = brute_lift(flag)
-            outcome = lift_rep(flag, least_char_lift(flag, 2))
-            if outcome.lifted != bool(sols):
-                diffs.append(
-                    f"lift verdicts differ: engine {outcome.lifted} brute {bool(sols)}"
-                )
-            elif outcome.lifted and not any(outcome.flag == s for s in sols):
-                diffs.append("engine lift is missing from the brute-force list")
-            checked.append("lift")
-        except BudgetExceededError as exc:
-            print(f"skipped lift comparison: {exc}", file=sys.stderr)
+        sols = brute_lift(flag)
+    except (ValueError, BudgetExceededError) as exc:
+        print(f"skipped lift comparison: {exc}", file=sys.stderr)
+    else:
+        outcome = lift_rep(flag, least_char_lift(flag, 2))
+        if outcome.lifted != bool(sols):
+            diffs.append(f"lift verdicts differ: engine {outcome.lifted} brute {bool(sols)}")
+        elif outcome.lifted and outcome.flag not in sols:
+            diffs.append("engine lift is missing from the brute-force list")
+        checked.append("lift")
     for line in diffs:
         print(line)
     if not diffs:

@@ -17,9 +17,8 @@ with the batch's inverses, so neither ``surface._check_relator`` nor the
 session's ``walks`` table sees them.  Rings and dimensions whose int64
 products could overflow are refused.
 ``brute_coboundaries`` and ``brute_h1`` count in whole arrays: each row
-is read as its base-m integer code, membership is ``np.isin`` on codes,
-and the subgroup the representatives span is kept as rows deduplicated
-on their codes.
+is read as its base-m integer code, coboundaries are deduplicated on
+their codes, and membership is ``np.isin`` on codes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 import numpy as np
 
 from .flags import Flag, is_kummer, is_wound_kummer
-from .surface import GModule, Presentation, RelatorError, _trusted
+from .surface import GModule, Presentation, _trusted
 from .zmod import ModuleShape, RingSpec, RMatrix, smithify, teichmuller
 
 
@@ -137,18 +136,14 @@ def brute_coboundaries(module: GModule) -> np.ndarray:
     return _unique_rows(np.concatenate(parts, axis=1), m)
 
 
-_REPS_CAP = 1 << 15
-
-
 def brute_h1(module: GModule) -> ModuleShape:
-    """Shape of H^1 from raw enumeration and order counting.
+    """Shape of H^1 from raw enumeration and order counting, without representatives.
 
     Invariant exponents come from counting, for each k, the classes killed
-    by p^k; this avoids any echelon-form machinery.  Representatives are
-    extracted greedily by descending order relative to the subgroup built
-    so far (skipped above a size cap, where only the shape is certified).
-    Rows are matched by their base-m codes with ``np.isin``, and the
-    subgroup is kept as rows, deduplicated on their codes.
+    by p^k; this avoids any echelon-form machinery.  The counts
+    |H^1[p^k]| for k = 1..r fix the finite abelian p-group, so the shape
+    carries no representatives (``reps`` is empty).  Rows are matched by
+    their base-m codes with ``np.isin``.
     """
     ring = module.ring
     p, r, m = ring.p, ring.r, ring.modulus
@@ -173,25 +168,7 @@ def brute_h1(module: GModule) -> ModuleShape:
     invariants = tuple(sorted(exps))
     if p ** sum(invariants) != n_classes:
         raise AssertionError("order counting must recover the class count")
-    reps: list[tuple[int, ...]] = []
-    if z.shape[0] <= _REPS_CAP:
-        closure = b
-        for e in sorted(invariants, reverse=True):
-            ccodes = _codes(closure, m)
-            # the first row of order exactly p^e relative to the subgroup built so far
-            below = np.isin(_codes((z * p ** (e - 1)) % m, m), ccodes)
-            at = np.isin(_codes((z * p**e) % m, m), ccodes)
-            hits = np.flatnonzero(at & ~below)
-            if hits.size == 0:
-                raise AssertionError("greedy generator search must succeed within the shape")
-            found = z[hits[0]]
-            reps.append(tuple(int(v) for v in found))
-            stack = [(closure + t * found) % m for t in range(p**e)]
-            closure = _unique_rows(np.concatenate(stack, axis=0), m)
-        if closure.shape[0] != z.shape[0]:
-            raise AssertionError("the representatives must span every class")
-        reps.reverse()  # ascending order, aligned with the invariants
-    return ModuleShape(invariants, tuple(reps))
+    return ModuleShape(invariants, ())
 
 
 def _upper_cells(n_gens: int, d: int) -> list[int]:
@@ -402,10 +379,7 @@ def gen_random_flag(
                 continue
             if kind == "wound-kummer" and any(v != teichmuller(ring, v % p) for v in diag):
                 continue
-        try:
-            f = Flag(ring, genus, tuple(mats + [last]))
-        except RelatorError:
-            continue
+        f = Flag(ring, genus, tuple(mats + [last]))
         if kind == "kummer" and not is_kummer(f).ok:
             continue
         if kind == "wound-kummer" and not is_wound_kummer(f):

@@ -747,7 +747,7 @@ class ModuleShape:
     """A finite abelian p-group: ascending exponents plus representatives."""
 
     invariants: tuple[int, ...]  # ascending exponents e, group = + Z/p^e
-    reps: tuple[tuple[int, ...], ...]  # ambient representatives, one per invariant
+    reps: tuple[tuple[int, ...], ...]  # ambient representatives, one per invariant (brute_h1: none)
 
 
 def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> ModuleShape:

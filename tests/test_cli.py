@@ -21,7 +21,7 @@ from flaglift.repfile import (
     save_rep,
 )
 from flaglift.surface import SurfaceRep, trivial_module
-from flaglift.zmod import RingSpec, RMatrix
+from flaglift.zmod import ModuleShape, RingSpec, RMatrix
 
 
 def kummer_fixture():
@@ -206,13 +206,27 @@ def test_load_rep_validates_relator_and_invertibility():
 
 
 def test_cli_cohomology_reports_h1_dim(tmp_path, capsys):
-    mod = trivial_module(RingSpec(2, 1), 2, 1)
-    path = tmp_path / "triv.rep"
-    path.write_text(save_rep(SurfaceRep(mod.ring, 2, mod.acts)))
-    assert main(["cohomology", str(path)]) == 0
+    paths = {}
+    for genus, rank in ((2, 1), (2, 2), (1, 2)):
+        mod = trivial_module(RingSpec(2, 1), genus, rank)
+        paths[genus, rank] = tmp_path / f"triv{genus}{rank}.rep"
+        paths[genus, rank].write_text(save_rep(SurfaceRep(mod.ring, genus, mod.acts)))
+    path = str(paths[2, 1])
+    assert main(["cohomology", path]) == 0
     out = capsys.readouterr().out
     assert "H1: dim 4" in out
     assert "H2: dim 1" in out
+    # --coeff reads the coefficient module from its own file
+    assert main(["cohomology", path, "--coeff", str(paths[2, 2])]) == 0
+    assert capsys.readouterr() == (
+        "module: p=2 r=1 genus=2 rank=2\n"
+        "H0: dim 2 invariants 1 1\n"
+        "H1: dim 8 invariants 1 1 1 1 1 1 1 1\n"
+        "H2: dim 2 invariants 1 1\n",
+        "",
+    )
+    assert main(["cohomology", path, "--coeff", str(paths[1, 2])]) == 1
+    assert capsys.readouterr() == ("", "error: coefficient module and representation differ in genus\n")
 
 
 def test_cli_lift_pipeline_round_trip(tmp_path, capsys):
@@ -228,6 +242,18 @@ def test_cli_lift_pipeline_round_trip(tmp_path, capsys):
     assert main(["flag-check", str(dst)]) == 0
     out = capsys.readouterr().out
     assert "wound-kummer: yes" in out
+    # criterion 6's frozen wound flag: its first lift takes the corner twist
+    frozen = Flag.from_rows(
+        RingSpec(3, 1), 1, [[[1, 2, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 2], [0, 0, 1]]]
+    )
+    src.write_text(save_rep(frozen))
+    assert main(["lift", str(src), "--to-r", "3", "--mode", "wound"]) == 0
+    captured = capsys.readouterr()
+    assert load_flag(captured.out).reduce_to(1) == frozen
+    assert captured.err == (
+        "level 2: relator exact; reduces to level 1: yes; wound verdict: yes (corner adjusted)\n"
+        "level 3: relator exact; reduces to level 2: yes; wound verdict: yes\n"
+    )
 
 
 def test_cli_flag_check_and_kummer_lift(tmp_path, capsys):
@@ -237,9 +263,13 @@ def test_cli_flag_check_and_kummer_lift(tmp_path, capsys):
     assert main(["flag-check", str(src)]) == 0
     assert "kummer: yes" in capsys.readouterr().out
     assert main(["lift", str(src), "--to-r", "3", "--mode", "kummer"]) == 0
-    text = capsys.readouterr().out
-    lifted = load_flag(text)
+    captured = capsys.readouterr()
+    lifted = load_flag(captured.out)
     assert lifted.ring.r == 3 and lifted.reduce_to(1) == k
+    assert captured.err == (
+        "level 2: relator exact; reduces to level 1: yes; kummer verdict: yes\n"
+        "level 3: relator exact; reduces to level 2: yes; kummer verdict: yes\n"
+    )
 
 
 def test_cli_reports_a_kummer_flag_with_no_kummer_lift(tmp_path, capsys):
@@ -367,6 +397,38 @@ def test_cli_oracle_compare_and_budget(tmp_path, capsys):
         "skipped h1 comparison: cocycle enumeration: 43046721 candidates exceed the cap 1048576\n"
         "skipped lift comparison: lift enumeration: 282429536481 candidates exceed the cap 1048576\n",
     )
+    # trivial-diagonal flags over Z/4 and Z/9 are lifted too; any other input
+    # names why its lift is not compared, and the exit code stays 0
+    lower = RMatrix.from_rows(RingSpec(2, 1), [[1, 0], [1, 1]])
+    cases = [
+        (gen_random_flag(2, 2, 2, 1, kind="kummer", seed=30), "h1, lift", ""),
+        (gen_random_flag(3, 2, 2, 1, kind="kummer", seed=30), "h1, lift", ""),
+        (gen_random_flag(3, 1, 2, 1, kind="wound-kummer", seed=30), "h1",
+         "skipped lift comparison: brute lifting requires trivial diagonal characters\n"),
+        (SurfaceRep(RingSpec(2, 1), 1, (lower, lower)), "h1",
+         "skipped lift comparison: generator 1 is not upper triangular at (1,0)\n"),
+    ]
+    for rep, checked, err in cases:
+        src.write_text(save_rep(rep))
+        assert main(["oracle-compare", str(src)]) == 0
+        assert capsys.readouterr() == (f"ok: engine and brute force agree on {checked}\n", err)
+
+
+@pytest.mark.parametrize(
+    "name, value, line",
+    [
+        ("brute_h1", lambda mod: ModuleShape((9,), ()), "H1 invariants differ: engine (2, 2) brute (9,)"),
+        ("brute_lift", lambda f: [], "lift verdicts differ: engine True brute False"),
+        ("brute_lift", lambda f: [f], "engine lift is missing from the brute-force list"),
+    ],
+    ids=["h1", "verdict", "missing"],
+)
+def test_cli_oracle_compare_reports_a_disagreement(tmp_path, capsys, monkeypatch, name, value, line):
+    src = tmp_path / "f.rep"
+    src.write_text(save_rep(gen_random_flag(2, 2, 2, 1, kind="kummer", seed=30)))
+    monkeypatch.setattr(cli, name, value)
+    assert main(["oracle-compare", str(src)]) == 2
+    assert capsys.readouterr() == (line + "\n", "")
 
 
 def test_cli_local_example_outputs(capsys):
@@ -377,7 +439,15 @@ def test_cli_local_example_outputs(capsys):
     assert main(["local-example", "--field", "ql", "--ell", "11"]) == 0
     out = capsys.readouterr().out
     assert "Q_11" in out and "UNSAT" in out
+    # -1 is a square in Q_5: nothing fails to lift, so no pair is chosen
+    assert main(["local-example", "--field", "ql", "--ell", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "non-liftable: -\nnote: every class lifts here; the obstruction pair needs -1 nonsquare\n" in out
+    assert "chosen pair" not in out
     assert main(["local-example", "--field", "ql", "--ell", "4"]) == 1
+    capsys.readouterr()
+    assert main(["local-example", "--field", "ql", "--ell", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: --ell must be an odd prime\n")
 
 
 def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path, capsys):

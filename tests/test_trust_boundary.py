@@ -543,6 +543,14 @@ def call_defaults(tree):
                     yield getattr(node, "name", "<lambda>"), default.lineno
 
 
+def silent_handlers(tree):
+    """Line of every ``except`` clause whose body is only ``continue`` or ``pass``."""
+    for node in ast.walk(tree):
+        silent = (ast.Continue, ast.Pass)
+        if isinstance(node, ast.ExceptHandler) and all(isinstance(b, silent) for b in node.body):
+            yield node.lineno
+
+
 _H1_ORACLE = ("brute_cocycles", "brute_coboundaries", "brute_h1")
 _ENGINE_NAMES = {
     "smithify", "LinearSolver", "SparseMatrix", "quotient_data", "echelonize", "SpanReducer",
@@ -662,6 +670,13 @@ def test_guards_flag_the_patterns_they_forbid():
         "def fine(m, n=1 << 20, s='x', t=(), *, k=None, u=-1, v=Mode.FAST):\n    return max(m, n)\n"
     )
     assert sorted(call_defaults(knobs)) == [("<lambda>", 5), ("f", 1), ("g", 3)]
+    swallowed = ast.parse(
+        "for x in xs:\n    try:\n        f(x)\n    except RelatorError:\n        continue\n"
+        "try:\n    g()\nexcept (KeyError, ValueError):\n    pass\n    continue\n"
+        "except Exception:\n    raise\n"
+        "try:\n    h()\nexcept OSError as exc:\n    print(exc)\n    continue\n"
+    )
+    assert sorted(silent_handlers(swallowed)) == [4, 8]
     wrapped = ast.parse(
         "a = Flag(SurfaceRep(r, 1, m))\nb = flags.Flag(surface.SurfaceRep(r, 1, m))\n"
         "c = Flag(r, 1, m)\nd = SurfaceRep(r, 1, m)\ne = Flag(r, 1, SurfaceRep(r, 1, m).mats)\n"
@@ -850,6 +865,13 @@ def test_no_parameter_defaults_to_a_call():
     for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
         found = list(call_defaults(ast.parse(path.read_text(), str(path))))
         assert not found, f"{path.relative_to(_ROOT).as_posix()} has parameters defaulting to calls: {found}"
+
+
+def test_no_exception_is_swallowed():
+    """A failure is raised or reported; no ``except`` clause drops it to retry or go on."""
+    for path in sorted((_ROOT / "src/flaglift").glob("*.py")):
+        found = list(silent_handlers(ast.parse(path.read_text(), str(path))))
+        assert not found, f"{path.relative_to(_ROOT).as_posix()} swallows exceptions at lines {found}"
 
 
 def test_no_function_takes_a_private_parameter():
