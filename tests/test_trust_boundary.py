@@ -545,8 +545,8 @@ def call_defaults(tree):
 
 def silent_handlers(tree):
     """Line of every ``except`` clause whose body is only ``continue`` or ``pass``."""
+    silent = (ast.Continue, ast.Pass)
     for node in ast.walk(tree):
-        silent = (ast.Continue, ast.Pass)
         if isinstance(node, ast.ExceptHandler) and all(isinstance(b, silent) for b in node.body):
             yield node.lineno
 
