@@ -206,10 +206,20 @@ class CohomologyReport:
 
 
 def h_groups(module: GModule) -> CohomologyReport:
-    """Invariants and representative generators of H^0, H^1, H^2."""
+    """Invariants and representative generators of H^0, H^1, H^2.
+
+    The sweeps and solves run at once, and the invariants are read off
+    them; each group's representatives are written out as vectors only
+    when its ``reps`` is first read (see ``ModuleShape``).
+    """
     cx = complex_of(module)
-    kg0 = sorted(cx.d0_solver.kernel(), key=lambda ge: ge[1])
-    h0 = ModuleShape(tuple(e for _, e in kg0), tuple(v for v, _ in kg0))
+    # H^0 = ker d0: the kernel generators, stably sorted by annihilator
+    # exponent, whose Smith entries on on_kernel()'s matrix are p^(r - e)
+    d0_solver, r = cx.d0_solver, module.ring.r
+    h0 = ModuleShape(
+        tuple(sorted(r - e for e in d0_solver.on_kernel().exponents)),
+        lambda: tuple(v for v, _ in sorted(d0_solver.kernel(), key=lambda ge: ge[1])),
+    )
     # H^1 = ker d1 / im d0 on ker d1's generators; H^2 = coker d1
     h1 = quotient_data(cx.d1_solver.on_kernel(), [cx.d0.col(j) for j in range(cx.d0.cols)])
     return CohomologyReport(module, h0, h1, cx.d1_solver.cokernel())

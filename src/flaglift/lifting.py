@@ -425,17 +425,18 @@ def _first_row(d: int) -> list[tuple[int, int]]:
     return [(0, c) for c in range(1, d)]
 
 
-def _pinned_relator_lift(f: Flag, sharp: Flag) -> Flag:
+def _pinned_relator_lift(f: Flag, sharp: Flag, torsor: GModule) -> Flag:
     """Some relator-exact lift of ``f`` with quotient block exactly ``sharp``.
 
     The candidate keeps the least residues of f's first row over the sharp
     block (its (0, 0) entry is 1, the trivial character of a Kummer flag);
     its defect is supported on the first row and vanishes mod p^r, and a
-    first-row twist kills it iff one mod-p cochain equation is solvable.
-    Unsolvable means no lift pins this quotient part at all.
+    first-row twist kills it iff one mod-p cochain equation is solvable
+    in ``torsor``, f's ``_pinned_torsor_module``.  Unsolvable means no lift
+    pins this quotient part at all.
     """
     cand = _seeded(sharp.ring, f.mats, [(1, sharp)])
-    out = _torsor_step(cand, f.genus, _first_row(f.d), f.ring.modulus, _pinned_torsor_module(f))
+    out = _torsor_step(cand, f.genus, _first_row(f.d), f.ring.modulus, torsor)
     if not out.lifted:
         raise LiftConsistencyError("no relator-exact lift pins the given quotient part")
     return out.flag
@@ -480,7 +481,7 @@ def _solve_bands(
     return smithify(SparseMatrix(ring, len(rhs), columns)).solve(rhs)
 
 
-def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
+def _kummerize_pinned(f: Flag, o0: Flag, torsor: GModule) -> Flag:
     """Twist a pinned relator-exact lift ``o0`` until split steps stay split.
 
     Every step (0,j,k) split mod p gives one condition: the lift's (0,1,k)
@@ -492,9 +493,10 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
     inclusion.  The unknowns are the first-row twists mu (d-1 per
     generator), then per condition tau (row-major) and a witness w (k-j).
     With A_g, B_g the pinned blocks V_k/V_1, V_k/V_j of generator g, H_g
-    its action on Hom(V_k/V_j, L_1) and L_g its ``_row_class_matrix``,
-    the rows are p^r d1 mu = 0 (the twisted lift stays relator-exact),
-    then per condition and generator
+    its action on Hom(V_k/V_j, L_1), L_g its ``_row_class_matrix`` and d1
+    that of ``torsor`` (f's ``_pinned_torsor_module``), the rows are
+    p^r d1 mu = 0 (the twisted lift stays relator-exact), then per
+    condition and generator
 
         A_g t = t B_g (j > 1):  p ((A_g E) (x) I - E (x) B_g^T) tau = s B_g - A_g s,
         phi_g t + p^r (s^T L_g) mu_g = (H_g - 1) w:
@@ -525,7 +527,7 @@ def _kummerize_pinned(f: Flag, o0: Flag) -> Flag:
         if segment_extension_splits(bar, 0, j, k)
     ]
 
-    d1 = complex_of(_pinned_torsor_module(f)).d1
+    d1 = complex_of(torsor).d1
     d1_up = RMatrix.from_rows(up, [d1.col(c) for c in range(d1.cols)]).transpose()
     exact = (0,) * (d - 1), [(0, d1_up.scale(pr))]
     width = n_gens * (d - 1)
@@ -639,7 +641,8 @@ def _lift_kummer(f: Flag, sharp: Flag | None) -> Flag:
         return _teichmuller_diagonal(f)
     if sharp is None:
         sharp = _lift_kummer(f.quotient_by_first(), None)
-    return _kummerize_pinned(f, _pinned_relator_lift(f, sharp))
+    torsor = _pinned_torsor_module(f)
+    return _kummerize_pinned(f, _pinned_relator_lift(f, sharp, torsor), torsor)
 
 
 def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:

@@ -21,6 +21,9 @@ staircase form without any general PID machinery.  The module provides:
   annihilator exponents, the cokernel (``cokernel``), and the solver on the
   matrix G of kernel generators (``on_kernel``), whose columns and Smith
   factors are read off A's sweep, so G is neither swept nor built densely,
+* ``ModuleShape``: the invariants of a finite abelian p-group and its
+  representatives, which ``cokernel`` and ``quotient_data`` work out only
+  when ``reps`` is first read,
 * ``quotient_data``: invariants and representatives of a subquotient
   colspan(G) / span(rels), presented on a solver of G by a relation matrix
   built as sparse columns, and carried into the ambient space by that
@@ -54,7 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below
@@ -108,7 +111,8 @@ class RingSpec:
     @functools.cached_property
     def modulus(self) -> int:
         # kept in the instance __dict__, which a frozen dataclass without
-        # slots has; fields alone still decide == and hash
+        # slots has (``_trusted_ring`` writes it there at once); fields
+        # alone still decide == and hash
         return self.p**self.r
 
     def val(self, a: int) -> int:
@@ -147,7 +151,7 @@ class RingSpec:
 def _trusted_ring(p: int, r: int) -> RingSpec:
     """A RingSpec built without ``__post_init__``; ``p`` must be a checked prime and r >= 1."""
     obj = object.__new__(RingSpec)
-    obj.__dict__.update(p=p, r=r)
+    obj.__dict__.update(p=p, r=r, modulus=p**r)
     return obj
 
 
@@ -727,27 +731,57 @@ class LinearSolver(SparseMatrix):
         """Invariants and representatives of R^rows / column-span(A).
 
         The quotient is the sum of Z/p^e_i over the rows (e_i = r past
-        min(rows, cols)), and column i of P^-1 represents summand i.
+        min(rows, cols)), and column i of P^-1 represents summand i.  The
+        invariants are read at once; the columns of P^-1 are written out
+        densely only when ``reps`` is first read.
         """
         k = self.rows
         exps = self._slots[:k]
         order = sorted((i for i in range(k) if exps[i] > 0), key=exps.__getitem__)
-        return ModuleShape(
-            tuple(exps[i] for i in order),
-            tuple(_dense(self.left_inverse_cols[i], k) for i in order),
-        )
+        cols = self.left_inverse_cols
+        return ModuleShape(tuple(exps[i] for i in order), lambda: tuple(_dense(cols[i], k) for i in order))
 
 
 # ---------------------------------------------------------------------------
 # module invariants: cokernels, subquotients
 
 
-@dataclass(frozen=True)
-class ModuleShape:
-    """A finite abelian p-group: ascending exponents plus representatives."""
+_Reps = tuple[tuple[int, ...], ...]
 
-    invariants: tuple[int, ...]  # ascending exponents e, group = + Z/p^e
-    reps: tuple[tuple[int, ...], ...]  # ambient representatives, one per invariant (brute_h1: none)
+
+@dataclass(frozen=True, repr=False, eq=False)
+class ModuleShape:
+    """A finite abelian p-group: ascending exponents plus representatives.
+
+    ``invariants`` are the ascending exponents e, the group being the sum
+    of the Z/p^e.  The second field holds the ambient representatives, one
+    per invariant (``brute_h1``: none), or a function of no arguments that
+    works them out; ``reps`` calls it on first read and keeps the tuple.
+    ``repr``, ``==`` and ``hash`` read ``reps``, as they would a field.
+    """
+
+    invariants: tuple[int, ...]
+    _reps: _Reps | Callable[[], _Reps]
+
+    @property
+    def reps(self) -> _Reps:
+        """The representatives, worked out on first read."""
+        reps = self._reps
+        if callable(reps):
+            reps = reps()
+            object.__setattr__(self, "_reps", reps)
+        return reps
+
+    def __repr__(self) -> str:
+        return f"ModuleShape(invariants={self.invariants!r}, reps={self.reps!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.invariants, self.reps) == (other.invariants, other.reps)
+
+    def __hash__(self) -> int:
+        return hash((self.invariants, self.reps))
 
 
 def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> ModuleShape:
@@ -757,7 +791,8 @@ def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> Module
     as sparse columns the generators of ker G (the columns of
     ``solver.on_kernel()``) and one solution of G x = v for each rel vector
     v.  The quotient is the cokernel of that relation matrix, carried into
-    the ambient space as G v (``solver.apply``).
+    the ambient space as G v (``solver.apply``) when ``reps`` is first
+    read; the solves and the sweep run at once.
     """
     rel_cols = list(solver.on_kernel().columns)
     for v in rels:
@@ -766,4 +801,4 @@ def quotient_data(solver: LinearSolver, rels: Sequence[Sequence[int]]) -> Module
             raise ValueError("relation vector outside the generator span")
         rel_cols.append(_sparse(lam))
     q = smithify(SparseMatrix(solver.ring, solver.cols, rel_cols)).cokernel()
-    return ModuleShape(q.invariants, tuple(solver.apply(v) for v in q.reps))
+    return ModuleShape(q.invariants, lambda: tuple(solver.apply(v) for v in q.reps))

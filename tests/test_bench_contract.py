@@ -2,7 +2,8 @@
 
 The benchmark wraps functions by name and reads fields of engine results,
 so a rename in the program would otherwise first show up as a failed
-benchmark run.  These tests import its modules and check both.
+benchmark run.  These tests import its modules and check both, and run one
+traced h-ladder measurement at the reduced size.
 """
 
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -54,3 +56,14 @@ def test_engine_results_expose_what_the_benchmark_reads():
     assert observers["lifting.gluift"]["obstructed"]((one, one, corner(1, 0)), up) is False
     assert observers["lifting.lift_wound_kummer"]["adjusted"]((frozen,), wound) is True
     assert callable(workloads.load) and callable(workloads.generate)
+
+
+def test_traced_h_ladder_keeps_its_solves_and_its_digest():
+    # a traced small h-ladder run: its coverage check needs nonzero
+    # zmod.quotient_data and zmod.solve calls, and its output digest must be
+    # the one perfbench/golden.json records
+    res = run.measure("h-ladder", 0, 0.5, 1, size="small")
+    assert res["correct"], res["lines"]
+    for layer in ("zmod.quotient_data", "zmod.solve"):
+        assert res["metrics"][f"{layer}.calls"]["value"] > 0, layer
+    assert any("(matches the recorded digest)" in line for line in res["lines"]), res["lines"]

@@ -10,6 +10,7 @@ from flaglift import cohomology, surface, zmod
 from flaglift.cohomology import (
     CochainComplex,
     CohClass,
+    CohomologyReport,
     LiftConsistencyError,
     complex_of,
     connecting,
@@ -306,6 +307,106 @@ def test_h_groups_sweeps_no_kernel_generator_matrix(monkeypatch):
     swept.clear()
     assert h_groups(mod) == rep
     assert len(swept) == 1 and swept[0].rows == len(gens), "d0 and d1 are not swept again"
+
+
+def _genus_2_adjoint_module():
+    """The genus-2 adjoint module of the sweep test: H^0, H^1 and H^2 are all nonzero."""
+    v = gen_random_flag(3, 2, 3, 2, seed=7).as_module()
+    return hom_module(v, v)
+
+
+def test_h_groups_writes_out_representatives_only_when_read(monkeypatch):
+    # the sweeps and H^1's solves run inside h_groups; the products that
+    # carry H^1's representatives into the ambient space, the dense columns
+    # of P^-1 and the dense kernel generators of d0 wait until reps is
+    # first read, and run only then, once
+    mod = _genus_2_adjoint_module()
+    cx = CochainComplex(mod)  # a fresh complex: no solver built yet
+    generator_solvers, sweeps = [], []
+    quotient, smith = zmod.quotient_data, zmod.smithify
+
+    def record_sweep(a):
+        sweeps.append(smith(a))
+        return sweeps[-1]
+
+    monkeypatch.setattr(cohomology, "complex_of", lambda m: cx)
+    record_quotient = lambda g, rels: generator_solvers.append(g) or quotient(g, rels)
+    monkeypatch.setattr(cohomology, "quotient_data", record_quotient)
+    monkeypatch.setattr(cohomology, "smithify", record_sweep)
+    monkeypatch.setattr(zmod, "smithify", record_sweep)
+    applied, solved, dense, listed = [], [], [], []
+    apply, to_dense = zmod.SparseMatrix.apply, zmod._dense
+    solve, kernel = zmod.LinearSolver.solve, zmod.LinearSolver.kernel
+    monkeypatch.setattr(zmod.SparseMatrix, "apply", lambda self, x: applied.append(self) or apply(self, x))
+    monkeypatch.setattr(zmod.LinearSolver, "solve", lambda self, b: solved.append(self) or solve(self, b))
+    monkeypatch.setattr(zmod.LinearSolver, "kernel", lambda self: listed.append(self) or kernel(self))
+    monkeypatch.setattr(zmod, "_dense", lambda line, n: dense.append(line) or to_dense(line, n))
+    rep = h_groups(mod)
+    (gens,) = generator_solvers
+
+    def deferred_work():
+        # apply on the generator solver outside solve's postcondition, the
+        # P^-1 columns of the sweeps written out densely, kernel listings
+        inverse_lines = [c for s in sweeps for c in s.left_inverse_cols]
+        products = sum(s is gens for s in applied) - sum(s is gens for s in solved)
+        return products, sum(any(x is c for c in inverse_lines) for x in dense), len(listed)
+
+    n1, n2 = len(rep.h1.invariants), len(rep.h2.invariants)
+    assert len(sweeps) == 3 and n1 > 1 and n2 > 0 and rep.h0.invariants
+    assert sum(s is gens for s in solved) == cx.d0.cols, "one solve per d0 column, at once"
+    assert deferred_work() == (0, 0, 0)
+    h1_reps = rep.h1.reps
+    assert deferred_work() == (n1, n1, 0)
+    rep.h2.reps
+    assert deferred_work() == (n1, n1 + n2, 0)
+    rep.h0.reps
+    assert deferred_work() == (n1, n1 + n2, 1)
+    assert rep.h1.reps is h1_reps and rep.h0.reps and rep.h2.reps
+    assert deferred_work() == (n1, n1 + n2, 1), "reps are worked out once"
+
+    def cokernel_columns(solver):
+        # column i of P^-1 for each slot i with e_i > 0, by ascending e_i
+        k, r = solver.rows, solver.ring.r
+        exps = (solver.exponents + (r,) * k)[:k]
+        order = sorted((i for i in range(k) if exps[i]), key=exps.__getitem__)
+        return tuple(to_dense(solver.left_inverse_cols[i], k) for i in order)
+
+    assert rep.h0.reps == tuple(vec for vec, _ in sorted(kernel(sweeps[0]), key=lambda ge: ge[1]))
+    assert h1_reps == tuple(apply(gens, v) for v in cokernel_columns(sweeps[2]))
+    assert rep.h2.reps == cokernel_columns(sweeps[1])
+
+
+def test_representatives_read_later_match_a_fresh_computation():
+    # a report's deferred reps read only what h_groups handed them, so they
+    # come out the same after the complexes are dropped and in a new session
+    mods = [_genus_2_adjoint_module()]
+    for p, r in ((2, 2), (3, 1)):
+        v = gen_random_flag(p, r, 3, 2, seed=23).as_module()
+        mods += [v, hom_module(v, v), trivial_module(RingSpec(p, r), 2, 2)]
+    reports = [h_groups(mod) for mod in mods]
+    complex_of.cache_clear()
+    with session():
+        for rep in reports:
+            fresh = h_groups(rep.module)
+            want = (fresh.h0.reps, h1_reference(rep.module).reps, fresh.h2.reps)
+            assert (rep.h0.reps, rep.h1.reps, rep.h2.reps) == want
+            assert len(rep.h1.reps) > 1
+
+
+def test_report_equality_and_hash_read_the_representatives():
+    rep = h_groups(_genus_2_adjoint_module())
+    h1 = rep.h1
+    again = ModuleShape(h1.invariants, lambda: h1.reps)
+    assert again == h1 and hash(again) == hash(h1) and repr(again) == repr(h1)
+    assert repr(h1) == f"ModuleShape(invariants={h1.invariants!r}, reps={h1.reps!r})"
+    first, *rest = h1.reps
+    moved = ((first[0] + 1) % rep.module.ring.modulus, *first[1:])
+    changed = CohomologyReport(rep.module, rep.h0, ModuleShape(h1.invariants, (moved, *rest)), rep.h2)
+    twin = CohomologyReport(rep.module, rep.h0, again, rep.h2)
+    assert twin == rep and hash(twin) == hash(rep)
+    assert changed != rep and hash(changed) != hash(rep)
+    swapped = ModuleShape(h1.invariants, lambda: (*rest[:1], first, *rest[1:]))
+    assert CohomologyReport(rep.module, rep.h0, swapped, rep.h2) != rep
 
 
 def test_genus_10_rank_16_adjoint_rung():

@@ -336,9 +336,9 @@ def test_kummer_engine_solves_the_row_by_row_reference_systems(monkeypatch):
     calls = []
     kummerize, smithify = lifting._kummerize_pinned, lifting.smithify
 
-    def record_call(f, o0):
+    def record_call(f, o0, torsor):
         calls.append((f, o0, []))
-        return kummerize(f, o0)
+        return kummerize(f, o0, torsor)
 
     def record_solve(mat):
         solver = smithify(mat)
