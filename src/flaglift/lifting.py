@@ -21,18 +21,20 @@ twist as row operations, and ``_corner_step`` is the step in the corner
 * ``lift_wound_kummer``: obstruction-free lifting of wound flags with
   Teichmuller characters, pinning the truncation, with the cup-solving
   corner adjustment,
-* ``lift_kummer``: obstruction-free lifting of Kummer flags, pinning the
-  quotient (``lift_kummer_truncation``: the truncation, through duality),
+* ``lift_kummer``: obstruction-free lifting of Kummer flags
+  (``lift_kummer_truncation``: pinning the truncation, through duality),
 * ``lift_h1_class``: lift a mod-p degree-1 class through the tower of a
   Kummer flag.
 
-The two obstruction-free engines check their input predicate, their
-pinned part (``_check_pinned``) and their output predicate once, then run
+The obstruction-free engines check their input predicate, their pinned
+truncation (``_check_pinned``) and their output predicate once, then run
 a private recursion that trusts every part it derives.  Its d <= 1 base
-case is the Teichmuller lift of the diagonal.  ``lift_kummer_truncation``
-makes the same checks on its own input and truncation before it dualizes.
+case is the Teichmuller lift of the diagonal.  The Kummer recursion
+``_lift_kummer`` pins the quotient by the first line; every public pin is
+a truncation, so ``lift_kummer_truncation`` makes its checks on its own
+input and truncation before it dualizes.
 
-``lift_kummer`` keeps split steps split with one linear system over
+``_lift_kummer`` keeps split steps split with one linear system over
 Z/p^(r+1) per grid point of mod-p sections s (``_kummerize_pinned``).
 Per split step (0,j,k) and generator g it has two bands of matrix blocks:
 p ((A_g E) (x) I - E (x) B_g^T) tau = s B_g - A_g s keeps the corrected
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cohomology import (
     CohClass,
@@ -68,6 +70,7 @@ from .surface import (
     dual_module,
     hom_mat,
     hom_module,
+    tensor_module,
 )
 from .zmod import (
     RingSpec,
@@ -318,21 +321,16 @@ class WoundLiftResult:
     adjusted: bool
 
 
-def _check_pinned(pinned: Flag, f: Flag, name: str) -> None:
-    """Reject a pinned part that does not lift the ``name`` part of ``f`` one level up.
+def _check_pinned(pinned: Flag, f: Flag) -> None:
+    """Reject a pinned truncation that does not lift the truncation of ``f`` one level up.
 
-    ``name`` is "truncation" or "quotient".  The dimension is checked first,
-    so a 0-flag, which has neither part, rejects every pinned part here.
+    The dimension is checked first, so a 0-flag, which has no truncation,
+    rejects every pinned part here.
     """
     if pinned.ring != RingSpec(f.ring.p, f.ring.r + 1) or pinned.d != f.d - 1:
-        raise ValueError(f"{name} part must live one level above with dimension d-1")
-    if pinned.reduce_to(f.ring.r) != _part(f, name):
-        raise ValueError(f"{name} part must lift the {name} of the input")
-
-
-def _part(f: Flag, name: str) -> Flag:
-    """The "truncation" or the "quotient" (by the first line) of ``f``."""
-    return f.truncate() if name == "truncation" else f.quotient_by_first()
+        raise ValueError("truncation part must live one level above with dimension d-1")
+    if pinned.reduce_to(f.ring.r) != f.truncate():
+        raise ValueError("truncation part must lift the truncation of the input")
 
 
 def _teichmuller_diagonal(f: Flag) -> Flag:
@@ -362,7 +360,7 @@ def lift_wound_kummer(f: Flag, flat: Flag | None = None) -> WoundLiftResult:
     if not is_wound_kummer(f):
         raise ValueError("input flag is not wound with Teichmuller characters")
     if flat is not None:
-        _check_pinned(flat, f, "truncation")
+        _check_pinned(flat, f)
         if not is_wound_kummer(flat):
             raise ValueError("truncation part is not wound with Teichmuller characters")
     res = _lift_wound(f, flat)
@@ -385,9 +383,9 @@ def _lift_wound(f: Flag, flat: Flag | None) -> WoundLiftResult:
     if f.d == 2:
         raise LiftConsistencyError("rank-2 wound glue must be unobstructed")
     ring1 = RingSpec(ring.p, 1)
-    seg = f.reduce_to(1).segment(0, 2)
-    chi_bot = tuple(v % ring.p for v in f.char(f.d))
-    twisted = GModule(ring1, f.genus, tuple(m.scale(ring1.inv(c)) for m, c in zip(seg.mats, chi_bot)))
+    seg = f.reduce_to(1).segment(0, 2).as_module()
+    chi_bot_inv = tuple(ring1.inv(v % ring.p) for v in f.char(f.d))
+    twisted = tensor_module(seg, char_module(ring1, f.genus, chi_bot_inv))
     ext = coordinate_extension(twisted, 1)
     if split_section(ext) is not None:
         raise AssertionError("woundness should make the leading 2-step twist nonsplit")
@@ -493,8 +491,9 @@ def _kummerize_pinned(f: Flag, o0: Flag, torsor: GModule) -> Flag:
     inclusion.  The unknowns are the first-row twists mu (d-1 per
     generator), then per condition tau (row-major) and a witness w (k-j).
     With A_g, B_g the pinned blocks V_k/V_1, V_k/V_j of generator g, H_g
-    its action on Hom(V_k/V_j, L_1), L_g its ``_row_class_matrix`` and d1
-    that of ``torsor`` (f's ``_pinned_torsor_module``), the rows are
+    its action on the dual of V_k/V_j (Hom into the trivial line L_1), L_g
+    its ``_row_class_matrix`` and d1 that of ``torsor`` (f's
+    ``_pinned_torsor_module``), the rows are
     p^r d1 mu = 0 (the twisted lift stays relator-exact), then per
     condition and generator
 
@@ -513,7 +512,6 @@ def _kummerize_pinned(f: Flag, o0: Flag, torsor: GModule) -> Flag:
     n_gens = 2 * f.genus
     p, pr = ring.p, ring.modulus
     bar = f.reduce_to(1)
-    l1 = char_module(up, f.genus, (1,) * n_gens)
 
     def over_up(m: RMatrix) -> RMatrix:
         return RMatrix(up, m.rows, m.cols, m.entries)
@@ -547,7 +545,7 @@ def _kummerize_pinned(f: Flag, o0: Flag, torsor: GModule) -> Flag:
             exps += [bar.ring.r - e for e in gens.exponents]
             grid = base, gens
         phi = extension_class(coordinate_extension(o0.segment(0, k).as_module(), 1)).values()
-        hom_acts = hom_module(o0.segment(j, k).as_module(), l1).acts
+        hom_acts = dual_module(o0.segment(j, k).as_module()).acts
         blocks = []
         for g, (a, b) in enumerate(zip(o0.segment(1, k).mats, o0.segment(j, k).mats)):
             phi_g = RMatrix.from_rows(up, [phi[g]])
@@ -582,13 +580,15 @@ def _kummerize_pinned(f: Flag, o0: Flag, torsor: GModule) -> Flag:
     raise NoKummerLift("no pinned lift keeps the split steps split one level up")
 
 
-def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
-    """Lift a Kummer flag one level, pinning the quotient-by-first part.
+def lift_kummer(f: Flag) -> Flag:
+    """Lift a Kummer flag one level.
 
-    Output o satisfies o.reduce_to(r) == f and o.quotient_by_first() ==
-    sharp exactly, and is itself Kummer; that much is proven and checked.
-    ``sharp`` must be a Kummer lift of f.quotient_by_first(); when omitted
-    it is built recursively.  At r >= 2 a flag that passes ``is_kummer``
+    Output o satisfies o.reduce_to(r) == f and is itself Kummer; that much
+    is proven and checked.  Its quotient by the first line is lifted first,
+    recursively, and then pinned.  To pin a given Kummer lift ``sharp`` of
+    f.quotient_by_first() instead, pin its dual as the truncation of the
+    dual flag: ``lift_kummer_truncation(f.dual(), sharp.dual()).dual()``
+    (dual is an involution).  At r >= 2 a flag that passes ``is_kummer``
     may have no Kummer lift at all, as ``gen_random_flag(2, 2, 4, 1,
     kind="kummer", seed=25003)`` has none; then NoKummerLift is raised.
 
@@ -598,7 +598,7 @@ def lift_kummer(f: Flag, sharp: Flag | None = None) -> Flag:
     engine is one relator solve plus one joint solve per splitting choice.
     Raises KummerInconclusive when the choices run past their budget.
     """
-    return _checked_kummer_lift(f, sharp, "quotient")
+    return _checked_kummer_lift(f, None, lambda: _lift_kummer(f, None))
 
 
 def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
@@ -610,25 +610,23 @@ def lift_kummer_truncation(f: Flag, flat: Flag | None = None) -> Flag:
     The output is Kummer, reduces to f and has truncation ``flat``; as for
     ``lift_kummer``, a flag with no Kummer lift raises NoKummerLift.
     """
-    return _checked_kummer_lift(f, flat, "truncation")
+    dual_lift = lambda: _lift_kummer(f.dual(), None if flat is None else flat.dual()).dual()
+    return _checked_kummer_lift(f, flat, dual_lift)
 
 
-def _checked_kummer_lift(f: Flag, pinned: Flag | None, name: str) -> Flag:
-    """Both Kummer lifts, pinning f's ``name`` part: check the boundary once, lift, check the output."""
+def _checked_kummer_lift(f: Flag, flat: Flag | None, lift: Callable[[], Flag]) -> Flag:
+    """Both Kummer lifts: check f and the pinned truncation ``flat`` once, ``lift``, check the output."""
     v = is_kummer(f)
     if not v.ok:
         raise ValueError(f"input flag is not Kummer: {v.reason}")
-    if pinned is not None:
-        _check_pinned(pinned, f, name)
-        vp = is_kummer(pinned)
+    if flat is not None:
+        _check_pinned(flat, f)
+        vp = is_kummer(flat)
         if not vp.ok:
-            raise ValueError(f"{name} part is not Kummer: {vp.reason}")
-    if name == "quotient":
-        out = _lift_kummer(f, pinned)
-    else:
-        out = _lift_kummer(f.dual(), pinned.dual() if pinned is not None else None).dual()
-    if out.reduce_to(f.ring.r) != f or (pinned is not None and _part(out, name) != pinned):
-        raise AssertionError(f"Kummer lift must reduce to the input and pin the {name} part")
+            raise ValueError(f"truncation part is not Kummer: {vp.reason}")
+    out = lift()
+    if out.reduce_to(f.ring.r) != f or (flat is not None and out.truncate() != flat):
+        raise AssertionError("Kummer lift must reduce to the input and pin the truncation part")
     vv = is_kummer(out)
     if not vv.ok:
         raise LiftConsistencyError(f"lifted flag lost the Kummer property: {vv.reason}")

@@ -29,6 +29,7 @@ walks the relator with dim x dim matrices.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Sequence, TypeVar
 
 from .flags import Flag
@@ -50,28 +51,30 @@ _MAX_DIM = 32
 _MAX_GENUS = 16
 
 
-def _lines(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+# A run of characters between the line breaks of ``str.splitlines``.
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 class _Cursor:
+    """The non-blank lines of a document, comments cut, split into tokens one line at a time.
+
+    Lines break where ``str.splitlines`` breaks them.  The cursor reads one
+    non-blank line ahead of the last one taken, so text after the end of a
+    document is read only up to its first non-blank line.
+    """
+
     def __init__(self, text: str) -> None:
-        self.rows = _lines(text)
-        self.pos = 0
+        self.rows = (row for m in _LINE.finditer(text) if (row := m.group().split("#", 1)[0].split()))
+        self.ahead = next(self.rows, None)
 
     def peek(self) -> list[str] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
+        return self.ahead
 
     def take(self) -> list[str]:
-        row = self.peek()
+        row = self.ahead
         if row is None:
             raise RepFileError("unexpected end of file")
-        self.pos += 1
+        self.ahead = next(self.rows, None)
         return row
 
     def take_key(self, key: str) -> list[str]:
@@ -93,7 +96,7 @@ class _Cursor:
 def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int, ...]:
     """One row of ``width`` residues in [0, p^r); ``what`` names it in errors.
 
-    An empty row is saved as an empty line, which ``_lines`` drops.
+    An empty row is saved as an empty line, which ``_Cursor`` skips.
     """
     row = cur.take() if width else []
     try:

@@ -31,13 +31,13 @@ MEMO_BOUND = 4096
 class Memo:
     """A value-keyed table of at most ``MEMO_BOUND`` entries, oldest evicted first.
 
-    Stored values are never ``None``; ``get`` returns ``None`` for a miss.
+    ``put`` reads ``MEMO_BOUND`` when it is called.  Stored values are never
+    ``None``; ``get`` returns ``None`` for a miss.
     """
 
-    __slots__ = ("bound", "entries", "hits", "misses")
+    __slots__ = ("entries", "hits", "misses")
 
     def __init__(self) -> None:
-        self.bound = MEMO_BOUND
         self.entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -52,7 +52,7 @@ class Memo:
 
     def put(self, key: Hashable, value: Any) -> Any:
         """Store ``value`` under ``key`` and return it."""
-        if len(self.entries) >= self.bound:
+        if len(self.entries) >= MEMO_BOUND:
             self.entries.popitem(last=False)
         self.entries[key] = value
         return value

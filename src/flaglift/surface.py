@@ -101,17 +101,8 @@ class Presentation:
 class RelatorError(ValueError):
     """Raised when generator matrices do not satisfy the surface relator.
 
-    The message, which prints the defect (product - I), is built only when
-    it is read: most rejected candidates are caught and dropped unread.
+    The message names what was checked and prints the defect (product - I).
     """
-
-    def __init__(self, what: str, product: RMatrix) -> None:
-        super().__init__(what, product)
-        self.what, self.product = what, product
-
-    def __str__(self) -> str:
-        defect = self.product - RMatrix.identity(self.product.ring, self.product.rows)
-        return f"{self.what}: relator defect is nonzero: {defect.to_lists()}"
 
 
 def _relator_product(
@@ -169,7 +160,8 @@ def _check_relator(
             raise ValueError("generator matrices must be square of equal size")
     acc, inv, _ = _relator_product(genus, mats)
     if not acc.is_identity():
-        raise RelatorError(what, acc)
+        defect = acc - RMatrix.identity(ring, n)
+        raise RelatorError(f"{what}: relator defect is nonzero: {defect.to_lists()}")
     return inv
 
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -98,6 +99,26 @@ def test_load_rejects_malformed_documents():
         load_rep(good.replace("p 3\nr 1", f"p {2**61 - 1}\nr 9"))
     assert load_rep(identity_rep_text(16, 1)).genus == 16
     assert load_rep(identity_rep_text(1, 32)).dim == 32
+
+
+def test_trailing_content_is_rejected_without_reading_the_rest():
+    text = save_rep(kummer_fixture()) + "junk 1 2 3\n" * 300_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(RepFileError, match="^trailing content: junk 1 2 3$"):
+            load_rep(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text)
+
+
+def test_documents_break_lines_where_splitlines_does():
+    good = save_rep(kummer_fixture())
+    for brk in ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+        text = good.replace("\n", f" # a comment ends at the line break{brk}")
+        assert len(text.splitlines()) == len(good.splitlines())
+        assert save_rep(load_flag(text)) == good
 
 
 def test_both_document_kinds_name_a_misnamed_section_alike():

@@ -338,7 +338,7 @@ def test_an_overfilled_memo_evicts_its_oldest_entries_first(monkeypatch):
     for k in range(10):
         assert memo.get(k) is None
         assert memo.put(k, str(k)) == str(k)
-    assert memo.summary()["size"] == memo.bound == 4
+    assert memo.summary()["size"] == stats.MEMO_BOUND == 4
     assert list(memo.entries) == [6, 7, 8, 9]
     # a hit does not refresh an entry: eviction follows insertion order
     assert [memo.get(k) for k in (9, 6, 5)] == ["9", "6", None]

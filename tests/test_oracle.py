@@ -9,7 +9,15 @@ from test_acceptance import _random_modules
 
 from flaglift.cohomology import complex_of, h_groups
 from flaglift.flags import Flag, is_kummer, is_wound_kummer
-from flaglift.lifting import glue, least_char_lift, lift_rep
+from flaglift.lifting import (
+    NoKummerLift,
+    glue,
+    least_char_lift,
+    lift_kummer,
+    lift_kummer_truncation,
+    lift_rep,
+    lift_wound_kummer,
+)
 from flaglift import oracle
 from flaglift.oracle import (
     BudgetExceededError,
@@ -21,6 +29,7 @@ from flaglift.oracle import (
     gen_random_flag,
     unipotent_pool,
 )
+from flaglift.stats import session
 from flaglift.surface import GModule, SurfaceRep, char_module, trivial_module
 from flaglift.zmod import RingSpec, RMatrix
 
@@ -346,3 +355,38 @@ def test_lift_and_glue_verdicts_match_brute_force_at_p3():
     assert counts == {
         "flags": 307, "lifted": 307, "lifts": 76627, "pairs": 12475, "glued": 1459, "gluings": 13131,
     }
+
+
+def test_kummer_and_wound_engines_agree_with_brute_force_at_level_2():
+    # the Z/4 lifts of the mod-2, genus-1, d = 3 unipotent pool, lifted to Z/8 by every
+    # engine whose predicate they pass: each output must be a brute-force lift that keeps
+    # the predicate, and the Kummer engines succeed exactly when some brute lift is Kummer
+    counts = {"flags": 0, "kummer": 0, "kummer lifts": 0, "wound": 0}
+    disagreements = []
+    with session():
+        for f in (f for base in unipotent_pool(RingSpec(2, 1), 1, 3) for f in brute_lift(base)):
+            lifts = set(brute_lift(f))
+            counts["flags"] += 1
+            outs = []
+            if is_kummer(f).ok:
+                counts["kummer"] += 1
+                flat = lift_kummer(f.truncate())
+                try:
+                    outs += [lift_kummer(f), lift_kummer_truncation(f), lift_kummer_truncation(f, flat)]
+                except NoKummerLift:
+                    lifted = False
+                else:
+                    lifted = True
+                    counts["kummer lifts"] += 1
+                    disagreements += [("not kummer", f, out) for out in outs if not is_kummer(out).ok]
+                if lifted != any(is_kummer(g).ok for g in lifts):
+                    disagreements.append(("verdict", f, lifted))
+            if is_wound_kummer(f):
+                counts["wound"] += 1
+                out = lift_wound_kummer(f).flag
+                outs.append(out)
+                if not is_wound_kummer(out):
+                    disagreements.append(("not wound", f, out))
+            disagreements += [("not a lift", f, out) for out in outs if out not in lifts]
+    assert disagreements == []
+    assert counts == {"flags": 1408, "kummer": 685, "kummer lifts": 685, "wound": 384}

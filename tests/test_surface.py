@@ -120,8 +120,8 @@ def test_a_checked_construction_makes_4g_minus_1_products(monkeypatch, genus):
                 assert second.inverses == first.inverses, (cls, again)
 
 
-def test_relator_error_message(monkeypatch):
-    # the message is built when read, and reads the same on a walks-table hit
+def test_relator_error_message():
+    # the message reads the same on a walks-table hit
     ring = RingSpec(2, 2)
     a = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
     b = RMatrix.from_rows(ring, [[1, 0], [1, 1]])
@@ -131,10 +131,6 @@ def test_relator_error_message(monkeypatch):
                 cls(ring, 1, (a, b))
             assert str(exc.value) == f"{what}: relator defect is nonzero: [[2, 3], [1, 3]]"
         assert (s.walks.misses, s.walks.hits) == (1, 1)
-    # a rejection that is caught unread builds no defect matrix
-    monkeypatch.setattr(RMatrix, "__sub__", lambda *args: pytest.fail("message built unread"))
-    with pytest.raises(RelatorError):
-        SurfaceRep(ring, 1, (a, b))
 
 
 def test_the_walks_table_keeps_rings_apart():

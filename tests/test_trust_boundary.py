@@ -9,6 +9,7 @@ assembled from raw matrices, including every engine output, is checked.
 import ast
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -382,35 +383,51 @@ def test_only_the_trusted_modules_build_without_checking():
 # -- tooling guard: every top-level name is reached -----------------------------------
 
 
+def used_name(node):
+    """The identifier ``node`` uses, if any: a name, an attribute, an import or a string constant."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
 def dead_names(trees):
-    """Top-level functions and classes of ``src/flaglift``, public or private, that no tree names.
+    """Functions, classes, methods and properties of ``src/flaglift`` that no tree names.
 
     ``trees`` maps a repository path to its parsed module.  A name counts
-    when any tree uses it (a name, an attribute, an import or a string
-    constant equal to it) outside the definition that binds it, so
-    recursion does not keep a name alive, and a private helper that a
-    refactor orphans is caught.  Methods are not seen: only module-level
-    definitions are checked.
+    when any tree uses it (``used_name``) outside every definition that
+    binds the same name, so recursion does not keep a name alive, and a
+    private helper or method that a refactor orphans is caught.  Checked
+    are the module-level functions and classes and every function in a
+    module-level class body (methods, properties, class and static
+    methods).  Dunder methods are exempt: the language calls them.
     """
     used, defined = set(), []
+
+    def walk(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = used_name(node)
+        if name is not None and name not in own:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, own)
+
     for rel, tree in trees.items():
+        walk(tree, frozenset())
+        if not rel.startswith("src/flaglift/"):
+            continue
         for stmt in tree.body:
-            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and rel.startswith("src/flaglift/"):
-                defined.append((rel, own, stmt.lineno))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name.rsplit(".", 1)[-1]
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    name = node.value
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((rel, stmt.name, stmt.lineno))
+            if isinstance(stmt, ast.ClassDef):
+                methods = (m for m in stmt.body if isinstance(m, ast.FunctionDef))
+                defined += [(rel, m.name, m.lineno) for m in methods if not re.fullmatch("__.*__", m.name)]
     return [(rel, name, line) for rel, name, line in defined if name not in used]
 
 
@@ -731,10 +748,19 @@ def test_guards_flag_the_patterns_they_forbid():
             "def used():\n    return _Private\ndef dead(n):\n    return dead(n - 1)\nclass _Private:\n    pass\n"
             "class Kept:\n    def unreached(self):\n        pass\nclass Named:\n    pass\n"
             "def _orphan(m):\n    return _orphan(m)\n"
+            "class Holder:\n    def __init__(self):\n        self.x = self.called()\n"
+            "    def called(self):\n        return self.recursive()\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    @property\n    def shown(self):\n        return self.x\n"
+            "    @property\n    def hidden(self):\n        return self.hidden\n"
+            "    @staticmethod\n    def helper():\n        return Holder.helper()\n"
         ),
-        "scripts/s.py": ast.parse("from flaglift.m import used\nKept()\nLayer((m, 'Named'),)\n"),
+        "scripts/s.py": ast.parse("from flaglift.m import used\nKept()\nLayer((m, 'Named'),)\nHolder().shown\n"),
     }
-    assert dead_names(modules) == [("src/flaglift/m.py", "dead", 3), ("src/flaglift/m.py", "_orphan", 12)]
+    m = "src/flaglift/m.py"
+    assert dead_names(modules) == [
+        (m, "dead", 3), (m, "unreached", 8), (m, "_orphan", 12), (m, "hidden", 25), (m, "helper", 28)
+    ]
     howell = ast.parse(
         "from .zmod import echelonize as ech\n"
         "class Pivot:\n    pass\n"
