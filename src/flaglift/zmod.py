@@ -12,9 +12,9 @@ staircase form without any general PID machinery.  The module provides:
 * ``SparseMatrix``: a matrix as one dict of nonzeros per column, with the
   package's one matrix-vector product (``apply``),
 * ``smithify``: two-sided diagonalization P @ A @ Q = diag(p^e) of a
-  ``SparseMatrix``, with P^-1 and Q^-1 carried through the same sweep.  It
-  returns the ``LinearSolver`` on A, which keeps A's own columns, uncopied,
-  and owns the four factors as the sweep's own sparse lines, never as
+  ``SparseMatrix``, with Q^-1 carried through the same sweep.  It returns
+  the ``LinearSolver`` on A, which keeps A's own columns, uncopied, and
+  owns the three factors as the sweep's own sparse lines, never as
   matrices,
 * ``LinearSolver``: a ``SparseMatrix`` with everything read off its one
   sweep: one solution of A x = b, an independent kernel basis with
@@ -527,13 +527,13 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
     search stops at the first row holding a unit.
 
     The sweep works on sparse lines: A, P and Q^-1 as one dict of nonzeros
-    per row, Q and P^-1 as one dict per column.  Every row operation on P is
-    mirrored by the inverse column operation on P^-1, and every column
-    operation on Q by the inverse row operation on Q^-1, so the result
-    carries both inverses without a separate inversion.  A's columns are
-    swapped by relabelling: a row dict is keyed by column label, and ``pos``
-    maps a label to its current column.  Returns the solver on A, which owns
-    all four factors and keeps ``a.columns`` itself: the sweep works on row
+    per row, Q as one dict per column.  Every column operation on Q is
+    mirrored by the inverse row operation on Q^-1, so the result carries
+    Q^-1 without a separate inversion; P^-1 is not carried, as only
+    ``cokernel``'s representatives read it.  A's columns are swapped by
+    relabelling: a row dict is keyed by column label, and ``pos`` maps a
+    label to its current column.  Returns the solver on A, which owns the
+    three factors and keeps ``a.columns`` itself: the sweep works on row
     dicts copied from it.
     """
     ring = a.ring
@@ -546,7 +546,6 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
     label = list(range(nc))  # label[j]: the label of column j
     pos = list(range(nc))  # pos[c]: the column of label c
     pmat = [{i: 1} for i in range(nr)]
-    pinv = [{i: 1} for i in range(nr)]
     qmat = [{j: 1} for j in range(nc)]
     qinv = [{j: 1} for j in range(nc)]
     lim = min(nr, nc)
@@ -569,7 +568,6 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
         if bi != k:
             mat[k], mat[bi] = mat[bi], mat[k]
             pmat[k], pmat[bi] = pmat[bi], pmat[k]
-            pinv[k], pinv[bi] = pinv[bi], pinv[k]
         if bj != k:
             ck, cj = label[k], label[bj]
             label[k], label[bj] = cj, ck
@@ -577,11 +575,9 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
             qmat[k], qmat[bj] = qmat[bj], qmat[k]
             qinv[k], qinv[bj] = qinv[bj], qinv[k]
         ck = label[k]
-        w = ring.unit_part(mat[k][ck])
-        u = ring.inv(w)
+        u = ring.inv(ring.unit_part(mat[k][ck]))
         prow = {c: (u * x) % m for c, x in mat[k].items()}
         pk = pmat[k] = {c: (u * x) % m for c, x in pmat[k].items()}
-        inv_k = pinv[k] = {i: (w * x) % m for i, x in pinv[k].items()}
         pval = p**v
         prow_items, pk_items = list(prow.items()), list(pk.items())
         for i in range(k + 1, nr):
@@ -591,8 +587,6 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
             f = x // pval
             _axpy(mat[i], -f, prow_items, m)
             _axpy(pmat[i], -f, pk_items, m)
-            # P gained row_i -= f row_k, so P^-1 gains col_k += f col_i
-            _axpy(inv_k, f, pinv[i].items(), m)
         # column k of mat is now zero off the pivot, and every mat[k][j] is
         # an exact multiple of pval, so a column operation only turns
         # mat[k][j] into 0 and changes Q where column k of Q is nonzero
@@ -604,7 +598,7 @@ def smithify(a: SparseMatrix) -> "LinearSolver":
                 # Q gained col_j -= f col_k, so Q^-1 gains row_k += f row_j
                 _axpy(qinv_k, f, qinv[j].items(), m)
         exps.append(v)
-    return LinearSolver(ring, nr, a.columns, pmat, qmat, tuple(exps), pinv, qinv)
+    return LinearSolver(ring, nr, a.columns, pmat, qmat, tuple(exps), qinv)
 
 
 def _axpy(dst: dict[int, int], f: int, src: Iterable[tuple[int, int]], m: int) -> None:
@@ -638,16 +632,15 @@ class LinearSolver(SparseMatrix):
     solver on a generator matrix of ker A.  Built by ``smithify``, or by
     ``on_kernel`` from factors known without a sweep.  The factors are
     sparse lines, as A's columns are: ``left_rows[i]`` is row i of P,
-    ``right_cols[j]`` is column j of Q, ``left_inverse_cols[i]`` is column
-    i of P^-1 and ``right_inverse_rows[j]`` is row j of Q^-1.  The diagonal
-    is not stored: ``exponents`` has one entry per diagonal slot
-    min(rows, cols), a zero diagonal entry recorded as exponent r.
+    ``right_cols[j]`` is column j of Q and ``right_inverse_rows[j]`` is row
+    j of Q^-1; ``cokernel`` inverts P itself.  The diagonal is not stored:
+    ``exponents`` has one entry per diagonal slot min(rows, cols), a zero
+    diagonal entry recorded as exponent r.
     """
 
     left_rows: list[dict[int, int]]
     right_cols: list[dict[int, int]]
     exponents: tuple[int, ...]
-    left_inverse_cols: list[dict[int, int]]
     right_inverse_rows: list[dict[int, int]]
 
     def __post_init__(self) -> None:
@@ -703,8 +696,8 @@ class LinearSolver(SparseMatrix):
         dense.  Q^-1 G has the one entry p^(r - e_j) in row j of column t,
         for the t-th such slot j.  Taking those rows of Q^-1 first, in
         order, and the others after them gives Smith factors of G: P is
-        Q^-1 with its rows so ordered, P^-1 is Q with its columns so
-        ordered, Q = Q^-1 = I, and the exponents are r - e_j.
+        Q^-1 with its rows so ordered, Q = Q^-1 = I, and the exponents are
+        r - e_j.
         """
         ring = self.ring
         p, r, m = ring.p, ring.r, ring.modulus
@@ -723,7 +716,6 @@ class LinearSolver(SparseMatrix):
             [self.right_inverse_rows[j] for j in order],
             eye,
             tuple(r - self._slots[j] for j in slots),
-            [self.right_cols[j] for j in order],
             eye,
         )
 
@@ -732,14 +724,19 @@ class LinearSolver(SparseMatrix):
 
         The quotient is the sum of Z/p^e_i over the rows (e_i = r past
         min(rows, cols)), and column i of P^-1 represents summand i.  The
-        invariants are read at once; the columns of P^-1 are written out
-        densely only when ``reps`` is first read.
+        invariants are read at once; P is written out densely and inverted
+        (``inverse``) only when ``reps`` is first read.
         """
-        k = self.rows
+        ring, rows, k = self.ring, self.left_rows, self.rows
         exps = self._slots[:k]
         order = sorted((i for i in range(k) if exps[i] > 0), key=exps.__getitem__)
-        cols = self.left_inverse_cols
-        return ModuleShape(tuple(exps[i] for i in order), lambda: tuple(_dense(cols[i], k) for i in order))
+
+        def reps() -> _Reps:
+            ents = tuple(itertools.chain.from_iterable(_dense(row, k) for row in rows))
+            inverse = _trusted_matrix(ring, k, k, ents).inverse()
+            return tuple(inverse.entries[i::k] for i in order)
+
+        return ModuleShape(tuple(exps[i] for i in order), reps)
 
 
 # ---------------------------------------------------------------------------

@@ -317,9 +317,9 @@ def _genus_2_adjoint_module():
 
 def test_h_groups_writes_out_representatives_only_when_read(monkeypatch):
     # the sweeps and H^1's solves run inside h_groups; the products that
-    # carry H^1's representatives into the ambient space, the dense columns
-    # of P^-1 and the dense kernel generators of d0 wait until reps is
-    # first read, and run only then, once
+    # carry H^1's representatives into the ambient space, the inversions
+    # of the sweeps' P and the dense kernel generators of d0 wait until
+    # reps is first read, and run only then, once
     mod = _genus_2_adjoint_module()
     cx = CochainComplex(mod)  # a fresh complex: no solver built yet
     generator_solvers, sweeps = [], []
@@ -334,42 +334,43 @@ def test_h_groups_writes_out_representatives_only_when_read(monkeypatch):
     monkeypatch.setattr(cohomology, "quotient_data", record_quotient)
     monkeypatch.setattr(cohomology, "smithify", record_sweep)
     monkeypatch.setattr(zmod, "smithify", record_sweep)
-    applied, solved, dense, listed = [], [], [], []
-    apply, to_dense = zmod.SparseMatrix.apply, zmod._dense
+    applied, solved, inverted, listed = [], [], [], []
+    apply, inverse = zmod.SparseMatrix.apply, zmod.RMatrix.inverse
     solve, kernel = zmod.LinearSolver.solve, zmod.LinearSolver.kernel
     monkeypatch.setattr(zmod.SparseMatrix, "apply", lambda self, x: applied.append(self) or apply(self, x))
     monkeypatch.setattr(zmod.LinearSolver, "solve", lambda self, b: solved.append(self) or solve(self, b))
     monkeypatch.setattr(zmod.LinearSolver, "kernel", lambda self: listed.append(self) or kernel(self))
-    monkeypatch.setattr(zmod, "_dense", lambda line, n: dense.append(line) or to_dense(line, n))
+    monkeypatch.setattr(zmod.RMatrix, "inverse", lambda self: inverted.append(self) or inverse(self))
     rep = h_groups(mod)
     (gens,) = generator_solvers
 
     def deferred_work():
-        # apply on the generator solver outside solve's postcondition, the
-        # P^-1 columns of the sweeps written out densely, kernel listings
-        inverse_lines = [c for s in sweeps for c in s.left_inverse_cols]
+        # apply on the generator solver outside solve's postcondition,
+        # matrix inversions, kernel listings
         products = sum(s is gens for s in applied) - sum(s is gens for s in solved)
-        return products, sum(any(x is c for c in inverse_lines) for x in dense), len(listed)
+        return products, len(inverted), len(listed)
 
     n1, n2 = len(rep.h1.invariants), len(rep.h2.invariants)
     assert len(sweeps) == 3 and n1 > 1 and n2 > 0 and rep.h0.invariants
     assert sum(s is gens for s in solved) == cx.d0.cols, "one solve per d0 column, at once"
     assert deferred_work() == (0, 0, 0)
     h1_reps = rep.h1.reps
-    assert deferred_work() == (n1, n1, 0)
+    assert deferred_work() == (n1, 1, 0), "one inversion per cokernel read"
     rep.h2.reps
-    assert deferred_work() == (n1, n1 + n2, 0)
+    assert deferred_work() == (n1, 2, 0)
     rep.h0.reps
-    assert deferred_work() == (n1, n1 + n2, 1)
+    assert deferred_work() == (n1, 2, 1)
     assert rep.h1.reps is h1_reps and rep.h0.reps and rep.h2.reps
-    assert deferred_work() == (n1, n1 + n2, 1), "reps are worked out once"
+    assert deferred_work() == (n1, 2, 1), "reps are worked out once"
 
     def cokernel_columns(solver):
-        # column i of P^-1 for each slot i with e_i > 0, by ascending e_i
+        # column i of P^-1 for each slot i with e_i > 0, by ascending e_i,
+        # with P written out from the sweep's rows and inverted here
         k, r = solver.rows, solver.ring.r
+        left = RMatrix.from_rows(solver.ring, [[row.get(j, 0) for j in range(k)] for row in solver.left_rows])
         exps = (solver.exponents + (r,) * k)[:k]
         order = sorted((i for i in range(k) if exps[i]), key=exps.__getitem__)
-        return tuple(to_dense(solver.left_inverse_cols[i], k) for i in order)
+        return tuple(inverse(left).entries[i::k] for i in order)
 
     assert rep.h0.reps == tuple(vec for vec, _ in sorted(kernel(sweeps[0]), key=lambda ge: ge[1]))
     assert h1_reps == tuple(apply(gens, v) for v in cokernel_columns(sweeps[2]))

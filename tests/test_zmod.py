@@ -393,7 +393,7 @@ def dense_matrix(sm):
 
 
 def dense_factors(sm, a):
-    """P, Q, P^-1 and Q^-1 of a solver on ``a`` as matrices, built from its sparse lines."""
+    """P, Q and Q^-1 of a solver on ``a`` as matrices, built from its sparse lines."""
     ring, nr, nc = a.ring, a.rows, a.cols
 
     def dense(n, lines, by_column):
@@ -406,9 +406,17 @@ def dense_factors(sm, a):
     return (
         dense(nr, sm.left_rows, False),
         dense(nc, sm.right_cols, True),
-        dense(nr, sm.left_inverse_cols, True),
         dense(nc, sm.right_inverse_rows, False),
     )
+
+
+def cokernel_columns(left, exps):
+    """The columns of P^-1 at the row slots i with e_i > 0, by ascending e_i (e_i = r past exps)."""
+    k = left.rows
+    slots = (tuple(exps) + (left.ring.r,) * k)[:k]
+    inverse = left.inverse()
+    order = sorted((i for i in range(k) if slots[i]), key=slots.__getitem__)
+    return tuple(inverse.entries[i::k] for i in order)
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -423,10 +431,11 @@ def test_smithify_random(ring):
     for a in cases:
         rows, cols = a.rows, a.cols
         sm = smithify(a.sparse())
-        left, right, left_inverse, right_inverse = dense_factors(sm, a)
+        left, right, right_inverse = dense_factors(sm, a)
         diag = left @ a @ right
         assert left.is_invertible() and right.is_invertible()
-        assert (left @ left_inverse).is_identity() and (right @ right_inverse).is_identity()
+        assert sm.cokernel().reps == cokernel_columns(left, sm.exponents)
+        assert (right @ right_inverse).is_identity()
         exps = sm.exponents
         assert len(exps) == min(rows, cols)
         assert list(exps) == sorted(exps), "diagonal exponents must be nondecreasing"
@@ -531,16 +540,17 @@ def test_smithify_matches_dense_reference(ring):
         # across rows 0 and 1: the pivot is row 0, column 1
         p, m = ring.p, ring.modulus
         a = RMatrix.from_rows(ring, [[0, p, m - p], [p, 0, 0], [0, 0, 0]])
-        left, right, _, _ = dense_factors(smithify(a.sparse()), a)
+        left, right, _ = dense_factors(smithify(a.sparse()), a)
         assert left.row(0) == (1, 0, 0) and right.entries[0::3] == (0, 1, 0)
         cases.append(a)
     for a in cases:
         sm = smithify(a.sparse())
-        left, right, left_inverse, right_inverse = dense_factors(sm, a)
+        left, right, right_inverse = dense_factors(sm, a)
         assert (left, right, left @ a @ right, sm.exponents) == ref_smithify(a)
-        assert left_inverse == left.inverse() and right_inverse == right.inverse()
+        assert sm.cokernel().reps == cokernel_columns(left, sm.exponents)
+        assert right_inverse == right.inverse()
         assert (right @ right_inverse).is_identity()
-        lines = sm.left_rows + sm.right_cols + sm.left_inverse_cols + sm.right_inverse_rows
+        lines = sm.left_rows + sm.right_cols + sm.right_inverse_rows
         assert all(0 < x < ring.modulus for line in lines for x in line.values())
 
 
@@ -617,9 +627,10 @@ def test_kernel_solver_agrees_with_a_swept_solver(ring, monkeypatch):
         g = dense_matrix(built)
         assert g.rows == a.cols and (a @ g).is_zero()
         assert [g.entries[j :: g.cols] for j in range(g.cols)] == [vec for vec, _ in solver.kernel()]
-        left, right, left_inverse, right_inverse = dense_factors(built, g)
+        left, right, right_inverse = dense_factors(built, g)
         assert right.is_identity() and right_inverse.is_identity()
-        assert (left @ left_inverse).is_identity()
+        assert left.is_invertible()
+        assert built.cokernel().reps == cokernel_columns(left, built.exponents)
         exps = built.exponents
         assert len(exps) == g.cols
         assert left @ g == RMatrix(
