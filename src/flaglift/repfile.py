@@ -49,6 +49,15 @@ _MAX_R = 64
 _MAX_MODULUS_BITS = 512
 _MAX_DIM = 32
 _MAX_GENUS = 16
+# an error quotes at most this many characters of the input
+_QUOTE_WIDTH = 60
+
+
+def _clip(text: str) -> str:
+    """``text`` as an error quotes it: cut after ``_QUOTE_WIDTH`` characters, with its length."""
+    if len(text) <= _QUOTE_WIDTH:
+        return text
+    return f"{text[:_QUOTE_WIDTH]}... ({len(text)} characters)"
 
 
 # A run of characters between the line breaks of ``str.splitlines``.
@@ -80,7 +89,7 @@ class _Cursor:
     def take_key(self, key: str) -> list[str]:
         row = self.take()
         if row[0] != key:
-            raise RepFileError(f"expected '{key}', found '{row[0]}'")
+            raise RepFileError(f"expected '{key}', found '{_clip(row[0])}'")
         return row[1:]
 
     def take_int(self, key: str) -> int:
@@ -90,7 +99,7 @@ class _Cursor:
         try:
             return int(vals[0])
         except ValueError as exc:
-            raise RepFileError(f"'{key}' is not an integer: {vals[0]}") from exc
+            raise RepFileError(f"'{key}' is not an integer: {_clip(vals[0])}") from exc
 
 
 def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int, ...]:
@@ -102,12 +111,12 @@ def _take_row(cur: _Cursor, ring: RingSpec, width: int, what: str) -> tuple[int,
     try:
         vals = tuple(int(v) for v in row)
     except ValueError as exc:
-        raise RepFileError(f"non-integer {what} entry in {row}") from exc
+        raise RepFileError(f"non-integer {what} entry in {_clip(str(row))}") from exc
     if len(vals) != width:
         raise RepFileError(f"{what} row has {len(vals)} entries, expected {width}")
     for v in vals:
         if not 0 <= v < ring.modulus:
-            raise RepFileError(f"{what} entry {v} out of range [0, {ring.modulus})")
+            raise RepFileError(f"{what} entry {_clip(str(v))} out of range [0, {ring.modulus})")
     return vals
 
 
@@ -117,7 +126,7 @@ def check_ring_limits(ring: RingSpec) -> None:
     r is checked first, so an oversized r never computes p^r.
     """
     if ring.r > _MAX_R:
-        raise RepFileError(f"r {ring.r} exceeds the limit {_MAX_R}")
+        raise RepFileError(f"r {_clip(str(ring.r))} exceeds the limit {_MAX_R}")
     bits = ring.modulus.bit_length()
     if bits > _MAX_MODULUS_BITS:
         raise RepFileError(f"p^r of {bits} bits exceeds the limit {_MAX_MODULUS_BITS} bits")
@@ -130,11 +139,12 @@ def _parse_header(cur: _Cursor) -> tuple[RingSpec, int, int]:
     dim = cur.take_int("dim")
     for key, value, limit in (("genus", genus, _MAX_GENUS), ("dim", dim, _MAX_DIM)):
         if value > limit:
-            raise RepFileError(f"{key} {value} exceeds the limit {limit}")
+            raise RepFileError(f"{key} {_clip(str(value))} exceeds the limit {limit}")
     try:
         ring = RingSpec(p, r)
     except ValueError as exc:
-        raise RepFileError(str(exc)) from exc
+        # the message quotes p or r: clip each number in it
+        raise RepFileError(re.sub(r"\d+", lambda m: _clip(m.group()), str(exc))) from exc
     check_ring_limits(ring)
     if genus < 1:
         raise RepFileError("genus must be >= 1")
@@ -150,14 +160,14 @@ def _take_sections(cur: _Cursor, genus: int, key: str, take: Callable[[], _T]) -
     for g in range(1, 2 * genus + 1):
         name = cur.take_key(key)
         if name != [pres.gen_name(g)]:
-            raise RepFileError(f"expected {key} {pres.gen_name(g)}, found {name}")
+            raise RepFileError(f"expected {key} {pres.gen_name(g)}, found {_clip(str(name))}")
         out.append(take())
     return out
 
 
 def _finish(cur: _Cursor) -> None:
     if cur.peek() is not None:
-        raise RepFileError(f"trailing content: {' '.join(cur.peek())}")
+        raise RepFileError(f"trailing content: {_clip(' '.join(cur.peek()))}")
 
 
 def load_rep(text: str, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:

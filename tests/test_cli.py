@@ -113,6 +113,32 @@ def test_trailing_content_is_rejected_without_reading_the_rest():
     assert peak < len(text)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda good: good + "junk" + " 1" * 1_000_000 + "\n",  # a 2 MB trailing row
+        lambda good: good.replace("1 0 1\n", "z " * 2_500_000 + "\n", 1),  # a 5 MB non-integer row
+        lambda good: good.replace("genus 1", "g" * 2_000_000 + " 1"),  # a 2 MB header key
+        lambda good: good.replace("generator y1", "generator " + "y" * 2_000_000),  # a 2 MB section name
+        lambda good: good.replace("p 3", "p " + "1" * 5000),  # a p past int's digit limit
+        lambda good: good.replace("genus 1", "genus " + "9" * 4000),  # over the genus limit
+        lambda good: good.replace("p 3", "p " + "9" * 4000),  # beyond the primality test
+        lambda good: good.replace("r 1", "r -" + "9" * 4000),  # RingSpec refuses r < 1
+        lambda good: good.replace("r 1", "r " + "9" * 4000),  # over the r limit
+        lambda good: good.replace("1 0 1\n", "1 0 " + "9" * 4000 + "\n", 1),  # an entry out of range
+    ],
+    ids=["trailing", "non-integer", "key", "section", "int", "genus", "prime", "ring", "r", "range"],
+)
+def test_cli_errors_quote_a_clip_of_huge_input(tmp_path, capsys, edit):
+    src = tmp_path / "big.rep"
+    src.write_text(edit(save_rep(kummer_fixture())))
+    assert main(["cohomology", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200, captured.err[:300]
+    assert "characters)" in captured.err
+
+
 def test_documents_break_lines_where_splitlines_does():
     good = save_rep(kummer_fixture())
     for brk in ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
