@@ -648,13 +648,15 @@ def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:
 
     The class is packed into the last column of a (d+1)-dimensional mod-p
     flag, which is lifted up the tower with its truncation pinned to the
-    reductions of ``f``; the lifted column is the output cocycle.
+    reductions of ``f``; the lifted column is the output cocycle.  A flag
+    that fails ``is_kummer`` is refused with the engines' message.
     """
     ring = f.ring
     d = f.d
     n_gens = 2 * f.genus
-    if any(v != 1 for chi in f.chars() for v in chi):
-        raise ValueError("Kummer lifting requires trivial diagonal characters")
+    verdict = is_kummer(f)
+    if not verdict.ok:
+        raise ValueError(f"input flag is not Kummer: {verdict.reason}")
     bar = f.reduce_to(1)
     if cls.degree != 1 or cls.cx.module != bar.as_module():
         raise ValueError("class must be a degree-1 class of the mod-p flag module")

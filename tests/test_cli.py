@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from flaglift import cli, cohomology, stats
 from flaglift.cli import main
 from flaglift.cohomology import CochainComplex, complex_of
-from flaglift.flags import Flag, is_wound_kummer
-from flaglift.oracle import BudgetExceededError, gen_random_flag
+from flaglift.flags import Flag, is_kummer, is_wound_kummer
+from flaglift.oracle import BudgetExceededError, gen_random_flag, unipotent_pool
 from flaglift.repfile import (
     RepFileError,
     load_cocycle,
@@ -426,6 +426,20 @@ def test_cli_lift_class_rejects_bad_cocycles(tmp_path, capsys, ring, genus, rows
     assert main(["lift-class", str(src), str(coc)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_cli_lift_class_names_a_non_kummer_flag_as_the_input(tmp_path, capsys):
+    # the flag's own verdict, not the one on the pinned truncation of its last level
+    f = next(f for f in unipotent_pool(RingSpec(2, 2), 1, 3) if not is_kummer(f).ok)
+    vec = [v for v, _ in complex_of(f.reduce_to(1).as_module()).d1_solver.kernel()][0]
+    src, coc = tmp_path / "f.rep", tmp_path / "c.coc"
+    src.write_text(save_rep(f))
+    coc.write_text(save_cocycle(RingSpec(2, 1), 1, 3, (vec[:3], vec[3:])))
+    assert main(["lift-class", str(src), str(coc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: input flag is not Kummer: subquotient extension (0,2,3) splits mod p but not mod p^2\n"
+    )
 
 
 def test_cli_oracle_compare_and_budget(tmp_path, capsys):
