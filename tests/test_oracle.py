@@ -1,14 +1,19 @@
 """Tests for the brute-force baselines and the seeded instance generator."""
 
+import ast
 import hashlib
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
+import split_reference
+from split_reference import extension_splits, is_kummer_reference
 from test_acceptance import _random_modules
 
 from flaglift.cohomology import complex_of, h_groups
-from flaglift.flags import Flag, is_kummer, is_wound_kummer
+from flaglift.flags import Flag, is_kummer, is_wound_kummer, segment_extension_splits
 from flaglift.lifting import (
     NoKummerLift,
     glue,
@@ -390,3 +395,38 @@ def test_kummer_and_wound_engines_agree_with_brute_force_at_level_2():
             disagreements += [("not a lift", f, out) for out in outs if out not in lifts]
     assert disagreements == []
     assert counts == {"flags": 1408, "kummer": 685, "kummer lifts": 685, "wound": 384}
+
+
+def test_is_kummer_agrees_with_a_splitting_search_at_level_2():
+    # every split verdict and every Kummer verdict on the Z/4 lifts of the mod-2, genus-1,
+    # d = 3 unipotent pool and on the seed-25003 d = 4 flag, against a reference that
+    # enumerates the sections in numpy and uses no cohomology
+    tree = ast.parse(Path(split_reference.__file__).read_text())
+    imports = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert imports == {"itertools", "numpy"}
+    assert not any(isinstance(n, ast.ImportFrom) for n in ast.walk(tree))
+    dead_end = gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)
+    flags = [f for base in unipotent_pool(RingSpec(2, 1), 1, 3) for f in brute_lift(base)]
+    counts = {"flags": 0, "split verdicts": 0, "split": 0, "kummer": 0}
+    disagreements = []
+    start = time.perf_counter()
+    with session():
+        for f in flags:
+            counts["flags"] += 1
+            for i, j, k in itertools.combinations(range(f.d + 1), 3):
+                counts["split verdicts"] += 1
+                verdict = segment_extension_splits(f, i, j, k)
+                counts["split"] += verdict
+                if verdict != extension_splits(f, i, j, k):
+                    disagreements.append(("split", f, (i, j, k), verdict))
+            verdict = is_kummer(f).ok
+            counts["kummer"] += verdict
+            if verdict != is_kummer_reference(f):
+                disagreements.append(("kummer", f, verdict))
+        assert is_kummer(dead_end).ok and is_kummer_reference(dead_end)
+        for i, j, k in itertools.combinations(range(5), 3):
+            assert segment_extension_splits(dead_end, i, j, k) == extension_splits(dead_end, i, j, k)
+    took = time.perf_counter() - start
+    assert disagreements == []
+    assert counts == {"flags": 1408, "split verdicts": 5632, "split": 622, "kummer": 685}
+    assert took < 20, took
