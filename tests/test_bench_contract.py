@@ -58,10 +58,12 @@ def test_engine_results_expose_what_the_benchmark_reads():
     assert callable(workloads.load) and callable(workloads.generate)
 
 
-def test_traced_h_ladder_keeps_its_solves_and_its_digest():
+def test_traced_h_ladder_keeps_its_solves_and_its_digest(tmp_path, monkeypatch):
     # a traced small h-ladder run: its coverage check needs nonzero
     # zmod.quotient_data and zmod.solve calls, and its output digest must be
-    # the one perfbench/golden.json records
+    # the one perfbench/golden.json records; its files go to tmp_path, so
+    # the benchmark's own state under the checkout is left alone
+    monkeypatch.setattr(run, "STATE", tmp_path)
     res = run.measure("h-ladder", 0, 0.5, 1, size="small")
     assert res["correct"], res["lines"]
     for layer in ("zmod.quotient_data", "zmod.solve"):
