@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 from .cohomology import (
     CohClass, LiftConsistencyError, complex_of, demushkin_report, h_groups, stack,
@@ -52,9 +53,18 @@ from .stats import session
 from .surface import trivial_module
 from .zmod import RingSpec
 
-def _read(path: str) -> str:
+_T = TypeVar("_T")
+
+
+def _load(load: Callable[[Iterable[str]], _T], path: str) -> _T:
+    """``load`` applied to the lines of the file at ``path``; it reads only as far as it parses.
+
+    The file is opened with ``newline=""``, so its lines reach the loader
+    unchanged and the loader breaks them as it breaks a document.
+    """
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as lines:
+            return load(lines)
     except OSError as exc:
         raise RepFileError(f"cannot read {path}: {exc}") from exc
 
@@ -73,8 +83,8 @@ def _yesno(b: bool) -> str:
 
 
 def _cmd_cohomology(args) -> int:
-    rep = load_rep(_read(args.repfile))
-    module = load_module(_read(args.coeff)) if args.coeff else rep.as_module()
+    rep = _load(load_rep, args.repfile)
+    module = _load(load_module, args.coeff) if args.coeff else rep.as_module()
     if module.genus != rep.genus:
         raise RepFileError("coefficient module and representation differ in genus")
     report = h_groups(module)
@@ -86,7 +96,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_flag_check(args) -> int:
-    flag = load_flag(_read(args.repfile))
+    flag = _load(load_flag, args.repfile)
     print(f"flag: p={flag.ring.p} r={flag.ring.r} genus={flag.genus} dim={flag.d}")
     print(f"wound: {_yesno(is_wound(flag))}")
     print(f"wound-kummer: {_yesno(is_wound_kummer(flag))}")
@@ -102,7 +112,7 @@ def _cmd_flag_check(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    flag = load_flag(_read(args.repfile))
+    flag = _load(load_flag, args.repfile)
     if args.to_r <= flag.ring.r:
         raise RepFileError(f"--to-r must exceed the current level {flag.ring.r}")
     check_ring_limits(RingSpec(flag.ring.p, args.to_r))  # the output must load again
@@ -131,8 +141,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_glue(args) -> int:
-    e = load_flag(_read(args.repfile_e))
-    f = load_flag(_read(args.repfile_f))
+    e = _load(load_flag, args.repfile_e)
+    f = _load(load_flag, args.repfile_f)
     outcome = glue(e, f)
     if not outcome.glued:
         vals = " ".join(str(v) for v in outcome.obstruction.canonical())
@@ -143,8 +153,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_lift_class(args) -> int:
-    flag = load_flag(_read(args.repfile))
-    ring1, genus, dim, rows = load_cocycle(_read(args.cocyclefile))
+    flag = _load(load_flag, args.repfile)
+    ring1, genus, dim, rows = _load(load_cocycle, args.cocyclefile)
     if (ring1.p, ring1.r) != (flag.ring.p, 1):
         raise RepFileError("cocycle must be mod p for the flag's prime")
     if (genus, dim) != (flag.genus, flag.d):
@@ -160,7 +170,7 @@ def _cmd_lift_class(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    rep = load_rep(_read(args.repfile))
+    rep = _load(load_rep, args.repfile)
     module = rep.as_module()
     diffs: list[str] = []
     checked: list[str] = []

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .cohomology import (
     CohClass,
@@ -62,6 +62,7 @@ from .cohomology import (
     unstack,
 )
 from .flags import Flag, KummerInconclusive, is_kummer, is_wound_kummer, segment_extension_splits
+from .stats import current
 from .surface import (
     GModule,
     _relator_product,
@@ -79,6 +80,8 @@ from .zmod import (
     smithify,
     teichmuller,
 )
+
+_Lift = TypeVar("_Lift")
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +375,17 @@ def lift_wound_kummer(f: Flag, flat: Flag | None = None) -> WoundLiftResult:
 def _lift_wound(f: Flag, flat: Flag | None) -> WoundLiftResult:
     """``lift_wound_kummer`` past its boundary checks: trusts f, ``flat`` and what it derives."""
     if f.d <= 1:
+        flat = None
+    elif flat is None:
+        flat = _lift_wound(f.truncate(), None).flag
+    return _pinned_lift(_wound_step, f, flat)
+
+
+def _wound_step(f: Flag, flat: Flag | None) -> WoundLiftResult:
+    """The wound lift of f with truncation ``flat`` (None at d <= 1)."""
+    if f.d <= 1:
         return WoundLiftResult(_teichmuller_diagonal(f), False)
     ring = f.ring
-    if flat is None:
-        flat = _lift_wound(f.truncate(), None).flag
     sharp = _lift_wound(f.quotient_by_first(), flat.quotient_by_first()).flag
     res = gluift(flat, sharp, f)
     if res.lifted:
@@ -636,11 +646,32 @@ def _checked_kummer_lift(f: Flag, flat: Flag | None, lift: Callable[[], Flag]) -
 def _lift_kummer(f: Flag, sharp: Flag | None) -> Flag:
     """``lift_kummer`` past its boundary checks: trusts f, ``sharp`` and what it derives."""
     if f.d <= 1:
-        return _teichmuller_diagonal(f)
-    if sharp is None:
+        sharp = None
+    elif sharp is None:
         sharp = _lift_kummer(f.quotient_by_first(), None)
+    return _pinned_lift(_kummer_step, f, sharp)
+
+
+def _kummer_step(f: Flag, sharp: Flag | None) -> Flag:
+    """The Kummer lift of f with quotient block ``sharp`` (None at d <= 1)."""
+    if f.d <= 1:
+        return _teichmuller_diagonal(f)
     torsor = _pinned_torsor_module(f)
     return _kummerize_pinned(f, _pinned_relator_lift(f, sharp, torsor), torsor)
+
+
+def _pinned_lift(step: Callable[[Flag, Flag | None], _Lift], f: Flag, pin: Flag | None) -> _Lift:
+    """``step(f, pin)``, run once per session and kept in its ``lifts`` table.
+
+    The key names the step, so a flag that is both Kummer and wound-Kummer
+    keeps one entry per engine; a raise is not kept.
+    """
+    memo = current().lifts
+    key = (step, f, pin)
+    out = memo.get(key)
+    if out is None:
+        out = memo.put(key, step(f, pin))
+    return out
 
 
 def lift_h1_class(f: Flag, cls: CohClass) -> CohClass:

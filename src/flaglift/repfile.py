@@ -30,7 +30,7 @@ walks the relator with dim x dim matrices.
 from __future__ import annotations
 
 import re
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .flags import Flag
 from .surface import GModule, Presentation, SurfaceRep
@@ -39,6 +39,8 @@ from .zmod import RingSpec, RMatrix
 
 _T = TypeVar("_T")
 _Rows = Sequence[Sequence[int]]
+# a whole document, or its lines in order (an open text file)
+_Source = str | Iterable[str]
 
 
 class RepFileError(ValueError):
@@ -67,13 +69,17 @@ _LINE = re.compile("[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]+")
 class _Cursor:
     """The non-blank lines of a document, comments cut, split into tokens one line at a time.
 
-    Lines break where ``str.splitlines`` breaks them.  The cursor reads one
-    non-blank line ahead of the last one taken, so text after the end of a
-    document is read only up to its first non-blank line.
+    Lines break where ``str.splitlines`` breaks them, also inside each of
+    the lines ``source`` yields.  The cursor reads one non-blank line ahead
+    of the last one taken, so text after the end of a document is read only
+    up to its first non-blank line, and a file is read no further.
     """
 
-    def __init__(self, text: str) -> None:
-        self.rows = (row for m in _LINE.finditer(text) if (row := m.group().split("#", 1)[0].split()))
+    def __init__(self, source: _Source) -> None:
+        lines = (source,) if isinstance(source, str) else source
+        self.rows = (
+            row for line in lines for m in _LINE.finditer(line) if (row := m.group().split("#", 1)[0].split())
+        )
         self.ahead = next(self.rows, None)
 
     def peek(self) -> list[str] | None:
@@ -170,10 +176,12 @@ def _finish(cur: _Cursor) -> None:
         raise RepFileError(f"trailing content: {_clip(' '.join(cur.peek()))}")
 
 
-def load_rep(text: str, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:
+def load_rep(text: _Source, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:
     """Parse a representation file as ``cls``; validates ranges, invertibility, relator.
 
-    ``load_flag`` passes ``Flag``, whose constructor also checks the shape.
+    ``text`` is the document, or its lines (an open text file, read only as
+    far as the parse goes).  ``load_flag`` passes ``Flag``, whose
+    constructor also checks the shape.
     """
     cur = _Cursor(text)
     ring, genus, dim = _parse_header(cur)
@@ -194,12 +202,12 @@ def load_rep(text: str, cls: type[SurfaceRep] = SurfaceRep) -> SurfaceRep:
         raise RepFileError(str(exc)) from exc
 
 
-def load_flag(text: str) -> Flag:
+def load_flag(text: _Source) -> Flag:
     """Parse as a flag; a characters block, when present, must match."""
     return load_rep(text, Flag)
 
 
-def load_module(text: str) -> GModule:
+def load_module(text: _Source) -> GModule:
     """Parse a coefficient module file (same layout as a representation)."""
     return load_rep(text).as_module()
 
@@ -231,7 +239,7 @@ def save_rep(rep: SurfaceRep) -> str:
 # cocycle files: one value row per generator
 
 
-def load_cocycle(text: str) -> tuple[RingSpec, int, int, tuple[tuple[int, ...], ...]]:
+def load_cocycle(text: _Source) -> tuple[RingSpec, int, int, tuple[tuple[int, ...], ...]]:
     """Parse a cocycle file: (ring, genus, dim, per-generator value rows)."""
     cur = _Cursor(text)
     ring, genus, dim = _parse_header(cur)

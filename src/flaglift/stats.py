@@ -78,6 +78,9 @@ class Session:
     # inverses, the entry tuples of its prefix products).  Constructors and
     # relator_defect store walks; d1 only reads them (its misses count too)
     walks: Memo = field(default_factory=Memo)
+    # (engine step, flag, pinned part or None at d <= 1) -> the one-level
+    # lift that lifting's private Kummer and wound recursions return
+    lifts: Memo = field(default_factory=Memo)
 
     def summary(self) -> dict[str, dict[str, int]]:
         """Hits, misses and size of every table, by table name."""

@@ -113,6 +113,27 @@ def test_trailing_content_is_rejected_without_reading_the_rest():
     assert peak < len(text)
 
 
+def test_cli_reads_a_file_only_as_far_as_it_parses(tmp_path, capsys):
+    src = tmp_path / "long.rep"
+    src.write_text(save_rep(kummer_fixture()) + "junk 1 2 3\n" * 300_000)
+    tracemalloc.start()
+    try:
+        assert main(["cohomology", str(src)]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "error: trailing content: junk 1 2 3\n")
+    assert peak < src.stat().st_size
+    # a missing file and a small non-UTF-8 one are reported as a whole-file read reports them
+    missing, bad = tmp_path / "missing.rep", tmp_path / "bad.rep"
+    bad.write_bytes(b"p 3\nr 1\n\xff\n")
+    for path, prefix in ((missing, f"cannot read {missing}: "), (bad, "")):
+        with pytest.raises((OSError, UnicodeDecodeError)) as whole:
+            path.read_text()
+        assert main(["flag-check", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {prefix}{whole.value}\n")
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -521,12 +542,14 @@ def test_cli_stats_reports_the_command_session_and_leaves_stdout_alone(tmp_path,
         stated = capsys.readouterr()
         assert stated.out == plain.out
         report = json.loads(stated.err.splitlines()[-1])
-        assert set(report) == {"splits", "kummer", "walks", "complex_of"}
-        for name in ("splits", "kummer", "walks"):
+        assert set(report) == {"splits", "kummer", "walks", "lifts", "complex_of"}
+        for name in ("splits", "kummer", "walks", "lifts"):
             table = report[name]
             assert set(table) == {"hits", "misses", "size"}
             # each command runs in a fresh session, and the bound evicts nothing here
-            assert table["misses"] == table["size"] > 0
+            assert table["misses"] == table["size"]
+            # only the lift command lifts
+            assert (table["size"] > 0) == (name != "lifts" or argv[0] == "lift")
         info = report["complex_of"]
         assert set(info) == {"hits", "misses", "maxsize", "currsize"}
         assert info["maxsize"] == complex_of.cache_info().maxsize

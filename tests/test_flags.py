@@ -19,7 +19,7 @@ from flaglift.flags import (
     is_wound_kummer,
     splitting_indices,
 )
-from flaglift.lifting import lift_kummer, lift_kummer_truncation
+from flaglift.lifting import lift_kummer, lift_kummer_truncation, lift_wound_kummer
 from flaglift.oracle import gen_random_flag
 from flaglift.repfile import save_rep
 from flaglift.stats import current, session
@@ -228,6 +228,18 @@ def battery_digests():
     return {5: d5.hexdigest(), 9: d9.hexdigest()}
 
 
+def wound_digest():
+    """The criterion 6 lift digest: the frozen adjustment-path flag, then the wound grid."""
+    frozen = Flag.from_rows(
+        RingSpec(3, 1), 1, [[[1, 2, 0], [0, 1, 1], [0, 0, 1]], [[1, 1, 0], [0, 1, 2], [0, 0, 1]]]
+    )
+    grid = [gen_random_flag(p, r, d, genus, kind="wound-kummer", seed=seed) for (p, genus, d, r, seed) in _GRID]
+    digest = hashlib.sha256()
+    for f in [frozen, *grid]:
+        digest.update(save_rep(lift_wound_kummer(f).flag).encode())
+    return digest.hexdigest()
+
+
 def handle_moved(flag, first):
     """``flag`` under (x1, y1) -> (x1 y1, y1) or (x1, y1) -> (x1, y1 x1), rebuilt and checked.
 
@@ -282,10 +294,14 @@ def test_lift_digests_agree_in_a_fresh_and_a_warm_session():
         decided = s.summary()
         assert decided["splits"]["hits"] > 0 and decided["kummer"]["hits"] > 0
         assert battery_digests() == want
-        # the warm pass decided nothing anew
-        for name, table in s.summary().items():
+        # the warm pass decided nothing anew: it reads every lift from the
+        # lifts table, so it never asks a split question
+        warm = s.summary()
+        for name, table in warm.items():
             assert table["misses"] == decided[name]["misses"], name
-            assert table["hits"] > decided[name]["hits"], name
+        for name in ("lifts", "kummer", "walks"):
+            assert warm[name]["hits"] > decided[name]["hits"], name
+        assert warm["splits"]["hits"] == decided["splits"]["hits"]
 
 
 def test_nothing_an_inner_session_stores_survives_it():
@@ -365,3 +381,11 @@ def test_a_bound_of_eight_changes_no_verdict(monkeypatch):
         bounded, largest = verdicts()
     assert bounded == unbounded
     assert largest == 8 and s.splits.misses > 8 and s.kummer.misses > 8
+
+
+def test_a_bound_of_eight_keeps_every_lift_digest(monkeypatch):
+    # evicted lifts are lifted again, to the same flags
+    monkeypatch.setattr(stats, "MEMO_BOUND", 8)
+    with session() as s:
+        assert {**battery_digests(), 6: wound_digest()} == LIFT_DIGESTS
+    assert s.lifts.summary()["size"] == 8 and s.lifts.misses > 8

@@ -23,6 +23,7 @@ from flaglift.lifting import (
 )
 from flaglift.oracle import brute_glue, brute_lift, gen_random_flag
 from flaglift.repfile import save_rep
+from flaglift.stats import session
 from flaglift.surface import RelatorError
 from flaglift.zmod import RingSpec, RMatrix, teichmuller
 from kummer_system_reference import reference_systems
@@ -270,7 +271,8 @@ def test_truncated_splitting_grid_is_inconclusive(monkeypatch):
     f = gen_random_flag(2, 1, 3, 1, kind="kummer", seed=0)
     assert lift_kummer(f).reduce_to(1) == f
     monkeypatch.setattr(lifting, "_SPLITTING_GRID_CAP", 0)
-    with pytest.raises(KummerInconclusive) as exc:
+    # a fresh session: a kept lift would not reach the capped search
+    with session(), pytest.raises(KummerInconclusive) as exc:
         lift_kummer(f)
     assert not isinstance(exc.value, LiftConsistencyError), "a cut search is not obstructed"
 
@@ -352,18 +354,20 @@ def test_kummer_engine_solves_the_row_by_row_reference_systems(monkeypatch):
 
     monkeypatch.setattr(lifting, "_kummerize_pinned", record_call)
     monkeypatch.setattr(lifting, "smithify", record_solve)
-    for p, x1, y1 in _MIXED_SPLIT_FLAGS:
-        f = flag_g1(RingSpec(p, 1), x1, y1)
-        lift_kummer(lift_kummer(f))
-        lift_kummer_truncation(f)
-    # the inputs of acceptance criteria 5 and 9
-    for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3, 4), (1, 2), range(5)):
-        lift_kummer(gen_random_flag(p, r, d, genus, kind="kummer", seed=seed))
-    for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3), (1, 2), (10, 11)):
-        f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
-        lift_kummer(f)
-        lift_kummer_truncation(f)
-        lift_kummer_truncation(f.dual())
+    # a fresh session, so that no lift kept by an earlier test is skipped
+    with session():
+        for p, x1, y1 in _MIXED_SPLIT_FLAGS:
+            f = flag_g1(RingSpec(p, 1), x1, y1)
+            lift_kummer(lift_kummer(f))
+            lift_kummer_truncation(f)
+        # the inputs of acceptance criteria 5 and 9
+        for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3, 4), (1, 2), range(5)):
+            lift_kummer(gen_random_flag(p, r, d, genus, kind="kummer", seed=seed))
+        for p, genus, d, r, seed in itertools.product((2, 3), (1, 2), (2, 3), (1, 2), (10, 11)):
+            f = gen_random_flag(p, r, d, genus, kind="kummer", seed=seed)
+            lift_kummer(f)
+            lift_kummer_truncation(f)
+            lift_kummer_truncation(f.dual())
     assert sum(len(solved) > 1 for _, _, solved in calls) > 0, "some call must try several grid points"
     for f, o0, solved in calls:
         systems = [system for system, _ in solved]
@@ -457,3 +461,80 @@ def test_lift_wound_kummer_rejects_a_pinned_truncation_that_is_not_wound_kummer(
     assert bad.reduce_to(1) == f.truncate() and not is_wound_kummer(bad)
     with pytest.raises(ValueError, match="not wound"):
         lift_wound_kummer(f, bad)
+
+
+# -- the session's lifts table ------------------------------------------------------
+
+
+def test_a_warm_truncation_lift_reads_the_kept_lift(monkeypatch):
+    # lift_kummer_truncation(f.dual()) is lift_kummer(f) through duality: after
+    # lift_kummer(f) its engine reads every level from the table
+    f = gen_random_flag(2, 1, 3, 1, kind="kummer", seed=5)
+    with session():
+        fresh = lift_kummer_truncation(f.dual())
+    calls = []
+    with session() as s:
+        lift_kummer(f)
+        before = s.summary()
+        for name in ("_kummerize_pinned", "split_section"):
+            engine = getattr(lifting, name)
+            monkeypatch.setattr(lifting, name, lambda *a, name=name, engine=engine: calls.append(name) or engine(*a))
+        assert lift_kummer_truncation(f.dual()) == fresh
+        after = s.summary()
+    assert calls == []
+    assert after["lifts"]["misses"] == before["lifts"]["misses"]
+    assert after["lifts"]["hits"] == before["lifts"]["hits"] + f.d
+    # the boundary still decides the dual input and the output anew
+    assert after["kummer"]["misses"] == before["kummer"]["misses"] + 2
+
+
+def test_each_pinned_part_keeps_its_own_lift():
+    # four Kummer lifts of the quotient, each pinned in turn in one session:
+    # a table that keyed on the flag alone would hand back the first one
+    f = gen_random_flag(2, 1, 3, 1, kind="kummer", seed=1)
+    q = f.quotient_by_first()
+    with session():
+        default = lift_kummer(q)
+        sharps = [default] + [g for g in brute_lift(q) if g != default and is_kummer(g).ok]
+    pinned = lambda sharp: lift_kummer_truncation(f.dual(), sharp.dual()).dual()
+    fresh = []
+    for sharp in sharps:
+        with session():
+            fresh.append(pinned(sharp))
+    assert len(sharps) == 4 and [out.quotient_by_first() for out in fresh] == sharps
+    with session() as s:
+        assert lift_kummer(f) == fresh[0]
+        assert [pinned(sharp) for sharp in sharps] == fresh
+    assert sum(key[1] == f for key in s.lifts.entries) == 4
+
+
+def test_a_dead_end_raises_on_every_call_and_is_not_kept(monkeypatch):
+    f = gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)
+    tried = []
+    kummerize = lifting._kummerize_pinned
+    monkeypatch.setattr(lifting, "_kummerize_pinned", lambda g, *a: tried.append(g) or kummerize(g, *a))
+    with session() as s:
+        for _ in range(2):
+            for engine in (lift_kummer, lift_kummer_truncation):
+                with pytest.raises(NoKummerLift):
+                    engine(f)
+    # the failing step runs again on every call; the pinned parts it was given are kept
+    assert tried.count(f) == 2 and tried.count(f.dual()) == 2
+    kept = [flag for _, flag, _ in s.lifts.entries]
+    assert f not in kept and f.dual() not in kept
+    assert f.quotient_by_first() in kept and f.dual().quotient_by_first() in kept
+
+
+def test_a_flag_both_engines_lift_keeps_one_entry_per_engine():
+    f = flag_g1(RingSpec(3, 1), *_FROZEN_WOUND)
+    with session():
+        kummer = lift_kummer(f)
+    with session():
+        wound = lift_wound_kummer(f)
+    with session() as s:
+        for _ in range(2):
+            assert lift_kummer(f) == kummer
+            assert lift_wound_kummer(f) == wound
+    # the trivial 1-flag is a piece of both lifts, kept once under each engine
+    assert {key[0] for key in s.lifts.entries} == {lifting._kummer_step, lifting._wound_step}
+    assert sorted(key[0].__name__ for key in s.lifts.entries if key[1].d == 1) == ["_kummer_step", "_wound_step"]

@@ -395,33 +395,44 @@ def test_kummer_and_wound_engines_agree_with_brute_force_at_level_2():
     assert counts == {"flags": 1408, "kummer": 685, "kummer lifts": 685, "wound": 384}
 
 
+def _against_split_reference(flags):
+    """Counts of flags, split verdicts, splits and Kummer flags, and every disagreement with the reference."""
+    counts = {"flags": 0, "split verdicts": 0, "split": 0, "kummer": 0}
+    disagreements = []
+    for f in flags:
+        counts["flags"] += 1
+        for i, j, k in itertools.combinations(range(f.d + 1), 3):
+            counts["split verdicts"] += 1
+            verdict = segment_extension_splits(f, i, j, k)
+            counts["split"] += verdict
+            if verdict != extension_splits(f, i, j, k):
+                disagreements.append(("split", f, (i, j, k), verdict))
+        verdict = is_kummer(f).ok
+        counts["kummer"] += verdict
+        if verdict != is_kummer_reference(f):
+            disagreements.append(("kummer", f, verdict))
+    return counts, disagreements
+
+
 def test_is_kummer_agrees_with_a_splitting_search_at_level_2():
     # every split verdict and every Kummer verdict on the Z/4 lifts of the mod-2, genus-1,
-    # d = 3 unipotent pool and on the seed-25003 d = 4 flag, against a reference that
-    # enumerates the sections in numpy and uses no cohomology
+    # d = 3 unipotent pool, on seeded genus-1 d = 4 flags over Z/4 and on the seed-25003
+    # d = 4 dead end, against a reference that enumerates the sections in numpy and uses
+    # no cohomology
     tree = ast.parse(Path(__file__).with_name("split_reference.py").read_text())
     imports = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     assert imports == {"itertools", "numpy"}
     assert not any(isinstance(n, ast.ImportFrom) for n in ast.walk(tree))
     dead_end = gen_random_flag(2, 2, 4, 1, kind="kummer", seed=25003)
-    flags = [f for base in unipotent_pool(RingSpec(2, 1), 1, 3) for f in brute_lift(base)]
-    counts = {"flags": 0, "split verdicts": 0, "split": 0, "kummer": 0}
-    disagreements = []
+    pool = [f for base in unipotent_pool(RingSpec(2, 1), 1, 3) for f in brute_lift(base)]
+    seeded = [gen_random_flag(2, 2, 4, 1, kind=kind, seed=seed) for kind in ("kummer", "any") for seed in range(60)]
     with session():
-        for f in flags:
-            counts["flags"] += 1
-            for i, j, k in itertools.combinations(range(f.d + 1), 3):
-                counts["split verdicts"] += 1
-                verdict = segment_extension_splits(f, i, j, k)
-                counts["split"] += verdict
-                if verdict != extension_splits(f, i, j, k):
-                    disagreements.append(("split", f, (i, j, k), verdict))
-            verdict = is_kummer(f).ok
-            counts["kummer"] += verdict
-            if verdict != is_kummer_reference(f):
-                disagreements.append(("kummer", f, verdict))
-        assert is_kummer(dead_end).ok and is_kummer_reference(dead_end)
-        for i, j, k in itertools.combinations(range(5), 3):
-            assert segment_extension_splits(dead_end, i, j, k) == extension_splits(dead_end, i, j, k)
-    assert disagreements == []
-    assert counts == {"flags": 1408, "split verdicts": 5632, "split": 622, "kummer": 685}
+        assert _against_split_reference(pool) == (
+            {"flags": 1408, "split verdicts": 5632, "split": 622, "kummer": 685}, []
+        )
+        assert _against_split_reference(seeded) == (
+            {"flags": 120, "split verdicts": 1200, "split": 73, "kummer": 66}, []
+        )
+        assert _against_split_reference([dead_end]) == (
+            {"flags": 1, "split verdicts": 10, "split": 3, "kummer": 1}, []
+        )

@@ -34,7 +34,7 @@ def test_script_runs(argv):
         # the battery reports its session's memo use
         assert re.search(
             r"^memo: splits \d+ hits / \d+ misses, kummer \d+ hits / \d+ misses, "
-            r"walks \d+ hits / \d+ misses$",
+            r"walks \d+ hits / \d+ misses, lifts \d+ hits / \d+ misses$",
             proc.stdout, re.MULTILINE,
         ), proc.stdout
     if argv[0] == "kummer_census.py":

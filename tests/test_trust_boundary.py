@@ -102,19 +102,21 @@ def test_boundary_constructions_walk_the_relator(monkeypatch):
     a = RMatrix.from_rows(ring, [[1, 1], [0, 1]])
     eye = RMatrix.identity(ring, 2)
     monkeypatch.setattr(surface, "_check_relator", counted)
-    outputs = {
-        "SurfaceRep": SurfaceRep(ring, 1, (a, eye)),
-        "GModule": GModule(ring, 1, (a, eye)),
-        "load_rep": load_rep(text),
-        "load_flag": load_flag(text),
-        "glue": glue(kummer.truncate(), kummer.quotient_by_first()).flag,
-        "gluift": gluift(
-            kummer_up.truncate(), kummer_up.quotient_by_first(), kummer_up.reduce_to(1)
-        ).flag,
-        "lift_rep": lift_rep(kummer, least_char_lift(kummer, 2)).flag,
-        "lift_kummer": lift_kummer(kummer),
-        "lift_wound_kummer": lift_wound_kummer(wound).flag,
-    }
+    # a fresh session: a lift kept by an earlier test would be read, not built
+    with session():
+        outputs = {
+            "SurfaceRep": SurfaceRep(ring, 1, (a, eye)),
+            "GModule": GModule(ring, 1, (a, eye)),
+            "load_rep": load_rep(text),
+            "load_flag": load_flag(text),
+            "glue": glue(kummer.truncate(), kummer.quotient_by_first()).flag,
+            "gluift": gluift(
+                kummer_up.truncate(), kummer_up.quotient_by_first(), kummer_up.reduce_to(1)
+            ).flag,
+            "lift_rep": lift_rep(kummer, least_char_lift(kummer, 2)).flag,
+            "lift_kummer": lift_kummer(kummer),
+            "lift_wound_kummer": lift_wound_kummer(wound).flag,
+        }
     derived = [outputs["lift_kummer"].reduce_to(1), outputs["lift_kummer"].dual()]
     for name, obj in outputs.items():
         assert obj is not None, name
