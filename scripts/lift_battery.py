@@ -4,8 +4,8 @@ Samples random flags of the requested kind, lifts each one level, and
 verifies the postconditions (relator exactness upstairs, entrywise
 reduction to the input, predicate preservation). Prints a per-cell table,
 a summary and one "memo:" line (the hits and misses of the run's split
-verdict, Kummer verdict and relator walk memos); exits nonzero if any
-instance fails.
+verdict, Kummer verdict, relator walk and one-level lift memos); exits
+nonzero if any instance fails.
 """
 
 import argparse

@@ -27,12 +27,19 @@ twist as row operations, and ``_corner_step`` is the step in the corner
   Kummer flag.
 
 The obstruction-free engines check their input predicate, their pinned
-truncation (``_check_pinned``) and their output predicate once, then run
-a private recursion that trusts every part it derives.  Its d <= 1 base
-case is the Teichmuller lift of the diagonal.  The Kummer recursion
-``_lift_kummer`` pins the quotient by the first line; every public pin is
-a truncation, so ``lift_kummer_truncation`` makes its checks on its own
-input and truncation before it dualizes.
+truncation (``_check_pinned``) and their output predicate on every call,
+then run a private recursion that trusts every part it derives.  The
+Kummer recursion ``_lift_kummer`` pins the quotient by the first line; every
+public pin is a truncation, so ``lift_kummer_truncation`` makes its checks
+on its own input and truncation before it dualizes.  Each level of a
+recursion first resolves a missing pin by the recursive call that lifts
+that part, then runs its step (``_kummer_step``, ``_wound_step``, whose
+d <= 1 case is the Teichmuller lift of the diagonal, with no pin) once per
+session: ``_pinned_lift`` keeps the step's result in the session's
+``lifts`` table under (step, flag, pin), so a subquotient that two
+branches share, or a flag lifted again through duality, is lifted once.
+A raise is never kept.  ``lift_rep``, ``glue``, ``gluift`` and
+``_torsor_step`` keep nothing.
 
 ``_lift_kummer`` keeps split steps split with one linear system over
 Z/p^(r+1) per grid point of mod-p sections s (``_kummerize_pinned``).

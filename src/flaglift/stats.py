@@ -1,7 +1,8 @@
 """Scoped run context: the bounded memo tables of one session.
 
 A ``Session`` owns one ``Memo`` per memoised question: the split and
-is-Kummer verdicts of ``flags`` and the relator walks of ``surface``.
+is-Kummer verdicts of ``flags``, the relator walks of ``surface`` and the
+one-level lifts of ``lifting``'s private Kummer and wound recursions.
 Every table is bounded by ``MEMO_BOUND`` entries (the oldest entry is
 evicted first, in constant time) and counts its own hits and misses, so a
 run can report what it reused.
@@ -9,8 +10,8 @@ run can report what it reused.
 ``with session() as s:`` installs a fresh session and restores the
 previous one on exit; nothing stored inside outlives the ``with``.  Code
 outside any ``with`` runs in one explicit default session, which lives
-as long as the process.  A memo changes no result: a table holds verdicts
-that depend only on their key.
+as long as the process.  A memo changes no result: a table holds values
+that depend only on their key, and nothing that raised is stored.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Hashable, Iterator
 
 # Entries per table.  The lift battery decides a few hundred distinct
-# split verdicts and keeps the walks of 1,051 distinct generator tuples per
-# pass at seed 0 (1,013 at seed 28), and the oracle audit keeps 581 (its
-# brute-force search walks candidates in numpy, outside the table), so a
-# bound this size evicts nothing on either.
+# split verdicts, keeps the walks of 1,051 distinct generator tuples per
+# pass at seed 0 (1,013 at seed 28) and 594 one-level lifts (598 at seed
+# 28), and the oracle audit keeps 581 walks (its brute-force search walks
+# candidates in numpy, outside the table) and no lift, so a bound this
+# size evicts nothing on either.
 MEMO_BOUND = 4096
 
 
@@ -68,6 +70,9 @@ class Session:
     ``walks`` makes equal generator tuples cost one relator walk per
     session; the check on its product still runs on every construction,
     and ``d1`` reads its prefix products instead of walking again.
+    ``lifts`` makes each pinned one-level lift cost one engine step per
+    session; the public engines still check their input, pinned part and
+    output on every call.
     """
 
     # (segment flag V_k/V_i, offset j - i) -> whether the extension splits
@@ -78,8 +83,8 @@ class Session:
     # inverses, the entry tuples of its prefix products).  Constructors and
     # relator_defect store walks; d1 only reads them (its misses count too)
     walks: Memo = field(default_factory=Memo)
-    # (engine step, flag, pinned part or None at d <= 1) -> the one-level
-    # lift that lifting's private Kummer and wound recursions return
+    # (engine step function, flag, pinned part, None at d <= 1) -> the
+    # step's lift: a Flag (Kummer) or a WoundLiftResult (wound)
     lifts: Memo = field(default_factory=Memo)
 
     def summary(self) -> dict[str, dict[str, int]]:

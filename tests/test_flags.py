@@ -8,7 +8,7 @@ import pytest
 from test_acceptance import _GRID, LIFT_DIGESTS
 from test_zmod import unit_upper
 
-from flaglift import flags, stats
+from flaglift import flags, lifting, stats
 from flaglift.cohomology import h_groups, split_section
 from flaglift.flags import (
     Flag,
@@ -389,3 +389,17 @@ def test_a_bound_of_eight_keeps_every_lift_digest(monkeypatch):
     with session() as s:
         assert {**battery_digests(), 6: wound_digest()} == LIFT_DIGESTS
     assert s.lifts.summary()["size"] == 8 and s.lifts.misses > 8
+
+
+def test_a_session_runs_each_engine_step_once_per_input(monkeypatch):
+    # a pin is lifted before the lookup, so an unpinned lift and one pinned
+    # to that same lift share an entry, and no step repeats
+    calls = {"_kummerize_pinned": [], "gluift": []}
+    for name, seen in calls.items():
+        step = getattr(lifting, name)
+        monkeypatch.setattr(lifting, name, lambda *a, seen=seen, step=step: seen.append(a[:3]) or step(*a))
+    with session():
+        battery_digests()
+        wound_digest()
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)) > 0, name
